@@ -6,11 +6,13 @@ from .anisotropic import (
     AnisotropicWitness,
     ExhaustivePassed,
     Failed,
+    SampledPassed,
     ValuationPassed,
     build_fn,
     norm_form_eval,
     valuation_identity_check,
     verify_vanishing_exhaustive,
+    verify_vanishing_sampled,
 )
 from .covers import (
     CombinationCertificate,
@@ -52,6 +54,7 @@ from .function_ring import (
     enumerate_ideals_bruteforce,
     gelfand_map,
     max_spectrum,
+    maximal_ideals,
     preimage_of_ideal,
 )
 from .poly import (

@@ -4,11 +4,13 @@ The n-variable form is built from a root-free monic univariate f by
 homogenizing to f2 and composing into the last variable repeatedly.
 Over finite fields the zero locus is checked exhaustively; over the
 rationals the chosen stand-ins are the positive-definite norm form on
-Q(sqrt(d)) and the valuation identity for x^2 - p*y^2.
+Q(sqrt(d)), the valuation identity for x^2 - p*y^2, and a check on
+seeded sample points.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,12 +34,32 @@ class ExhaustivePassed:
     passed = True
     mode = "exhaustive"
 
+    def to_json(self):
+        return {"mode": self.mode, "points_checked": self.points_checked}
+
 
 @dataclass(frozen=True)
 class ValuationPassed:
     samples: int
+    prime: int = dataclasses.field(default=None, compare=False)
     passed = True
     mode = "valuation"
+
+    def to_json(self):
+        return {"mode": self.mode, "samples": self.samples,
+                "prime": self.prime}
+
+
+@dataclass(frozen=True)
+class SampledPassed:
+    samples: int
+    passed = True
+    mode = "sampled"
+    note = ("nonvanishing checked on seeded samples only; "
+            "the root-free witness is supplied by the caller")
+
+    def to_json(self):
+        return {"mode": self.mode, "samples": self.samples, "note": self.note}
 
 
 @dataclass(frozen=True)
@@ -46,14 +68,19 @@ class Failed:
     passed = False
     mode = "failed"
 
+    def to_json(self):
+        return {"mode": self.mode,
+                "counterexample": [str(x) for x in self.counterexample]}
+
 
 def build_fn(f: MultiPoly, n: int) -> MultiPoly:
     """The arity-n composition tower over a root-free monic univariate f.
 
-    n = 1 gives the identity polynomial; for n >= 2 the result is
-    homogeneous of degree m^(n-1) with zero constant term. Over a
-    finite field the root-free precondition is re-verified here; over
-    an infinite field the caller vouches for the witness.
+    n = 1 gives the identity polynomial; for n >= 2 the result has
+    degree m^(n-1) and zero constant term. It need not be homogeneous:
+    over F_2 with n = 3 it is x1^4 + ... + x3^2. Over a finite field
+    the root-free precondition is re-verified here; over an infinite
+    field the caller vouches for the witness.
     """
     if n < 1:
         raise ValueError("arity must be at least 1")
@@ -89,12 +116,28 @@ def verify_vanishing_exhaustive(g: MultiPoly):
     if q ** n > EXHAUSTIVE_GUARD:
         raise TooLarge(f"q^n = {q ** n} exceeds the enumeration guard")
     elements = enumerate_field(field)
-    for pt in itertools.product(elements, repeat=n):
-        value = g.evaluate(pt)
+    bad = _first_violation(g, itertools.product(elements, repeat=n))
+    return ExhaustivePassed(q ** n) if bad is None else Failed(bad)
+
+
+def verify_vanishing_sampled(g: MultiPoly, points):
+    """Check that g vanishes at the origin and at none of the given
+    nonzero points; the origin is checked first. A pass covers only the
+    points given, not all of F^n.
+    """
+    points = list(points)
+    origin = tuple(g.field.zero() for _ in range(g.arity))
+    bad = _first_violation(g, itertools.chain([origin], points))
+    return SampledPassed(len(points)) if bad is None else Failed(bad)
+
+
+def _first_violation(g, points):
+    """The first point where g is zero off the origin or nonzero at it."""
+    for pt in points:
         at_origin = all(x.is_zero for x in pt)
-        if at_origin != value.is_zero:
-            return Failed(pt)
-    return ExhaustivePassed(q ** n)
+        if at_origin != g.evaluate(pt).is_zero:
+            return pt
+    return None
 
 
 @dataclass(frozen=True)
@@ -107,20 +150,12 @@ class AnisotropicWitness:
     verification: object
 
     def to_json(self):
-        v = self.verification
-        if isinstance(v, ExhaustivePassed):
-            vrec = {"mode": v.mode, "points_checked": v.points_checked}
-        elif isinstance(v, ValuationPassed):
-            vrec = {"mode": v.mode, "samples": v.samples}
-        else:
-            vrec = {"mode": "failed",
-                    "counterexample": [str(x) for x in v.counterexample]}
         return {
             "base": format_poly(self.base),
             "arity": self.arity,
             "form": format_poly(self.form),
             "degree": self.form.degree,
-            "verification": vrec,
+            "verification": self.verification.to_json(),
         }
 
 
@@ -167,4 +202,4 @@ def valuation_identity_check(p: int, samples):
             if lhs.is_infinite or lhs != rhs:
                 return Failed((x, y))
         checked += 1
-    return ValuationPassed(checked)
+    return ValuationPassed(checked, p)

@@ -95,7 +95,6 @@ def cmd_anisotropic(args):
               "witness": args.witness, "padic": args.padic,
               "seed": args.seed, "samples": args.samples}
     report = _new_report("anisotropic", config)
-    instance = {}
 
     if field.is_finite:
         if args.m < 2:
@@ -103,10 +102,9 @@ def cmd_anisotropic(args):
         base = univariate(field, find_rootfree_monic(field, args.m))
         form = aniso.build_fn(base, args.n)
         result = aniso.verify_vanishing_exhaustive(form)
-        witness = aniso.AnisotropicWitness(base, args.n, form, result)
-        instance = witness.to_json()
-        passed = result.passed
     elif field.kind == RATIONAL and args.padic:
+        if args.n != 2:
+            raise ConfigError("--padic checks x^2 - p*y^2, so --n must be 2")
         p = args.padic
         base = parse_poly(field, f"x^2 + -{p}")
         form = aniso.build_fn(base, args.n)
@@ -114,52 +112,19 @@ def cmd_anisotropic(args):
         pairs = list(zip(_seeded_rationals(rng, args.samples),
                          _seeded_rationals(rng, args.samples)))
         result = aniso.valuation_identity_check(p, pairs)
-        instance = {
-            "base": format_poly(base),
-            "arity": args.n,
-            "form": format_poly(form),
-            "degree": form.degree,
-            "verification": ({"mode": "valuation", "samples": result.samples,
-                              "prime": p} if result.passed else
-                             {"mode": "failed", "counterexample":
-                              [str(v) for v in result.counterexample]}),
-        }
-        passed = result.passed
     elif field.kind == RATIONAL and args.witness:
         base = parse_poly(field, args.witness)
         form = aniso.build_fn(base, args.n)
         rng = random.Random(args.seed)
-        passed = True
-        counterexample = None
-        for _ in range(args.samples):
-            pt = tuple(field.element(v)
-                       for v in _seeded_rationals(rng, args.n))
-            value = form.evaluate(pt)
-            nonzero_pt = any(not x.is_zero for x in pt)
-            if nonzero_pt and value.is_zero:
-                passed = False
-                counterexample = [str(x) for x in pt]
-                break
-        if not form.evaluate(tuple(field.zero() for _ in range(args.n))) \
-                .is_zero:
-            passed = False
-        instance = {
-            "base": format_poly(base),
-            "arity": args.n,
-            "form": format_poly(form),
-            "degree": form.degree,
-            "verification": {
-                "mode": "sampled",
-                "samples": args.samples,
-                "note": ("nonvanishing checked on seeded samples only; "
-                         "the root-free witness is supplied by the caller"),
-                **({"counterexample": counterexample}
-                   if counterexample else {}),
-            },
-        }
+        points = [tuple(field.element(v)
+                        for v in _seeded_rationals(rng, args.n))
+                  for _ in range(args.samples)]
+        result = aniso.verify_vanishing_sampled(form, points)
     else:
         raise ConfigError("infinite fields need --witness or --padic")
 
+    instance = aniso.AnisotropicWitness(base, args.n, form, result).to_json()
+    passed = result.passed
     report["instances"] = [instance]
     report["totals"] = {"passed": int(passed), "failed": int(not passed)}
     _emit(report, args.out)

@@ -63,13 +63,6 @@ def _ptrim(a):
     return a[:d + 1]
 
 
-def _padd(a, b, p):
-    n = max(len(a), len(b))
-    a = a + [0] * (n - len(a))
-    b = b + [0] * (n - len(b))
-    return [(x + y) % p for x, y in zip(a, b)]
-
-
 def _psub(a, b, p):
     n = max(len(a), len(b))
     a = a + [0] * (n - len(a))
@@ -106,6 +99,15 @@ def _pdivmod(a, b, p):
     return _ptrim(quo) or [0], _ptrim(rem) or [0]
 
 
+def _base_p_digits(idx, p, k):
+    """The k base-p digits of idx, least significant first."""
+    digits = []
+    for _ in range(k):
+        idx, d = divmod(idx, p)
+        digits.append(d)
+    return tuple(digits)
+
+
 def _is_irreducible(modulus, p):
     """Exhaustive check: no monic factor of degree 1..k//2 divides it."""
     k = _pdeg(modulus)
@@ -127,14 +129,9 @@ def _first_irreducible(p, k):
     coefficient tuple in base p (constant coefficient least significant).
     """
     for idx in range(p ** k):
-        coeffs = []
-        v = idx
-        for _ in range(k):
-            coeffs.append(v % p)
-            v //= p
-        cand = coeffs + [1]
+        cand = _base_p_digits(idx, p, k) + (1,)
         if _is_irreducible(cand, p):
-            return tuple(cand)
+            return cand
     raise NoneFound(f"no irreducible polynomial of degree {k} over F_{p}")
 
 
@@ -228,6 +225,9 @@ def Fp(p):
 
 def Fq(p, k, modulus=None):
     if modulus is None:
+        # validated before the search, which is exponential in k
+        if not is_prime(p) or not 1 <= k <= MAX_EXTENSION_DEGREE:
+            raise ValueError(f"F_{p}^{k} is not a supported extension field")
         modulus = _first_irreducible(p, k)
     return FieldDescriptor(EXTENSION, p=p, k=k, modulus=tuple(modulus))
 
@@ -418,15 +418,8 @@ def enumerate_field(F: FieldDescriptor):
         raise InfiniteField(f"{F} is not finite")
     if F.kind == PRIME:
         return [FieldElement(F, v) for v in range(F.p)]
-    out = []
-    for idx in range(F.order):
-        coeffs = []
-        v = idx
-        for _ in range(F.k):
-            coeffs.append(v % F.p)
-            v //= F.p
-        out.append(FieldElement(F, tuple(coeffs)))
-    return out
+    return [FieldElement(F, _base_p_digits(idx, F.p, F.k))
+            for idx in range(F.order)]
 
 
 def eval_univariate(coeffs, a):
@@ -515,7 +508,7 @@ class Valuation:
     __radd__ = __add__
 
     def __hash__(self):
-        return hash(("Valuation", self._v))
+        return hash(self._v)  # agrees with equality to ints
 
     def __repr__(self):
         return "Valuation(+inf)" if self._v is None else f"Valuation({self._v})"
@@ -629,7 +622,10 @@ class _Scanner:
 
 
 def parse_field(text: str) -> FieldDescriptor:
-    """Parse a field descriptor: Fp(5), Fq(2,3,t^3+t+1), Q, Q(sqrt(-1))."""
+    """Parse a field descriptor: Fp(5), Fq(2,3,t^3+t+1), Q, Q(sqrt(-1)).
+
+    Fq(p,k) without a modulus picks the first irreducible one.
+    """
     s = _Scanner(text.strip())
     if s.text.startswith("Fp("):
         s.expect("Fp(")
@@ -642,6 +638,8 @@ def parse_field(text: str) -> FieldDescriptor:
         p = int(s.regex(r"\d+", "a prime"))
         s.expect(",")
         k = int(s.regex(r"\d+", "an extension degree"))
+        if s.text[s.pos:] == ")":
+            return Fq(p, k)
         s.expect(",")
         body, start = s.until(")", "')' closing the modulus")
         modulus = _parse_tpoly(body, p, start)
@@ -680,7 +678,7 @@ def format_element(x: FieldElement) -> str:
 
 
 _QUADRATIC_RE = re.compile(
-    r"^(?P<a>-?\d+(?:/\d+)?)?(?P<sign>[+-])?"
+    r"^(?:(?P<a>-?\d+(?:/\d+)?)(?=[+-]))?(?P<sign>[+-])?"
     r"(?:(?P<b>\d+(?:/\d+)?)\*)?sqrt\((?P<d>-\d+)\)$")
 
 
@@ -709,9 +707,6 @@ def parse_element(F: FieldDescriptor, text: str) -> FieldElement:
         raise ParseError(text, 0, f"an a+b*sqrt({F.d}) literal")
     a = Fraction(m.group("a")) if m.group("a") else Fraction(0)
     b = Fraction(m.group("b")) if m.group("b") else Fraction(1)
-    if m.group("sign") == "-" or (m.group("a") is None
-                                  and text.startswith("-")):
+    if m.group("sign") == "-":
         b = -b
-    if m.group("a") is not None and m.group("sign") is None:
-        raise ParseError(text, len(m.group("a")), "'+' or '-' before sqrt")
     return F.element((a, b))

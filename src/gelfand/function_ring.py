@@ -2,9 +2,9 @@
 maximal spectrum with the Zariski topology, and the point-to-kernel map.
 
 Every function on a finite discrete space is continuous, so the ring is
-just F^n with pointwise operations. Ideals come in two representations:
-a structural one (all functions vanishing on a fixed subset of points)
-and an explicit element set produced by the brute-force oracle.
+just F^n with pointwise operations. Every ideal of F^n is I_V, the
+functions vanishing on some set V of points; the brute-force oracle
+checks this independently at tiny sizes by enumerating element sets.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .field_core import (
 )
 
 ORACLE_GUARD = 12          # max ring size for subset enumeration
-SPECTRUM_GUARD = 10 ** 6   # max ring size for closed-set generation
+SPECTRUM_GUARD = 10 ** 6   # max ring size to enumerate, max closed-set count
 
 
 @dataclass(frozen=True)
@@ -140,109 +140,58 @@ def all_ring_elements(space: FiniteSpace, field: FieldDescriptor):
 
 @dataclass(frozen=True)
 class IdealRepr:
-    """An ideal of the function ring, structural or explicit.
+    """The ideal I_V of all functions vanishing on a set V of points.
 
-    Structural(V) is the set of functions vanishing on V; it is proper
-    iff V is non-empty and maximal iff V is a single point. Explicit
-    ideals carry their full element set (oracle output).
+    Every ideal of F^n has this form. I_V is proper iff V is non-empty
+    and maximal iff V is a single point.
     """
 
     space: FiniteSpace
     field: FieldDescriptor
-    vanishing: frozenset = None
-    elements: frozenset = None
+    vanishing: frozenset
 
-    @classmethod
-    def structural(cls, space, field, vanishing):
-        vanishing = frozenset(vanishing)
+    def __post_init__(self):
+        vanishing = frozenset(self.vanishing)
         for x in vanishing:
-            if not 0 <= x < space.size:
-                raise PointOutOfRange(f"point {x} not in the space")
-        return cls(space, field, vanishing=vanishing)
-
-    @classmethod
-    def explicit(cls, space, field, elements):
-        return cls(space, field, elements=frozenset(elements))
-
-    @property
-    def is_structural(self):
-        return self.vanishing is not None
+            if not 0 <= x < self.space.size:
+                raise PointOutOfRange(
+                    f"point {x} not in a space of size {self.space.size}")
+        object.__setattr__(self, "vanishing", vanishing)
 
     def contains(self, f: RingElement) -> bool:
-        if self.is_structural:
-            return all(f.values[x].is_zero for x in self.vanishing)
-        return f in self.elements
+        return all(f.values[x].is_zero for x in self.vanishing)
 
     @property
     def is_proper(self):
-        if self.is_structural:
-            return bool(self.vanishing)
-        one = RingElement(self.field, (self.field.one(),) * self.space.size)
-        return one not in self.elements
+        return bool(self.vanishing)
 
     def element_set(self) -> frozenset:
         """Materialize the full element set (guarded by ring size)."""
-        if not self.is_structural:
-            return self.elements
         return frozenset(
             f for f in all_ring_elements(self.space, self.field)
             if self.contains(f))
 
     def is_maximal(self) -> bool:
-        if self.is_structural:
-            return len(self.vanishing) == 1
-        if not self.is_proper:
-            return False
-        ring = all_ring_elements(self.space, self.field)
-        for f in ring:
-            if f in self.elements:
-                continue
-            grown = ideal_generated_by(self.space, self.field,
-                                       set(self.elements) | {f})
-            if len(grown) != len(ring):
-                return False
-        return True
-
-
-def ideal_generated_by(space, field, generators) -> frozenset:
-    """Closure of a generating set under addition and ring multiplication."""
-    ring = all_ring_elements(space, field)
-    current = set(generators)
-    current.add(RingElement.zeros(field, space.size))
-    while True:
-        new = set()
-        for f in current:
-            for g in current:
-                h = f + g
-                if h not in current:
-                    new.add(h)
-            for r in ring:
-                h = r * f
-                if h not in current:
-                    new.add(h)
-        if not new:
-            return frozenset(current)
-        current |= new
+        return len(self.vanishing) == 1
 
 
 def gelfand_map(space: FiniteSpace, field: FieldDescriptor, x: int) -> IdealRepr:
     """The kernel of evaluation at x: all functions vanishing there."""
-    if not 0 <= x < space.size:
-        raise PointOutOfRange(f"point {x} not in a space of size {space.size}")
-    return IdealRepr.structural(space, field, {x})
+    return IdealRepr(space, field, {x})
 
 
 def enumerate_ideals_bruteforce(space: FiniteSpace, field: FieldDescriptor):
-    """All ideals of the function ring by direct subset enumeration.
+    """All ideals of the function ring, as element sets, by direct subset
+    enumeration.
 
     Checks every subset containing zero for closure under addition and
     under multiplication by arbitrary ring elements. Only feasible for
     tiny rings; guarded accordingly.
     """
-    ring = all_ring_elements(space, field)
-    n = len(ring)
+    n = field.order ** space.size
     if n > ORACLE_GUARD:
         raise TooLarge(f"ring has {n} elements; oracle guard is {ORACLE_GUARD}")
+    ring = all_ring_elements(space, field)
     zero_idx = next(i for i, f in enumerate(ring) if f.is_zero)
     index = {f: i for i, f in enumerate(ring)}
     add_table = [[index[ring[i] + ring[j]] for j in range(n)] for i in range(n)]
@@ -267,9 +216,16 @@ def enumerate_ideals_bruteforce(space: FiniteSpace, field: FieldDescriptor):
             if not ok:
                 break
         if ok:
-            ideals.append(IdealRepr.explicit(
-                space, field, (ring[i] for i in members)))
+            ideals.append(frozenset(ring[i] for i in members))
     return ideals
+
+
+def maximal_ideals(ideals, one: RingElement):
+    """The proper ideals that no other listed proper ideal strictly
+    contains. Applied to the oracle's complete list, these are exactly
+    the maximal ideals."""
+    proper = [I for I in ideals if one not in I]
+    return [I for I in proper if not any(I < J for J in proper)]
 
 
 @dataclass(frozen=True)
@@ -285,46 +241,32 @@ class ZariskiSpace:
 
 
 def max_spectrum(space: FiniteSpace, field: FieldDescriptor) -> ZariskiSpace:
-    """Compute Max(C(X,F)) and generate its Zariski topology.
+    """Compute Max(C(X,F)) and its Zariski topology.
 
-    The basic closed sets C_f = {M : f in M} are computed for every
-    ring element f and then closed under finite union and intersection.
+    The basic closed set C_f = {M : f in M} is the zero set of f. Since
+    1 - 1_S vanishes exactly on S, every subset of points is a zero
+    set, so the closed sets are the 2^n zero patterns of the functions
+    1 - 1_S; they are already closed under union and intersection.
     """
+    n = space.size
+    if 2 ** n > SPECTRUM_GUARD:
+        raise TooLarge(f"2^{n} closed sets exceed the guard {SPECTRUM_GUARD}")
     points = tuple(gelfand_map(space, field, x) for x in space.points())
-    basic = set()
-    for f in all_ring_elements(space, field):
-        # f lies in the kernel at x exactly when f(x) = 0
-        basic.add(f.zero_set())
-    family = set(basic)
-    family.add(frozenset())
-    family.add(frozenset(space.points()))
-    while True:
-        new = set()
-        fam = list(family)
-        for i, a in enumerate(fam):
-            for b in fam[i + 1:]:
-                u = a | b
-                if u not in family:
-                    new.add(u)
-                v = a & b
-                if v not in family:
-                    new.add(v)
-        if not new:
-            break
-        family |= new
-    return ZariskiSpace(points, frozenset(family))
+    zero, one = field.zero(), field.one()
+    unit = RingElement(field, (one,) * n)
+    closed = set()
+    for mask in range(1 << n):
+        indicator = RingElement(field, tuple(
+            one if (mask >> x) & 1 else zero for x in space.points()))
+        closed.add((unit - indicator).zero_set())
+    return ZariskiSpace(points, frozenset(closed))
 
 
 def preimage_of_ideal(space, field, M: IdealRepr) -> frozenset:
     """Points where every member of the ideal vanishes."""
     if not M.is_proper:
         raise NotProper("the whole ring has no preimage point set")
-    if M.is_structural:
-        return frozenset(M.vanishing)
-    out = frozenset(space.points())
-    for f in M.elements:
-        out &= frozenset(x for x in space.points() if f.values[x].is_zero)
-    return out
+    return M.vanishing
 
 
 def check_homeomorphism(space: FiniteSpace, field: FieldDescriptor,
@@ -353,10 +295,11 @@ def check_homeomorphism(space: FiniteSpace, field: FieldDescriptor,
 
     oracle_agrees = None
     if use_oracle:
-        ideals = enumerate_ideals_bruteforce(space, field)
-        oracle_max = {I.element_set() for I in ideals if I.is_maximal()}
+        one = RingElement(field, (field.one(),) * n)
+        oracle_max = maximal_ideals(enumerate_ideals_bruteforce(space, field),
+                                    one)
         structural_max = {M.element_set() for M in kernels}
-        oracle_agrees = oracle_max == structural_max
+        oracle_agrees = set(oracle_max) == structural_max
 
     all_subsets = set()
     for r in range(n + 1):

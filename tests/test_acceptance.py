@@ -37,6 +37,7 @@ from gelfand.function_ring import (
     check_homeomorphism,
     enumerate_ideals_bruteforce,
     gelfand_map,
+    maximal_ideals,
 )
 from gelfand.poly import univariate
 
@@ -82,7 +83,8 @@ def test_criterion_3_gelfand_finite_instance():
         sp, F = FiniteSpace(size), Fp(2)
         ideals = enumerate_ideals_bruteforce(sp, F)
         ok = ok and len(ideals) == 2 ** size
-        maximal = {I.element_set() for I in ideals if I.is_maximal()}
+        one = RingElement.from_ints(F, [1] * size)
+        maximal = set(maximal_ideals(ideals, one))
         structural = {gelfand_map(sp, F, x).element_set()
                       for x in sp.points()}
         ok = ok and len(maximal) == size and maximal == structural

@@ -9,10 +9,12 @@ from gelfand.anisotropic import (
     ExhaustivePassed,
     Failed,
     ValuationPassed,
+    SampledPassed,
     build_fn,
     norm_form_eval,
     valuation_identity_check,
     verify_vanishing_exhaustive,
+    verify_vanishing_sampled,
 )
 from gelfand.errors import HasRoot, TooLarge, WrongKind
 from gelfand.field_core import (
@@ -163,3 +165,36 @@ def test_witness_record_json():
     assert record["degree"] == 2
     assert record["verification"] == {"mode": "exhaustive",
                                       "points_checked": 9}
+
+
+def test_valuation_result_carries_prime():
+    result = valuation_identity_check(3, [(1, 1), (2, 5)])
+    assert result.prime == 3
+    assert result.to_json() == {"mode": "valuation", "samples": 2,
+                                "prime": 3}
+
+
+def _q_points(coords):
+    return [tuple(Q().element(v) for v in pt) for pt in coords]
+
+
+def test_sampled_passes_on_sum_of_squares():
+    g = parse_poly(Q(), "x1^2 + x2^2")
+    result = verify_vanishing_sampled(g, _q_points([(1, 1), (0, 3), (-2, 5)]))
+    assert result == SampledPassed(3)
+    assert result.to_json()["mode"] == "sampled"
+
+
+def test_sampled_fails_on_isotropic_form():
+    g = parse_poly(Q(), "x1^2 - x2^2")
+    result = verify_vanishing_sampled(g, _q_points([(1, 2), (1, 1), (3, 1)]))
+    assert isinstance(result, Failed)
+    assert tuple(x.payload for x in result.counterexample) == (1, 1)
+
+
+def test_sampled_fails_on_nonzero_constant_at_origin():
+    g = parse_poly(Q(), "x1^2 + x2^2 + 1")
+    result = verify_vanishing_sampled(g, _q_points([(1, 1)]))
+    assert isinstance(result, Failed)
+    assert all(x.is_zero for x in result.counterexample)
+    assert len(result.counterexample) == 2

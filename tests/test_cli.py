@@ -44,6 +44,41 @@ def test_anisotropic_padic(tmp_path):
     assert v["mode"] == "valuation" and v["samples"] == 200
 
 
+def test_anisotropic_padic_report_names_prime(tmp_path):
+    code, report = run_cli(
+        ["anisotropic", "--field", "Q", "--padic", "5", "--samples", "30"],
+        tmp_path / "r.json")
+    assert code == 0
+    assert report["instances"][0]["verification"] == {
+        "mode": "valuation", "samples": 30, "prime": 5}
+
+
+def test_anisotropic_padic_needs_arity_two(tmp_path):
+    code, report = run_cli(
+        ["anisotropic", "--field", "Q", "--padic", "3", "--n", "3"],
+        tmp_path / "r.json")
+    assert code == 2
+    assert report is None
+
+
+def test_anisotropic_fq_shorthand(tmp_path):
+    code, report = run_cli(
+        ["anisotropic", "--field", "Fq(2,3)", "--n", "3"],
+        tmp_path / "r.json")
+    assert code == 0
+    assert report["config"]["field"] == "Fq(2,3,t^3+t+1)"
+    assert report["instances"][0]["verification"] == {
+        "mode": "exhaustive", "points_checked": 512}
+
+
+def test_gelfand_readme_oracle_example(tmp_path):
+    code, report = run_cli(
+        ["gelfand", "--field", "Fp(2),Fp(3)", "--space", "1..2", "--oracle"],
+        tmp_path / "r.json")
+    assert code == 0
+    assert all(inst["oracle_checked"] for inst in report["instances"])
+
+
 def test_anisotropic_degree_guard(tmp_path):
     code, _ = run_cli(["anisotropic", "--field", "Fp(2)", "--m", "1"],
                       tmp_path / "r.json")

@@ -247,3 +247,36 @@ def test_eval_univariate_horner():
     F = Fp(5)
     coeffs = tuple(F.from_int(c) for c in (1, 2, 3))  # 3x^2 + 2x + 1
     assert eval_univariate(coeffs, F.from_int(2)).payload == (3 * 4 + 4 + 1) % 5
+
+
+def test_fq_shorthand_picks_first_irreducible():
+    assert parse_field("Fq(2,3)") == Fq(2, 3)
+    assert parse_field("Fq(3,2)") == Fq(3, 2)
+    for text in ("Fq(2,40)", "Fq(4,2)", "Fq(2,0)"):
+        with pytest.raises(ValueError):
+            parse_field(text)
+
+
+def test_quadratic_multidigit_roundtrip_seeded():
+    rng = random.Random(2718)
+    F = Qsqrt(-3)
+
+    def rand_coeff():
+        num = rng.choice([rng.randint(10, 999), rng.randint(1, 9)])
+        den = rng.choice([1, 1, rng.randint(2, 99)])
+        return Fraction(num, den)
+
+    for _ in range(200):
+        a = rng.choice([Fraction(0), rand_coeff(), -rand_coeff()])
+        b = rng.choice([rand_coeff(), -rand_coeff()])
+        x = F.element((a, b))
+        assert parse_element(F, format_element(x)) == x
+    for text in ("12*sqrt(-3)", "-12*sqrt(-3)", "3/4*sqrt(-3)",
+                 "12+34*sqrt(-3)", "-5/7-12*sqrt(-3)"):
+        assert format_element(parse_element(F, text)) == text
+
+
+def test_valuation_hash_agrees_with_int_equality():
+    assert hash(Valuation(3)) == hash(3)
+    assert Valuation(3) == 3
+    assert len({Valuation(3), 3}) == 1

@@ -14,8 +14,8 @@ from gelfand.function_ring import (
     check_homeomorphism,
     enumerate_ideals_bruteforce,
     gelfand_map,
-    ideal_generated_by,
     max_spectrum,
+    maximal_ideals,
     parse_ring_element,
     preimage_of_ideal,
 )
@@ -47,24 +47,28 @@ def test_gelfand_map_point_range():
         gelfand_map(FiniteSpace(2), Fp(2), 5)
 
 
+def _one(field, size):
+    return RingElement.from_ints(field, [1] * size)
+
+
 def test_bruteforce_f2_two_points():
     ideals = enumerate_ideals_bruteforce(FiniteSpace(2), Fp(2))
     assert len(ideals) == 4
-    assert sum(1 for I in ideals if I.is_maximal()) == 2
+    assert len(maximal_ideals(ideals, _one(Fp(2), 2))) == 2
 
 
 def test_bruteforce_one_point():
     ideals = enumerate_ideals_bruteforce(FiniteSpace(1), Fp(2))
     assert len(ideals) == 2
-    maximal = [I for I in ideals if I.is_maximal()]
+    maximal = maximal_ideals(ideals, _one(Fp(2), 1))
     assert len(maximal) == 1
-    assert maximal[0].element_set() == {RingElement.zeros(Fp(2), 1)}
+    assert maximal[0] == {RingElement.zeros(Fp(2), 1)}
 
 
 def test_bruteforce_f2_three_points():
     ideals = enumerate_ideals_bruteforce(FiniteSpace(3), Fp(2))
     assert len(ideals) == 8  # one per subset of coordinates
-    assert sum(1 for I in ideals if I.is_maximal()) == 3
+    assert len(maximal_ideals(ideals, _one(Fp(2), 3))) == 3
 
 
 def test_bruteforce_guard():
@@ -74,8 +78,8 @@ def test_bruteforce_guard():
 
 def test_structural_matches_bruteforce():
     F, sp = Fp(2), FiniteSpace(3)
-    oracle = {I.element_set()
-              for I in enumerate_ideals_bruteforce(sp, F) if I.is_maximal()}
+    oracle = set(maximal_ideals(enumerate_ideals_bruteforce(sp, F),
+                                _one(F, 3)))
     structural = {gelfand_map(sp, F, x).element_set() for x in sp.points()}
     assert oracle == structural
 
@@ -83,15 +87,15 @@ def test_structural_matches_bruteforce():
 def test_structural_ideal_closure_property():
     # Structural(V1 u V2) = Structural(V1) n Structural(V2)
     F, sp = Fp(2), FiniteSpace(3)
-    I1 = IdealRepr.structural(sp, F, {0})
-    I2 = IdealRepr.structural(sp, F, {1, 2})
-    I12 = IdealRepr.structural(sp, F, {0, 1, 2})
+    I1 = IdealRepr(sp, F, {0})
+    I2 = IdealRepr(sp, F, {1, 2})
+    I12 = IdealRepr(sp, F, {0, 1, 2})
     assert I12.element_set() == I1.element_set() & I2.element_set()
 
 
 def test_structural_is_really_an_ideal():
     F, sp = Fp(3), FiniteSpace(2)
-    I = IdealRepr.structural(sp, F, {1})
+    I = IdealRepr(sp, F, {1})
     members = I.element_set()
     ring = all_ring_elements(sp, F)
     for f in members:
@@ -99,12 +103,6 @@ def test_structural_is_really_an_ideal():
             assert (f + g) in members
         for r in ring:
             assert (r * f) in members
-
-
-def test_ideal_generated_by_unit_is_ring():
-    F, sp = Fp(2), FiniteSpace(2)
-    one = RingElement(F, (F.one(), F.one()))
-    assert len(ideal_generated_by(sp, F, {one})) == 4
 
 
 def test_spectrum_size3_f2():
@@ -135,14 +133,14 @@ def test_preimage_of_kernel():
 
 def test_preimage_of_whole_ring_rejected():
     F, sp = Fp(2), FiniteSpace(2)
-    whole = IdealRepr.explicit(sp, F, all_ring_elements(sp, F))
+    whole = IdealRepr(sp, F, ())
     with pytest.raises(NotProper):
         preimage_of_ideal(sp, F, whole)
 
 
 def test_preimage_of_zero_ideal_is_whole_space():
     F, sp = Fp(2), FiniteSpace(2)
-    zero_ideal = IdealRepr.explicit(sp, F, {RingElement.zeros(F, 2)})
+    zero_ideal = IdealRepr(sp, F, {0, 1})
     assert preimage_of_ideal(sp, F, zero_ideal) == frozenset({0, 1})
 
 
@@ -181,3 +179,37 @@ def test_ring_element_parse_and_ops():
     assert str(f + g) == "3,2,2"
     assert str(f * g) == "2,0,2"
     assert str(-f) == "4,0,2"
+
+
+def test_ideal_repr_rejects_points_outside_the_space():
+    with pytest.raises(PointOutOfRange):
+        IdealRepr(FiniteSpace(2), Fp(2), {0, 2})
+    assert IdealRepr(FiniteSpace(2), Fp(2), [1, 1]).vanishing == {1}
+
+
+def _closed_sets_by_closure(space, field):
+    """Reference oracle: the zero sets of every ring element, closed
+    under finite union and intersection by fixed-point iteration."""
+    family = {f.zero_set() for f in all_ring_elements(space, field)}
+    family |= {frozenset(), frozenset(space.points())}
+    while True:
+        fam = list(family)
+        new = {c for i, a in enumerate(fam) for b in fam[i + 1:]
+               for c in (a | b, a & b)} - family
+        if not new:
+            return frozenset(family)
+        family |= new
+
+
+@pytest.mark.parametrize("field,sizes", [
+    (Fp(2), range(1, 6)), (Fp(3), range(1, 4)), (Fq(2, 2), range(1, 4))])
+def test_spectrum_matches_closure_oracle(field, sizes):
+    for size in sizes:
+        space = FiniteSpace(size)
+        assert max_spectrum(space, field).closed_sets == \
+            _closed_sets_by_closure(space, field)
+
+
+def test_spectrum_guard_before_work():
+    with pytest.raises(TooLarge):
+        max_spectrum(FiniteSpace(20), Fp(2))
