@@ -11,6 +11,7 @@ from .anisotropic import (
     build_fn,
     norm_form_eval,
     valuation_identity_check,
+    verify_tower_exhaustive,
     verify_vanishing_exhaustive,
     verify_vanishing_sampled,
 )
@@ -44,6 +45,7 @@ from .field_core import (
     padic_valuation,
     parse_element,
     parse_field,
+    rootfree_scan_position,
 )
 from .function_ring import (
     FiniteSpace,

@@ -2,10 +2,13 @@
 
 The n-variable form is built from a root-free monic univariate f by
 homogenizing to f2 and composing into the last variable repeatedly.
-Over finite fields the zero locus is checked exhaustively; over the
-rationals the chosen stand-ins are the positive-definite norm form on
-Q(sqrt(d)), the valuation identity for x^2 - p*y^2, and a check on
-seeded sample points.
+Over finite fields the zero locus is checked exhaustively: the tower
+itself level by level from a q x q table of f2
+(`verify_tower_exhaustive`), and any expanded form term by term at
+every point (`verify_vanishing_exhaustive`, the generic reference).
+Over the rationals the chosen stand-ins are the positive-definite norm
+form on Q(sqrt(d)), the valuation identity for x^2 - p*y^2, and a
+check on seeded sample points.
 """
 
 from __future__ import annotations
@@ -118,6 +121,51 @@ def verify_vanishing_exhaustive(g: MultiPoly):
     elements = enumerate_field(field)
     bad = _first_violation(g, itertools.product(elements, repeat=n))
     return ExhaustivePassed(q ** n) if bad is None else Failed(bad)
+
+
+def verify_tower_exhaustive(f: MultiPoly, n: int):
+    """Check over all of F^n that the arity-n tower over f vanishes
+    exactly at the origin, without expanding it.
+
+    Elements are coded by their position in `enumerate_field`, where 0
+    is the zero element. T[u][v] codes f2(u, v); starting from the
+    values of x1, each further variable replaces every value v by the
+    row T[v], so the values stay in lexicographic point order and a
+    reported counterexample is the smallest one, as with
+    `verify_vanishing_exhaustive(build_fn(f, n))`. The base is not
+    required to be root-free.
+    """
+    field = f.field
+    if not field.is_finite:
+        raise InfiniteField("exhaustive verification needs a finite field")
+    if n < 1:
+        raise ValueError("arity must be at least 1")
+    q = field.order
+    if q ** n > EXHAUSTIVE_GUARD:
+        raise TooLarge(f"q^n = {q ** n} exceeds the enumeration guard")
+    if f.arity != 1:
+        raise ValueError("base polynomial must be univariate")
+    elements = enumerate_field(field)
+    values = list(range(q))
+    if n > 1:
+        if f.degree is None or f.degree < 2:
+            raise ValueError("base polynomial must have degree at least 2")
+        f2 = homogenize2(f)
+        index = {x: i for i, x in enumerate(elements)}
+        table = [[index[f2.evaluate((u, v))] for v in elements]
+                 for u in elements]
+        for _ in range(n - 1):
+            values = list(itertools.chain.from_iterable(
+                map(table.__getitem__, values)))
+    try:
+        bad = 0 if values[0] != 0 else values.index(0, 1)
+    except ValueError:
+        return ExhaustivePassed(q ** n)
+    digits = []
+    for _ in range(n):
+        bad, d = divmod(bad, q)
+        digits.append(elements[d])
+    return Failed(tuple(reversed(digits)))
 
 
 def verify_vanishing_sampled(g: MultiPoly, points):

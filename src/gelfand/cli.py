@@ -23,6 +23,7 @@ from .field_core import (
     find_rootfree_monic,
     format_field,
     parse_field,
+    rootfree_scan_position,
 )
 from .poly import format_poly, parse_poly, univariate
 
@@ -83,7 +84,7 @@ def cmd_field_find_rootfree(args):
     report = _new_report("field find-rootfree",
                          {"field": format_field(field), "m": args.m})
     report["polynomial"] = format_poly(poly)
-    report["points_checked"] = field.order
+    report["candidates_scanned"] = rootfree_scan_position(field, coeffs)
     report["totals"] = {"passed": 1, "failed": 0}
     _emit(report, args.out)
     return EXIT_OK
@@ -100,8 +101,10 @@ def cmd_anisotropic(args):
         if args.m < 2:
             raise ConfigError("degree guard: --m must be at least 2")
         base = univariate(field, find_rootfree_monic(field, args.m))
+        # verify first, so the q^n guard fires before the expansion,
+        # whose term count grows exponentially in n
+        result = aniso.verify_tower_exhaustive(base, args.n)
         form = aniso.build_fn(base, args.n)
-        result = aniso.verify_vanishing_exhaustive(form)
     elif field.kind == RATIONAL and args.padic:
         if args.n != 2:
             raise ConfigError("--padic checks x^2 - p*y^2, so --n must be 2")

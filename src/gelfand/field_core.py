@@ -453,6 +453,17 @@ def find_rootfree_monic(F: FieldDescriptor, m: int):
     raise NoneFound(f"no root-free monic of degree {m} over {F}")
 
 
+def rootfree_scan_position(F: FieldDescriptor, coeffs):
+    """1-based position of a monic coefficient tuple in the candidate
+    order of `find_rootfree_monic`: the tail read as base-q digits of
+    `enumerate_field` indices, most significant first."""
+    index = {x: i for i, x in enumerate(enumerate_field(F))}
+    position = 0
+    for c in coeffs[:-1]:
+        position = position * F.order + index[c]
+    return position + 1
+
+
 # ---------------------------------------------------------------------------
 # p-adic valuations
 

@@ -263,54 +263,66 @@ _VAR_RE = re.compile(r"^x(\d*)(?:\^(\d+))?$")
 
 
 def _split_terms(text):
-    """Split on top-level '+' and '-'; a minus is kept with its term."""
-    terms, depth, start = [], 0, 0
+    """Split on top-level '+' and '-'; a minus is kept with its term.
+
+    Returns (offset, term) pairs, offsets into text.
+    """
+    terms, depth, start, opened = [], 0, 0, 0
     for i, ch in enumerate(text):
         if ch == "(":
+            if depth == 0:
+                opened = i
             depth += 1
         elif ch == ")":
             depth -= 1
             if depth < 0:
                 raise ParseError(text, i, "balanced parentheses")
         elif depth == 0 and ch in "+-" and i > start:
-            terms.append(text[start:i])
+            terms.append((start, text[start:i]))
             start = i + 1 if ch == "+" else i
     if depth != 0:
-        raise ParseError(text, len(text), "')'")
-    terms.append(text[start:])
-    return [t for t in terms if t]
+        raise ParseError(text, opened, "a ')' closing this '('")
+    terms.append((start, text[start:]))
+    return [(i, t) for i, t in terms if t]
 
 
-def _parse_term(field, term, full_text):
-    negate = False
-    if term.startswith("-"):
-        negate = True
+def _parse_coefficient(field, text, start, end):
+    try:
+        return parse_element(field, text[start:end])
+    except ParseError as exc:
+        raise ParseError(text, start + exc.pos, exc.expected) from None
+
+
+def _parse_term(field, text, start, term):
+    """Parse one term found at offset start of text; errors carry
+    offsets into text."""
+    negate = term.startswith("-")
+    if negate:
         term = term[1:]
         if not term:
-            raise ParseError(full_text, 0, "a term after '-'")
+            raise ParseError(text, start, "a term after '-'")
+        start += 1
     coeff = field.one()
     pos = 0
     if term.startswith("("):
-        depth, end = 0, -1
-        for i, ch in enumerate(term):
+        # _split_terms has checked that the parentheses balance
+        depth = 0
+        for pos, ch in enumerate(term):
             if ch == "(":
                 depth += 1
             elif ch == ")":
                 depth -= 1
                 if depth == 0:
-                    end = i
                     break
-        if end < 0:
-            raise ParseError(full_text, 0, "')'")
-        coeff = parse_element(field, term[1:end])
-        pos = end + 1
+        coeff = _parse_coefficient(field, text, start + 1, start + pos)
+        pos += 1
         if pos < len(term) and term[pos] == "*":
             pos += 1
     elif term[0] != "x":
         m = re.match(r"\d+(?:/\d+)?", term)
         if not m:
-            raise ParseError(full_text, 0, "a coefficient or variable")
-        coeff = parse_element(field, m.group(0))
+            raise ParseError(text, start, "a coefficient or variable")
+        coeff = _parse_coefficient(field, text, start, start + m.end())
         pos = m.end()
         if pos < len(term) and term[pos] == "*":
             pos += 1
@@ -319,13 +331,15 @@ def _parse_term(field, term, full_text):
         for piece in term[pos:].split("*"):
             vm = _VAR_RE.match(piece)
             if not vm:
-                raise ParseError(full_text, 0,
+                raise ParseError(text, start + pos,
                                  f"a variable like x1 or x2^3 (got {piece!r})")
             idx = int(vm.group(1)) if vm.group(1) else 1
             if idx < 1:
-                raise ParseError(full_text, 0, "variable indices start at 1")
+                raise ParseError(text, start + pos,
+                                 "variable indices start at 1")
             e = int(vm.group(2)) if vm.group(2) else 1
             exps[idx - 1] = exps.get(idx - 1, 0) + e
+            pos += len(piece) + 1
     if negate:
         coeff = -coeff
     return coeff, exps
@@ -335,19 +349,27 @@ def parse_poly(field, text, arity=None) -> MultiPoly:
     """Parse the polynomial text form, e.g. 'x1^2 + x1*x2 + x2^2'.
 
     A bare 'x' is accepted as an alias for 'x1'. The arity is inferred
-    from the largest variable index unless given explicitly.
+    from the largest variable index unless given explicitly. A
+    ParseError carries the offset of the offending term in text.
     """
     compact = text.replace(" ", "")
     if not compact:
         raise ParseError(text, 0, "a polynomial")
-    parsed = [_parse_term(field, t, text) for t in _split_terms(compact)]
-    max_idx = max((max(e) + 1 for _, e in parsed if e), default=1)
-    if arity is None:
-        arity = max_idx
-    elif max_idx > arity:
-        raise ParseError(text, 0, f"variables within arity {arity}")
+    try:
+        parsed = [(i, *_parse_term(field, compact, i, t))
+                  for i, t in _split_terms(compact)]
+        max_idx = max((max(e) + 1 for _, _, e in parsed if e), default=1)
+        if arity is None:
+            arity = max_idx
+        for i, _, exps in parsed:
+            if exps and max(exps) >= arity:
+                raise ParseError(compact, i, f"variables within arity {arity}")
+    except ParseError as exc:
+        # map the offset in the space-free text back to the input
+        offsets = [i for i, ch in enumerate(text) if ch != " "] + [len(text)]
+        raise ParseError(text, offsets[exc.pos], exc.expected) from None
     acc = {}
-    for coeff, exps in parsed:
+    for _, coeff, exps in parsed:
         mono = tuple(exps.get(i, 0) for i in range(arity))
         acc[mono] = acc[mono] + coeff if mono in acc else coeff
     return MultiPoly.from_dict(field, arity, acc)

@@ -13,10 +13,11 @@ from gelfand.anisotropic import (
     build_fn,
     norm_form_eval,
     valuation_identity_check,
+    verify_tower_exhaustive,
     verify_vanishing_exhaustive,
     verify_vanishing_sampled,
 )
-from gelfand.errors import HasRoot, TooLarge, WrongKind
+from gelfand.errors import HasRoot, InfiniteField, TooLarge, WrongKind
 from gelfand.field_core import (
     Fp,
     Fq,
@@ -25,7 +26,14 @@ from gelfand.field_core import (
     enumerate_field,
     find_rootfree_monic,
 )
-from gelfand.poly import format_poly, parse_poly, univariate
+from gelfand.poly import (
+    MultiPoly,
+    compose_last,
+    format_poly,
+    homogenize2,
+    parse_poly,
+    univariate,
+)
 
 
 def _base(field, m=2):
@@ -106,6 +114,54 @@ def test_exhaustive_suite_small_fields(field, n):
     fn = build_fn(_base(field), n)
     result = verify_vanishing_exhaustive(fn)
     assert result == ExhaustivePassed(field.order ** n)
+
+
+# (field, base degree m, largest n) with q^n * terms of the expanded
+# form at most about 20k, so the per-term reference stays under a second
+DIFFERENTIAL_CASES = [
+    (Fp(2), 2, 5), (Fp(2), 3, 5), (Fp(3), 2, 5), (Fp(3), 3, 4),
+    (Fp(5), 2, 3), (Fp(5), 3, 3), (Fp(7), 2, 3), (Fp(7), 3, 3),
+    (Fq(2, 2), 2, 4), (Fq(2, 2), 3, 4), (Fq(3, 2), 2, 3), (Fq(3, 2), 3, 3),
+]
+
+
+@pytest.mark.parametrize("field,m,n", [
+    pytest.param(field, m, n, id=f"{field}-m{m}-n{n}")
+    for field, m, top in DIFFERENTIAL_CASES for n in range(1, top + 1)])
+def test_tower_verifier_matches_per_term_reference(field, m, n):
+    f = _base(field, m)
+    expected = verify_vanishing_exhaustive(build_fn(f, n))
+    assert expected == ExhaustivePassed(field.order ** n)
+    assert verify_tower_exhaustive(f, n) == expected
+
+
+def _unchecked_tower(f, n):
+    """build_fn without its root-free check, for rooted negative controls."""
+    f2 = homogenize2(f)
+    g = MultiPoly.variable(f.field, 1, 0)
+    for _ in range(n - 1):
+        g = compose_last(f2, g)
+    return g
+
+
+@pytest.mark.parametrize("n,point", [(2, (1, 2)), (3, (0, 1, 2))])
+def test_tower_verifier_fails_on_rooted_base(n, point):
+    f = parse_poly(Fp(5), "x^2 + 1")   # 2^2 + 1 = 0 in F_5
+    result = verify_tower_exhaustive(f, n)
+    assert isinstance(result, Failed)
+    assert tuple(x.payload for x in result.counterexample) == point
+    assert result == verify_vanishing_exhaustive(_unchecked_tower(f, n))
+    if n == 2:
+        assert result == verify_vanishing_exhaustive(
+            parse_poly(Fp(5), "x1^2 + x2^2"))
+
+
+def test_tower_verifier_guard_precedes_work():
+    # a base of degree 1 would be refused, but the guard fires first
+    with pytest.raises(TooLarge):
+        verify_tower_exhaustive(parse_poly(Fp(2), "x + 1"), 24)
+    with pytest.raises(InfiniteField):
+        verify_tower_exhaustive(parse_poly(Q(), "x^2 + 1"), 2)
 
 
 def test_norm_form_examples():

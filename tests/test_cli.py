@@ -1,10 +1,12 @@
 """End-to-end tests of the command-line interface."""
 
+import itertools
 import json
 
 import pytest
 
 from gelfand.cli import main
+from gelfand.field_core import enumerate_field, eval_univariate, parse_field
 
 
 def run_cli(args, out_path):
@@ -85,12 +87,51 @@ def test_anisotropic_degree_guard(tmp_path):
     assert code == 2
 
 
+def test_anisotropic_guard_fires_before_build(tmp_path, monkeypatch):
+    def build_fn(*args):
+        raise AssertionError("build_fn ran before the enumeration guard")
+    monkeypatch.setattr("gelfand.anisotropic.build_fn", build_fn)
+    code, report = run_cli(["anisotropic", "--field", "Fp(2)", "--n", "24"],
+                           tmp_path / "r.json")
+    assert code == 2
+    assert report is None
+
+
 def test_field_find_rootfree(tmp_path):
     code, report = run_cli(
         ["field", "find-rootfree", "--field", "Fp(2)", "--m", "2"],
         tmp_path / "r.json")
     assert code == 0
     assert report["polynomial"] == "x1^2 + x1 + 1"
+    # scanned tails (0,0) (0,1) (1,0) (1,1)
+    assert report["candidates_scanned"] == 4
+    assert "points_checked" not in report
+
+
+def test_field_find_rootfree_counts_candidates(tmp_path):
+    code, report = run_cli(
+        ["field", "find-rootfree", "--field", "Fp(3)", "--m", "2"],
+        tmp_path / "r.json")
+    assert code == 0
+    assert report["polynomial"] == "x1^2 + 1"
+    # scanned tails (0,0) (0,1) (0,2) (1,0)
+    assert report["candidates_scanned"] == 4
+
+
+@pytest.mark.parametrize("spec,m", [("Fp(5)", 3), ("Fq(2,2)", 3),
+                                    ("Fp(7)", 2)])
+def test_find_rootfree_count_matches_scan(tmp_path, spec, m):
+    field = parse_field(spec)
+    elements = enumerate_field(field)
+    for scanned, tail in enumerate(itertools.product(elements, repeat=m), 1):
+        if all(not eval_univariate(tail + (field.one(),), a).is_zero
+               for a in elements):
+            break
+    code, report = run_cli(
+        ["field", "find-rootfree", "--field", spec, "--m", str(m)],
+        tmp_path / "r.json")
+    assert code == 0
+    assert report["candidates_scanned"] == scanned
 
 
 def test_gelfand_sweep(tmp_path):

@@ -6,7 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from gelfand.errors import ArityMismatch, NotMonic, ZeroPolynomial
+from gelfand.errors import (
+    ArityMismatch,
+    NotMonic,
+    ParseError,
+    ZeroPolynomial,
+)
 from gelfand.field_core import Fp, Fq, Q, Qsqrt, enumerate_field
 from gelfand.poly import (
     MultiPoly,
@@ -167,6 +172,26 @@ def test_parse_accepts_bare_x_and_minus():
     assert f.constant_term() == F.from_int(-3)
     g = parse_poly(F, "x1^2 + (-3)")
     assert f == g
+
+
+@pytest.mark.parametrize("text,pos", [
+    ("x1 + x2 + y3", 10),      # bad variable
+    ("x1 + 2 * x2^", 9),       # dangling '^'
+    ("x1 + (2 * x2", 5),       # unclosed '(' points at the '('
+    ("x1 + x2 -", 8),          # '-' with no term after it
+    ("x1 + x2)", 7),           # unopened ')'
+])
+def test_parse_error_points_at_bad_term(text, pos):
+    with pytest.raises(ParseError) as exc:
+        parse_poly(Fp(3), text)
+    assert exc.value.pos == pos
+    assert exc.value.text == text
+
+
+def test_parse_error_names_variable_beyond_arity():
+    with pytest.raises(ParseError) as exc:
+        parse_poly(Fp(3), "x1 + 2 * x3", arity=2)
+    assert exc.value.pos == 5
 
 
 def test_canonical_order_is_graded_lex():
