@@ -36,12 +36,10 @@ from .field_core import (
     Q,
     Qsqrt,
     Valuation,
-    conjugate,
     enumerate_field,
     find_rootfree_monic,
     format_element,
     format_field,
-    norm,
     padic_valuation,
     parse_element,
     parse_field,

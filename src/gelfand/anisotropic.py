@@ -23,6 +23,7 @@ from .field_core import (
     FieldElement,
     Q,
     QUADRATIC,
+    base_digits,
     enumerate_field,
     padic_valuation,
 )
@@ -127,13 +128,13 @@ def verify_tower_exhaustive(f: MultiPoly, n: int):
     """Check over all of F^n that the arity-n tower over f vanishes
     exactly at the origin, without expanding it.
 
-    Elements are coded by their position in `enumerate_field`, where 0
-    is the zero element. T[u][v] codes f2(u, v); starting from the
-    values of x1, each further variable replaces every value v by the
-    row T[v], so the values stay in lexicographic point order and a
-    reported counterexample is the smallest one, as with
-    `verify_vanishing_exhaustive(build_fn(f, n))`. The base is not
-    required to be root-free.
+    Elements are coded by their field index (their position in
+    `enumerate_field`), where 0 is the zero element. T[u][v] codes
+    f2(u, v); starting from the values of x1, each further variable
+    replaces every value v by the row T[v], so the values stay in
+    lexicographic point order and a reported counterexample is the
+    smallest one, as with `verify_vanishing_exhaustive(build_fn(f, n))`.
+    The base is not required to be root-free.
     """
     field = f.field
     if not field.is_finite:
@@ -145,14 +146,13 @@ def verify_tower_exhaustive(f: MultiPoly, n: int):
         raise TooLarge(f"q^n = {q ** n} exceeds the enumeration guard")
     if f.arity != 1:
         raise ValueError("base polynomial must be univariate")
-    elements = enumerate_field(field)
     values = list(range(q))
     if n > 1:
         if f.degree is None or f.degree < 2:
             raise ValueError("base polynomial must have degree at least 2")
         f2 = homogenize2(f)
-        index = {x: i for i, x in enumerate(elements)}
-        table = [[index[f2.evaluate((u, v))] for v in elements]
+        elements = enumerate_field(field)
+        table = [[field.index(f2.evaluate((u, v))) for v in elements]
                  for u in elements]
         for _ in range(n - 1):
             values = list(itertools.chain.from_iterable(
@@ -161,11 +161,8 @@ def verify_tower_exhaustive(f: MultiPoly, n: int):
         bad = 0 if values[0] != 0 else values.index(0, 1)
     except ValueError:
         return ExhaustivePassed(q ** n)
-    digits = []
-    for _ in range(n):
-        bad, d = divmod(bad, q)
-        digits.append(elements[d])
-    return Failed(tuple(reversed(digits)))
+    digits = base_digits(bad, q, n)
+    return Failed(tuple(field.element_at(i) for i in reversed(digits)))
 
 
 def verify_vanishing_sampled(g: MultiPoly, points):

@@ -1,11 +1,15 @@
 """Exact arithmetic for the supported field instances.
 
-Four kinds of field are supported: prime fields F_p, extension fields
-F_{p^k} presented as F_p[t]/(modulus), the rationals Q, and imaginary
-quadratic extensions Q(sqrt(d)) with d < 0. Every value is immutable
-and kept in a unique canonical form, so equality is structural and all
-downstream choices that break ties by "smallest element" are
-reproducible. No floating point is used anywhere.
+Each kind of field is one `FieldDescriptor` subclass: prime fields F_p,
+extension fields F_{p^k} = F_p[t]/(modulus), the rationals Q, and
+imaginary quadratic fields Q(sqrt(d)), d < 0. The class owns all that
+depends on the kind: validation, the canonical form of an element's
+payload, arithmetic, sort key and text form. `FieldElement` is one
+immutable (field, payload) pair that delegates to its field. Canonical
+payloads make equality structural, so ties broken by "smallest element"
+are reproducible. The finite kinds map each element to its index in
+`enumerate_field`; that index order is the canonical order on a finite
+field. No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -47,32 +51,11 @@ def is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# dense polynomials over F_p, as plain int lists (low degree first);
-# only used internally for extension-field moduli and inverses
-
-
-def _pdeg(a):
-    d = len(a) - 1
-    while d >= 0 and a[d] == 0:
-        d -= 1
-    return d
-
-
-def _ptrim(a):
-    d = _pdeg(a)
-    return a[:d + 1]
-
-
-def _psub(a, b, p):
-    n = max(len(a), len(b))
-    a = a + [0] * (n - len(a))
-    b = b + [0] * (n - len(b))
-    return [(x - y) % p for x, y in zip(a, b)]
+# dense polynomials over F_p, as int sequences (low degree first); only
+# used internally for extension-field moduli and products
 
 
 def _pmul(a, b, p):
-    if _pdeg(a) < 0 or _pdeg(b) < 0:
-        return [0]
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x == 0:
@@ -82,42 +65,35 @@ def _pmul(a, b, p):
     return out
 
 
-def _pdivmod(a, b, p):
-    db = _pdeg(b)
-    if db < 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    quo = [0] * max(len(a), 1)
-    binv = pow(b[db], p - 2, p) if b[db] != 1 else 1
-    for i in range(_pdeg(rem) - db, -1, -1):
-        c = rem[db + i] * binv % p
+def _pmod(a, m, p):
+    """a modulo the monic m of degree k, as k coefficients."""
+    k = len(m) - 1
+    rem = list(a) + [0] * (k - len(a))
+    for i in range(len(rem) - 1, k - 1, -1):
+        c = rem[i]
         if c == 0:
             continue
-        quo[i] = c
-        for j in range(db + 1):
-            rem[j + i] = (rem[j + i] - c * b[j]) % p
-    return _ptrim(quo) or [0], _ptrim(rem) or [0]
+        for j in range(k):
+            rem[i - k + j] = (rem[i - k + j] - c * m[j]) % p
+    return rem[:k]
 
 
-def _base_p_digits(idx, p, k):
-    """The k base-p digits of idx, least significant first."""
+def base_digits(n, base, count):
+    """The count base-`base` digits of n, least significant first."""
     digits = []
-    for _ in range(k):
-        idx, d = divmod(idx, p)
+    for _ in range(count):
+        n, d = divmod(n, base)
         digits.append(d)
     return tuple(digits)
 
 
 def _is_irreducible(modulus, p):
-    """Exhaustive check: no monic factor of degree 1..k//2 divides it."""
-    k = _pdeg(modulus)
-    if k <= 0:
-        return False
+    """Exhaustive check on a monic modulus of degree k: no monic factor
+    of degree 1..k//2 divides it."""
+    k = len(modulus) - 1
     for deg in range(1, k // 2 + 1):
         for tail in itertools.product(range(p), repeat=deg):
-            cand = list(tail) + [1]
-            _, rem = _pdivmod(list(modulus), cand, p)
-            if _pdeg(rem) < 0:
+            if not any(_pmod(modulus, tail + (1,), p)):
                 return False
     return True
 
@@ -129,220 +105,69 @@ def _first_irreducible(p, k):
     coefficient tuple in base p (constant coefficient least significant).
     """
     for idx in range(p ** k):
-        cand = _base_p_digits(idx, p, k) + (1,)
+        cand = base_digits(idx, p, k) + (1,)
         if _is_irreducible(cand, p):
             return cand
     raise NoneFound(f"no irreducible polynomial of degree {k} over F_{p}")
 
 
 # ---------------------------------------------------------------------------
-# field descriptors
-
-
-@dataclass(frozen=True)
-class FieldDescriptor:
-    """An exact field instance: F_p, F_{p^k}, Q, or Q(sqrt(d)), d < 0."""
-
-    kind: str
-    p: int = 0
-    k: int = 1
-    modulus: tuple = ()
-    d: int = 0
-
-    def __post_init__(self):
-        if self.kind == PRIME:
-            if not is_prime(self.p):
-                raise ValueError(f"{self.p} is not prime")
-        elif self.kind == EXTENSION:
-            if not is_prime(self.p):
-                raise ValueError(f"{self.p} is not prime")
-            if not 1 <= self.k <= MAX_EXTENSION_DEGREE:
-                raise ValueError(
-                    f"extension degree must be in 1..{MAX_EXTENSION_DEGREE}")
-            if len(self.modulus) != self.k + 1 or self.modulus[-1] != 1:
-                raise ValueError("modulus must be monic of degree k")
-            if any(not 0 <= c < self.p for c in self.modulus):
-                raise ValueError("modulus coefficients must lie in [0, p)")
-            if not _is_irreducible(list(self.modulus), self.p):
-                raise ValueError("modulus is reducible over F_p")
-        elif self.kind == RATIONAL:
-            pass
-        elif self.kind == QUADRATIC:
-            if self.d >= 0:
-                raise ValueError("d must be a negative non-square integer")
-        else:
-            raise ValueError(f"unknown field kind {self.kind!r}")
-
-    @property
-    def is_finite(self):
-        return self.kind in (PRIME, EXTENSION)
-
-    @property
-    def order(self):
-        if not self.is_finite:
-            raise InfiniteField("infinite field has no order")
-        return self.p ** self.k if self.kind == EXTENSION else self.p
-
-    def zero(self):
-        return self.from_int(0)
-
-    def one(self):
-        return self.from_int(1)
-
-    def from_int(self, n):
-        if self.kind == PRIME:
-            return FieldElement(self, n % self.p)
-        if self.kind == EXTENSION:
-            return FieldElement(self, (n % self.p,) + (0,) * (self.k - 1))
-        if self.kind == RATIONAL:
-            return FieldElement(self, Fraction(n))
-        return FieldElement(self, (Fraction(n), Fraction(0)))
-
-    def element(self, payload):
-        """Construct an element from a raw payload, canonicalizing it."""
-        if self.kind == PRIME:
-            return FieldElement(self, int(payload) % self.p)
-        if self.kind == EXTENSION:
-            coeffs = tuple(int(c) % self.p for c in payload)
-            if len(coeffs) != self.k:
-                raise ValueError(f"payload must have {self.k} coefficients")
-            return FieldElement(self, coeffs)
-        if self.kind == RATIONAL:
-            return FieldElement(self, Fraction(payload))
-        a, b = payload
-        return FieldElement(self, (Fraction(a), Fraction(b)))
-
-    def __str__(self):
-        return format_field(self)
-
-    def __repr__(self):
-        return f"FieldDescriptor({format_field(self)})"
-
-
-def Fp(p):
-    return FieldDescriptor(PRIME, p=p)
-
-
-def Fq(p, k, modulus=None):
-    if modulus is None:
-        # validated before the search, which is exponential in k
-        if not is_prime(p) or not 1 <= k <= MAX_EXTENSION_DEGREE:
-            raise ValueError(f"F_{p}^{k} is not a supported extension field")
-        modulus = _first_irreducible(p, k)
-    return FieldDescriptor(EXTENSION, p=p, k=k, modulus=tuple(modulus))
-
-
-def Q():
-    return FieldDescriptor(RATIONAL)
-
-
-def Qsqrt(d):
-    return FieldDescriptor(QUADRATIC, d=d)
-
-
-# ---------------------------------------------------------------------------
 # field elements
 
 
-@dataclass(frozen=True)
+_new = object.__new__
+_set = object.__setattr__
+
+
+@dataclass(frozen=True, init=False, repr=False, slots=True)
 class FieldElement:
     """An immutable field value in canonical form.
 
     Payload by kind: residue in [0,p) (prime), length-k coefficient
     tuple (extension, constant coefficient first), Fraction (rational),
-    pair of Fractions a + b*sqrt(d) (quadratic).
+    pair of Fractions a + b*sqrt(d) (quadratic). The constructor brings
+    the payload into that form through its field, or raises ValueError.
     """
 
     field: FieldDescriptor
     payload: object
 
+    def __init__(self, field, payload):
+        _set(self, "field", field)
+        _set(self, "payload", field.canonical(payload))
+
     def _same(self, other):
+        """The field that self and other share."""
         if not isinstance(other, FieldElement):
             raise TypeError(f"expected FieldElement, got {type(other).__name__}")
-        if other.field != self.field:
-            raise MixedFields(f"{self.field} vs {other.field}")
+        F = self.field
+        if other.field is not F and other.field != F:
+            raise MixedFields(f"{F} vs {other.field}")
+        return F
 
     @property
     def is_zero(self):
-        k = self.field.kind
-        if k == PRIME:
-            return self.payload == 0
-        if k == EXTENSION:
-            return all(c == 0 for c in self.payload)
-        if k == RATIONAL:
-            return self.payload == 0
-        return self.payload[0] == 0 and self.payload[1] == 0
+        return self.field.is_zero(self)
 
     def __bool__(self):
         return not self.is_zero
 
     def __add__(self, other):
-        self._same(other)
-        F = self.field
-        if F.kind == PRIME:
-            return FieldElement(F, (self.payload + other.payload) % F.p)
-        if F.kind == EXTENSION:
-            return FieldElement(F, tuple((x + y) % F.p for x, y in
-                                         zip(self.payload, other.payload)))
-        if F.kind == RATIONAL:
-            return FieldElement(F, self.payload + other.payload)
-        a1, b1 = self.payload
-        a2, b2 = other.payload
-        return FieldElement(F, (a1 + a2, b1 + b2))
+        return self._same(other).add(self, other)
 
     def __neg__(self):
-        F = self.field
-        if F.kind == PRIME:
-            return FieldElement(F, (-self.payload) % F.p)
-        if F.kind == EXTENSION:
-            return FieldElement(F, tuple((-x) % F.p for x in self.payload))
-        if F.kind == RATIONAL:
-            return FieldElement(F, -self.payload)
-        a, b = self.payload
-        return FieldElement(F, (-a, -b))
+        return self.field.neg(self)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        self._same(other)
-        F = self.field
-        if F.kind == PRIME:
-            return FieldElement(F, (self.payload * other.payload) % F.p)
-        if F.kind == EXTENSION:
-            prod = _pmul(list(self.payload), list(other.payload), F.p)
-            _, rem = _pdivmod(prod, list(F.modulus), F.p)
-            rem = rem + [0] * (F.k - len(rem))
-            return FieldElement(F, tuple(rem[:F.k]))
-        if F.kind == RATIONAL:
-            return FieldElement(F, self.payload * other.payload)
-        a1, b1 = self.payload
-        a2, b2 = other.payload
-        return FieldElement(F, (a1 * a2 + F.d * b1 * b2, a1 * b2 + a2 * b1))
+        return self._same(other).mul(self, other)
 
     def inv(self):
         if self.is_zero:
             raise DivisionByZero("inverse of zero")
-        F = self.field
-        if F.kind == PRIME:
-            return FieldElement(F, pow(self.payload, -1, F.p))
-        if F.kind == EXTENSION:
-            lm, low = [1], list(self.payload)
-            hm, high = [0], list(F.modulus)
-            while _pdeg(low) > 0:
-                quo, rem = _pdivmod(high, low, F.p)
-                nm = _psub(hm, _pmul(quo, lm, F.p), F.p)
-                hm, high = lm, low
-                lm, low = nm, rem
-            c_inv = pow(low[0], -1, F.p)
-            out = [x * c_inv % F.p for x in lm]
-            out = out + [0] * (F.k - len(out))
-            return FieldElement(F, tuple(out[:F.k]))
-        if F.kind == RATIONAL:
-            return FieldElement(F, 1 / self.payload)
-        a, b = self.payload
-        n = a * a - F.d * b * b
-        return FieldElement(F, (a / n, -b / n))
+        return self.field.inv(self)
 
     def __truediv__(self, other):
         self._same(other)
@@ -361,17 +186,11 @@ class FieldElement:
         return result
 
     def conjugate(self):
-        if self.field.kind != QUADRATIC:
-            raise WrongKind("conjugate is defined on quadratic elements only")
-        a, b = self.payload
-        return FieldElement(self.field, (a, -b))
+        return self.field.conjugate(self)
 
     def norm(self):
         """x * conjugate(x) as a rational; positive definite since d < 0."""
-        if self.field.kind != QUADRATIC:
-            raise WrongKind("norm is defined on quadratic elements only")
-        a, b = self.payload
-        return FieldElement(Q(), a * a - self.field.d * b * b)
+        return self.field.norm(self)
 
     def __str__(self):
         return format_element(self)
@@ -380,27 +199,315 @@ class FieldElement:
         return f"<{format_element(self)} in {format_field(self.field)}>"
 
 
-def conjugate(x):
-    return x.conjugate()
+def _element(field, payload):
+    """An element from a payload already in canonical form, as the
+    field operations produce it; skips the constructor's checks."""
+    x = _new(FieldElement)
+    _set(x, "field", field)
+    _set(x, "payload", payload)
+    return x
 
 
-def norm(x):
-    return x.norm()
+# ---------------------------------------------------------------------------
+# field descriptors, one class per kind
+
+
+class FieldDescriptor:
+    """An exact field instance: F_p, F_{p^k}, Q, or Q(sqrt(d)), d < 0.
+
+    Each kind is a frozen dataclass subclass, hashed by its fields. It
+    defines `canonical(payload)`, the element operations `add`, `neg`,
+    `mul` and `inv` (of a nonzero element), its own text form `__str__`
+    and the element text form `parse(text)`; the defaults below fit
+    scalar payloads.
+    """
+
+    kind = None
+    is_finite = False
+
+    def __eq__(self, other):
+        # identity first: elements, polynomials and ring elements compare
+        # their descriptors on every operation
+        return self is other or (type(other) is type(self)
+                                 and vars(other) == vars(self))
+
+    @property
+    def order(self):
+        raise InfiniteField("infinite field has no order")
+
+    def element(self, payload):
+        """Construct an element from a raw payload, canonicalizing it."""
+        return FieldElement(self, payload)
+
+    from_int = element
+
+    def zero(self):
+        return FieldElement(self, 0)
+
+    def one(self):
+        return FieldElement(self, 1)
+
+    def is_zero(self, x):
+        return x.payload == 0
+
+    def sort_key(self, x):
+        return x.payload
+
+    def format(self, x):
+        return str(x.payload)
+
+    def conjugate(self, x):
+        raise WrongKind("conjugate is defined on quadratic elements only")
+
+    def norm(self, x):
+        raise WrongKind("norm is defined on quadratic elements only")
+
+    def __repr__(self):
+        return f"FieldDescriptor({format_field(self)})"
+
+
+@dataclass(frozen=True, eq=False, unsafe_hash=True, repr=False)
+class PrimeField(FieldDescriptor):
+    """F_p; an element's payload is its residue, which is also its index."""
+
+    p: int
+    kind = PRIME
+    is_finite = True
+
+    def __post_init__(self):
+        if not is_prime(self.p):
+            raise ValueError(f"{self.p} is not prime")
+
+    @property
+    def order(self):
+        return self.p
+
+    def canonical(self, payload):
+        return int(payload) % self.p
+
+    def index(self, x):
+        """Position of x in `enumerate_field`."""
+        return x.payload
+
+    def element_at(self, i):
+        """The element at position i mod p of `enumerate_field`."""
+        return FieldElement(self, i)
+
+    sort_key = index
+
+    def add(self, x, y):
+        return _element(self, (x.payload + y.payload) % self.p)
+
+    def neg(self, x):
+        return _element(self, -x.payload % self.p)
+
+    def mul(self, x, y):
+        return _element(self, x.payload * y.payload % self.p)
+
+    def inv(self, x):
+        return _element(self, pow(x.payload, -1, self.p))
+
+    def __str__(self):
+        return f"Fp({self.p})"
+
+    def parse(self, text):
+        _scan(text, 0, [(r"-?\d+", "an integer residue")])
+        return self.element(int(text))
+
+
+@dataclass(frozen=True, eq=False, unsafe_hash=True, repr=False)
+class ExtensionField(FieldDescriptor):
+    """F_{p^k} = F_p[t]/(modulus); an element's payload is its length-k
+    coefficient tuple, constant coefficient first, and these are the
+    base-p digits of its index, least significant first."""
+
+    p: int
+    k: int
+    modulus: tuple = None
+    kind = EXTENSION
+    is_finite = True
+
+    def __post_init__(self):
+        """Without a modulus, the first irreducible one is picked."""
+        if not is_prime(self.p):
+            raise ValueError(f"{self.p} is not prime")
+        if not 1 <= self.k <= MAX_EXTENSION_DEGREE:
+            raise ValueError(
+                f"extension degree must be in 1..{MAX_EXTENSION_DEGREE}")
+        # p and k are checked first: the search is exponential in k
+        _set(self, "modulus", tuple(_first_irreducible(self.p, self.k)
+                                    if self.modulus is None else self.modulus))
+        if len(self.modulus) != self.k + 1 or self.modulus[-1] != 1:
+            raise ValueError("modulus must be monic of degree k")
+        if any(not 0 <= c < self.p for c in self.modulus):
+            raise ValueError("modulus coefficients must lie in [0, p)")
+        if not _is_irreducible(self.modulus, self.p):
+            raise ValueError("modulus is reducible over F_p")
+
+    @property
+    def order(self):
+        return self.p ** self.k
+
+    def canonical(self, payload):
+        """An int is a constant; a sequence gives all k coefficients."""
+        if isinstance(payload, int):
+            return (payload % self.p,) + (0,) * (self.k - 1)
+        coeffs = tuple(int(c) % self.p for c in payload)
+        if len(coeffs) != self.k:
+            raise ValueError(f"payload must have {self.k} coefficients")
+        return coeffs
+
+    def index(self, x):
+        """Position of x in `enumerate_field`."""
+        i = 0
+        for c in reversed(x.payload):
+            i = i * self.p + c
+        return i
+
+    def element_at(self, i):
+        """The element at position i mod p^k of `enumerate_field`."""
+        return FieldElement(self, base_digits(i, self.p, self.k))
+
+    sort_key = index
+
+    def is_zero(self, x):
+        return not any(x.payload)
+
+    def add(self, x, y):
+        p = self.p
+        return _element(self, tuple((u + v) % p for u, v in
+                                    zip(x.payload, y.payload)))
+
+    def neg(self, x):
+        p = self.p
+        return _element(self, tuple(-u % p for u in x.payload))
+
+    def mul(self, x, y):
+        prod = _pmul(x.payload, y.payload, self.p)
+        return _element(self, tuple(_pmod(prod, self.modulus, self.p)))
+
+    def inv(self, x):
+        return x ** (self.order - 2)
+
+    def __str__(self):
+        return f"Fq({self.p},{self.k},{_format_tpoly(self.modulus)})"
+
+    def format(self, x):
+        return _format_tpoly(x.payload)
+
+    def parse(self, text):
+        coeffs = _parse_tpoly(text, 0, len(text), self.p, self.k - 1)
+        return self.element(coeffs + (0,) * (self.k - len(coeffs)))
+
+
+@dataclass(frozen=True, eq=False, unsafe_hash=True, repr=False)
+class RationalField(FieldDescriptor):
+    """Q; an element's payload is a Fraction."""
+
+    kind = RATIONAL
+
+    def canonical(self, payload):
+        return Fraction(payload)
+
+    def add(self, x, y):
+        return _element(self, x.payload + y.payload)
+
+    def neg(self, x):
+        return _element(self, -x.payload)
+
+    def mul(self, x, y):
+        return _element(self, x.payload * y.payload)
+
+    def inv(self, x):
+        return _element(self, 1 / x.payload)
+
+    def __str__(self):
+        return "Q"
+
+    def parse(self, text):
+        _scan(text, 0, [(_RATIONAL, "a rational like -3 or 5/6")])
+        return self.element(Fraction(text))
+
+
+@dataclass(frozen=True, eq=False, unsafe_hash=True, repr=False)
+class QuadraticField(FieldDescriptor):
+    """Q(sqrt(d)), d < 0; an element's payload is the pair of Fractions
+    (a, b) of a + b*sqrt(d)."""
+
+    d: int
+    kind = QUADRATIC
+
+    def __post_init__(self):
+        if self.d >= 0:
+            raise ValueError("d must be a negative non-square integer")
+
+    def canonical(self, payload):
+        """A rational number is the element with b = 0."""
+        a, b = payload if isinstance(payload, (tuple, list)) else (payload, 0)
+        return (Fraction(a), Fraction(b))
+
+    def is_zero(self, x):
+        return not any(x.payload)
+
+    def add(self, x, y):
+        (a1, b1), (a2, b2) = x.payload, y.payload
+        return _element(self, (a1 + a2, b1 + b2))
+
+    def neg(self, x):
+        a, b = x.payload
+        return _element(self, (-a, -b))
+
+    def mul(self, x, y):
+        (a1, b1), (a2, b2) = x.payload, y.payload
+        return _element(self, (a1 * a2 + self.d * b1 * b2, a1 * b2 + a2 * b1))
+
+    def inv(self, x):
+        a, b = x.payload
+        n = a * a - self.d * b * b
+        return _element(self, (a / n, -b / n))
+
+    def conjugate(self, x):
+        a, b = x.payload
+        return _element(self, (a, -b))
+
+    def norm(self, x):
+        a, b = x.payload
+        return _element(Q(), a * a - self.d * b * b)
+
+    def __str__(self):
+        return f"Q(sqrt({self.d}))"
+
+    def format(self, x):
+        a, b = x.payload
+        if b == 0:
+            return str(a)
+        root = f"sqrt({self.d})"
+        bpart = root if abs(b) == 1 else f"{abs(b)}*{root}"
+        if a == 0:
+            return bpart if b > 0 else "-" + bpart
+        return f"{a}{'+' if b > 0 else '-'}{bpart}"
+
+    def parse(self, text):
+        if "sqrt" not in text:
+            _scan(text, 0, [(_RATIONAL, "a rational or a+b*sqrt(d) literal")])
+            return self.element(Fraction(text))
+        head, _, d, _ = _scan(text, 0, _QUADRATIC_PIECES)
+        if int(d[0]) != self.d:
+            raise ParseError(text, d.start(), f"sqrt({self.d})")
+        a, sign, b = head.groups()
+        b = Fraction(b or 1)
+        return self.element((Fraction(a or 0), -b if sign == "-" else b))
+
+
+Fp, Fq, Q, Qsqrt = PrimeField, ExtensionField, RationalField, QuadraticField
 
 
 def element_sort_key(x: FieldElement):
     """Deterministic total order on elements of one field.
 
-    For finite fields this is the canonical enumeration order.
+    For finite fields this is the index in `enumerate_field`.
     """
-    k = x.field.kind
-    if k == PRIME:
-        return (x.payload,)
-    if k == EXTENSION:
-        return tuple(reversed(x.payload))
-    if k == RATIONAL:
-        return (x.payload,)
-    return x.payload
+    return x.field.sort_key(x)
 
 
 # ---------------------------------------------------------------------------
@@ -416,10 +523,7 @@ def enumerate_field(F: FieldDescriptor):
     """
     if not F.is_finite:
         raise InfiniteField(f"{F} is not finite")
-    if F.kind == PRIME:
-        return [FieldElement(F, v) for v in range(F.p)]
-    return [FieldElement(F, _base_p_digits(idx, F.p, F.k))
-            for idx in range(F.order)]
+    return [F.element_at(i) for i in range(F.order)]
 
 
 def eval_univariate(coeffs, a):
@@ -456,11 +560,10 @@ def find_rootfree_monic(F: FieldDescriptor, m: int):
 def rootfree_scan_position(F: FieldDescriptor, coeffs):
     """1-based position of a monic coefficient tuple in the candidate
     order of `find_rootfree_monic`: the tail read as base-q digits of
-    `enumerate_field` indices, most significant first."""
-    index = {x: i for i, x in enumerate(enumerate_field(F))}
+    element indices, most significant first."""
     position = 0
     for c in coeffs[:-1]:
-        position = position * F.order + index[c]
+        position = position * F.order + F.index(c)
     return position + 1
 
 
@@ -557,13 +660,17 @@ def padic_valuation(r, p) -> Valuation:
 
 
 def format_field(F: FieldDescriptor) -> str:
-    if F.kind == PRIME:
-        return f"Fp({F.p})"
-    if F.kind == EXTENSION:
-        return f"Fq({F.p},{F.k},{_format_tpoly(F.modulus)})"
-    if F.kind == RATIONAL:
-        return "Q"
-    return f"Q(sqrt({F.d}))"
+    return str(F)
+
+
+# a zero denominator is not part of a literal
+_NUMBER = r"\d+(?:/0*[1-9]\d*)?"
+_RATIONAL = "-?" + _NUMBER
+# [a][+-][b*]sqrt(d) as pieces for _scan; a rational part a stands only
+# before a sign, so 12*sqrt(-3) has b = 12
+_QUADRATIC_PIECES = [
+    (rf"(?:({_RATIONAL})(?=[+-]))?([+-]?)(?:({_NUMBER})\*)?", ""),
+    (r"sqrt\(", "'sqrt('"), (r"-?\d+", "an integer"), (r"\)", "')'")]
 
 
 def _format_tpoly(coeffs) -> str:
@@ -583,10 +690,12 @@ def _format_tpoly(coeffs) -> str:
 _TPOLY_TERM = re.compile(r"^(?:(\d+)\*?)?t(?:\^(\d+))?$|^(\d+)$")
 
 
-def _parse_tpoly(text, p, base_pos):
+def _parse_tpoly(text, start, end, p, max_degree):
+    """Coefficients mod p, constant first, of the polynomial in t written
+    in text[start:end]; errors carry the offset of the bad term in text."""
     coeffs = {}
-    pos = base_pos
-    for part in text.split("+"):
+    pos = start
+    for part in text[start:end].split("+"):
         m = _TPOLY_TERM.match(part)
         if not m:
             raise ParseError(text, pos, "a term like 't^2', '2*t' or '1'")
@@ -595,41 +704,27 @@ def _parse_tpoly(text, p, base_pos):
         else:
             deg = int(m.group(2)) if m.group(2) else 1
             c = int(m.group(1)) if m.group(1) else 1
+        if deg > max_degree:
+            raise ParseError(text, pos,
+                             f"a term in t of degree at most {max_degree}")
         coeffs[deg] = (coeffs.get(deg, 0) + c) % p
         pos += len(part) + 1
-    k = max(coeffs)
-    return tuple(coeffs.get(i, 0) for i in range(k + 1))
+    return tuple(coeffs.get(i, 0) for i in range(max(coeffs) + 1))
 
 
-class _Scanner:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-
-    def expect(self, literal):
-        if not self.text.startswith(literal, self.pos):
-            raise ParseError(self.text, self.pos, repr(literal))
-        self.pos += len(literal)
-
-    def regex(self, pattern, expected):
-        m = re.compile(pattern).match(self.text, self.pos)
+def _scan(text, pos, pieces):
+    """Match (pattern, expected) pieces one after another from pos to the
+    end of text; the matches, or a ParseError where a piece fails."""
+    matches = []
+    for pattern, expected in pieces:
+        m = re.compile(pattern).match(text, pos)
         if not m:
-            raise ParseError(self.text, self.pos, expected)
-        self.pos = m.end()
-        return m.group(0)
-
-    def until(self, stop_char, expected):
-        idx = self.text.find(stop_char, self.pos)
-        if idx < 0:
-            raise ParseError(self.text, len(self.text), expected)
-        out = self.text[self.pos:idx]
-        start = self.pos
-        self.pos = idx
-        return out, start
-
-    def end(self):
-        if self.pos != len(self.text):
-            raise ParseError(self.text, self.pos, "end of input")
+            raise ParseError(text, pos, expected)
+        matches.append(m)
+        pos = m.end()
+    if pos != len(text):
+        raise ParseError(text, pos, "end of input")
+    return matches
 
 
 def parse_field(text: str) -> FieldDescriptor:
@@ -637,87 +732,35 @@ def parse_field(text: str) -> FieldDescriptor:
 
     Fq(p,k) without a modulus picks the first irreducible one.
     """
-    s = _Scanner(text.strip())
-    if s.text.startswith("Fp("):
-        s.expect("Fp(")
-        p = int(s.regex(r"\d+", "a prime"))
-        s.expect(")")
-        s.end()
-        return Fp(p)
-    if s.text.startswith("Fq("):
-        s.expect("Fq(")
-        p = int(s.regex(r"\d+", "a prime"))
-        s.expect(",")
-        k = int(s.regex(r"\d+", "an extension degree"))
-        if s.text[s.pos:] == ")":
-            return Fq(p, k)
-        s.expect(",")
-        body, start = s.until(")", "')' closing the modulus")
-        modulus = _parse_tpoly(body, p, start)
-        s.expect(")")
-        s.end()
-        if len(modulus) - 1 != k:
-            raise ParseError(text, start, f"a degree-{k} modulus")
-        return Fq(p, k, modulus)
-    if s.text.startswith("Q(sqrt("):
-        s.expect("Q(sqrt(")
-        d = int(s.regex(r"-?\d+", "an integer"))
-        s.expect("))")
-        s.end()
-        return Qsqrt(d)
-    if s.text == "Q":
+    text = text.strip()
+    if text == "Q":
         return Q()
+    if text.startswith("Fp("):
+        p, _ = _scan(text, 3, [(r"\d+", "a prime"), (r"\)", "')'")])
+        return Fp(int(p[0]))
+    if text.startswith("Q(sqrt("):
+        d, _ = _scan(text, 7, [(r"-?\d+", "an integer"), (r"\)\)", "'))'")])
+        return Qsqrt(int(d[0]))
+    if text.startswith("Fq("):
+        p, _, k, body, _ = _scan(text, 3, [
+            (r"\d+", "a prime"), (",", "','"), (r"\d+", "an extension degree"),
+            (r"(,[^)]*)?", ""), (r"\)", "')'")])
+        p, k = int(p[0]), int(k[0])
+        if not body[0]:
+            return Fq(p, k)
+        modulus = _parse_tpoly(text, body.start() + 1, body.end(), p, k)
+        if len(modulus) - 1 != k:
+            raise ParseError(text, body.start() + 1, f"a degree-{k} modulus")
+        return Fq(p, k, modulus)
     raise ParseError(text, 0, "one of Fp(, Fq(, Q, Q(sqrt(")
 
 
 def format_element(x: FieldElement) -> str:
-    F = x.field
-    if F.kind == PRIME:
-        return str(x.payload)
-    if F.kind == EXTENSION:
-        return _format_tpoly(x.payload)
-    if F.kind == RATIONAL:
-        return str(x.payload)
-    a, b = x.payload
-    if b == 0:
-        return str(a)
-    root = f"sqrt({F.d})"
-    bpart = root if abs(b) == 1 else f"{abs(b)}*{root}"
-    if a == 0:
-        return bpart if b > 0 else "-" + bpart
-    return f"{a}{'+' if b > 0 else '-'}{bpart}"
-
-
-_QUADRATIC_RE = re.compile(
-    r"^(?:(?P<a>-?\d+(?:/\d+)?)(?=[+-]))?(?P<sign>[+-])?"
-    r"(?:(?P<b>\d+(?:/\d+)?)\*)?sqrt\((?P<d>-\d+)\)$")
+    return x.field.format(x)
 
 
 def parse_element(F: FieldDescriptor, text: str) -> FieldElement:
-    """Parse a field element literal in the field's text form."""
-    text = text.strip()
-    if F.kind == PRIME:
-        if not re.fullmatch(r"-?\d+", text):
-            raise ParseError(text, 0, "an integer residue")
-        return F.element(int(text))
-    if F.kind == EXTENSION:
-        coeffs = _parse_tpoly(text, F.p, 0)
-        if len(coeffs) > F.k:
-            raise ParseError(text, 0, f"a polynomial in t of degree < {F.k}")
-        return F.element(coeffs + (0,) * (F.k - len(coeffs)))
-    if F.kind == RATIONAL:
-        if not re.fullmatch(r"-?\d+(/\d+)?", text):
-            raise ParseError(text, 0, "a rational like -3 or 5/6")
-        return F.element(Fraction(text))
-    if "sqrt" not in text:
-        if not re.fullmatch(r"-?\d+(/\d+)?", text):
-            raise ParseError(text, 0, "a rational or a+b*sqrt(d) literal")
-        return F.element((Fraction(text), Fraction(0)))
-    m = _QUADRATIC_RE.match(text)
-    if not m or int(m.group("d")) != F.d:
-        raise ParseError(text, 0, f"an a+b*sqrt({F.d}) literal")
-    a = Fraction(m.group("a")) if m.group("a") else Fraction(0)
-    b = Fraction(m.group("b")) if m.group("b") else Fraction(1)
-    if m.group("sign") == "-":
-        b = -b
-    return F.element((a, b))
+    """Parse a field element literal in the field's text form; a
+    ParseError carries the offset of the bad character or term in the
+    stripped literal."""
+    return F.parse(text.strip())

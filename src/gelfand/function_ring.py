@@ -120,11 +120,22 @@ class RingElement:
 
 
 def parse_ring_element(field, line) -> RingElement:
-    """One function per line: comma-separated field-element literals."""
-    parts = line.strip().split(",")
-    if not parts or parts == [""]:
+    """One function per line: comma-separated field-element literals.
+
+    A ParseError carries the offset of the bad character in the line.
+    """
+    if not line.strip():
         raise ParseError(line, 0, "comma-separated field-element literals")
-    return RingElement(field, tuple(parse_element(field, p) for p in parts))
+    values, start = [], 0
+    for part in line.split(","):
+        try:
+            values.append(parse_element(field, part))
+        except ParseError as exc:
+            lead = len(part) - len(part.lstrip())
+            raise ParseError(line, start + lead + exc.pos,
+                             exc.expected) from None
+        start += len(part) + 1
+    return RingElement(field, tuple(values))
 
 
 def all_ring_elements(space: FiniteSpace, field: FieldDescriptor):

@@ -1,5 +1,6 @@
 """Tests for origin-only-vanishing forms and their verification."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -105,6 +106,28 @@ def test_verify_guard():
     g = parse_poly(Fp(101), "x1 + x2 + x3 + x4")
     with pytest.raises(TooLarge):
         verify_vanishing_exhaustive(g)
+
+
+@pytest.mark.parametrize("field", [Fp(2), Fp(3), Fp(5), Fq(2, 2)])
+def test_chevalley_warning_negative_control(field):
+    """Seeded random polynomials of degree d < n with zero constant term
+    have a nontrivial zero (Chevalley-Warning), so the verifier must
+    report Failed on forms it did not construct."""
+    rng = random.Random(field.order)
+    elems = enumerate_field(field)
+    for _ in range(8):
+        n = rng.randint(2, 4 if field.order <= 4 else 3)
+        d = rng.randint(1, n - 1)
+        monos = [m for m in itertools.product(range(d + 1), repeat=n)
+                 if 1 <= sum(m) <= d]
+        chosen = rng.sample(monos, rng.randint(1, len(monos)))
+        g = MultiPoly.from_dict(field, n,
+                                {m: rng.choice(elems) for m in chosen})
+        result = verify_vanishing_exhaustive(g)
+        assert isinstance(result, Failed)
+        point = result.counterexample
+        assert any(not x.is_zero for x in point)
+        assert g.evaluate(point).is_zero
 
 
 @pytest.mark.parametrize("field", [Fp(2), Fp(3), Fp(5), Fp(7),

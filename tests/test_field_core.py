@@ -1,7 +1,9 @@
 """Tests for exact field arithmetic, enumeration, and parsing."""
 
+import itertools
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -13,6 +15,7 @@ from gelfand.errors import (
     WrongKind,
 )
 from gelfand.field_core import (
+    FieldElement,
     Fp,
     Fq,
     Q,
@@ -28,6 +31,7 @@ from gelfand.field_core import (
     parse_element,
     parse_field,
 )
+from gelfand.function_ring import parse_ring_element
 
 
 def test_f5_inverse_matches_exhaustive_search():
@@ -160,36 +164,46 @@ def test_norm_on_wrong_kind():
         Fp(3).one().norm()
 
 
-@pytest.mark.parametrize("field", [Fp(7), Fq(2, 3), Fq(3, 2)])
+def _rational_samples(field, rng, count):
+    def coeff():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+
+    if field.kind == "rational":
+        return [field.element(coeff()) for _ in range(count)]
+    return [field.element((coeff(), coeff())) for _ in range(count)]
+
+
+@pytest.mark.parametrize("field", [Fp(2), Fp(3), Fp(7), Fq(2, 2), Fq(2, 3),
+                                   Fq(3, 2), Q(), Qsqrt(-2)])
 def test_field_axioms_sampled(field):
-    rng = random.Random(11)
-    elems = enumerate_field(field)
+    """Every pair and triple of a finite field, seeded triples of an
+    infinite one; also every element's text and index round-trips."""
     one, zero = field.one(), field.zero()
-    for _ in range(60):
-        a, b, c = (rng.choice(elems) for _ in range(3))
+    if field.is_finite:
+        elems = enumerate_field(field)
+        triples = itertools.product(elems, repeat=3)
+        for i, x in enumerate(elems):
+            assert field.index(x) == i
+            assert field.element_at(i) == x
+    else:
+        rng = random.Random(13)
+        elems = _rational_samples(field, rng, 40)
+        triples = zip(elems, _rational_samples(field, rng, 40),
+                      _rational_samples(field, rng, 40))
+    for x in elems:
+        assert parse_element(field, format_element(x)) == x
+    for a, b, c in triples:
         assert (a + b) + c == a + (b + c)
         assert a + b == b + a
         assert (a * b) * c == a * (b * c)
         assert a * b == b * a
         assert a * (b + c) == a * b + a * c
+        assert (a + b) - b == a
         assert a * one == a
         assert a + zero == a
         if not a.is_zero:
             assert a * a.inv() == one
-
-
-def test_quadratic_axioms_sampled():
-    F = Qsqrt(-2)
-    rng = random.Random(13)
-    for _ in range(40):
-        a = F.element((Fraction(rng.randint(-5, 5), rng.randint(1, 5)),
-                       Fraction(rng.randint(-5, 5), rng.randint(1, 5))))
-        b = F.element((Fraction(rng.randint(-5, 5), rng.randint(1, 5)),
-                       Fraction(rng.randint(-5, 5), rng.randint(1, 5))))
-        assert a * b == b * a
-        assert (a + b) - b == a
-        if not a.is_zero:
-            assert a * a.inv() == F.one()
+            assert (b / a) * a == b
 
 
 def test_extension_inverse_exhaustive():
@@ -222,6 +236,43 @@ def test_field_parse_error_position():
         parse_field("Fp(x)")
     assert exc.value.pos == 3
     assert "prime" in exc.value.expected
+    for parse, text, pos in [
+        (parse_field, "Fq(2,2,1+t^3)", 9),  # modulus term of degree > k
+        (partial(parse_element, Fq(2, 2)), "t+t^3", 2),  # degree >= k
+        (partial(parse_element, Fq(2, 2)), "t+x", 2),
+        (partial(parse_element, Qsqrt(-3)), "1+2*sqrt(-5)", 9),  # wrong d
+        (partial(parse_element, Qsqrt(-3)), "1+2*sqrt(-3", 11),
+        (partial(parse_element, Qsqrt(-3)), "sqrt(-3)+1", 8),
+        (partial(parse_element, Fp(5)), "12a", 2),
+        (partial(parse_element, Q()), "3/4x", 3),
+        (partial(parse_element, Q()), "1/0", 1),  # zero denominator
+        (partial(parse_element, Qsqrt(-1)), "1/00", 1),
+        (partial(parse_ring_element, Fp(5)), "1,2,x", 4),
+        (partial(parse_ring_element, Fq(2, 2)), "1, t^2", 3),
+    ]:
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert (exc.value.pos, exc.value.text) == (pos, text)
+
+
+def test_public_constructor_canonicalises():
+    assert FieldElement(Fp(5), 7) == Fp(5).element(2)
+    assert FieldElement(Fp(5), -1).payload == 4
+    F4 = Fq(2, 2)
+    assert FieldElement(F4, (3, 2)) == F4.element((1, 0)) == F4.one()
+    assert hash(FieldElement(F4, (3, 2))) == hash(F4.one())
+    with pytest.raises(ValueError):
+        FieldElement(F4, (1, 0, 1))
+    assert F4.element_at(4) == F4.zero() and Fp(5).element_at(7).payload == 2
+    assert FieldElement(Qsqrt(-1), 3) == Qsqrt(-1).element((3, 0))
+
+
+def test_descriptor_equality_is_structural():
+    assert Fp(5) == Fp(5) and hash(Fp(5)) == hash(Fp(5))
+    assert Fq(2, 3) == parse_field("Fq(2,3,t^3+t+1)")
+    assert Fq(2, 3) != Fq(2, 3, (1, 0, 1, 1))
+    assert Fp(2) != Fq(2, 1) and Q() != Qsqrt(-1)
+    assert Fp(5).one() + FieldElement(Fp(5), 1) == Fp(5).from_int(2)
 
 
 @pytest.mark.parametrize("field,literals", [
