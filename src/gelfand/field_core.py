@@ -111,6 +111,22 @@ def _first_irreducible(p, k):
     raise NoneFound(f"no irreducible polynomial of degree {k} over F_{p}")
 
 
+def power(x, e, one):
+    """x**e by square-and-multiply, for field elements and polynomials:
+    x**(2^k) takes k products, and the unit `one()` is built for e = 0
+    only, never as a factor."""
+    if not isinstance(e, int) or e < 0:
+        raise ValueError("exponent must be a non-negative integer")
+    result = None if e else one()
+    while e:
+        if e & 1:
+            result = x if result is None else result * x
+        e >>= 1
+        if e:
+            x = x * x
+    return result
+
+
 # ---------------------------------------------------------------------------
 # field elements
 
@@ -174,16 +190,7 @@ class FieldElement:
         return self * other.inv()
 
     def __pow__(self, e):
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = self.field.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, self.field.one)
 
     def conjugate(self):
         return self.field.conjugate(self)
@@ -488,13 +495,14 @@ class QuadraticField(FieldDescriptor):
         return f"{a}{'+' if b > 0 else '-'}{bpart}"
 
     def parse(self, text):
-        if "sqrt" not in text:
-            _scan(text, 0, [(_RATIONAL, "a rational or a+b*sqrt(d) literal")])
+        if re.fullmatch(_RATIONAL, text):
             return self.element(Fraction(text))
         head, _, d, _ = _scan(text, 0, _QUADRATIC_PIECES)
+        a, sign, b, star = head.groups()
+        if b and not star:
+            raise ParseError(text, head.end(3), "'*'")
         if int(d[0]) != self.d:
             raise ParseError(text, d.start(), f"sqrt({self.d})")
-        a, sign, b = head.groups()
         b = Fraction(b or 1)
         return self.element((Fraction(a or 0), -b if sign == "-" else b))
 
@@ -538,8 +546,11 @@ def find_rootfree_monic(F: FieldDescriptor, m: int):
     """First monic degree-m polynomial over finite F without roots in F.
 
     Returns the coefficient tuple (low degree first, length m+1, leading
-    coefficient one). Candidates are scanned in lexicographic order on
-    the lower coefficient tuple, so the result is deterministic.
+    coefficient one), the first in lexicographic order on the lower
+    coefficients, c0 first; `candidates_scanned` is its position in that
+    order (`rootfree_scan_position`). As f(0) = c0, the tails with c0 = 0
+    are ruled out without evaluation: the scan starts at the first tail
+    with c0 != 0 and evaluates at the nonzero elements only.
     """
     if m < 2:
         raise ValueError("degree must be at least 2: every monic linear "
@@ -549,10 +560,11 @@ def find_rootfree_monic(F: FieldDescriptor, m: int):
     if F.order ** m > ROOTFREE_SEARCH_GUARD:
         raise TooLarge(f"q^m = {F.order ** m} exceeds the search guard")
     elements = enumerate_field(F)
+    nonzero = elements[1:]
     one = F.one()
-    for tail in itertools.product(elements, repeat=m):
+    for tail in itertools.product(nonzero, *[elements] * (m - 1)):
         coeffs = tail + (one,)
-        if all(not eval_univariate(coeffs, a).is_zero for a in elements):
+        if all(not eval_univariate(coeffs, a).is_zero for a in nonzero):
             return coeffs
     raise NoneFound(f"no root-free monic of degree {m} over {F}")
 
@@ -667,9 +679,10 @@ def format_field(F: FieldDescriptor) -> str:
 _NUMBER = r"\d+(?:/0*[1-9]\d*)?"
 _RATIONAL = "-?" + _NUMBER
 # [a][+-][b*]sqrt(d) as pieces for _scan; a rational part a stands only
-# before a sign, so 12*sqrt(-3) has b = 12
+# before a sign, so 12*sqrt(-3) has b = 12. The '*' after b is optional
+# here so that a missing one is reported where it belongs
 _QUADRATIC_PIECES = [
-    (rf"(?:({_RATIONAL})(?=[+-]))?([+-]?)(?:({_NUMBER})\*)?", ""),
+    (rf"(?:({_RATIONAL})(?=[+-]))?([+-]?)(?:({_NUMBER})(\*)?)?", ""),
     (r"sqrt\(", "'sqrt('"), (r"-?\d+", "an integer"), (r"\)", "')'")]
 
 

@@ -312,11 +312,10 @@ def check_homeomorphism(space: FiniteSpace, field: FieldDescriptor,
         structural_max = {M.element_set() for M in kernels}
         oracle_agrees = set(oracle_max) == structural_max
 
-    all_subsets = set()
-    for r in range(n + 1):
-        for combo in itertools.combinations(range(n), r):
-            all_subsets.add(frozenset(combo))
-    topology_match = spectrum.closed_sets == frozenset(all_subsets)
+    # 2^n distinct subsets of the n points are all of them: discrete
+    points = frozenset(space.points())
+    topology_match = len(spectrum.closed_sets) == 2 ** n and all(
+        S <= points for S in spectrum.closed_sets)
 
     bijective = injective and structurally_maximal and preimages_ok \
         and (oracle_agrees is not False)

@@ -23,9 +23,8 @@ from .field_core import (
     FieldElement,
     format_element,
     parse_element,
+    power,
 )
-
-Monomial = tuple  # tuple of non-negative integer exponents
 
 
 def _grlex_key(mono):
@@ -137,16 +136,8 @@ class MultiPoly:
         return NotImplemented
 
     def __pow__(self, e):
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = MultiPoly.constant(self.field, self.arity, self.field.one())
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, lambda: MultiPoly.constant(
+            self.field, self.arity, self.field.one()))
 
     def evaluate(self, point):
         """Exact evaluation at a tuple of field elements."""
@@ -165,14 +156,6 @@ class MultiPoly:
                     term = term * x ** e
             acc = acc + term
         return acc
-
-    def extend_arity(self, new_arity):
-        """Reinterpret in more variables; the new trailing ones are unused."""
-        if new_arity < self.arity:
-            raise ArityMismatch("cannot shrink arity")
-        pad = (0,) * (new_arity - self.arity)
-        return MultiPoly(self.field, new_arity,
-                         tuple((m + pad, c) for m, c in self.terms))
 
     def __str__(self):
         return format_poly(self)
@@ -211,25 +194,28 @@ def homogenize2(f: MultiPoly) -> MultiPoly:
 
 
 def compose_last(g2: MultiPoly, h: MultiPoly) -> MultiPoly:
-    """g2(h(x_1..x_n), x_{n+1}) expanded to canonical form."""
+    """g2(h(x_1..x_n), x_{n+1}) expanded to canonical form.
+
+    By substitution: the powers h^i are built in h's own arity, one
+    product with h each, and a term c*y^i*z^j of g2 adds c times every
+    term of h^i with the exponent j of x_{n+1} appended to its monomial.
+    """
     if g2.arity != 2:
         raise ArityMismatch("outer polynomial must be bivariate")
     if g2.field != h.field:
         raise MixedFields(f"{g2.field} vs {h.field}")
     n = h.arity
     field = h.field
-    h_ext = h.extend_arity(n + 1)
-    last = MultiPoly.variable(field, n + 1, n)
-    h_pows = {0: MultiPoly.constant(field, n + 1, field.one())}
-    last_pows = {0: h_pows[0]}
-    result = MultiPoly.zero(field, n + 1)
+    powers = [MultiPoly.constant(field, n, field.one()), h]
+    acc = {}
     for (i, j), c in g2.terms:
-        if i not in h_pows:
-            h_pows[i] = h_ext ** i
-        if j not in last_pows:
-            last_pows[j] = last ** j
-        result = result + h_pows[i] * last_pows[j] * c
-    return result
+        while len(powers) <= i:
+            powers.append(powers[-1] * h)
+        for m, a in powers[i].terms:
+            mono = m + (j,)
+            term = a * c
+            acc[mono] = acc[mono] + term if mono in acc else term
+    return MultiPoly.from_dict(field, n + 1, acc)
 
 
 # ---------------------------------------------------------------------------

@@ -119,7 +119,9 @@ def test_field_find_rootfree_counts_candidates(tmp_path):
 
 
 @pytest.mark.parametrize("spec,m", [("Fp(5)", 3), ("Fq(2,2)", 3),
-                                    ("Fp(7)", 2)])
+                                    ("Fp(7)", 2), ("Fp(7)", 4),
+                                    ("Fp(11)", 3), ("Fq(3,2)", 3),
+                                    ("Fq(2,3)", 4)])
 def test_find_rootfree_count_matches_scan(tmp_path, spec, m):
     field = parse_field(spec)
     elements = enumerate_field(field)

@@ -7,6 +7,7 @@ from functools import partial
 
 import pytest
 
+import gelfand.field_core as field_core
 from gelfand.errors import (
     DivisionByZero,
     InfiniteField,
@@ -18,6 +19,7 @@ from gelfand.field_core import (
     FieldElement,
     Fp,
     Fq,
+    PrimeField,
     Q,
     Qsqrt,
     Valuation,
@@ -247,12 +249,18 @@ def test_field_parse_error_position():
         (partial(parse_element, Q()), "3/4x", 3),
         (partial(parse_element, Q()), "1/0", 1),  # zero denominator
         (partial(parse_element, Qsqrt(-1)), "1/00", 1),
+        (partial(parse_element, Qsqrt(-3)), "1sqrt(-3)", 1),  # no '*'
+        (partial(parse_element, Qsqrt(-3)), "1+2sqrt(-3)", 3),
+        (partial(parse_element, Qsqrt(-3)), "1+2*sqr(-3)", 4),
         (partial(parse_ring_element, Fp(5)), "1,2,x", 4),
         (partial(parse_ring_element, Fq(2, 2)), "1, t^2", 3),
     ]:
         with pytest.raises(ParseError) as exc:
             parse(text)
         assert (exc.value.pos, exc.value.text) == (pos, text)
+    with pytest.raises(ParseError) as exc:
+        parse_element(Qsqrt(-3), "1+2*sqr(-3)")
+    assert exc.value.expected == "'sqrt('"
 
 
 def test_public_constructor_canonicalises():
@@ -298,6 +306,58 @@ def test_eval_univariate_horner():
     F = Fp(5)
     coeffs = tuple(F.from_int(c) for c in (1, 2, 3))  # 3x^2 + 2x + 1
     assert eval_univariate(coeffs, F.from_int(2)).payload == (3 * 4 + 4 + 1) % 5
+
+
+@pytest.mark.parametrize("field,payloads", [
+    (Fp(7), [0, 1, 3]),
+    (Fq(2, 3), [0, (0, 1, 0), (1, 1, 1)]),
+    (Fq(3, 2), [0, (2, 1)]),
+    (Q(), [0, Fraction(-3, 2)]),
+    (Qsqrt(-2), [0, (Fraction(1, 2), -1)]),
+])
+def test_power_is_repeated_product(field, payloads):
+    for payload in payloads:
+        x = field.element(payload)
+        product = field.one()
+        for e in range(10):
+            assert x ** e == product
+            product = product * x
+        for e in (-1, 1.5):
+            with pytest.raises(ValueError):
+                x ** e
+
+
+def test_power_multiplication_count(monkeypatch):
+    calls = []
+    mul = PrimeField.mul
+
+    def counting(self, x, y):
+        calls.append(1)
+        return mul(self, x, y)
+
+    monkeypatch.setattr(PrimeField, "mul", counting)
+    F = Fp(101)
+    for e, count in [(0, 0), (1, 0), (2, 1), (8, 3), (7, 4)]:
+        calls.clear()
+        result = F.element(3) ** e
+        assert len(calls) == count, e
+        assert result == F.element(3 ** e)
+
+
+@pytest.mark.parametrize("field,m", [(Fp(2), 2), (Fp(3), 3), (Fp(5), 2),
+                                     (Fq(2, 2), 3), (Fq(3, 2), 2)])
+def test_rootfree_scan_skips_zero_constant_and_zero_point(
+        monkeypatch, field, m):
+    calls = []
+
+    def recording(coeffs, a):
+        calls.append((coeffs[0], a))
+        return eval_univariate(coeffs, a)
+
+    monkeypatch.setattr(field_core, "eval_univariate", recording)
+    coeffs = find_rootfree_monic(field, m)
+    assert calls and calls[-1][0] == coeffs[0]
+    assert not any(c0.is_zero or a.is_zero for c0, a in calls)
 
 
 def test_fq_shorthand_picks_first_irreducible():

@@ -4,12 +4,14 @@ import itertools
 
 import pytest
 
+import gelfand.function_ring as function_ring
 from gelfand.errors import NotProper, PointOutOfRange, TooLarge
 from gelfand.field_core import Fp, Fq
 from gelfand.function_ring import (
     FiniteSpace,
     IdealRepr,
     RingElement,
+    ZariskiSpace,
     all_ring_elements,
     check_homeomorphism,
     enumerate_ideals_bruteforce,
@@ -163,6 +165,26 @@ def test_homeomorphism_size4_f3_structural_only():
     assert report["passed"]
     assert report["max_ideal_count"] == 4
     assert not report["oracle_checked"]
+
+
+@pytest.mark.parametrize("corrupt", ["drop", "outside"])
+def test_topology_check_negative_control(monkeypatch, corrupt):
+    real = function_ring.max_spectrum
+
+    def broken(space, field):
+        spectrum = real(space, field)
+        closed = set(spectrum.closed_sets) - {frozenset({0})}
+        if corrupt == "outside":
+            # same count, but one set holds a point the space lacks
+            closed.add(frozenset({0, space.size}))
+        return ZariskiSpace(spectrum.points, frozenset(closed))
+
+    monkeypatch.setattr(function_ring, "max_spectrum", broken)
+    report = check_homeomorphism(FiniteSpace(3), Fp(2))
+    assert report["bijective"]
+    assert report["closed_set_count"] == (7 if corrupt == "drop" else 8)
+    assert report["topology_match"] is False
+    assert report["passed"] is False
 
 
 def test_zariski_topology_is_discrete():

@@ -12,7 +12,16 @@ from gelfand.errors import (
     ParseError,
     ZeroPolynomial,
 )
-from gelfand.field_core import Fp, Fq, Q, Qsqrt, enumerate_field
+from gelfand.anisotropic import build_fn
+from gelfand.field_core import (
+    Fp,
+    Fq,
+    Q,
+    Qsqrt,
+    enumerate_field,
+    find_rootfree_monic,
+    parse_field,
+)
 from gelfand.poly import (
     MultiPoly,
     compose_last,
@@ -119,6 +128,112 @@ def test_compose_last_identity_substitution():
     h = MultiPoly.variable(F, 1, 0)
     composed = compose_last(g2, h)
     assert composed.terms == g2.terms
+
+
+def _compose_last_by_products(g2, h):
+    """Reference for compose_last: h and x_{n+1} as polynomials in n+1
+    variables, and each term c*y^i*z^j of g2 as the product
+    c * h^i * x_{n+1}^j, every power an i- or j-fold product."""
+    n, field = h.arity, h.field
+    h_ext = MultiPoly(field, n + 1, tuple((m + (0,), c) for m, c in h.terms))
+    last = MultiPoly.variable(field, n + 1, n)
+    result = MultiPoly.zero(field, n + 1)
+    for (i, j), c in g2.terms:
+        term = MultiPoly.constant(field, n + 1, c)
+        for factor in [h_ext] * i + [last] * j:
+            term = term * factor
+        result = result + term
+    return result
+
+
+def _random_coeff(rng, field):
+    if field.is_finite:
+        return field.element_at(rng.randrange(field.order))
+    a, b = (Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in "ab")
+    return field.element((a, b) if field.kind == "quadratic" else a)
+
+
+def _random_poly(rng, field, arity, terms, max_degree):
+    coeffs = {}
+    for _ in range(terms):
+        mono = tuple(rng.randint(0, max_degree) for _ in range(arity))
+        coeffs[mono] = _random_coeff(rng, field)
+    return MultiPoly.from_dict(field, arity, coeffs)
+
+
+@pytest.mark.parametrize("field", [Fp(2), Fp(5), Fq(2, 2), Q(), Qsqrt(-2)])
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_compose_last_matches_products_reference(field, arity):
+    rng = random.Random(f"{field}-{arity}")
+    for _ in range(6):
+        g2 = _random_poly(rng, field, 2, rng.randint(1, 5), 3)
+        h = _random_poly(rng, field, arity, rng.randint(1, 4), 2)
+        assert compose_last(g2, h).terms == \
+            _compose_last_by_products(g2, h).terms
+
+
+def test_compose_last_substitutes_without_products_in_x_last(monkeypatch):
+    F = Fp(5)
+    g2 = parse_poly(F, "x1^3 + 2*x1*x2^2 + 3*x2^3 + x1^2*x2")
+    h = parse_poly(F, "x1^2 + 4*x1*x2 + x2")
+    products, built = [], []
+    mul, from_dict = MultiPoly.__mul__, MultiPoly.from_dict.__func__
+
+    def counting_mul(a, b):
+        products.append(a.arity)
+        return mul(a, b)
+
+    def counting_from_dict(cls, field, arity, coeffs):
+        built.append(arity)
+        return from_dict(cls, field, arity, coeffs)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counting_mul)
+    monkeypatch.setattr(MultiPoly, "from_dict", classmethod(counting_from_dict))
+    composed = compose_last(g2, h)
+    monkeypatch.undo()
+    assert products == [2, 2]  # h^2 and h^3, in h's own arity
+    assert built.count(3) == 1
+    assert composed == _compose_last_by_products(g2, h)
+
+
+# the (field, m, n) cells of the tower ladder of the benchmark workload
+TOWER_CELLS = [
+    ("Fp(2)", 2, range(2, 9)), ("Fp(2)", 3, range(2, 6)),
+    ("Fp(2)", 4, range(2, 5)), ("Fp(2)", 5, range(2, 4)),
+    ("Fp(3)", 2, range(2, 6)), ("Fp(3)", 3, range(2, 5)),
+    ("Fp(3)", 4, range(2, 4)), ("Fp(5)", 2, range(2, 5)),
+    ("Fp(5)", 3, range(2, 4)), ("Fp(5)", 4, range(2, 4)),
+    ("Fp(7)", 2, range(2, 4)), ("Fp(7)", 3, range(2, 4)),
+    ("Fp(11)", 2, range(2, 4)), ("Fq(2,2)", 2, range(2, 5)),
+    ("Fq(2,2)", 3, range(2, 4)), ("Fq(3,2)", 2, range(2, 4)),
+    ("Fq(3,2)", 3, range(2, 3)), ("Fq(2,3)", 2, range(2, 4)),
+    ("Fq(2,3)", 3, range(2, 3)),
+]
+
+
+@pytest.mark.parametrize("spec,m,ns", TOWER_CELLS)
+def test_build_fn_matches_reference_chain(spec, m, ns):
+    field = parse_field(spec)
+    f = univariate(field, find_rootfree_monic(field, m))
+    f2 = homogenize2(f)
+    tower = MultiPoly.variable(field, 1, 0)
+    for n in range(2, ns[-1] + 1):
+        tower = _compose_last_by_products(f2, tower)
+        if n in ns:
+            assert build_fn(f, n).terms == tower.terms
+
+
+@pytest.mark.parametrize("field", [Fp(3), Fq(2, 2), Q(), Qsqrt(-2)])
+def test_poly_power_is_repeated_product(field):
+    rng = random.Random(str(field))
+    f = _random_poly(rng, field, 2, 3, 2)
+    product = MultiPoly.constant(field, 2, field.one())
+    for e in range(10):
+        assert f ** e == product
+        product = product * f
+    for e in (-1, 1.5):
+        with pytest.raises(ValueError):
+            f ** e
 
 
 def test_constant_term():
