@@ -91,17 +91,24 @@ def image_points(cover: Cover):
 
 
 def indicator_poly(a, F: FieldDescriptor) -> MultiPoly:
-    """Product of (1 - (x_i - a_i)^(q-1)): 1 at a, 0 elsewhere on F^n."""
+    """Product of (1 - (x_i - a_i)^(q-1)): 1 at a, 0 elsewhere on F^n.
+
+    By Lucas' theorem binom(q-1, j) = (-1)^j mod p, so (x - b)^(q-1) is
+    the sum of b^(q-1-j) x^j over j < q, with 0^0 = 1. The factors'
+    coefficients are read off that sum and their product is written out
+    term by term, with no polynomial arithmetic.
+    """
     if not F.is_finite:
         raise InfiniteField("indicator polynomials need a finite field")
-    q = F.order
-    n = len(a)
-    one = MultiPoly.constant(F, n, F.one())
-    result = one
-    for i, a_i in enumerate(a):
-        shifted = MultiPoly.variable(F, n, i) - MultiPoly.constant(F, n, a_i)
-        result = result * (one - shifted ** (q - 1))
-    return result
+    terms = {(): F.one()}
+    for b in a:
+        powers = [F.one()]  # b^0 .. b^(q-1)
+        for _ in range(F.order - 1):
+            powers.append(powers[-1] * b)
+        coeffs = [F.one() - powers[-1]] + [-c for c in reversed(powers[:-1])]
+        factor = [(j, c) for j, c in enumerate(coeffs) if not c.is_zero]
+        terms = {m + (j,): c * f for m, c in terms.items() for j, f in factor}
+    return MultiPoly.from_dict(F, len(a), terms)
 
 
 def interpolate_case2(J, F: FieldDescriptor, arity: int) -> MultiPoly:
@@ -115,10 +122,11 @@ def interpolate_case2(J, F: FieldDescriptor, arity: int) -> MultiPoly:
             raise ValueError("points of J must match the arity")
         if all(x.is_zero for x in a):
             raise OriginInJ("J must not contain the origin")
-    result = MultiPoly.zero(F, arity)
+    acc = {}
     for a in J:
-        result = result + indicator_poly(tuple(a), F)
-    return result
+        for m, c in indicator_poly(tuple(a), F).terms:
+            acc[m] = acc[m] + c if m in acc else c
+    return MultiPoly.from_dict(F, arity, acc)
 
 
 @dataclass(frozen=True)
@@ -151,10 +159,13 @@ class CombinationCertificate:
 
 
 def _apply_witness(cover: Cover, witness: MultiPoly) -> RingElement:
-    values = tuple(
-        witness.evaluate(tuple(psi.values[x] for psi in cover.functions))
-        for x in cover.space.points())
-    return RingElement(cover.field, values)
+    """The witness composed with the cover. Its value at a point depends
+    only on the point's column of function values, so the witness is
+    evaluated once per distinct column."""
+    columns = [tuple(psi.values[x] for psi in cover.functions)
+               for x in cover.space.points()]
+    value_at = {col: witness.evaluate(col) for col in dict.fromkeys(columns)}
+    return RingElement(cover.field, tuple(value_at[col] for col in columns))
 
 
 def combine_case1(cover: Cover, base: MultiPoly) -> CombinationCertificate:

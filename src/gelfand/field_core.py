@@ -111,22 +111,6 @@ def _first_irreducible(p, k):
     raise NoneFound(f"no irreducible polynomial of degree {k} over F_{p}")
 
 
-def power(x, e, one):
-    """x**e by square-and-multiply, for field elements and polynomials:
-    x**(2^k) takes k products, and the unit `one()` is built for e = 0
-    only, never as a factor."""
-    if not isinstance(e, int) or e < 0:
-        raise ValueError("exponent must be a non-negative integer")
-    result = None if e else one()
-    while e:
-        if e & 1:
-            result = x if result is None else result * x
-        e >>= 1
-        if e:
-            x = x * x
-    return result
-
-
 # ---------------------------------------------------------------------------
 # field elements
 
@@ -190,7 +174,18 @@ class FieldElement:
         return self * other.inv()
 
     def __pow__(self, e):
-        return power(self, e, self.field.one)
+        """Square-and-multiply: x**(2^k) takes k products, and the unit
+        is built for e = 0 only, never as a factor."""
+        if not isinstance(e, int) or e < 0:
+            raise ValueError("exponent must be a non-negative integer")
+        x, result = self, None if e else self.field.one()
+        while e:
+            if e & 1:
+                result = x if result is None else result * x
+            e >>= 1
+            if e:
+                x = x * x
+        return result
 
     def conjugate(self):
         return self.field.conjugate(self)
@@ -245,8 +240,6 @@ class FieldDescriptor:
     def element(self, payload):
         """Construct an element from a raw payload, canonicalizing it."""
         return FieldElement(self, payload)
-
-    from_int = element
 
     def zero(self):
         return FieldElement(self, 0)
@@ -497,8 +490,13 @@ class QuadraticField(FieldDescriptor):
     def parse(self, text):
         if re.fullmatch(_RATIONAL, text):
             return self.element(Fraction(text))
-        head, _, d, _ = _scan(text, 0, _QUADRATIC_PIECES)
+        head = _QUADRATIC_HEAD.match(text)
         a, sign, b, star = head.groups()
+        # what may stand at the end of the head, where 'sqrt(' is missing
+        expected = ("'*' or a sign" if b and not star else
+                    "a number or 'sqrt('" if sign and not b else "'sqrt('")
+        _, d, _ = _scan(text, head.end(),
+                        [(r"sqrt\(", expected)] + _QUADRATIC_TAIL)
         if b and not star:
             raise ParseError(text, head.end(3), "'*'")
         if int(d[0]) != self.d:
@@ -678,12 +676,13 @@ def format_field(F: FieldDescriptor) -> str:
 # a zero denominator is not part of a literal
 _NUMBER = r"\d+(?:/0*[1-9]\d*)?"
 _RATIONAL = "-?" + _NUMBER
-# [a][+-][b*]sqrt(d) as pieces for _scan; a rational part a stands only
-# before a sign, so 12*sqrt(-3) has b = 12. The '*' after b is optional
-# here so that a missing one is reported where it belongs
-_QUADRATIC_PIECES = [
-    (rf"(?:({_RATIONAL})(?=[+-]))?([+-]?)(?:({_NUMBER})(\*)?)?", ""),
-    (r"sqrt\(", "'sqrt('"), (r"-?\d+", "an integer"), (r"\)", "')'")]
+# [a][+-][b*]sqrt(d): a head that always matches, then 'sqrt(' and the
+# tail pieces for _scan; a rational part a stands only before a sign, so
+# 12*sqrt(-3) has b = 12. The '*' after b is optional here so that a
+# missing one is reported where it belongs
+_QUADRATIC_HEAD = re.compile(
+    rf"(?:({_RATIONAL})(?=[+-]))?([+-]?)(?:({_NUMBER})(\*)?)?")
+_QUADRATIC_TAIL = [(r"-?\d+", "an integer"), (r"\)", "')'")]
 
 
 def _format_tpoly(coeffs) -> str:

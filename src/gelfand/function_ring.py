@@ -61,7 +61,7 @@ class RingElement:
 
     @classmethod
     def from_ints(cls, field, ints):
-        return cls(field, tuple(field.from_int(v) for v in ints))
+        return cls(field, tuple(field.element(v) for v in ints))
 
     @classmethod
     def zeros(cls, field, size):

@@ -23,7 +23,6 @@ from .field_core import (
     FieldElement,
     format_element,
     parse_element,
-    power,
 )
 
 
@@ -86,12 +85,6 @@ class MultiPoly:
     def constant_term(self):
         return self.coefficient((0,) * self.arity)
 
-    def is_homogeneous(self):
-        if not self.terms:
-            return True
-        d = self.degree
-        return all(sum(m) == d for m, _ in self.terms)
-
     def _check(self, other):
         if not isinstance(other, MultiPoly):
             raise TypeError(f"expected MultiPoly, got {type(other).__name__}")
@@ -106,13 +99,6 @@ class MultiPoly:
         for m, c in other.terms:
             acc[m] = acc[m] + c if m in acc else c
         return MultiPoly.from_dict(self.field, self.arity, acc)
-
-    def __neg__(self):
-        return MultiPoly(self.field, self.arity,
-                         tuple((m, -c) for m, c in self.terms))
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, FieldElement):
@@ -130,17 +116,9 @@ class MultiPoly:
                 acc[m] = acc[m] + c if m in acc else c
         return MultiPoly.from_dict(self.field, self.arity, acc)
 
-    def __rmul__(self, other):
-        if isinstance(other, FieldElement):
-            return self * other
-        return NotImplemented
-
-    def __pow__(self, e):
-        return power(self, e, lambda: MultiPoly.constant(
-            self.field, self.arity, self.field.one()))
-
     def evaluate(self, point):
-        """Exact evaluation at a tuple of field elements."""
+        """Exact evaluation at a tuple of field elements; each power
+        x_i^e that a term needs is computed once per call."""
         point = tuple(point)
         if len(point) != self.arity:
             raise ArityMismatch(
@@ -148,12 +126,15 @@ class MultiPoly:
         for x in point:
             if x.field != self.field:
                 raise MixedFields(f"{self.field} vs {x.field}")
+        powers = {}  # (i, e) -> x_i ** e
         acc = self.field.zero()
         for m, c in self.terms:
             term = c
-            for x, e in zip(point, m):
+            for i, e in enumerate(m):
                 if e:
-                    term = term * x ** e
+                    if (i, e) not in powers:
+                        powers[i, e] = point[i] ** e
+                    term = term * powers[i, e]
             acc = acc + term
         return acc
 
@@ -172,7 +153,7 @@ def univariate(field, coeffs):
     acc = {}
     for i, c in enumerate(coeffs):
         if isinstance(c, int):
-            c = field.from_int(c)
+            c = field.element(c)
         if not c.is_zero:
             acc[(i,)] = c
     return MultiPoly.from_dict(field, 1, acc)

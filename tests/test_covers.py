@@ -1,6 +1,7 @@
 """Tests for covers and nowhere-vanishing combination certificates."""
 
 import random
+from functools import partial
 
 import pytest
 
@@ -24,7 +25,7 @@ from gelfand.field_core import (
     find_rootfree_monic,
 )
 from gelfand.function_ring import RingElement
-from gelfand.poly import format_poly, univariate
+from gelfand.poly import MultiPoly, format_poly, univariate
 
 import itertools
 
@@ -87,6 +88,55 @@ def test_indicator_is_one_at_its_point(field):
     for a in itertools.product(elems, repeat=2):
         ind = indicator_poly(a, field)
         assert ind.evaluate(a) == field.one()
+
+
+def _indicator_by_products(a, F):
+    """Reference for indicator_poly: the product of the factors
+    1 - (x_i - a_i)^(q-1), each power a (q-1)-fold product."""
+    n, minus_one = len(a), -F.one()
+    one = MultiPoly.constant(F, n, F.one())
+    result = one
+    for i, a_i in enumerate(a):
+        shifted = MultiPoly.variable(F, n, i) + \
+            MultiPoly.constant(F, n, -a_i)
+        power = one
+        for _ in range(F.order - 1):
+            power = power * shifted
+        result = result * (one + power * minus_one)
+    return result
+
+
+@pytest.mark.parametrize("field", [Fp(2), Fp(3), Fp(5), Fp(7), Fq(2, 2),
+                                   Fq(3, 2)])
+def test_indicator_matches_products(field):
+    # every a when q^n <= 64, otherwise the origin and 8 seeded points
+    rng = random.Random(str(field))
+    elems = enumerate_field(field)
+    for n in range(1, 5):
+        if field.order ** n <= 64:
+            points = list(itertools.product(elems, repeat=n))
+        else:
+            points = [(field.zero(),) * n] + [
+                tuple(rng.choice(elems) for _ in range(n)) for _ in range(8)]
+        for a in points:
+            assert indicator_poly(a, field).terms == \
+                _indicator_by_products(a, field).terms
+
+
+def test_interpolate_makes_no_poly_arithmetic(monkeypatch):
+    F = Fq(2, 2)
+    elems = enumerate_field(F)
+    J = [pt for pt in itertools.product(elems, repeat=2) if any(pt)]
+    expected = MultiPoly.zero(F, 2)
+    for a in J:
+        expected = expected + _indicator_by_products(a, F)
+
+    def refuse(*args):
+        raise AssertionError("MultiPoly arithmetic")
+
+    for op in ("__mul__", "__add__"):
+        monkeypatch.setattr(MultiPoly, op, refuse)
+    assert interpolate_case2(J, F, 2).terms == expected.terms
 
 
 def test_interpolate_singleton():
@@ -207,6 +257,36 @@ def test_cross_mode_agreement():
             assert certify(cert)["pass"]
 
 
+@pytest.mark.parametrize("field", [Fp(2), Fp(3), Fq(2, 2)])
+def test_witness_evaluated_once_per_distinct_column(monkeypatch, field):
+    rng = random.Random(str(field))
+    base = univariate(field, find_rootfree_monic(field, 2))
+    evaluate = MultiPoly.evaluate
+    calls = []
+
+    def counting(f, point):
+        calls.append((f, tuple(point)))
+        return evaluate(f, point)
+
+    monkeypatch.setattr(MultiPoly, "evaluate", counting)
+    for _ in range(6):
+        cover = check_cover(_random_cover(rng, field, 20, rng.randint(1, 3)))
+        columns = [tuple(psi.values[x] for psi in cover.functions)
+                   for x in cover.space.points()]
+        distinct = set(columns)
+        for combine in (partial(combine_case1, base=base), combine_case2):
+            calls.clear()
+            cert = combine(cover)
+            # route I also evaluates its base while building the form
+            points = [pt for f, pt in calls if f is cert.witness]
+            assert len(points) == len(distinct) and set(points) == distinct
+            assert cert.composite.values == tuple(
+                evaluate(cert.witness, col) for col in columns)
+            calls.clear()
+            assert certify(cert)["pass"]
+            assert len(calls) == len(distinct)
+
+
 def test_certify_detects_tampering():
     F = Fp(5)
     cover = check_cover([_re(F, [1, 0]), _re(F, [0, 1])])
@@ -221,15 +301,15 @@ def test_certify_detects_tampering():
 
 def test_projective_canonicalization():
     F = Fp(7)
-    u, v = F.from_int(3), F.from_int(5)
+    u, v = F.element(3), F.element(5)
     base = ProjectivePoint.of(u, v)
     for lam in enumerate_field(F):
         if lam.is_zero:
             continue
         assert ProjectivePoint.of(lam * u, lam * v) == base
-    inf = ProjectivePoint.of(F.from_int(2), F.zero())
+    inf = ProjectivePoint.of(F.element(2), F.zero())
     assert inf.is_infinite
-    assert inf == ProjectivePoint.of(F.from_int(6), F.zero())
+    assert inf == ProjectivePoint.of(F.element(6), F.zero())
     with pytest.raises(ValueError):
         ProjectivePoint.of(F.zero(), F.zero())
 

@@ -38,11 +38,11 @@ from gelfand.function_ring import parse_ring_element
 
 def test_f5_inverse_matches_exhaustive_search():
     F = Fp(5)
-    two = F.from_int(2)
+    two = F.element(2)
     # independent oracle: scan all elements for the inverse
     expected = next(a for a in enumerate_field(F) if (two * a) == F.one())
     assert two.inv() == expected
-    assert expected == F.from_int(3)
+    assert expected == F.element(3)
 
 
 def test_rational_add():
@@ -54,7 +54,7 @@ def test_rational_add():
 
 @pytest.mark.parametrize("field", [Fp(5), Fq(2, 2), Q(), Qsqrt(-1)])
 def test_additive_inverse(field):
-    x = field.from_int(7)
+    x = field.element(7)
     assert (x + (-x)).is_zero
 
 
@@ -124,19 +124,29 @@ def test_padic_examples():
 
 
 def test_padic_properties_seeded():
+    # v(xy) = v(x) + v(y) and v(x + y) >= min(v(x), v(y)), with equality
+    # when v(x) != v(y), on seeded rationals that include 0 (v = +inf)
     rng = random.Random(42)
+    values = [Fraction(0)] + [Fraction(rng.randint(-50, 50) or 1,
+                                       rng.randint(1, 50)) for _ in range(30)]
     for p in (2, 3, 5):
-        for _ in range(100):
-            x = Fraction(rng.randint(-50, 50) or 1, rng.randint(1, 50))
-            y = Fraction(rng.randint(-50, 50) or 1, rng.randint(1, 50))
-            assert padic_valuation(x * y, p) == \
-                padic_valuation(x, p) + padic_valuation(y, p)
-            if x + y != 0:
-                vx, vy = padic_valuation(x, p), padic_valuation(y, p)
-                vsum = padic_valuation(x + y, p)
-                assert not vsum < min(vx, vy)
-                if vx != vy:
-                    assert vsum == min(vx, vy)
+        for x, y in itertools.product(values, repeat=2):
+            vx, vy = padic_valuation(x, p), padic_valuation(y, p)
+            assert padic_valuation(x * y, p) == vx + vy
+            vsum = padic_valuation(x + y, p)
+            assert vsum >= min(vx, vy)
+            if vx != vy:
+                assert vsum == min(vx, vy)
+
+
+def test_infinite_valuation_absorbs_addition_and_tops_every_int():
+    inf = Valuation()
+    for k in range(-20, 21):
+        assert inf + Valuation(k) == inf and Valuation(k) + inf == inf
+        assert inf + k == inf and k + inf == inf
+        assert Valuation(k) < inf and k < inf and not inf < k
+        assert inf > Valuation(k) and inf != k
+    assert inf + inf == inf and not inf < inf
 
 
 def test_conjugate_and_norm():
@@ -258,9 +268,17 @@ def test_field_parse_error_position():
         with pytest.raises(ParseError) as exc:
             parse(text)
         assert (exc.value.pos, exc.value.text) == (pos, text)
+    # where 'sqrt(' is missing, the error names every continuation
+    for text, pos, names in [("12a", 2, ["'*'", "sign"]),
+                             ("1+", 2, ["number", "'sqrt('"]),
+                             ("-", 1, ["number", "'sqrt('"])]:
+        with pytest.raises(ParseError) as exc:
+            parse_element(Qsqrt(-3), text)
+        assert exc.value.pos == pos
+        assert all(name in exc.value.expected for name in names), text
     with pytest.raises(ParseError) as exc:
         parse_element(Qsqrt(-3), "1+2*sqr(-3)")
-    assert exc.value.expected == "'sqrt('"
+    assert (exc.value.pos, exc.value.expected) == (4, "'sqrt('")
 
 
 def test_public_constructor_canonicalises():
@@ -280,7 +298,7 @@ def test_descriptor_equality_is_structural():
     assert Fq(2, 3) == parse_field("Fq(2,3,t^3+t+1)")
     assert Fq(2, 3) != Fq(2, 3, (1, 0, 1, 1))
     assert Fp(2) != Fq(2, 1) and Q() != Qsqrt(-1)
-    assert Fp(5).one() + FieldElement(Fp(5), 1) == Fp(5).from_int(2)
+    assert Fp(5).one() + FieldElement(Fp(5), 1) == Fp(5).element(2)
 
 
 @pytest.mark.parametrize("field,literals", [
@@ -304,8 +322,8 @@ def test_element_sort_key_is_enumeration_order():
 
 def test_eval_univariate_horner():
     F = Fp(5)
-    coeffs = tuple(F.from_int(c) for c in (1, 2, 3))  # 3x^2 + 2x + 1
-    assert eval_univariate(coeffs, F.from_int(2)).payload == (3 * 4 + 4 + 1) % 5
+    coeffs = tuple(F.element(c) for c in (1, 2, 3))  # 3x^2 + 2x + 1
+    assert eval_univariate(coeffs, F.element(2)).payload == (3 * 4 + 4 + 1) % 5
 
 
 @pytest.mark.parametrize("field,payloads", [

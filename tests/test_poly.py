@@ -14,6 +14,7 @@ from gelfand.errors import (
 )
 from gelfand.anisotropic import build_fn
 from gelfand.field_core import (
+    FieldElement,
     Fp,
     Fq,
     Q,
@@ -93,12 +94,12 @@ def test_homogenize_properties(field, src):
     f = parse_poly(field, src)
     g = homogenize2(f)
     m = f.degree
-    assert g.is_homogeneous() and g.degree == m
+    assert g.degree == m and all(sum(mono) == m for mono, _ in g.terms)
     # g(a, 1) reproduces f(a); g(1, 0) = 1 by monicity
     one, zero = field.one(), field.zero()
     assert g.evaluate((one, zero)) == one
     samples = enumerate_field(field) if field.is_finite else \
-        [field.from_int(v) for v in range(-5, 6)]
+        [field.element(v) for v in range(-5, 6)]
     for a in samples:
         assert g.evaluate((a, one)) == f.evaluate((a,))
 
@@ -223,17 +224,48 @@ def test_build_fn_matches_reference_chain(spec, m, ns):
             assert build_fn(f, n).terms == tower.terms
 
 
-@pytest.mark.parametrize("field", [Fp(3), Fq(2, 2), Q(), Qsqrt(-2)])
-def test_poly_power_is_repeated_product(field):
+def _evaluate_by_products(f, point):
+    """Reference for evaluate: the sum of c * prod x_i^e_i, each power
+    an e-fold product."""
+    acc = f.field.zero()
+    for m, c in f.terms:
+        term = c
+        for x, e in zip(point, m):
+            for _ in range(e):
+                term = term * x
+        acc = acc + term
+    return acc
+
+
+@pytest.mark.parametrize("field", [Fp(5), Fq(2, 3), Q(), Qsqrt(-2)])
+def test_evaluate_matches_products(field):
     rng = random.Random(str(field))
-    f = _random_poly(rng, field, 2, 3, 2)
-    product = MultiPoly.constant(field, 2, field.one())
-    for e in range(10):
-        assert f ** e == product
-        product = product * f
-    for e in (-1, 1.5):
-        with pytest.raises(ValueError):
-            f ** e
+    for _ in range(10):
+        f = _random_poly(rng, field, 3, 8, 4)
+        for _ in range(5):
+            point = tuple(_random_coeff(rng, field) for _ in range(3))
+            assert f.evaluate(point) == _evaluate_by_products(f, point)
+
+
+def test_evaluate_computes_each_power_once(monkeypatch):
+    calls = []
+    power = FieldElement.__pow__
+
+    def counting(x, e):
+        calls.append(e)
+        return power(x, e)
+
+    monkeypatch.setattr(FieldElement, "__pow__", counting)
+    field = Fq(2, 3)
+    rng = random.Random(3)
+    for _ in range(10):
+        f = _random_poly(rng, field, 3, 12, 4)
+        point = tuple(_random_coeff(rng, field) for _ in range(3))
+        calls.clear()
+        value = f.evaluate(point)
+        pairs = {(i, e) for m, _ in f.terms for i, e in enumerate(m) if e}
+        assert len(calls) <= len(pairs)
+        assert value == _evaluate_by_products(f, point)
 
 
 def test_constant_term():
@@ -250,7 +282,7 @@ def test_degree_of_zero_is_sentinel():
 @pytest.mark.parametrize("field", [Fp(2), Fp(5), Fq(2, 2), Q(), Qsqrt(-1)])
 def test_roundtrip_random_polys(field, _rng=random.Random(99)):
     elems = enumerate_field(field) if field.is_finite else \
-        [field.from_int(v) for v in range(-4, 5)] + \
+        [field.element(v) for v in range(-4, 5)] + \
         ([field.element((Fraction(1, 2), Fraction(-3, 2)))]
          if field.kind == "quadratic" else
          [field.element(Fraction(1, 2))] if field.kind == "rational" else [])
@@ -284,7 +316,7 @@ def test_parse_accepts_bare_x_and_minus():
     F = Q()
     f = parse_poly(F, "x^2 - 3")
     assert f.arity == 1
-    assert f.constant_term() == F.from_int(-3)
+    assert f.constant_term() == F.element(-3)
     g = parse_poly(F, "x1^2 + (-3)")
     assert f == g
 
