@@ -128,12 +128,13 @@ def verify_tower_exhaustive(f: MultiPoly, n: int):
     """Check over all of F^n that the arity-n tower over f vanishes
     exactly at the origin, without expanding it.
 
-    Elements are coded by their field index (their position in
-    `enumerate_field`), where 0 is the zero element. T[u][v] codes
-    f2(u, v); starting from the values of x1, each further variable
-    replaces every value v by the row T[v], so the values stay in
-    lexicographic point order and a reported counterexample is the
-    smallest one, as with `verify_vanishing_exhaustive(build_fn(f, n))`.
+    Elements are coded by their payloads, which in a finite field are
+    their indices (positions in `enumerate_field`), where 0 is the zero
+    element. T[u][v] codes f2(u, v); starting from the values of x1,
+    each further variable replaces every value v by the row T[v], so
+    the values stay in lexicographic point order and a reported
+    counterexample is the smallest one, as with
+    `verify_vanishing_exhaustive(build_fn(f, n))`.
     The base is not required to be root-free.
     """
     field = f.field
@@ -150,10 +151,8 @@ def verify_tower_exhaustive(f: MultiPoly, n: int):
     if n > 1:
         if f.degree is None or f.degree < 2:
             raise ValueError("base polynomial must have degree at least 2")
-        f2 = homogenize2(f)
-        elements = enumerate_field(field)
-        table = [[field.index(f2.evaluate((u, v))) for v in elements]
-                 for u in elements]
+        f2 = homogenize2(f).evaluate_payloads
+        table = [[f2((u, v)) for v in range(q)] for u in range(q)]
         for _ in range(n - 1):
             values = list(itertools.chain.from_iterable(
                 map(table.__getitem__, values)))

@@ -8,6 +8,7 @@ fixed configuration apart from the wall_time_s field.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -19,7 +20,7 @@ from . import covers as cov
 from . import function_ring as fr
 from .errors import CommonZero, ConfigError, GelfandError, ParseError
 from .field_core import (
-    RATIONAL,
+    Q,
     find_rootfree_monic,
     format_field,
     parse_field,
@@ -105,7 +106,7 @@ def cmd_anisotropic(args):
         # whose term count grows exponentially in n
         result = aniso.verify_tower_exhaustive(base, args.n)
         form = aniso.build_fn(base, args.n)
-    elif field.kind == RATIONAL and args.padic:
+    elif isinstance(field, Q) and args.padic:
         if args.n != 2:
             raise ConfigError("--padic checks x^2 - p*y^2, so --n must be 2")
         p = args.padic
@@ -115,7 +116,7 @@ def cmd_anisotropic(args):
         pairs = list(zip(_seeded_rationals(rng, args.samples),
                          _seeded_rationals(rng, args.samples)))
         result = aniso.valuation_identity_check(p, pairs)
-    elif field.kind == RATIONAL and args.witness:
+    elif isinstance(field, Q) and args.witness:
         base = parse_poly(field, args.witness)
         form = aniso.build_fn(base, args.n)
         rng = random.Random(args.seed)
@@ -268,9 +269,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """One parser per process, built on first use; `build_parser`
+    returns a fresh one."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, ParseError, ValueError) as exc:

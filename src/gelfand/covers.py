@@ -100,15 +100,19 @@ def indicator_poly(a, F: FieldDescriptor) -> MultiPoly:
     """
     if not F.is_finite:
         raise InfiniteField("indicator polynomials need a finite field")
-    terms = {(): F.one()}
+    mul, add, neg = F.mul, F.add, F.neg
+    terms = {(): 1}
     for b in a:
-        powers = [F.one()]  # b^0 .. b^(q-1)
+        b = b.payload
+        powers = [1]  # b^0 .. b^(q-1)
         for _ in range(F.order - 1):
-            powers.append(powers[-1] * b)
-        coeffs = [F.one() - powers[-1]] + [-c for c in reversed(powers[:-1])]
-        factor = [(j, c) for j, c in enumerate(coeffs) if not c.is_zero]
-        terms = {m + (j,): c * f for m, c in terms.items() for j, f in factor}
-    return MultiPoly.from_dict(F, len(a), terms)
+            powers.append(mul(powers[-1], b))
+        coeffs = [add(1, neg(powers[-1]))] + [neg(c)
+                                              for c in reversed(powers[:-1])]
+        factor = [(j, c) for j, c in enumerate(coeffs) if c]
+        terms = {m + (j,): mul(c, f)
+                 for m, c in terms.items() for j, f in factor}
+    return MultiPoly.from_payloads(F, len(a), terms)
 
 
 def interpolate_case2(J, F: FieldDescriptor, arity: int) -> MultiPoly:
@@ -122,11 +126,13 @@ def interpolate_case2(J, F: FieldDescriptor, arity: int) -> MultiPoly:
             raise ValueError("points of J must match the arity")
         if all(x.is_zero for x in a):
             raise OriginInJ("J must not contain the origin")
+    add = F.add
     acc = {}
     for a in J:
         for m, c in indicator_poly(tuple(a), F).terms:
-            acc[m] = acc[m] + c if m in acc else c
-    return MultiPoly.from_dict(F, arity, acc)
+            c = c.payload
+            acc[m] = add(acc[m], c) if m in acc else c
+    return MultiPoly.from_payloads(F, arity, acc)
 
 
 @dataclass(frozen=True)
@@ -162,10 +168,13 @@ def _apply_witness(cover: Cover, witness: MultiPoly) -> RingElement:
     """The witness composed with the cover. Its value at a point depends
     only on the point's column of function values, so the witness is
     evaluated once per distinct column."""
-    columns = [tuple(psi.values[x] for psi in cover.functions)
-               for x in cover.space.points()]
-    value_at = {col: witness.evaluate(col) for col in dict.fromkeys(columns)}
-    return RingElement(cover.field, tuple(value_at[col] for col in columns))
+    columns = list(zip(*(psi.values for psi in cover.functions)))
+    keys = [tuple(v.payload for v in col) for col in columns]
+    value_at = {}
+    for key, col in zip(keys, columns):
+        if key not in value_at:
+            value_at[key] = witness.evaluate(col)
+    return RingElement(cover.field, tuple(value_at[key] for key in keys))
 
 
 def combine_case1(cover: Cover, base: MultiPoly) -> CombinationCertificate:

@@ -4,12 +4,16 @@ Each kind of field is one `FieldDescriptor` subclass: prime fields F_p,
 extension fields F_{p^k} = F_p[t]/(modulus), the rationals Q, and
 imaginary quadratic fields Q(sqrt(d)), d < 0. The class owns all that
 depends on the kind: validation, the canonical form of an element's
-payload, arithmetic, sort key and text form. `FieldElement` is one
-immutable (field, payload) pair that delegates to its field. Canonical
-payloads make equality structural, so ties broken by "smallest element"
-are reproducible. The finite kinds map each element to its index in
-`enumerate_field`; that index order is the canonical order on a finite
-field. No floating point is used anywhere.
+payload, arithmetic on payloads, sort key and text form. `FieldElement`
+is one immutable (field, payload) pair that delegates to its field.
+Canonical payloads make equality structural, so ties broken by
+"smallest element" are reproducible. In a finite field the payload is
+the element's index in `enumerate_field`, an int, and that index order
+is the canonical order. An extension field with at most
+`FIELD_TABLE_CAP` elements multiplies, inverts and adds through
+log/antilog (Zech) tables built on first use (by XOR over F_2); a
+larger one multiplies coefficient lists. No floating point is used
+anywhere.
 """
 
 from __future__ import annotations
@@ -123,10 +127,13 @@ _set = object.__setattr__
 class FieldElement:
     """An immutable field value in canonical form.
 
-    Payload by kind: residue in [0,p) (prime), length-k coefficient
-    tuple (extension, constant coefficient first), Fraction (rational),
-    pair of Fractions a + b*sqrt(d) (quadratic). The constructor brings
-    the payload into that form through its field, or raises ValueError.
+    Payload by kind: the element's index in `enumerate_field` (prime:
+    the residue in [0,p); extension: the int in [0,p^k) whose base-p
+    digits, least significant first, are the coefficients of the
+    element as a polynomial in t), Fraction (rational), pair of
+    Fractions a + b*sqrt(d) (quadratic). The constructor brings the
+    payload into that form through its field, or raises ValueError; an
+    int is the constant c mod p in a finite field.
     """
 
     field: FieldDescriptor
@@ -147,45 +154,41 @@ class FieldElement:
 
     @property
     def is_zero(self):
-        return self.field.is_zero(self)
+        return self.field.is_zero(self.payload)
 
     def __bool__(self):
         return not self.is_zero
 
     def __add__(self, other):
-        return self._same(other).add(self, other)
+        F = self._same(other)
+        return from_payload(F, F.add(self.payload, other.payload))
 
     def __neg__(self):
-        return self.field.neg(self)
+        F = self.field
+        return from_payload(F, F.neg(self.payload))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        return self._same(other).mul(self, other)
+        F = self._same(other)
+        return from_payload(F, F.mul(self.payload, other.payload))
 
     def inv(self):
         if self.is_zero:
             raise DivisionByZero("inverse of zero")
-        return self.field.inv(self)
+        F = self.field
+        return from_payload(F, F.inv(self.payload))
 
     def __truediv__(self, other):
         self._same(other)
         return self * other.inv()
 
     def __pow__(self, e):
-        """Square-and-multiply: x**(2^k) takes k products, and the unit
-        is built for e = 0 only, never as a factor."""
         if not isinstance(e, int) or e < 0:
             raise ValueError("exponent must be a non-negative integer")
-        x, result = self, None if e else self.field.one()
-        while e:
-            if e & 1:
-                result = x if result is None else result * x
-            e >>= 1
-            if e:
-                x = x * x
-        return result
+        F = self.field
+        return from_payload(F, F.pow(self.payload, e))
 
     def conjugate(self):
         return self.field.conjugate(self)
@@ -201,7 +204,7 @@ class FieldElement:
         return f"<{format_element(self)} in {format_field(self.field)}>"
 
 
-def _element(field, payload):
+def from_payload(field, payload):
     """An element from a payload already in canonical form, as the
     field operations produce it; skips the constructor's checks."""
     x = _new(FieldElement)
@@ -218,10 +221,12 @@ class FieldDescriptor:
     """An exact field instance: F_p, F_{p^k}, Q, or Q(sqrt(d)), d < 0.
 
     Each kind is a frozen dataclass subclass, hashed by its fields. It
-    defines `canonical(payload)`, the element operations `add`, `neg`,
-    `mul` and `inv` (of a nonzero element), its own text form `__str__`
-    and the element text form `parse(text)`; the defaults below fit
-    scalar payloads.
+    defines `canonical(payload)`, the payload operations `add`, `neg`,
+    `mul` and `inv` (of a nonzero payload), which take and return
+    canonical payloads, its own text form `__str__` and the element
+    text form `parse(text)`; the defaults below fit scalar payloads.
+    `FieldElement` wraps each result of these operations once, and the
+    hot kernels call them on payloads directly.
     """
 
     kind = None
@@ -247,8 +252,21 @@ class FieldDescriptor:
     def one(self):
         return FieldElement(self, 1)
 
-    def is_zero(self, x):
-        return x.payload == 0
+    def is_zero(self, a):
+        return a == 0
+
+    def pow(self, a, e):
+        """a**e for an int e >= 0 by square-and-multiply: a**(2^k) takes
+        k products, and the unit is built for e = 0 only, never as a
+        factor."""
+        mul, result = self.mul, None if e else self.canonical(1)
+        while e:
+            if e & 1:
+                result = a if result is None else mul(result, a)
+            e >>= 1
+            if e:
+                a = mul(a, a)
+        return result
 
     def sort_key(self, x):
         return x.payload
@@ -266,13 +284,29 @@ class FieldDescriptor:
         return f"FieldDescriptor({format_field(self)})"
 
 
+class FiniteField(FieldDescriptor):
+    """The finite kinds: an element's payload is its index in
+    `enumerate_field`, so the index map is the identity."""
+
+    is_finite = True
+
+    def index(self, x):
+        """Position of x in `enumerate_field`."""
+        return x.payload
+
+    def element_at(self, i):
+        """The element at position i mod q of `enumerate_field`."""
+        return from_payload(self, i % self.order)
+
+    sort_key = index
+
+
 @dataclass(frozen=True, eq=False, unsafe_hash=True, repr=False)
-class PrimeField(FieldDescriptor):
-    """F_p; an element's payload is its residue, which is also its index."""
+class PrimeField(FiniteField):
+    """F_p; an element's payload is its residue."""
 
     p: int
     kind = PRIME
-    is_finite = True
 
     def __post_init__(self):
         if not is_prime(self.p):
@@ -285,27 +319,17 @@ class PrimeField(FieldDescriptor):
     def canonical(self, payload):
         return int(payload) % self.p
 
-    def index(self, x):
-        """Position of x in `enumerate_field`."""
-        return x.payload
+    def add(self, a, b):
+        return (a + b) % self.p
 
-    def element_at(self, i):
-        """The element at position i mod p of `enumerate_field`."""
-        return FieldElement(self, i)
+    def neg(self, a):
+        return -a % self.p
 
-    sort_key = index
+    def mul(self, a, b):
+        return a * b % self.p
 
-    def add(self, x, y):
-        return _element(self, (x.payload + y.payload) % self.p)
-
-    def neg(self, x):
-        return _element(self, -x.payload % self.p)
-
-    def mul(self, x, y):
-        return _element(self, x.payload * y.payload % self.p)
-
-    def inv(self, x):
-        return _element(self, pow(x.payload, -1, self.p))
+    def inv(self, a):
+        return pow(a, -1, self.p)
 
     def __str__(self):
         return f"Fp({self.p})"
@@ -315,17 +339,36 @@ class PrimeField(FieldDescriptor):
         return self.element(int(text))
 
 
+# fields with at most this many elements do their arithmetic through
+# log/antilog tables; larger ones multiply coefficient lists
+FIELD_TABLE_CAP = 2 ** 16
+
+
 @dataclass(frozen=True, eq=False, unsafe_hash=True, repr=False)
-class ExtensionField(FieldDescriptor):
-    """F_{p^k} = F_p[t]/(modulus); an element's payload is its length-k
-    coefficient tuple, constant coefficient first, and these are the
-    base-p digits of its index, least significant first."""
+class ExtensionField(FiniteField):
+    """F_{p^k} = F_p[t]/(modulus); an element's payload is the int whose
+    base-p digits, least significant first, are its k coefficients,
+    constant coefficient first.
+
+    For q <= FIELD_TABLE_CAP, the arithmetic reads tables indexed by
+    the payload, built on first use from a primitive element g (the
+    scheme of the `galois` package, https://github.com/mhostetter/galois):
+    `_exp[i]` = g^i and `_log[g^i]` = i, so that a product is
+    g^(log a + log b), and Zech logarithms `_zech[d]` = log(1 + g^d),
+    so that g^i + g^j = g^(i + zech[j - i]). The zero element has the
+    sentinel log 2(q-1), whose sums index a run of zeros at the end of
+    `_exp`. Over F_2 the sum is the XOR of payloads. Above the cap,
+    `_log` is None and the operations decode the digits and multiply by
+    `_pmul`/`_pmod`.
+    """
 
     p: int
     k: int
     modulus: tuple = None
     kind = EXTENSION
-    is_finite = True
+    # kept out of the instance dict, so that equality and hashing see
+    # the dataclass fields only; filled by __getattr__ on first use
+    __slots__ = ("_log", "_exp", "_zech")
 
     def __post_init__(self):
         """Without a modulus, the first irreducible one is picked."""
@@ -344,56 +387,128 @@ class ExtensionField(FieldDescriptor):
         if not _is_irreducible(self.modulus, self.p):
             raise ValueError("modulus is reducible over F_p")
 
+    def __getattr__(self, name):
+        # reached only while the table slots are empty
+        if name not in ExtensionField.__slots__:
+            raise AttributeError(name)
+        self._build_tables()
+        return getattr(self, name)
+
+    def __reduce__(self):
+        # copies and pickles start without tables
+        return type(self), (self.p, self.k, self.modulus)
+
+    def _build_tables(self):
+        q, p = self.order, self.p
+        if q > FIELD_TABLE_CAP:
+            _set(self, "_log", None)
+            return
+        n = q - 1
+        g = self._primitive()
+        exp, power = [], (1,)
+        for _ in range(n):
+            exp.append(self._encode(power))
+            power = self._dmul(power, g)
+        log = [2 * n] * q
+        for i, a in enumerate(exp):
+            log[a] = i
+        # 1 + g^d changes the constant coefficient, the lowest digit, only
+        _set(self, "_zech", [log[a - a % p + (a + 1) % p] for a in exp])
+        _set(self, "_exp", exp + exp + [0] * (2 * n + 1))
+        _set(self, "_log", log)
+
+    def _primitive(self):
+        """The digits of the first element, in index order, of order
+        q - 1: the first g with g^((q-1)/r) != 1 for each prime r."""
+        n = self.order - 1
+        primes = [r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]
+        for i in range(1, n + 1):
+            g = self._digits(i)
+            if all(self._encode(self._dpow(g, n // r)) != 1 for r in primes):
+                return g
+        raise NoneFound(f"no primitive element in {self}")
+
     @property
     def order(self):
         return self.p ** self.k
 
-    def canonical(self, payload):
-        """An int is a constant; a sequence gives all k coefficients."""
-        if isinstance(payload, int):
-            return (payload % self.p,) + (0,) * (self.k - 1)
-        coeffs = tuple(int(c) % self.p for c in payload)
-        if len(coeffs) != self.k:
-            raise ValueError(f"payload must have {self.k} coefficients")
-        return coeffs
+    def _digits(self, a):
+        return base_digits(a, self.p, self.k)
 
-    def index(self, x):
-        """Position of x in `enumerate_field`."""
+    def _encode(self, digits):
         i = 0
-        for c in reversed(x.payload):
+        for c in reversed(digits):
             i = i * self.p + c
         return i
 
-    def element_at(self, i):
-        """The element at position i mod p^k of `enumerate_field`."""
-        return FieldElement(self, base_digits(i, self.p, self.k))
+    def _dmul(self, u, v):
+        return tuple(_pmod(_pmul(u, v, self.p), self.modulus, self.p))
 
-    sort_key = index
+    def _dpow(self, u, e):
+        result = (1,)
+        for bit in bin(e)[2:]:
+            result = self._dmul(result, result)
+            if bit == "1":
+                result = self._dmul(result, u)
+        return result
 
-    def is_zero(self, x):
-        return not any(x.payload)
+    def canonical(self, payload):
+        """An int is a constant; a sequence gives all k coefficients."""
+        if isinstance(payload, int):
+            return payload % self.p
+        coeffs = [int(c) % self.p for c in payload]
+        if len(coeffs) != self.k:
+            raise ValueError(f"payload must have {self.k} coefficients")
+        return self._encode(coeffs)
 
-    def add(self, x, y):
-        p = self.p
-        return _element(self, tuple((u + v) % p for u, v in
-                                    zip(x.payload, y.payload)))
+    def add(self, a, b):
+        if self.p == 2:
+            return a ^ b
+        log = self._log
+        if log is None:
+            return self._encode([(u + v) % self.p for u, v in
+                                 zip(self._digits(a), self._digits(b))])
+        if not a:
+            return b
+        if not b:
+            return a
+        la = log[a]
+        return self._exp[la + self._zech[log[b] - la]]
 
-    def neg(self, x):
-        p = self.p
-        return _element(self, tuple(-u % p for u in x.payload))
+    def neg(self, a):
+        if self.p == 2:
+            return a
+        log = self._log
+        if log is None:
+            return self._encode([-u % self.p for u in self._digits(a)])
+        # -1 = g^((q-1)/2)
+        return self._exp[log[a] + (len(log) - 1) // 2]
 
-    def mul(self, x, y):
-        prod = _pmul(x.payload, y.payload, self.p)
-        return _element(self, tuple(_pmod(prod, self.modulus, self.p)))
+    def mul(self, a, b):
+        log = self._log
+        if log is None:
+            return self._encode(self._dmul(self._digits(a), self._digits(b)))
+        return self._exp[log[a] + log[b]]
 
-    def inv(self, x):
-        return x ** (self.order - 2)
+    def inv(self, a):
+        log = self._log
+        if log is None:
+            return self.pow(a, self.order - 2)
+        return self._exp[len(log) - 1 - log[a]]
+
+    def pow(self, a, e):
+        log = self._log
+        if log is None:
+            return super().pow(a, e)
+        if not a:
+            return 0 if e else 1
+        return self._exp[log[a] * e % (len(log) - 1)]
 
     def __str__(self):
         return f"Fq({self.p},{self.k},{_format_tpoly(self.modulus)})"
 
     def format(self, x):
-        return _format_tpoly(x.payload)
+        return _format_tpoly(self._digits(x.payload))
 
     def parse(self, text):
         coeffs = _parse_tpoly(text, 0, len(text), self.p, self.k - 1)
@@ -409,17 +524,17 @@ class RationalField(FieldDescriptor):
     def canonical(self, payload):
         return Fraction(payload)
 
-    def add(self, x, y):
-        return _element(self, x.payload + y.payload)
+    def add(self, a, b):
+        return a + b
 
-    def neg(self, x):
-        return _element(self, -x.payload)
+    def neg(self, a):
+        return -a
 
-    def mul(self, x, y):
-        return _element(self, x.payload * y.payload)
+    def mul(self, a, b):
+        return a * b
 
-    def inv(self, x):
-        return _element(self, 1 / x.payload)
+    def inv(self, a):
+        return 1 / a
 
     def __str__(self):
         return "Q"
@@ -446,33 +561,33 @@ class QuadraticField(FieldDescriptor):
         a, b = payload if isinstance(payload, (tuple, list)) else (payload, 0)
         return (Fraction(a), Fraction(b))
 
-    def is_zero(self, x):
-        return not any(x.payload)
+    def is_zero(self, u):
+        return not any(u)
 
-    def add(self, x, y):
-        (a1, b1), (a2, b2) = x.payload, y.payload
-        return _element(self, (a1 + a2, b1 + b2))
+    def add(self, u, v):
+        (a1, b1), (a2, b2) = u, v
+        return (a1 + a2, b1 + b2)
 
-    def neg(self, x):
-        a, b = x.payload
-        return _element(self, (-a, -b))
+    def neg(self, u):
+        a, b = u
+        return (-a, -b)
 
-    def mul(self, x, y):
-        (a1, b1), (a2, b2) = x.payload, y.payload
-        return _element(self, (a1 * a2 + self.d * b1 * b2, a1 * b2 + a2 * b1))
+    def mul(self, u, v):
+        (a1, b1), (a2, b2) = u, v
+        return (a1 * a2 + self.d * b1 * b2, a1 * b2 + a2 * b1)
 
-    def inv(self, x):
-        a, b = x.payload
+    def inv(self, u):
+        a, b = u
         n = a * a - self.d * b * b
-        return _element(self, (a / n, -b / n))
+        return (a / n, -b / n)
 
     def conjugate(self, x):
         a, b = x.payload
-        return _element(self, (a, -b))
+        return from_payload(self, (a, -b))
 
     def norm(self, x):
         a, b = x.payload
-        return _element(Q(), a * a - self.d * b * b)
+        return from_payload(Q(), a * a - self.d * b * b)
 
     def __str__(self):
         return f"Q(sqrt({self.d}))"
@@ -492,9 +607,14 @@ class QuadraticField(FieldDescriptor):
             return self.element(Fraction(text))
         head = _QUADRATIC_HEAD.match(text)
         a, sign, b, star = head.groups()
+        if b and not star and re.compile(_ZERO_DENOMINATOR).match(
+                text, head.end()):
+            raise ParseError(text, head.end() + 1, "a nonzero denominator")
         # what may stand at the end of the head, where 'sqrt(' is missing
         expected = ("'*' or a sign" if b and not star else
-                    "a number or 'sqrt('" if sign and not b else "'sqrt('")
+                    "'sqrt('" if b else
+                    "a number or 'sqrt('" if sign else
+                    "a number, a sign or 'sqrt('")
         _, d, _ = _scan(text, head.end(),
                         [(r"sqrt\(", expected)] + _QUADRATIC_TAIL)
         if b and not star:
@@ -683,6 +803,8 @@ _RATIONAL = "-?" + _NUMBER
 _QUADRATIC_HEAD = re.compile(
     rf"(?:({_RATIONAL})(?=[+-]))?([+-]?)(?:({_NUMBER})(\*)?)?")
 _QUADRATIC_TAIL = [(r"-?\d+", "an integer"), (r"\)", "')'")]
+# what stops a number short of its '/': a denominator of zeros or none
+_ZERO_DENOMINATOR = r"/0*(?![1-9])"
 
 
 def _format_tpoly(coeffs) -> str:

@@ -8,8 +8,10 @@ by parsing is a bit-exact round trip.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     ArityMismatch,
@@ -22,13 +24,9 @@ from .field_core import (
     FieldDescriptor,
     FieldElement,
     format_element,
+    from_payload,
     parse_element,
 )
-
-
-def _grlex_key(mono):
-    # descending total degree, then descending lexicographic
-    return (-sum(mono), tuple(-e for e in mono))
 
 
 @dataclass(frozen=True)
@@ -44,10 +42,18 @@ class MultiPoly:
         """Build from a {monomial: FieldElement} mapping, dropping zeros."""
         items = [(tuple(m), c) for m, c in coeffs.items() if not c.is_zero]
         for m, _ in items:
-            if len(m) != arity or any(e < 0 for e in m):
+            if len(m) != arity or min(m, default=0) < 0:
                 raise ArityMismatch(f"monomial {m} does not fit arity {arity}")
-        items.sort(key=lambda mc: _grlex_key(mc[0]))
+        # descending total degree, then descending lexicographic
+        items.sort(key=lambda mc: (sum(mc[0]), mc[0]), reverse=True)
         return cls(field, arity, tuple(items))
+
+    @classmethod
+    def from_payloads(cls, field, arity, coeffs):
+        """Build from a {monomial: payload} mapping, as the kernels below
+        produce it, wrapping each payload once."""
+        return cls.from_dict(field, arity, {m: from_payload(field, a)
+                                            for m, a in coeffs.items()})
 
     @classmethod
     def zero(cls, field, arity):
@@ -95,48 +101,70 @@ class MultiPoly:
 
     def __add__(self, other):
         self._check(other)
-        acc = {m: c for m, c in self.terms}
+        add = self.field.add
+        acc = {m: c.payload for m, c in self.terms}
         for m, c in other.terms:
-            acc[m] = acc[m] + c if m in acc else c
-        return MultiPoly.from_dict(self.field, self.arity, acc)
+            c = c.payload
+            acc[m] = add(acc[m], c) if m in acc else c
+        return MultiPoly.from_payloads(self.field, self.arity, acc)
 
     def __mul__(self, other):
+        F = self.field
+        mul, add = F.mul, F.add
         if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise MixedFields(f"{self.field} vs {other.field}")
-            return MultiPoly.from_dict(
-                self.field, self.arity,
-                {m: c * other for m, c in self.terms})
+            if other.field != F:
+                raise MixedFields(f"{F} vs {other.field}")
+            s = other.payload
+            return MultiPoly.from_payloads(
+                F, self.arity, {m: mul(c.payload, s) for m, c in self.terms})
         self._check(other)
+        right = [(m2, c2.payload) for m2, c2 in other.terms]
         acc = {}
         for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = tuple(a + b for a, b in zip(m1, m2))
-                c = c1 * c2
-                acc[m] = acc[m] + c if m in acc else c
-        return MultiPoly.from_dict(self.field, self.arity, acc)
+            c1 = c1.payload
+            for m2, c2 in right:
+                m = tuple(map(operator.add, m1, m2))
+                c = mul(c1, c2)
+                acc[m] = add(acc[m], c) if m in acc else c
+        return MultiPoly.from_payloads(F, self.arity, acc)
 
     def evaluate(self, point):
-        """Exact evaluation at a tuple of field elements; each power
-        x_i^e that a term needs is computed once per call."""
+        """Exact evaluation at a tuple of field elements."""
         point = tuple(point)
         if len(point) != self.arity:
             raise ArityMismatch(
                 f"point has {len(point)} coordinates, arity is {self.arity}")
+        F = self.field
         for x in point:
-            if x.field != self.field:
-                raise MixedFields(f"{self.field} vs {x.field}")
-        powers = {}  # (i, e) -> x_i ** e
-        acc = self.field.zero()
-        for m, c in self.terms:
-            term = c
-            for i, e in enumerate(m):
-                if e:
-                    if (i, e) not in powers:
-                        powers[i, e] = point[i] ** e
-                    term = term * powers[i, e]
-            acc = acc + term
+            if x.field != F:
+                raise MixedFields(f"{F} vs {x.field}")
+        return from_payload(
+            F, self.evaluate_payloads(tuple(x.payload for x in point)))
+
+    def evaluate_payloads(self, xs):
+        """The value, as a payload, at the point whose coordinates have
+        the payloads xs; each power x_i^e that a term needs is computed
+        once per call."""
+        F = self.field
+        mul, add, power = F.mul, F.add, F.pow
+        pairs, plan, acc = self._evaluation_plan
+        powers = [power(xs[i], e) for i, e in pairs]
+        for term, factors in plan:
+            for j in factors:
+                term = mul(term, powers[j])
+            acc = add(acc, term)
         return acc
+
+    @cached_property
+    def _evaluation_plan(self):
+        """The distinct (variable, exponent) pairs with a nonzero
+        exponent; per term its coefficient's payload and the positions
+        of its pairs in that list; and the zero payload."""
+        position = {}
+        plan = [(c.payload, tuple(position.setdefault((i, e), len(position))
+                                  for i, e in enumerate(m) if e))
+                for m, c in self.terms]
+        return list(position), plan, self.field.canonical(0)
 
     def __str__(self):
         return format_poly(self)
@@ -187,16 +215,18 @@ def compose_last(g2: MultiPoly, h: MultiPoly) -> MultiPoly:
         raise MixedFields(f"{g2.field} vs {h.field}")
     n = h.arity
     field = h.field
+    mul, add = field.mul, field.add
     powers = [MultiPoly.constant(field, n, field.one()), h]
     acc = {}
     for (i, j), c in g2.terms:
         while len(powers) <= i:
             powers.append(powers[-1] * h)
+        c = c.payload
         for m, a in powers[i].terms:
             mono = m + (j,)
-            term = a * c
-            acc[mono] = acc[mono] + term if mono in acc else term
-    return MultiPoly.from_dict(field, n + 1, acc)
+            term = mul(a.payload, c)
+            acc[mono] = add(acc[mono], term) if mono in acc else term
+    return MultiPoly.from_payloads(field, n + 1, acc)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from gelfand import cli
 from gelfand.cli import main
 from gelfand.field_core import enumerate_field, eval_univariate, parse_field
 
@@ -202,3 +203,37 @@ def test_reports_are_deterministic(tmp_path, args):
     assert main(args + ["--out", str(b)]) == 0
     assert _strip_timing(a.read_text()) == _strip_timing(b.read_text())
     assert a.read_bytes() != b"" and _strip_timing(a.read_text())
+
+
+def test_main_reuses_one_parser(tmp_path, monkeypatch):
+    """Reports from one process-wide parser equal those from a fresh
+    parser per call."""
+    functions = tmp_path / "cover.txt"
+    functions.write_text("1,0,1\n0,1,1\n")
+    commands = [
+        ["anisotropic", "--field", "Fp(2)", "--m", "2", "--n", "3"],
+        ["field", "find-rootfree", "--field", "Fp(3)", "--m", "2"],
+        ["gelfand", "--field", "Fp(2),Fp(3)", "--space", "1..2"],
+        ["cover", "--field", "Fp(5)", "--functions", str(functions),
+         "--case", "all"],
+        ["anisotropic", "--field", "Q", "--padic", "5", "--samples", "20"],
+        ["anisotropic", "--field", "Fp(2)", "--n", "24"],  # guard, exit 2
+    ]
+
+    def reports():
+        out = []
+        for args in commands:
+            path = tmp_path / "r.json"
+            path.unlink(missing_ok=True)
+            code, report = run_cli(args, path)
+            if report is not None:
+                report.pop("wall_time_s")
+            out.append((code, report))
+        return out
+
+    shared = reports()
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert cli.build_parser() is not cli.build_parser()
+    assert reports() == shared
+    assert [code for code, _ in shared] == [0, 0, 0, 0, 0, 2]

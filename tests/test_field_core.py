@@ -1,6 +1,8 @@
 """Tests for exact field arithmetic, enumeration, and parsing."""
 
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 from functools import partial
@@ -8,6 +10,7 @@ from functools import partial
 import pytest
 
 import gelfand.field_core as field_core
+from gelfand.field_core import _pmod, _pmul
 from gelfand.errors import (
     DivisionByZero,
     InfiniteField,
@@ -258,7 +261,7 @@ def test_field_parse_error_position():
         (partial(parse_element, Fp(5)), "12a", 2),
         (partial(parse_element, Q()), "3/4x", 3),
         (partial(parse_element, Q()), "1/0", 1),  # zero denominator
-        (partial(parse_element, Qsqrt(-1)), "1/00", 1),
+        (partial(parse_element, Qsqrt(-1)), "1/00", 2),  # zero denominator
         (partial(parse_element, Qsqrt(-3)), "1sqrt(-3)", 1),  # no '*'
         (partial(parse_element, Qsqrt(-3)), "1+2sqrt(-3)", 3),
         (partial(parse_element, Qsqrt(-3)), "1+2*sqr(-3)", 4),
@@ -271,7 +274,10 @@ def test_field_parse_error_position():
     # where 'sqrt(' is missing, the error names every continuation
     for text, pos, names in [("12a", 2, ["'*'", "sign"]),
                              ("1+", 2, ["number", "'sqrt('"]),
-                             ("-", 1, ["number", "'sqrt('"])]:
+                             ("-", 1, ["number", "'sqrt('"]),
+                             ("a", 0, ["number", "sign", "'sqrt('"]),
+                             ("", 0, ["number", "sign", "'sqrt('"]),
+                             ("1/00", 2, ["nonzero denominator"])]:
         with pytest.raises(ParseError) as exc:
             parse_element(Qsqrt(-3), text)
         assert exc.value.pos == pos
@@ -409,3 +415,92 @@ def test_valuation_hash_agrees_with_int_equality():
     assert hash(Valuation(3)) == hash(3)
     assert Valuation(3) == 3
     assert len({Valuation(3), 3}) == 1
+
+
+# ---------------------------------------------------------------------------
+# table arithmetic against the coefficient-list product
+
+
+def _oracle_ops(F):
+    """add, neg, mul and inv of F on payload ints, computed on base-p
+    digit tuples with `_pmul`/`_pmod` (a prime field is F_p[t]/(t))."""
+    p = F.p
+    k, modulus = (F.k, F.modulus) if F.kind == "extension" else (1, (0, 1))
+
+    def digits(a):
+        return [a // p ** i % p for i in range(k)]
+
+    def encode(ds):
+        return sum(c * p ** i for i, c in enumerate(ds))
+
+    def add(a, b):
+        return encode([(u + v) % p for u, v in zip(digits(a), digits(b))])
+
+    def neg(a):
+        return encode([-u % p for u in digits(a)])
+
+    def mul(a, b):
+        return encode(_pmod(_pmul(digits(a), digits(b), p), modulus, p))
+
+    def inv(a):
+        result, e = 1, p ** k - 2
+        while e:
+            if e & 1:
+                result = mul(result, a)
+            a, e = mul(a, a), e >> 1
+        return result
+
+    return add, neg, mul, inv
+
+
+def _check_against_oracle(F, pairs):
+    add, neg, mul, inv = _oracle_ops(F)
+    for a, b in pairs:
+        assert F.add(a, b) == add(a, b), (F, a, b)
+        assert F.mul(a, b) == mul(a, b), (F, a, b)
+        assert F.neg(a) == neg(a), (F, a)
+        if a:
+            assert F.inv(a) == inv(a), (F, a)
+
+
+@pytest.mark.parametrize("field", [Fp(2), Fp(3), Fp(7), Fq(2, 2), Fq(2, 3),
+                                   Fq(3, 2)])
+def test_arithmetic_matches_oracle_on_every_pair(field):
+    q = field.order
+    _check_against_oracle(field, itertools.product(range(q), repeat=2))
+
+
+@pytest.mark.parametrize("field,count", [(Fq(2, 8), 2000), (Fq(3, 5), 500),
+                                         (Fq(17, 4), 300)])
+def test_arithmetic_matches_oracle_on_seeded_pairs(field, count):
+    """Fq(2,8) and Fq(3,5) use the tables, Fq(17,4) the digit path."""
+    assert (field.order > field_core.FIELD_TABLE_CAP) == (field.p == 17)
+    rng = random.Random(str(field))
+    q = field.order
+    pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(count)]
+    _check_against_oracle(field, pairs + [(0, 1), (1, 0), (0, 0)])
+
+
+def test_extension_payload_is_the_index():
+    F = Fq(2, 3)
+    assert F.element((1, 1, 0)).payload == 3
+    assert F.element(5).payload == 1  # an int is the constant 5 mod 2
+    assert Fq(3, 2).element(5).payload == 2
+    assert [x.payload for x in enumerate_field(F)] == list(range(8))
+
+
+def test_descriptor_with_tables_equals_a_fresh_one():
+    for spec in ("Fq(2,3)", "Fq(3,2)"):
+        built = parse_field(spec)
+        x = built.element_at(5)
+        assert x * x.inv() == built.one()  # builds the tables
+        fresh = parse_field(spec)
+        assert built == fresh and fresh == built
+        assert hash(built) == hash(fresh)
+        assert vars(built) == vars(fresh)
+        assert len({built, fresh}) == 1
+        # copies start without tables
+        for copied in (copy.deepcopy(built),
+                       pickle.loads(pickle.dumps(built))):
+            assert copied == built and copied.element_at(5) * x.inv() == \
+                built.one()
