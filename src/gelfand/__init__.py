@@ -7,6 +7,7 @@ from .anisotropic import (
     ExhaustivePassed,
     Failed,
     SampledPassed,
+    Tower,
     ValuationPassed,
     build_fn,
     norm_form_eval,

@@ -1,35 +1,49 @@
 """Polynomials whose only zero is the origin, and their verification.
 
-The n-variable form is built from a root-free monic univariate f by
-homogenizing to f2 and composing into the last variable repeatedly.
-Over finite fields the zero locus is checked exhaustively: the tower
-itself level by level from a q x q table of f2
-(`verify_tower_exhaustive`), and any expanded form term by term at
-every point (`verify_vanishing_exhaustive`, the generic reference).
-Over the rationals the chosen stand-ins are the positive-definite norm
-form on Q(sqrt(d)), the valuation identity for x^2 - p*y^2, and a
-check on seeded sample points.
+The n-variable form is the composition tower
+f2(f2(...f2(x1, x2)...), xn) over the homogenization f2 of a root-free
+monic univariate f of degree m. A `Tower` keeps it nested: it evaluates
+a point with n - 1 evaluations of f2 (over Q on integer pairs, with no
+gcd per operation), verifies a finite field level by level from a q x q
+table of f2, and expands to a `MultiPoly` only for a report (`expand`,
+which `build_fn` calls), under FORM_TERMS_GUARD. The expanded form
+stays the reference: `verify_vanishing_exhaustive` checks any form term
+by term at every point, and `verify_vanishing_sampled` at seeded
+points. Over the rationals the other stand-ins are the
+positive-definite norm form on Q(sqrt(d)) and the valuation identity
+for x^2 - p*y^2.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import HasRoot, InfiniteField, MixedFields, TooLarge, WrongKind
 from .field_core import (
+    FieldDescriptor,
     FieldElement,
     Q,
     QUADRATIC,
     base_digits,
     enumerate_field,
+    from_payload,
     padic_valuation,
 )
-from .poly import MultiPoly, compose_last, format_poly, homogenize2
+from .poly import (
+    MultiPoly,
+    compose_last,
+    format_poly,
+    homogenize2,
+    point_payloads,
+)
 
 EXHAUSTIVE_GUARD = 10 ** 7
+FORM_TERMS_GUARD = 2 ** 10   # max terms of the form a tower level expands
 
 
 @dataclass(frozen=True)
@@ -77,8 +91,206 @@ class Failed:
                 "counterexample": [str(x) for x in self.counterexample]}
 
 
+@dataclass(frozen=True)
+class Tower:
+    """The arity-n composition tower f2(f2(...f2(x1, x2)...), xn), kept
+    nested. f2 is the homogenized base, or None for n = 1, where the
+    tower is x1. `Tower.over` builds it from the univariate base.
+    """
+
+    field: FieldDescriptor
+    f2: MultiPoly
+    arity: int
+
+    @staticmethod
+    def over(f: MultiPoly, n: int, rootfree: bool = False) -> Tower:
+        """The tower over a monic univariate f of degree at least 2 (any
+        f for n = 1). With `rootfree`, a finite field's base is checked
+        to have no root, which the form's only zero at the origin needs.
+        """
+        if n < 1:
+            raise ValueError("arity must be at least 1")
+        if f.arity != 1:
+            raise ValueError("base polynomial must be univariate")
+        field = f.field
+        if n == 1:
+            return Tower(field, None, 1)
+        m = f.degree
+        if m is None or m < 2:
+            raise ValueError("base polynomial must have degree at least 2")
+        if rootfree and field.is_finite:
+            for a in enumerate_field(field):
+                if f.evaluate((a,)).is_zero:
+                    raise HasRoot(a)
+        kind = RationalTower if isinstance(field, Q) else Tower
+        return kind(field, homogenize2(f), n)
+
+    @property
+    def degree(self):
+        """m^(n-1): each level raises the degree m-fold."""
+        return 1 if self.f2 is None else self.f2.degree ** (self.arity - 1)
+
+    def evaluate(self, point) -> FieldElement:
+        """The value at a tuple of field elements."""
+        F = self.field
+        return from_payload(
+            F, self.evaluate_payloads(point_payloads(F, self.arity, point)))
+
+    def evaluate_payloads(self, xs):
+        """The value, as a payload, at the point whose coordinates have
+        the payloads xs: n - 1 evaluations of f2."""
+        f2, value = self.f2, xs[0]
+        for x in xs[1:]:
+            value = f2.evaluate_payloads((value, x))
+        return value
+
+    def vanishes_at(self, point) -> bool:
+        """Whether the value at a tuple of field elements is zero."""
+        return self.field.is_zero(
+            self.evaluate_payloads(tuple(x.payload for x in point)))
+
+    def verify_exhaustive(self):
+        """Check over all of F^n that the tower vanishes exactly at the
+        origin, without expanding it.
+
+        Elements are coded by their payloads, which in a finite field
+        are their indices (positions in `enumerate_field`), where 0 is
+        the zero element. T[u][v] codes f2(u, v); starting from the
+        values of x1, each further variable replaces every value v by
+        the row T[v], so the values stay in lexicographic point order
+        and a reported counterexample is the smallest one, as with
+        `verify_vanishing_exhaustive(self.expand())`.
+        """
+        field, n = self.field, self.arity
+        points = _enumeration_size(field, n)
+        q = field.order
+        values = list(range(q))
+        if n > 1:
+            f2 = self.f2.evaluate_payloads
+            table = [[f2((u, v)) for v in range(q)] for u in range(q)]
+            for _ in range(n - 1):
+                values = list(itertools.chain.from_iterable(
+                    map(table.__getitem__, values)))
+        try:
+            bad = 0 if values[0] != 0 else values.index(0, 1)
+        except ValueError:
+            return ExhaustivePassed(points)
+        digits = base_digits(bad, q, n)
+        return Failed(tuple(field.element_at(i) for i in reversed(digits)))
+
+    def verify_sampled(self, points):
+        """`verify_vanishing_sampled` on the tower: the origin first, then
+        the points in order; the first violation is reported."""
+        return _verify_sampled(self, self.vanishes_at, points)
+
+    def expand(self) -> MultiPoly:
+        """The tower as a MultiPoly: n - 1 `compose_last` levels.
+
+        FORM_TERMS_GUARD bounds the term count of each level's input. It
+        is checked on the exact count before each level, and first on a
+        lower bound of every level's count, so that a tower sure to
+        exceed it is refused before any product. In the term c*y^i*z^j
+        of f2 the exponent j of the new variable is m - i, so the terms
+        of f2 give the expansion disjoint slices c*h^i*z^j, and h^i has
+        exactly as many terms as h when i is 1 or a power of the
+        characteristic (Frobenius), and at least one otherwise.
+        """
+        form = MultiPoly.variable(self.field, 1, 0)
+        if self.f2 is None:
+            return form
+        p = self.field.characteristic
+        keep = sum(_keeps_terms(mono[0], p) for mono, _ in self.f2.terms)
+        rest = len(self.f2.terms) - keep
+        bound = 1
+        for level in range(1, self.arity):
+            _check_form_terms(level, bound)
+            bound = keep * bound + rest
+        for level in range(1, self.arity):
+            _check_form_terms(level, len(form.terms))
+            form = compose_last(self.f2, form)
+        return form
+
+    def structure(self):
+        """The nesting, for a report that does not print the form."""
+        n = self.arity
+        nest = "x1"
+        if n > 4:
+            nest = f"f2(...f2(x1, x2)..., x{n - 1})"
+        else:
+            for k in range(2, n):
+                nest = f"f2({nest}, x{k})"
+        return {"f2": format_poly(self.f2), "nesting": f"f2({nest}, x{n})",
+                "levels": n - 1}
+
+
+class RationalTower(Tower):
+    """A tower over Q, evaluated on integer pairs.
+
+    f2 is homogeneous of degree m, so with T_{k-1} = N/E and x_k = a/b,
+    T_k = f2(N*b, a*E) / (E*b)^m. With L the lcm of the denominators of
+    f2's coefficients, N_k = (L*f2)(N*b, a*E) and E_k = L*(E*b)^m are
+    integers and E_k is not zero: the zero test reads N != 0, and a
+    value becomes one Fraction at the end.
+    """
+
+    @cached_property
+    def _cleared(self):
+        """L, and the terms (i, j, c) of L*f2 with int coefficients."""
+        terms = self.f2.terms
+        lcm = math.lcm(*(c.payload.denominator for _, c in terms))
+        return lcm, [(i, j, int(c.payload * lcm)) for (i, j), c in terms]
+
+    def _pair(self, xs):
+        lcm, terms = self._cleared
+        m = self.f2.degree
+        num, den = xs[0].numerator, xs[0].denominator
+        for x in xs[1:]:
+            a, b = x.numerator, x.denominator
+            u, v = num * b, a * den
+            num = sum(c * u ** i * v ** j for i, j, c in terms)
+            den = lcm * (den * b) ** m
+        return num, den
+
+    def evaluate_payloads(self, xs):
+        return Fraction(*self._pair(xs))
+
+    def vanishes_at(self, point):
+        return self._pair(tuple(x.payload for x in point))[0] == 0
+
+
+def _keeps_terms(i, p):
+    """Whether h^i has as many terms as h for every polynomial h over a
+    field of characteristic p: i is 1 or a power of p > 0."""
+    while p and i > 1 and i % p == 0:
+        i //= p
+    return i == 1
+
+
+def _check_form_terms(level, terms):
+    if terms > FORM_TERMS_GUARD:
+        raise TooLarge(
+            f"level {level} of the tower expansion composes a form of at "
+            f"least {terms} terms; the form-terms guard is "
+            f"{FORM_TERMS_GUARD}",
+            guard="FORM_TERMS_GUARD", limit=FORM_TERMS_GUARD,
+            requested=terms)
+
+
+def _enumeration_size(field, n):
+    """q^n, once F is checked to be finite and q^n within the guard."""
+    if not field.is_finite:
+        raise InfiniteField("exhaustive verification needs a finite field")
+    size = field.order ** n
+    if size > EXHAUSTIVE_GUARD:
+        raise TooLarge(f"q^n = {size} exceeds the enumeration guard",
+                       guard="EXHAUSTIVE_GUARD", limit=EXHAUSTIVE_GUARD,
+                       requested=size)
+    return size
+
+
 def build_fn(f: MultiPoly, n: int) -> MultiPoly:
-    """The arity-n composition tower over a root-free monic univariate f.
+    """The arity-n composition tower over a root-free monic univariate f,
+    expanded (`Tower.expand`, under FORM_TERMS_GUARD).
 
     n = 1 gives the identity polynomial; for n >= 2 the result has
     degree m^(n-1) and zero constant term. It need not be homogeneous:
@@ -86,25 +298,7 @@ def build_fn(f: MultiPoly, n: int) -> MultiPoly:
     the root-free precondition is re-verified here; over an infinite
     field the caller vouches for the witness.
     """
-    if n < 1:
-        raise ValueError("arity must be at least 1")
-    if f.arity != 1:
-        raise ValueError("base polynomial must be univariate")
-    field = f.field
-    if n == 1:
-        return MultiPoly.variable(field, 1, 0)
-    m = f.degree
-    if m is None or m < 2:
-        raise ValueError("base polynomial must have degree at least 2")
-    if field.is_finite:
-        for a in enumerate_field(field):
-            if f.evaluate((a,)).is_zero:
-                raise HasRoot(a)
-    f2 = homogenize2(f)
-    fn = MultiPoly.variable(field, 1, 0)
-    for _ in range(n - 1):
-        fn = compose_last(f2, fn)
-    return fn
+    return Tower.over(f, n, rootfree=True).expand()
 
 
 def verify_vanishing_exhaustive(g: MultiPoly):
@@ -114,54 +308,20 @@ def verify_vanishing_exhaustive(g: MultiPoly):
     counterexample is the smallest one.
     """
     field = g.field
-    if not field.is_finite:
-        raise InfiniteField("exhaustive verification needs a finite field")
-    q, n = field.order, g.arity
-    if q ** n > EXHAUSTIVE_GUARD:
-        raise TooLarge(f"q^n = {q ** n} exceeds the enumeration guard")
+    points = _enumeration_size(field, g.arity)
     elements = enumerate_field(field)
-    bad = _first_violation(g, itertools.product(elements, repeat=n))
-    return ExhaustivePassed(q ** n) if bad is None else Failed(bad)
+    bad = _first_violation(lambda pt: g.evaluate(pt).is_zero,
+                           itertools.product(elements, repeat=g.arity))
+    return ExhaustivePassed(points) if bad is None else Failed(bad)
 
 
 def verify_tower_exhaustive(f: MultiPoly, n: int):
-    """Check over all of F^n that the arity-n tower over f vanishes
-    exactly at the origin, without expanding it.
-
-    Elements are coded by their payloads, which in a finite field are
-    their indices (positions in `enumerate_field`), where 0 is the zero
-    element. T[u][v] codes f2(u, v); starting from the values of x1,
-    each further variable replaces every value v by the row T[v], so
-    the values stay in lexicographic point order and a reported
-    counterexample is the smallest one, as with
-    `verify_vanishing_exhaustive(build_fn(f, n))`.
-    The base is not required to be root-free.
+    """`Tower.verify_exhaustive` on the arity-n tower over f; the q^n
+    guard is checked before the base. The base is not required to be
+    root-free.
     """
-    field = f.field
-    if not field.is_finite:
-        raise InfiniteField("exhaustive verification needs a finite field")
-    if n < 1:
-        raise ValueError("arity must be at least 1")
-    q = field.order
-    if q ** n > EXHAUSTIVE_GUARD:
-        raise TooLarge(f"q^n = {q ** n} exceeds the enumeration guard")
-    if f.arity != 1:
-        raise ValueError("base polynomial must be univariate")
-    values = list(range(q))
-    if n > 1:
-        if f.degree is None or f.degree < 2:
-            raise ValueError("base polynomial must have degree at least 2")
-        f2 = homogenize2(f).evaluate_payloads
-        table = [[f2((u, v)) for v in range(q)] for u in range(q)]
-        for _ in range(n - 1):
-            values = list(itertools.chain.from_iterable(
-                map(table.__getitem__, values)))
-    try:
-        bad = 0 if values[0] != 0 else values.index(0, 1)
-    except ValueError:
-        return ExhaustivePassed(q ** n)
-    digits = base_digits(bad, q, n)
-    return Failed(tuple(field.element_at(i) for i in reversed(digits)))
+    _enumeration_size(f.field, n)
+    return Tower.over(f, n).verify_exhaustive()
 
 
 def verify_vanishing_sampled(g: MultiPoly, points):
@@ -169,38 +329,60 @@ def verify_vanishing_sampled(g: MultiPoly, points):
     nonzero points; the origin is checked first. A pass covers only the
     points given, not all of F^n.
     """
+    return _verify_sampled(g, lambda pt: g.evaluate(pt).is_zero, points)
+
+
+def _verify_sampled(g, vanishes, points):
     points = list(points)
     origin = tuple(g.field.zero() for _ in range(g.arity))
-    bad = _first_violation(g, itertools.chain([origin], points))
+    bad = _first_violation(vanishes, itertools.chain([origin], points))
     return SampledPassed(len(points)) if bad is None else Failed(bad)
 
 
-def _first_violation(g, points):
-    """The first point where g is zero off the origin or nonzero at it."""
+def _first_violation(vanishes, points):
+    """The first point where g is zero off the origin or nonzero at it,
+    given whether g vanishes at a point."""
     for pt in points:
-        at_origin = all(x.is_zero for x in pt)
-        if at_origin != g.evaluate(pt).is_zero:
+        if all(x.is_zero for x in pt) != vanishes(pt):
             return pt
     return None
 
 
 @dataclass(frozen=True)
 class AnisotropicWitness:
-    """A built form together with its verification evidence."""
+    """A built form together with its verification evidence. The form is
+    None when FORM_TERMS_GUARD refused its expansion; `withheld` is then
+    that refusal."""
 
     base: MultiPoly
     arity: int
     form: MultiPoly
     verification: object
+    withheld: TooLarge = None
+
+    @classmethod
+    def of(cls, base, n, verification):
+        """The record of a verified tower, with the form that `build_fn`
+        expands, or without it when FORM_TERMS_GUARD refuses it."""
+        try:
+            return cls(base, n, build_fn(base, n), verification)
+        except TooLarge as exc:
+            return cls(base, n, None, verification, withheld=exc)
 
     def to_json(self):
-        return {
-            "base": format_poly(self.base),
-            "arity": self.arity,
-            "form": format_poly(self.form),
-            "degree": self.form.degree,
-            "verification": self.verification.to_json(),
-        }
+        record = {"base": format_poly(self.base), "arity": self.arity}
+        if self.form is not None:
+            record["form"] = format_poly(self.form)
+            record["degree"] = self.form.degree
+        else:
+            tower = Tower.over(self.base, self.arity)
+            exc = self.withheld
+            record["form_withheld"] = {
+                "guard": exc.guard, "limit": exc.limit,
+                "requested": exc.requested, **tower.structure()}
+            record["degree"] = tower.degree
+        record["verification"] = self.verification.to_json()
+        return record
 
 
 def norm_form_eval(points) -> FieldElement:

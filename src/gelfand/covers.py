@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .anisotropic import build_fn
+from .anisotropic import Tower, build_fn
 from .errors import (
     AvoidanceExhausted,
     CommonZero,
@@ -164,24 +164,29 @@ class CombinationCertificate:
         return record
 
 
-def _apply_witness(cover: Cover, witness: MultiPoly) -> RingElement:
-    """The witness composed with the cover. Its value at a point depends
-    only on the point's column of function values, so the witness is
-    evaluated once per distinct column."""
+def _by_column(cover: Cover, evaluate) -> RingElement:
+    """The function x -> evaluate(psi_1(x), ..., psi_n(x)). Its value at
+    a point depends only on the point's column of function values, so
+    evaluate is called once per distinct column."""
     columns = list(zip(*(psi.values for psi in cover.functions)))
     keys = [tuple(v.payload for v in col) for col in columns]
     value_at = {}
     for key, col in zip(keys, columns):
         if key not in value_at:
-            value_at[key] = witness.evaluate(col)
+            value_at[key] = evaluate(col)
     return RingElement(cover.field, tuple(value_at[key] for key in keys))
 
 
 def combine_case1(cover: Cover, base: MultiPoly) -> CombinationCertificate:
-    """Plug the cover into the origin-only-vanishing form built on base."""
+    """Plug the cover into the origin-only-vanishing form built on base.
+
+    The witness is the expanded form, which FORM_TERMS_GUARD may refuse;
+    the composite is the nested tower's value on each column, so
+    `certify`, which evaluates the witness, cross-checks it.
+    """
     n = len(cover.functions)
     witness = build_fn(base, n)
-    composite = _apply_witness(cover, witness)
+    composite = _by_column(cover, Tower.over(base, n).evaluate)
     return CombinationCertificate("CaseI", cover, composite, witness=witness)
 
 
@@ -190,7 +195,7 @@ def combine_case2(cover: Cover) -> CombinationCertificate:
     n = len(cover.functions)
     J = image_points(cover)
     witness = interpolate_case2(J, cover.field, n)
-    composite = _apply_witness(cover, witness)
+    composite = _by_column(cover, witness.evaluate)
     return CombinationCertificate("CaseII", cover, composite, witness=witness)
 
 
@@ -263,7 +268,7 @@ def certify(cert: CombinationCertificate) -> dict:
     failing_point = None
 
     if cert.witness is not None:
-        recomputed = _apply_witness(cover, cert.witness)
+        recomputed = _by_column(cover, cert.witness.evaluate)
         if not cert.witness.constant_term().is_zero:
             checks["ideal_membership"] = False
     else:

@@ -37,7 +37,14 @@ class NoneFound(GelfandError):
 
 
 class TooLarge(GelfandError):
-    """An enumeration guard would be exceeded."""
+    """A guard would be exceeded; names the guard, its limit and the
+    size that was requested."""
+
+    def __init__(self, message, *, guard, limit, requested):
+        self.guard = guard
+        self.limit = limit
+        self.requested = requested
+        super().__init__(message)
 
 
 class ArityMismatch(GelfandError):

@@ -231,6 +231,7 @@ class FieldDescriptor:
 
     kind = None
     is_finite = False
+    characteristic = 0
 
     def __eq__(self, other):
         # identity first: elements, polynomials and ring elements compare
@@ -289,6 +290,10 @@ class FiniteField(FieldDescriptor):
     `enumerate_field`, so the index map is the identity."""
 
     is_finite = True
+
+    @property
+    def characteristic(self):
+        return self.p
 
     def index(self, x):
         """Position of x in `enumerate_field`."""
@@ -675,8 +680,11 @@ def find_rootfree_monic(F: FieldDescriptor, m: int):
                          "polynomial has a root")
     if not F.is_finite:
         raise InfiniteField("root-free search requires a finite field")
-    if F.order ** m > ROOTFREE_SEARCH_GUARD:
-        raise TooLarge(f"q^m = {F.order ** m} exceeds the search guard")
+    candidates = F.order ** m
+    if candidates > ROOTFREE_SEARCH_GUARD:
+        raise TooLarge(f"q^m = {candidates} exceeds the search guard",
+                       guard="ROOTFREE_SEARCH_GUARD",
+                       limit=ROOTFREE_SEARCH_GUARD, requested=candidates)
     elements = enumerate_field(F)
     nonzero = elements[1:]
     one = F.one()

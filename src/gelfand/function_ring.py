@@ -142,8 +142,11 @@ def all_ring_elements(space: FiniteSpace, field: FieldDescriptor):
     """Every function on the space, in lexicographic order."""
     if not field.is_finite:
         raise InfiniteField("the function ring is finite only for finite F")
-    if field.order ** space.size > SPECTRUM_GUARD:
-        raise TooLarge("function ring too large to enumerate")
+    size = field.order ** space.size
+    if size > SPECTRUM_GUARD:
+        raise TooLarge("function ring too large to enumerate",
+                       guard="SPECTRUM_GUARD", limit=SPECTRUM_GUARD,
+                       requested=size)
     elements = enumerate_field(field)
     return [RingElement(field, values)
             for values in itertools.product(elements, repeat=space.size)]
@@ -201,7 +204,9 @@ def enumerate_ideals_bruteforce(space: FiniteSpace, field: FieldDescriptor):
     """
     n = field.order ** space.size
     if n > ORACLE_GUARD:
-        raise TooLarge(f"ring has {n} elements; oracle guard is {ORACLE_GUARD}")
+        raise TooLarge(
+            f"ring has {n} elements; oracle guard is {ORACLE_GUARD}",
+            guard="ORACLE_GUARD", limit=ORACLE_GUARD, requested=n)
     ring = all_ring_elements(space, field)
     zero_idx = next(i for i, f in enumerate(ring) if f.is_zero)
     index = {f: i for i, f in enumerate(ring)}
@@ -261,7 +266,9 @@ def max_spectrum(space: FiniteSpace, field: FieldDescriptor) -> ZariskiSpace:
     """
     n = space.size
     if 2 ** n > SPECTRUM_GUARD:
-        raise TooLarge(f"2^{n} closed sets exceed the guard {SPECTRUM_GUARD}")
+        raise TooLarge(f"2^{n} closed sets exceed the guard {SPECTRUM_GUARD}",
+                       guard="SPECTRUM_GUARD", limit=SPECTRUM_GUARD,
+                       requested=2 ** n)
     points = tuple(gelfand_map(space, field, x) for x in space.points())
     zero, one = field.zero(), field.one()
     unit = RingElement(field, (one,) * n)

@@ -130,16 +130,9 @@ class MultiPoly:
 
     def evaluate(self, point):
         """Exact evaluation at a tuple of field elements."""
-        point = tuple(point)
-        if len(point) != self.arity:
-            raise ArityMismatch(
-                f"point has {len(point)} coordinates, arity is {self.arity}")
         F = self.field
-        for x in point:
-            if x.field != F:
-                raise MixedFields(f"{F} vs {x.field}")
         return from_payload(
-            F, self.evaluate_payloads(tuple(x.payload for x in point)))
+            F, self.evaluate_payloads(point_payloads(F, self.arity, point)))
 
     def evaluate_payloads(self, xs):
         """The value, as a payload, at the point whose coordinates have
@@ -171,6 +164,19 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({format_poly(self)!r} over {self.field})"
+
+
+def point_payloads(field, arity, point):
+    """The payloads of a point's coordinates, once the point is checked
+    to have `arity` coordinates in `field`."""
+    point = tuple(point)
+    if len(point) != arity:
+        raise ArityMismatch(
+            f"point has {len(point)} coordinates, arity is {arity}")
+    for x in point:
+        if x.field != field:
+            raise MixedFields(f"{field} vs {x.field}")
+    return tuple(x.payload for x in point)
 
 
 def univariate(field, coeffs):

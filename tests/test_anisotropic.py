@@ -6,11 +6,15 @@ from fractions import Fraction
 
 import pytest
 
+from gelfand import anisotropic
 from gelfand.anisotropic import (
+    FORM_TERMS_GUARD,
+    AnisotropicWitness,
     ExhaustivePassed,
     Failed,
     ValuationPassed,
     SampledPassed,
+    Tower,
     build_fn,
     norm_form_eval,
     valuation_identity_check,
@@ -235,7 +239,6 @@ def test_valuation_identity_seeded():
 
 
 def test_witness_record_json():
-    from gelfand.anisotropic import AnisotropicWitness
     field = Fp(3)
     base = _base(field)
     fn = build_fn(base, 2)
@@ -277,3 +280,230 @@ def test_sampled_fails_on_nonzero_constant_at_origin():
     assert isinstance(result, Failed)
     assert all(x.is_zero for x in result.counterexample)
     assert len(result.counterexample) == 2
+
+
+# ---------------------------------------------------------------------------
+# the nested tower against the expanded form
+
+NESTED_FIELDS = [Fp(2), Fp(3), Fp(5), Fp(7), Fq(2, 2), Fq(3, 2)]
+# q^n * terms of the expanded form up to which every point is compared
+# and the per-term reference verifier runs; above it, seeded points
+PER_TERM_BUDGET = 600_000
+
+
+@pytest.mark.parametrize("field", NESTED_FIELDS, ids=str)
+@pytest.mark.parametrize("n", range(1, 7))
+def test_nested_tower_matches_expanded_form(field, n):
+    f = _base(field)
+    tower = Tower.over(f, n)
+    form = build_fn(f, n)
+    assert tower.expand() == form
+    assert tower.degree == form.degree
+    q = field.order
+    elems = enumerate_field(field)
+    exhaustive = q ** n * len(form.terms) <= PER_TERM_BUDGET
+    if exhaustive:
+        points = itertools.product(elems, repeat=n)
+    else:
+        rng = random.Random(f"{field}-{n}")
+        points = [tuple(rng.choice(elems) for _ in range(n))
+                  for _ in range(400)]
+    for pt in points:
+        value = tower.evaluate(pt)
+        assert value == form.evaluate(pt)
+        assert tower.vanishes_at(pt) == value.is_zero
+    expected = ExhaustivePassed(q ** n)
+    assert tower.verify_exhaustive() == expected
+    if exhaustive:
+        assert verify_vanishing_exhaustive(form) == expected
+
+
+def _seeded_rationals(rng, count):
+    """Seeded nonzero and zero rationals with various denominators."""
+    return [Fraction(rng.randint(-40, 40), rng.randint(1, 30))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("witness,top", [
+    ("x^2+3", 4), ("x^2-3*x+5", 4), ("x^4+2*x^2+3", 3), ("x^2+1/2", 4),
+    ("x^2+1/2*x+2/3", 4), ("x^3+5/7", 3)])
+def test_rational_pairs_match_expanded_form(witness, top):
+    F = Q()
+    f = parse_poly(F, witness)
+    rng = random.Random(witness)
+    for n in range(1, top + 1):
+        tower = Tower.over(f, n)
+        form = build_fn(f, n)
+        assert tower.expand() == form
+        for _ in range(60):
+            pt = tuple(F.element(v) for v in _seeded_rationals(rng, n))
+            value = tower.evaluate(pt)
+            assert value == form.evaluate(pt)
+            assert value.payload == form.evaluate_payloads(
+                tuple(x.payload for x in pt))
+            assert tower.vanishes_at(pt) == value.is_zero
+
+
+def test_rational_tower_zero_test_reads_the_numerator():
+    # x^2 - 1 has the roots 1 and -1, so the tower vanishes off the origin
+    F = Q()
+    tower = Tower.over(parse_poly(F, "x^2 - 1"), 3)
+    # T2 = x1^2 - x2^2 = 3, T3 = T2^2 - x3^2 = 0 at x3 = -3
+    root = tuple(F.element(v) for v in (2, 1, -3))
+    assert tower.vanishes_at(root)
+    assert tower.evaluate(root).is_zero
+    near = tuple(F.element(v) for v in (2, 1, Fraction(-3, 2)))
+    assert not tower.vanishes_at(near)
+    assert tower.evaluate(near) == F.element(Fraction(27, 4))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_nested_negative_control_rooted_base_finite(n):
+    f = parse_poly(Fp(5), "x^2 + 1")   # 2^2 + 1 = 0 in F_5
+    with pytest.raises(HasRoot):
+        build_fn(f, n)
+    tower = Tower.over(f, n)
+    result = tower.verify_exhaustive()
+    assert isinstance(result, Failed)
+    assert result == verify_vanishing_exhaustive(_unchecked_tower(f, n))
+    assert tower.evaluate(result.counterexample).is_zero
+    assert tower.expand() == _unchecked_tower(f, n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_nested_negative_control_rooted_base_rational(n):
+    F = Q()
+    f = parse_poly(F, "x^2 - 1")
+    rng = random.Random(n)
+    points = [tuple(F.element(v) for v in _seeded_rationals(rng, n))
+              for _ in range(30)]
+    # zeros off the origin: x1 = x2 makes every level vanish
+    for at in (7, 19):
+        pt = [F.element(rng.randint(1, 9)) for _ in range(n)]
+        pt[1] = pt[0]
+        pt[2:] = [F.zero()] * (n - 2)
+        points.insert(at, tuple(pt))
+    tower = Tower.over(f, n)
+    result = tower.verify_sampled(points)
+    assert isinstance(result, Failed)
+    assert result.counterexample == points[7]
+    assert result == verify_vanishing_sampled(build_fn(f, n), points)
+
+
+def test_nested_sampled_checks_the_origin_and_keeps_order():
+    F = Q()
+    tower = Tower.over(parse_poly(F, "x^2 + 1"), 3)
+    points = [tuple(F.element(v) for v in pt)
+              for pt in [(1, 2, 3), (0, 0, 1), (-5, 0, 0)]]
+    assert tower.verify_sampled(points) == SampledPassed(3)
+    assert tower.verify_sampled(points) == verify_vanishing_sampled(
+        build_fn(parse_poly(F, "x^2 + 1"), 3), points)
+    # the origin among the samples is consistent, not a violation
+    origin = (F.zero(),) * 3
+    assert tower.verify_sampled(points + [origin]) == SampledPassed(4)
+
+
+# ---------------------------------------------------------------------------
+# FORM_TERMS_GUARD
+
+
+def _forbid(monkeypatch, owner, attr):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{attr} called above the guard")
+    monkeypatch.setattr(owner, attr, refuse)
+
+
+def test_form_guard_refuses_f2_n12_before_any_product(monkeypatch):
+    f = _base(Fp(2))
+    _forbid(monkeypatch, MultiPoly, "__mul__")
+    _forbid(monkeypatch, anisotropic, "compose_last")
+    with pytest.raises(TooLarge) as info:
+        build_fn(f, 12)
+    exc = info.value
+    assert (exc.guard, exc.limit, exc.requested) == (
+        "FORM_TERMS_GUARD", FORM_TERMS_GUARD, 2047)
+    assert FORM_TERMS_GUARD == 2 ** 10
+    assert "level 11" in str(exc)
+    # the nested tower still verifies without a product
+    assert Tower.over(f, 12).verify_exhaustive() == ExhaustivePassed(2 ** 12)
+
+
+def test_form_guard_limit_and_exact_count(monkeypatch):
+    # over F_2 the lower bound is exact (2^k - 1 terms), so the guard
+    # admits n = 5 (15 input terms) and refuses n = 6 (31) up front
+    monkeypatch.setattr(anisotropic, "FORM_TERMS_GUARD", 15)
+    f = _base(Fp(2))
+    assert len(build_fn(f, 5).terms) == 31
+    _forbid(monkeypatch, MultiPoly, "__mul__")
+    with pytest.raises(TooLarge) as info:
+        build_fn(f, 6)
+    assert info.value.requested == 31 and info.value.limit == 15
+
+
+def test_form_guard_checks_each_level_on_the_exact_count(monkeypatch):
+    # over F_3, f2 = x^2 + y^2 squares its input, which the lower bound
+    # cannot count, so the exact count refuses at the level itself:
+    # the inputs have 1, 2, 4, 9, 26 terms
+    monkeypatch.setattr(anisotropic, "FORM_TERMS_GUARD", 9)
+    f = _base(Fp(3))
+    assert len(build_fn(f, 5).terms) == 26
+    levels = []
+    original = anisotropic.compose_last
+    monkeypatch.setattr(anisotropic, "compose_last",
+                        lambda g, h: levels.append(len(h.terms))
+                        or original(g, h))
+    with pytest.raises(TooLarge) as info:
+        build_fn(f, 6)
+    assert info.value.requested == 26
+    assert levels == [1, 2, 4, 9]
+
+
+@pytest.mark.parametrize("field,m,top", [
+    (field, m, top) for field, m, top in DIFFERENTIAL_CASES])
+def test_form_guard_lower_bound_admits_every_level(monkeypatch, field,
+                                                   m, top):
+    """With the guard at the largest input a level really composes, the
+    up-front lower bound must not refuse: it never exceeds the count."""
+    f = _base(field, m)
+    inputs = [len(build_fn(f, k).terms) for k in range(1, top)]
+    monkeypatch.setattr(anisotropic, "FORM_TERMS_GUARD", max(inputs))
+    assert build_fn(f, top) == _unchecked_tower(f, top)
+    monkeypatch.setattr(anisotropic, "FORM_TERMS_GUARD", max(inputs) - 1)
+    with pytest.raises(TooLarge):
+        build_fn(f, top)
+
+
+def test_frobenius_keeps_term_counts():
+    rng = random.Random(5)
+    for field in (Fp(2), Fp(3), Fq(2, 2), Fq(3, 2), Q()):
+        elems = ([Q().element(v) for v in range(1, 6)] if field == Q()
+                 else enumerate_field(field)[1:])
+        p = field.characteristic
+        for _ in range(5):
+            h = MultiPoly.from_dict(field, 2, {
+                (rng.randint(0, 3), rng.randint(0, 3)): rng.choice(elems)
+                for _ in range(4)})
+            power = h
+            for i in range(2, 10):
+                power = power * h
+                if anisotropic._keeps_terms(i, p):
+                    assert len(power.terms) == len(h.terms)
+        assert anisotropic._keeps_terms(1, p)
+        assert not anisotropic._keeps_terms(0, p)
+
+
+def test_witness_record_above_the_form_guard():
+    f = _base(Fp(2))
+    result = verify_tower_exhaustive(f, 12)
+    record = AnisotropicWitness.of(f, 12, result).to_json()
+    assert "form" not in record
+    assert record["form_withheld"] == {
+        "guard": "FORM_TERMS_GUARD", "limit": 1024, "requested": 2047,
+        "f2": "x1^2 + x1*x2 + x2^2",
+        "nesting": "f2(f2(...f2(x1, x2)..., x11), x12)", "levels": 11}
+    assert record["degree"] == 2 ** 11
+    assert record["verification"] == {"mode": "exhaustive",
+                                      "points_checked": 4096}
+    small = AnisotropicWitness.of(f, 3, verify_tower_exhaustive(f, 3))
+    assert small.to_json()["form"] == format_poly(build_fn(f, 3))
+    assert Tower.over(f, 3).structure()["nesting"] == "f2(f2(x1, x2), x3)"

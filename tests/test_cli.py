@@ -237,3 +237,31 @@ def test_main_reuses_one_parser(tmp_path, monkeypatch):
     assert cli.build_parser() is not cli.build_parser()
     assert reports() == shared
     assert [code for code, _ in shared] == [0, 0, 0, 0, 0, 2]
+
+
+def test_anisotropic_above_form_guard_reports_structure(tmp_path):
+    code, report = run_cli(["anisotropic", "--field", "Fp(2)", "--n", "20"],
+                           tmp_path / "r.json")
+    assert code == 0
+    inst = report["instances"][0]
+    assert "form" not in inst
+    assert inst["form_withheld"] == {
+        "guard": "FORM_TERMS_GUARD", "limit": 1024, "requested": 2047,
+        "f2": "x1^2 + x1*x2 + x2^2",
+        "nesting": "f2(f2(...f2(x1, x2)..., x19), x20)", "levels": 19}
+    assert inst["degree"] == 2 ** 19
+    assert inst["verification"] == {"mode": "exhaustive",
+                                    "points_checked": 2 ** 20}
+    assert report["totals"] == {"passed": 1, "failed": 0}
+
+
+def test_anisotropic_rational_witness_with_fraction(tmp_path):
+    code, report = run_cli(
+        ["anisotropic", "--field", "Q", "--witness", "x^2+1/2", "--n", "4",
+         "--seed", "7"], tmp_path / "r.json")
+    assert code == 0
+    inst = report["instances"][0]
+    assert inst["degree"] == 8
+    assert inst["form"].startswith("x1^8 + 2*x1^6*x2^2")
+    assert inst["verification"]["samples"] == 200
+

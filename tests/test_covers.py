@@ -5,6 +5,7 @@ from functools import partial
 
 import pytest
 
+from gelfand.anisotropic import Tower
 from gelfand.covers import (
     CombinationCertificate,
     ProjectivePoint,
@@ -17,7 +18,12 @@ from gelfand.covers import (
     interpolate_case2,
     unit_combination_case3,
 )
-from gelfand.errors import AvoidanceExhausted, CommonZero, OriginInJ
+from gelfand.errors import (
+    AvoidanceExhausted,
+    CommonZero,
+    OriginInJ,
+    TooLarge,
+)
 from gelfand.field_core import (
     Fp,
     Fq,
@@ -264,11 +270,14 @@ def test_witness_evaluated_once_per_distinct_column(monkeypatch, field):
     evaluate = MultiPoly.evaluate
     calls = []
 
-    def counting(f, point):
-        calls.append((f, tuple(point)))
-        return evaluate(f, point)
+    def counting(original):
+        def wrapper(f, point):
+            calls.append((f, tuple(point)))
+            return original(f, point)
+        return wrapper
 
-    monkeypatch.setattr(MultiPoly, "evaluate", counting)
+    monkeypatch.setattr(MultiPoly, "evaluate", counting(evaluate))
+    monkeypatch.setattr(Tower, "evaluate", counting(Tower.evaluate))
     for _ in range(6):
         cover = check_cover(_random_cover(rng, field, 20, rng.randint(1, 3)))
         columns = [tuple(psi.values[x] for psi in cover.functions)
@@ -277,8 +286,13 @@ def test_witness_evaluated_once_per_distinct_column(monkeypatch, field):
         for combine in (partial(combine_case1, base=base), combine_case2):
             calls.clear()
             cert = combine(cover)
-            # route I also evaluates its base while building the form
-            points = [pt for f, pt in calls if f is cert.witness]
+            # route I evaluates the nested tower, not its expanded
+            # witness, and also evaluates its base while building the form
+            if combine is combine_case2:
+                points = [pt for f, pt in calls if f is cert.witness]
+            else:
+                assert not [f for f, _ in calls if f is cert.witness]
+                points = [pt for f, pt in calls if isinstance(f, Tower)]
             assert len(points) == len(distinct) and set(points) == distinct
             assert cert.composite.values == tuple(
                 evaluate(cert.witness, col) for col in columns)
@@ -322,3 +336,47 @@ def test_certificate_json_record():
     assert record["witness"] == ["1", "4"]
     assert record["pass"]
     assert record["per_step_log"][0]["image_size"] == 2
+
+
+def test_certify_cross_checks_the_nested_route_one(monkeypatch):
+    """Route I's composite comes from the nested tower and certify
+    re-evaluates the expanded witness, so a corrupted tower value must
+    fail the recomputation."""
+    F = Fp(5)
+    rng = random.Random(11)
+    cover = check_cover(_random_cover(rng, F, 12, 3))
+    base = univariate(F, find_rootfree_monic(F, 2))
+    assert certify(combine_case1(cover, base)) == {
+        "pass": True, "nonvanishing": True, "ideal_membership": True,
+        "recomputation": True}
+    evaluate = Tower.evaluate
+    calls = []
+
+    def corrupt_second_column(tower, point):
+        calls.append(point)
+        value = evaluate(tower, point)
+        return value + F.one() if len(calls) == 2 else value
+
+    monkeypatch.setattr(Tower, "evaluate", corrupt_second_column)
+    report = certify(combine_case1(cover, base))
+    assert len(calls) >= 2
+    assert report["recomputation"] is False
+    assert report["pass"] is False
+    # the witness itself is intact, so the recomputed values never vanish
+    assert report["nonvanishing"] and report["ideal_membership"]
+
+
+def test_route_one_refused_above_form_guard_before_any_product(monkeypatch):
+    F = Fp(2)
+    rng = random.Random(12)
+    cover = check_cover(_random_cover(rng, F, 8, 12))
+    base = univariate(F, find_rootfree_monic(F, 2))
+
+    def refuse(*args):
+        raise AssertionError("product above the guard")
+
+    monkeypatch.setattr(MultiPoly, "__mul__", refuse)
+    with pytest.raises(TooLarge) as info:
+        combine_case1(cover, base)
+    assert info.value.guard == "FORM_TERMS_GUARD"
+    assert info.value.requested == 2047
