@@ -9,9 +9,10 @@ table of f2, and expands to a `MultiPoly` only for a report (`expand`,
 which `build_fn` calls), under FORM_TERMS_GUARD. The expanded form
 stays the reference: `verify_vanishing_exhaustive` checks any form term
 by term at every point, and `verify_vanishing_sampled` at seeded
-points. Over the rationals the other stand-ins are the
-positive-definite norm form on Q(sqrt(d)) and the valuation identity
-for x^2 - p*y^2.
+points. An `AnisotropicWitness` (base, arity, verification) prints the
+form that `build_fn` expands, or the guard's refusal in its place. Over
+the rationals the other stand-ins are the positive-definite norm form
+on Q(sqrt(d)) and the valuation identity for x^2 - p*y^2.
 """
 
 from __future__ import annotations
@@ -28,9 +29,10 @@ from .field_core import (
     FieldDescriptor,
     FieldElement,
     Q,
-    QUADRATIC,
+    Qsqrt,
     base_digits,
     enumerate_field,
+    first_root,
     from_payload,
     padic_valuation,
 )
@@ -103,11 +105,10 @@ class Tower:
     arity: int
 
     @staticmethod
-    def over(f: MultiPoly, n: int, rootfree: bool = False) -> Tower:
+    def over(f: MultiPoly, n: int) -> Tower:
         """The tower over a monic univariate f of degree at least 2 (any
-        f for n = 1). With `rootfree`, a finite field's base is checked
-        to have no root, which the form's only zero at the origin needs.
-        """
+        f for n = 1). The base is not checked to be root-free, which the
+        form's only zero at the origin needs; `build_fn` checks it."""
         if n < 1:
             raise ValueError("arity must be at least 1")
         if f.arity != 1:
@@ -118,10 +119,6 @@ class Tower:
         m = f.degree
         if m is None or m < 2:
             raise ValueError("base polynomial must have degree at least 2")
-        if rootfree and field.is_finite:
-            for a in enumerate_field(field):
-                if f.evaluate((a,)).is_zero:
-                    raise HasRoot(a)
         kind = RationalTower if isinstance(field, Q) else Tower
         return kind(field, homogenize2(f), n)
 
@@ -298,7 +295,15 @@ def build_fn(f: MultiPoly, n: int) -> MultiPoly:
     the root-free precondition is re-verified here; over an infinite
     field the caller vouches for the witness.
     """
-    return Tower.over(f, n, rootfree=True).expand()
+    field, m = f.field, f.degree
+    # a shape that Tower.over refuses is left to it; a rooted base
+    # reports its first root before homogenize2 can find it not monic
+    if n > 1 and field.is_finite and f.arity == 1 and (m or 0) >= 2:
+        root = first_root(field, [f.coefficient((i,)).payload
+                                  for i in range(m + 1)], 0)
+        if root is not None:
+            raise HasRoot(from_payload(field, root))
+    return Tower.over(f, n).expand()
 
 
 def verify_vanishing_exhaustive(g: MultiPoly):
@@ -350,37 +355,26 @@ def _first_violation(vanishes, points):
 
 @dataclass(frozen=True)
 class AnisotropicWitness:
-    """A built form together with its verification evidence. The form is
-    None when FORM_TERMS_GUARD refused its expansion; `withheld` is then
-    that refusal."""
+    """The tower of the given arity over a base, with its verification
+    evidence."""
 
     base: MultiPoly
     arity: int
-    form: MultiPoly
     verification: object
-    withheld: TooLarge = None
-
-    @classmethod
-    def of(cls, base, n, verification):
-        """The record of a verified tower, with the form that `build_fn`
-        expands, or without it when FORM_TERMS_GUARD refuses it."""
-        try:
-            return cls(base, n, build_fn(base, n), verification)
-        except TooLarge as exc:
-            return cls(base, n, None, verification, withheld=exc)
 
     def to_json(self):
+        """The record, with the form that `build_fn` expands, or with
+        `form_withheld` (the refusal and the nesting) in its place when
+        FORM_TERMS_GUARD refuses the expansion."""
+        tower = Tower.over(self.base, self.arity)
         record = {"base": format_poly(self.base), "arity": self.arity}
-        if self.form is not None:
-            record["form"] = format_poly(self.form)
-            record["degree"] = self.form.degree
-        else:
-            tower = Tower.over(self.base, self.arity)
-            exc = self.withheld
+        try:
+            record["form"] = format_poly(build_fn(self.base, self.arity))
+        except TooLarge as exc:
             record["form_withheld"] = {
                 "guard": exc.guard, "limit": exc.limit,
                 "requested": exc.requested, **tower.structure()}
-            record["degree"] = tower.degree
+        record["degree"] = tower.degree
         record["verification"] = self.verification.to_json()
         return record
 
@@ -395,7 +389,7 @@ def norm_form_eval(points) -> FieldElement:
     if not points:
         raise ValueError("need at least one element")
     owner = points[0].field
-    if owner.kind != QUADRATIC:
+    if not isinstance(owner, Qsqrt):
         raise WrongKind("norm form is defined over Q(sqrt(d))")
     acc = Q().zero()
     for x in points:

@@ -106,6 +106,8 @@ def cmd_anisotropic(args):
         # the tower is verified nested, and the q^n guard fires first;
         # the form is expanded for the report only, under its own guard
         result = aniso.verify_tower_exhaustive(base, args.n)
+    elif args.samples < 1:
+        raise ConfigError("--samples must be at least 1")
     elif isinstance(field, Q) and args.padic:
         if args.n != 2:
             raise ConfigError("--padic checks x^2 - p*y^2, so --n must be 2")
@@ -125,9 +127,10 @@ def cmd_anisotropic(args):
                   for _ in range(args.samples)]
         result = tower.verify_sampled(points)
     else:
-        raise ConfigError("infinite fields need --witness or --padic")
+        raise ConfigError(
+            "an infinite field must be Q, with --witness or --padic")
 
-    instance = aniso.AnisotropicWitness.of(base, args.n, result).to_json()
+    instance = aniso.AnisotropicWitness(base, args.n, result).to_json()
     passed = result.passed
     report["instances"] = [instance]
     report["totals"] = {"passed": int(passed), "failed": int(not passed)}
@@ -138,6 +141,9 @@ def cmd_anisotropic(args):
 def cmd_gelfand(args):
     fields = [parse_field(s) for s in _split_field_list(args.field)]
     sizes = _parse_sizes(args.space)
+    if not fields or not sizes:
+        raise ConfigError("an empty sweep: --field and --space must each "
+                          "name at least one entry")
     config = {"fields": [format_field(f) for f in fields], "sizes": sizes,
               "oracle": args.oracle}
     report = _new_report("gelfand", config)

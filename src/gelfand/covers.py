@@ -23,7 +23,6 @@ from .errors import (
 from .field_core import (
     FieldDescriptor,
     FieldElement,
-    element_sort_key,
     enumerate_field,
     format_element,
 )
@@ -51,9 +50,6 @@ class ProjectivePoint:
     @property
     def is_infinite(self):
         return self.v.is_zero
-
-    def __str__(self):
-        return f"[{format_element(self.u)},{format_element(self.v)}]"
 
 
 @dataclass(frozen=True)
@@ -87,7 +83,7 @@ def image_points(cover: Cover):
     excluded by the cover property."""
     image = {tuple(psi.values[x] for psi in cover.functions)
              for x in cover.space.points()}
-    return sorted(image, key=lambda pt: tuple(element_sort_key(v) for v in pt))
+    return sorted(image, key=lambda pt: tuple(v.payload for v in pt))
 
 
 def indicator_poly(a, F: FieldDescriptor) -> MultiPoly:

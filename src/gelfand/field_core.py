@@ -4,16 +4,16 @@ Each kind of field is one `FieldDescriptor` subclass: prime fields F_p,
 extension fields F_{p^k} = F_p[t]/(modulus), the rationals Q, and
 imaginary quadratic fields Q(sqrt(d)), d < 0. The class owns all that
 depends on the kind: validation, the canonical form of an element's
-payload, arithmetic on payloads, sort key and text form. `FieldElement`
-is one immutable (field, payload) pair that delegates to its field.
-Canonical payloads make equality structural, so ties broken by
-"smallest element" are reproducible. In a finite field the payload is
-the element's index in `enumerate_field`, an int, and that index order
-is the canonical order. An extension field with at most
-`FIELD_TABLE_CAP` elements multiplies, inverts and adds through
-log/antilog (Zech) tables built on first use (by XOR over F_2); a
-larger one multiplies coefficient lists. No floating point is used
-anywhere.
+payload, arithmetic on payloads and text form. `FieldElement` is one
+immutable (field, payload) pair that delegates to its field. Canonical
+payloads make equality structural, and the payload is the element
+order: in a finite field it is the element's index in
+`enumerate_field`, an int, so sorting by payload gives that canonical
+order and ties broken by "smallest element" are reproducible. An
+extension field with at most `FIELD_TABLE_CAP` elements multiplies,
+inverts and adds through log/antilog (Zech) tables built on first use
+(by XOR over F_2); a larger one multiplies coefficient lists. No
+floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -33,11 +33,6 @@ from .errors import (
     TooLarge,
     WrongKind,
 )
-
-PRIME = "prime"
-EXTENSION = "extension"
-RATIONAL = "rational"
-QUADRATIC = "quadratic"
 
 MAX_EXTENSION_DEGREE = 8
 ROOTFREE_SEARCH_GUARD = 10 ** 7
@@ -226,7 +221,8 @@ class FieldDescriptor:
     canonical payloads, its own text form `__str__` and the element
     text form `parse(text)`; the defaults below fit scalar payloads.
     `FieldElement` wraps each result of these operations once, and the
-    hot kernels call them on payloads directly.
+    hot kernels call them on payloads directly. Elements are ordered by
+    their payloads.
     """
 
     kind = None
@@ -269,9 +265,6 @@ class FieldDescriptor:
                 a = mul(a, a)
         return result
 
-    def sort_key(self, x):
-        return x.payload
-
     def format(self, x):
         return str(x.payload)
 
@@ -303,15 +296,13 @@ class FiniteField(FieldDescriptor):
         """The element at position i mod q of `enumerate_field`."""
         return from_payload(self, i % self.order)
 
-    sort_key = index
-
 
 @dataclass(frozen=True, eq=False, unsafe_hash=True, repr=False)
 class PrimeField(FiniteField):
     """F_p; an element's payload is its residue."""
 
     p: int
-    kind = PRIME
+    kind = "prime"
 
     def __post_init__(self):
         if not is_prime(self.p):
@@ -370,7 +361,7 @@ class ExtensionField(FiniteField):
     p: int
     k: int
     modulus: tuple = None
-    kind = EXTENSION
+    kind = "extension"
     # kept out of the instance dict, so that equality and hashing see
     # the dataclass fields only; filled by __getattr__ on first use
     __slots__ = ("_log", "_exp", "_zech")
@@ -524,7 +515,7 @@ class ExtensionField(FiniteField):
 class RationalField(FieldDescriptor):
     """Q; an element's payload is a Fraction."""
 
-    kind = RATIONAL
+    kind = "rational"
 
     def canonical(self, payload):
         return Fraction(payload)
@@ -555,7 +546,7 @@ class QuadraticField(FieldDescriptor):
     (a, b) of a + b*sqrt(d)."""
 
     d: int
-    kind = QUADRATIC
+    kind = "quadratic"
 
     def __post_init__(self):
         if self.d >= 0:
@@ -633,14 +624,6 @@ class QuadraticField(FieldDescriptor):
 Fp, Fq, Q, Qsqrt = PrimeField, ExtensionField, RationalField, QuadraticField
 
 
-def element_sort_key(x: FieldElement):
-    """Deterministic total order on elements of one field.
-
-    For finite fields this is the index in `enumerate_field`.
-    """
-    return x.field.sort_key(x)
-
-
 # ---------------------------------------------------------------------------
 # enumeration and root-free search
 
@@ -657,12 +640,19 @@ def enumerate_field(F: FieldDescriptor):
     return [F.element_at(i) for i in range(F.order)]
 
 
-def eval_univariate(coeffs, a):
-    """Evaluate a univariate polynomial (coefficients low to high) at a."""
-    acc = a.field.zero()
-    for c in reversed(coeffs):
-        acc = acc * a + c
-    return acc
+def first_root(F: FieldDescriptor, coeffs, start):
+    """The first root at or after index start, or None, of the polynomial
+    over finite F with payload coefficients coeffs (low degree first), by
+    Horner's rule on payloads; a root is an index, i.e. a payload."""
+    mul, add = F.mul, F.add
+    top, rest = coeffs[-1], coeffs[-2::-1]
+    for a in range(start, F.order):
+        acc = top
+        for c in rest:
+            acc = add(mul(acc, a), c)
+        if not acc:
+            return a
+    return None
 
 
 def find_rootfree_monic(F: FieldDescriptor, m: int):
@@ -673,25 +663,23 @@ def find_rootfree_monic(F: FieldDescriptor, m: int):
     coefficients, c0 first; `candidates_scanned` is its position in that
     order (`rootfree_scan_position`). As f(0) = c0, the tails with c0 = 0
     are ruled out without evaluation: the scan starts at the first tail
-    with c0 != 0 and evaluates at the nonzero elements only.
+    with c0 != 0 and tries the nonzero elements only.
     """
     if m < 2:
         raise ValueError("degree must be at least 2: every monic linear "
                          "polynomial has a root")
     if not F.is_finite:
         raise InfiniteField("root-free search requires a finite field")
-    candidates = F.order ** m
+    q = F.order
+    candidates = q ** m
     if candidates > ROOTFREE_SEARCH_GUARD:
         raise TooLarge(f"q^m = {candidates} exceeds the search guard",
                        guard="ROOTFREE_SEARCH_GUARD",
                        limit=ROOTFREE_SEARCH_GUARD, requested=candidates)
-    elements = enumerate_field(F)
-    nonzero = elements[1:]
-    one = F.one()
-    for tail in itertools.product(nonzero, *[elements] * (m - 1)):
-        coeffs = tail + (one,)
-        if all(not eval_univariate(coeffs, a).is_zero for a in nonzero):
-            return coeffs
+    # payloads are indices, and the payload of one is 1
+    for tail in itertools.product(range(1, q), *[range(q)] * (m - 1)):
+        if first_root(F, tail + (1,), 1) is None:
+            return tuple(from_payload(F, c) for c in tail) + (F.one(),)
     raise NoneFound(f"no root-free monic of degree {m} over {F}")
 
 
@@ -723,12 +711,6 @@ class Valuation:
     @property
     def is_infinite(self):
         return self._v is None
-
-    @property
-    def value(self):
-        if self._v is None:
-            raise ValueError("infinite valuation has no integer value")
-        return self._v
 
     def __eq__(self, other):
         if isinstance(other, Valuation):
@@ -783,7 +765,7 @@ def padic_valuation(r, p) -> Valuation:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if isinstance(r, FieldElement):
-        if r.field.kind != RATIONAL:
+        if not isinstance(r.field, RationalField):
             raise WrongKind("p-adic valuation applies to rational elements")
         r = r.payload
     r = Fraction(r)

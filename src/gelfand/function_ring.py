@@ -22,7 +22,6 @@ from .errors import (
 )
 from .field_core import (
     FieldDescriptor,
-    element_sort_key,
     enumerate_field,
     format_element,
     format_field,
@@ -108,9 +107,6 @@ class RingElement:
 
     def zero_set(self):
         return frozenset(i for i, v in enumerate(self.values) if v.is_zero)
-
-    def sort_key(self):
-        return tuple(element_sort_key(v) for v in self.values)
 
     def __str__(self):
         return ",".join(format_element(v) for v in self.values)

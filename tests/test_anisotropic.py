@@ -71,6 +71,23 @@ def test_build_fn_rejects_rooted_base():
         build_fn(f, 2)
 
 
+def test_build_fn_reports_first_root_before_expanding(monkeypatch):
+    def compose_last(*args):
+        raise AssertionError("compose_last ran before the root check")
+    monkeypatch.setattr(anisotropic, "compose_last", compose_last)
+    f = parse_poly(Fp(5), "x^2 + 1")   # roots 2 and 3
+    with pytest.raises(HasRoot) as info:
+        build_fn(f, 3)
+    assert info.value.root == Fp(5).element(2)
+
+
+def test_build_fn_root_check_precedes_monic_check():
+    # 2*1^2 + 1 = 0 in F_3, and the base is not monic either
+    with pytest.raises(HasRoot) as info:
+        build_fn(parse_poly(Fp(3), "2*x^2 + 1"), 2)
+    assert info.value.root == Fp(3).element(1)
+
+
 @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3),
                                  (3, 4)])
 def test_degree_law_and_constant_term(m, n):
@@ -242,7 +259,7 @@ def test_witness_record_json():
     field = Fp(3)
     base = _base(field)
     fn = build_fn(base, 2)
-    w = AnisotropicWitness(base, 2, fn, verify_vanishing_exhaustive(fn))
+    w = AnisotropicWitness(base, 2, verify_vanishing_exhaustive(fn))
     record = w.to_json()
     assert record["degree"] == 2
     assert record["verification"] == {"mode": "exhaustive",
@@ -495,7 +512,7 @@ def test_frobenius_keeps_term_counts():
 def test_witness_record_above_the_form_guard():
     f = _base(Fp(2))
     result = verify_tower_exhaustive(f, 12)
-    record = AnisotropicWitness.of(f, 12, result).to_json()
+    record = AnisotropicWitness(f, 12, result).to_json()
     assert "form" not in record
     assert record["form_withheld"] == {
         "guard": "FORM_TERMS_GUARD", "limit": 1024, "requested": 2047,
@@ -504,6 +521,6 @@ def test_witness_record_above_the_form_guard():
     assert record["degree"] == 2 ** 11
     assert record["verification"] == {"mode": "exhaustive",
                                       "points_checked": 4096}
-    small = AnisotropicWitness.of(f, 3, verify_tower_exhaustive(f, 3))
+    small = AnisotropicWitness(f, 3, verify_tower_exhaustive(f, 3))
     assert small.to_json()["form"] == format_poly(build_fn(f, 3))
     assert Tower.over(f, 3).structure()["nesting"] == "f2(f2(x1, x2), x3)"

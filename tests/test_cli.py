@@ -7,7 +7,8 @@ import pytest
 
 from gelfand import cli
 from gelfand.cli import main
-from gelfand.field_core import enumerate_field, eval_univariate, parse_field
+from gelfand.field_core import enumerate_field, parse_field
+from gelfand.poly import univariate
 
 
 def run_cli(args, out_path):
@@ -62,6 +63,34 @@ def test_anisotropic_padic_needs_arity_two(tmp_path):
         tmp_path / "r.json")
     assert code == 2
     assert report is None
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--field", "Q(sqrt(-1))", "--witness", "x^2+1"],
+     "an infinite field must be Q, with --witness or --padic"),
+    (["--field", "Q", "--witness", "x^2+1", "--samples", "-3"],
+     "--samples must be at least 1"),
+    (["--field", "Q", "--witness", "x^2+1", "--samples", "0"],
+     "--samples must be at least 1"),
+    (["--field", "Q", "--padic", "3", "--samples", "0"],
+     "--samples must be at least 1"),
+])
+def test_anisotropic_config_errors_name_the_requirement(
+        tmp_path, capsys, args, message):
+    code, report = run_cli(["anisotropic"] + args, tmp_path / "r.json")
+    assert code == 2
+    assert report is None
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("fields,space", [("Fp(2)", "5..3"),
+                                          ("Fp(2)", "3..1"), (",", "2")])
+def test_empty_gelfand_sweep_is_config_error(tmp_path, capsys, fields, space):
+    code, report = run_cli(["gelfand", "--field", fields, "--space", space],
+                           tmp_path / "r.json")
+    assert code == 2
+    assert report is None
+    assert "empty sweep" in capsys.readouterr().err
 
 
 def test_anisotropic_fq_shorthand(tmp_path):
@@ -127,8 +156,8 @@ def test_find_rootfree_count_matches_scan(tmp_path, spec, m):
     field = parse_field(spec)
     elements = enumerate_field(field)
     for scanned, tail in enumerate(itertools.product(elements, repeat=m), 1):
-        if all(not eval_univariate(tail + (field.one(),), a).is_zero
-               for a in elements):
+        f = univariate(field, tail + (field.one(),))
+        if all(not f.evaluate((a,)).is_zero for a in elements):
             break
     code, report = run_cli(
         ["field", "find-rootfree", "--field", spec, "--m", str(m)],

@@ -26,10 +26,9 @@ from gelfand.field_core import (
     Q,
     Qsqrt,
     Valuation,
-    element_sort_key,
     enumerate_field,
-    eval_univariate,
     find_rootfree_monic,
+    first_root,
     format_element,
     format_field,
     padic_valuation,
@@ -320,16 +319,22 @@ def test_element_text_roundtrip(field, literals):
         assert parse_element(field, format_element(x)) == x
 
 
-def test_element_sort_key_is_enumeration_order():
+def test_payload_order_is_enumeration_order():
     F = Fq(2, 2)
     elems = enumerate_field(F)
-    assert sorted(elems, key=element_sort_key) == elems
+    assert sorted(elems, key=lambda x: x.payload) == elems
 
 
-def test_eval_univariate_horner():
+def test_first_root_horner():
     F = Fp(5)
-    coeffs = tuple(F.element(c) for c in (1, 2, 3))  # 3x^2 + 2x + 1
-    assert eval_univariate(coeffs, F.element(2)).payload == (3 * 4 + 4 + 1) % 5
+    # 3x^2 + 2x + 1 has the value (3 * 4 + 4 + 1) % 5 at 2, so subtracting
+    # that value leaves a polynomial with the roots 2 and 4
+    value = (3 * 4 + 4 + 1) % 5
+    coeffs = ((1 - value) % 5, 2, 3)
+    assert first_root(F, coeffs, 0) == 2
+    assert first_root(F, coeffs, 3) == 4
+    assert first_root(F, (1, 0, 1), 0) == 2      # x^2 + 1 = (x - 2)(x - 3)
+    assert first_root(F, (2, 0, 1), 0) is None   # -2 is not a square mod 5
 
 
 @pytest.mark.parametrize("field,payloads", [
@@ -374,14 +379,15 @@ def test_rootfree_scan_skips_zero_constant_and_zero_point(
         monkeypatch, field, m):
     calls = []
 
-    def recording(coeffs, a):
-        calls.append((coeffs[0], a))
-        return eval_univariate(coeffs, a)
+    def recording(F, coeffs, start):
+        calls.append((coeffs[0], start))
+        return first_root(F, coeffs, start)
 
-    monkeypatch.setattr(field_core, "eval_univariate", recording)
+    monkeypatch.setattr(field_core, "first_root", recording)
     coeffs = find_rootfree_monic(field, m)
-    assert calls and calls[-1][0] == coeffs[0]
-    assert not any(c0.is_zero or a.is_zero for c0, a in calls)
+    # payloads are indices, and the zero element's is 0
+    assert calls and calls[-1][0] == coeffs[0].payload
+    assert not any(c0 == 0 or start == 0 for c0, start in calls)
 
 
 def test_fq_shorthand_picks_first_irreducible():
