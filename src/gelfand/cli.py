@@ -100,6 +100,12 @@ def cmd_anisotropic(args):
     report = _new_report("anisotropic", config)
 
     if field.is_finite:
+        for flag, value in (("--witness", args.witness),
+                            ("--padic", args.padic)):
+            if value is not None:
+                raise ConfigError(
+                    f"{flag} applies to Q only; over a finite field the "
+                    f"base is the first root-free monic of degree --m")
         if args.m < 2:
             raise ConfigError("degree guard: --m must be at least 2")
         base = univariate(field, find_rootfree_monic(field, args.m))

@@ -23,8 +23,8 @@ from .errors import (
 from .field_core import (
     FieldDescriptor,
     FieldElement,
-    enumerate_field,
     format_element,
+    from_payload,
 )
 from .function_ring import FiniteSpace, RingElement
 from .poly import MultiPoly, format_poly
@@ -41,15 +41,23 @@ class ProjectivePoint:
     def of(cls, u, v):
         if u.field != v.field:
             raise MixedFields(f"{u.field} vs {v.field}")
-        if v.is_zero:
-            if u.is_zero:
-                raise ValueError("[0, 0] is not a projective point")
-            return cls(u.field.one(), u.field.zero())
-        return cls(u / v, v.field.one())
+        F = u.field
+        a, b = projective_payloads(F, u.payload, v.payload)
+        return cls(from_payload(F, a), from_payload(F, b))
 
     @property
     def is_infinite(self):
         return self.v.is_zero
+
+
+def projective_payloads(F: FieldDescriptor, u, v):
+    """The payloads of the canonical form of [u, v] in P1(F), for payloads
+    u and v: (u * v^-1, 1), or (1, 0) when v is zero."""
+    if F.is_zero(v):
+        if F.is_zero(u):
+            raise ValueError("[0, 0] is not a projective point")
+        return F.one().payload, F.zero().payload
+    return F.mul(u, F.inv(v)), F.one().payload
 
 
 @dataclass(frozen=True)
@@ -72,8 +80,9 @@ def check_cover(psis) -> Cover:
     for psi in psis:
         if psi.field != field or psi.size != size:
             raise MixedFields("functions live in different rings")
-    for x in range(size):
-        if all(psi.values[x].is_zero for psi in psis):
+    is_zero = field.is_zero
+    for x, column in enumerate(zip(*(psi.payloads for psi in psis))):
+        if all(map(is_zero, column)):
             raise CommonZero(x)
     return Cover(FiniteSpace(size), field, psis)
 
@@ -81,9 +90,9 @@ def check_cover(psis) -> Cover:
 def image_points(cover: Cover):
     """The exact image of x -> (psi_1(x), ..., psi_n(x)); the origin is
     excluded by the cover property."""
-    image = {tuple(psi.values[x] for psi in cover.functions)
-             for x in cover.space.points()}
-    return sorted(image, key=lambda pt: tuple(v.payload for v in pt))
+    F = cover.field
+    image = set(zip(*(psi.payloads for psi in cover.functions)))
+    return [tuple(from_payload(F, a) for a in pt) for pt in sorted(image)]
 
 
 def indicator_poly(a, F: FieldDescriptor) -> MultiPoly:
@@ -164,13 +173,14 @@ def _by_column(cover: Cover, evaluate) -> RingElement:
     """The function x -> evaluate(psi_1(x), ..., psi_n(x)). Its value at
     a point depends only on the point's column of function values, so
     evaluate is called once per distinct column."""
-    columns = list(zip(*(psi.values for psi in cover.functions)))
-    keys = [tuple(v.payload for v in col) for col in columns]
+    F = cover.field
+    keys = list(zip(*(psi.payloads for psi in cover.functions)))
     value_at = {}
-    for key, col in zip(keys, columns):
+    for key in keys:
         if key not in value_at:
-            value_at[key] = evaluate(col)
-    return RingElement(cover.field, tuple(value_at[key] for key in keys))
+            value_at[key] = evaluate(
+                tuple(from_payload(F, a) for a in key)).payload
+    return RingElement.from_payloads(F, tuple(value_at[key] for key in keys))
 
 
 def combine_case1(cover: Cover, base: MultiPoly) -> CombinationCertificate:
@@ -202,42 +212,48 @@ def unit_combination_case3(cover: Cover) -> CombinationCertificate:
     restricts to the points where the remaining functions all vanish,
     takes the image of [psi~, psi_i] in P1(F), and subtracts a*psi_i for
     the enumeration-smallest a with [a,1] outside the image. An empty
-    restriction is treated as vacuous (any a works).
+    restriction is treated as vacuous (any a works). The route reads the
+    functions' payloads: the image is a set of canonical payload pairs
+    (`projective_payloads`), the candidates a are the payloads in
+    enumeration order, and psi~ is updated by the ring operators, which
+    compute on payloads; field elements are built for the certificate
+    and the log only.
     """
     field = cover.field
     if not field.is_finite:
         raise InfiniteField("the avoidance route is implemented for finite F")
+    is_zero, one = field.is_zero, field.one().payload
     psis = cover.functions
     n = len(psis)
     size = cover.space.size
-    coeffs = [field.one()] + [field.zero()] * (n - 1)
+    coeffs = [one] + [field.zero().payload] * (n - 1)
     current = psis[0]
     log = []
     for i in range(1, n):
-        rest = psis[i + 1:]
+        rest = [r.payloads for r in psis[i + 1:]]
         y_points = [x for x in range(size)
-                    if all(r.values[x].is_zero for r in rest)]
+                    if all(is_zero(r[x]) for r in rest)]
         image = set()
+        u_at, v_at = current.payloads, psis[i].payloads
         for x in y_points:
-            u, v = current.values[x], psis[i].values[x]
-            if u.is_zero and v.is_zero:
+            u, v = u_at[x], v_at[x]
+            if is_zero(u) and is_zero(v):
                 # cannot happen on a valid cover restricted this way
                 raise CommonZero(x)
-            image.add(ProjectivePoint.of(u, v))
-        chosen = None
-        for a in enumerate_field(field):
-            if ProjectivePoint.of(a, field.one()) not in image:
-                chosen = a
-                break
-        if chosen is None:
+            image.add(projective_payloads(field, u, v))
+        # a payload is the element's index in enumeration order
+        a = next((a for a in range(field.order)
+                  if projective_payloads(field, a, one) not in image), None)
+        if a is None:
             raise AvoidanceExhausted(i)
-        coeffs[i] = -chosen
+        chosen = from_payload(field, a)
+        coeffs[i] = field.neg(a)
         current = current - psis[i].scale(chosen)
         # the replaced function together with the remaining ones must
         # still cover the space
+        u_at = current.payloads
         for x in range(size):
-            if current.values[x].is_zero and \
-                    all(r.values[x].is_zero for r in rest):
+            if is_zero(u_at[x]) and all(is_zero(r[x]) for r in rest):
                 raise CommonZero(x)
         log.append({
             "step": i + 1,
@@ -248,7 +264,8 @@ def unit_combination_case3(cover: Cover) -> CombinationCertificate:
         })
     return CombinationCertificate(
         "CaseIII", cover, current,
-        coefficients=tuple(coeffs), per_step_log=tuple(log))
+        coefficients=tuple(from_payload(field, c) for c in coeffs),
+        per_step_log=tuple(log))
 
 
 def certify(cert: CombinationCertificate) -> dict:
@@ -275,8 +292,9 @@ def certify(cert: CombinationCertificate) -> dict:
 
     if recomputed != cert.composite:
         checks["recomputation"] = False
-    for x in cover.space.points():
-        if recomputed.values[x].is_zero:
+    is_zero = cover.field.is_zero
+    for x, a in enumerate(recomputed.payloads):
+        if is_zero(a):
             checks["nonvanishing"] = False
             failing_point = x
             break

@@ -25,6 +25,7 @@ from .field_core import (
     enumerate_field,
     format_element,
     format_field,
+    from_payload,
     parse_element,
 )
 
@@ -46,17 +47,42 @@ class FiniteSpace:
         return range(self.size)
 
 
-@dataclass(frozen=True)
+_new = object.__new__
+_set = object.__setattr__
+
+
+@dataclass(frozen=True, init=False, repr=False, slots=True)
 class RingElement:
-    """A function on a finite discrete space: one field value per point."""
+    """A function on a finite discrete space: one field value per point.
+
+    It holds the values' payloads, so that its operators (`+`, `-`, `*`,
+    `scale`) compute with the field's payload operations `add`, `neg`
+    and `mul`, and build each result once through `from_payloads`, which
+    skips the constructor's check, as `from_payload` does for a field
+    element. The public constructor takes field elements and checks that
+    each lies in the field; `values` wraps the payloads back into field
+    elements.
+    """
 
     field: FieldDescriptor
-    values: tuple
+    payloads: tuple
 
-    def __post_init__(self):
-        for v in self.values:
-            if v.field != self.field:
-                raise MixedFields(f"{self.field} vs {v.field}")
+    def __init__(self, field, values):
+        values = tuple(values)
+        for v in values:
+            if v.field != field:
+                raise MixedFields(f"{field} vs {v.field}")
+        _set(self, "field", field)
+        _set(self, "payloads", tuple(v.payload for v in values))
+
+    @classmethod
+    def from_payloads(cls, field, payloads):
+        """A ring element from a tuple of payloads already in canonical
+        form, as the field operations produce them."""
+        f = _new(cls)
+        _set(f, "field", field)
+        _set(f, "payloads", payloads)
+        return f
 
     @classmethod
     def from_ints(cls, field, ints):
@@ -73,40 +99,56 @@ class RingElement:
         return cls(field, tuple(values))
 
     @property
+    def values(self):
+        F = self.field
+        return tuple(from_payload(F, a) for a in self.payloads)
+
+    @property
     def size(self):
-        return len(self.values)
+        return len(self.payloads)
 
     @property
     def is_zero(self):
-        return all(v.is_zero for v in self.values)
+        return all(map(self.field.is_zero, self.payloads))
 
     def _same(self, other):
+        """The field that self and other share."""
         if not isinstance(other, RingElement):
             raise TypeError(f"expected RingElement, got {type(other).__name__}")
         if other.field != self.field or other.size != self.size:
             raise MixedFields("ring elements live in different rings")
+        return self.field
 
     def __add__(self, other):
-        self._same(other)
-        return RingElement(self.field, tuple(
-            a + b for a, b in zip(self.values, other.values)))
+        F = self._same(other)
+        return RingElement.from_payloads(
+            F, tuple(map(F.add, self.payloads, other.payloads)))
 
     def __neg__(self):
-        return RingElement(self.field, tuple(-v for v in self.values))
+        F = self.field
+        return RingElement.from_payloads(F, tuple(map(F.neg, self.payloads)))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        self._same(other)
-        return RingElement(self.field, tuple(
-            a * b for a, b in zip(self.values, other.values)))
+        F = self._same(other)
+        return RingElement.from_payloads(
+            F, tuple(map(F.mul, self.payloads, other.payloads)))
 
     def scale(self, c):
-        return RingElement(self.field, tuple(c * v for v in self.values))
+        """c times self, for a field element c."""
+        F = self.field
+        if c.field != F:
+            raise MixedFields(f"{F} vs {c.field}")
+        mul, c = F.mul, c.payload
+        return RingElement.from_payloads(
+            F, tuple(mul(c, a) for a in self.payloads))
 
     def zero_set(self):
-        return frozenset(i for i, v in enumerate(self.values) if v.is_zero)
+        payloads = self.payloads
+        return frozenset(itertools.compress(
+            range(len(payloads)), map(self.field.is_zero, payloads)))
 
     def __str__(self):
         return ",".join(format_element(v) for v in self.values)
@@ -143,9 +185,9 @@ def all_ring_elements(space: FiniteSpace, field: FieldDescriptor):
         raise TooLarge("function ring too large to enumerate",
                        guard="SPECTRUM_GUARD", limit=SPECTRUM_GUARD,
                        requested=size)
-    elements = enumerate_field(field)
-    return [RingElement(field, values)
-            for values in itertools.product(elements, repeat=space.size)]
+    elements = [x.payload for x in enumerate_field(field)]
+    return [RingElement.from_payloads(field, payloads)
+            for payloads in itertools.product(elements, repeat=space.size)]
 
 
 @dataclass(frozen=True)
@@ -169,7 +211,8 @@ class IdealRepr:
         object.__setattr__(self, "vanishing", vanishing)
 
     def contains(self, f: RingElement) -> bool:
-        return all(f.values[x].is_zero for x in self.vanishing)
+        is_zero, payloads = self.field.is_zero, f.payloads
+        return all(is_zero(payloads[x]) for x in self.vanishing)
 
     @property
     def is_proper(self):
@@ -195,8 +238,9 @@ def enumerate_ideals_bruteforce(space: FiniteSpace, field: FieldDescriptor):
     enumeration.
 
     Checks every subset containing zero for closure under addition and
-    under multiplication by arbitrary ring elements. Only feasible for
-    tiny rings; guarded accordingly.
+    under multiplication by arbitrary ring elements, read off add and mul
+    tables that the field's payload operations fill pointwise on payload
+    tuples. Only feasible for tiny rings; guarded accordingly.
     """
     n = field.order ** space.size
     if n > ORACLE_GUARD:
@@ -205,9 +249,13 @@ def enumerate_ideals_bruteforce(space: FiniteSpace, field: FieldDescriptor):
             guard="ORACLE_GUARD", limit=ORACLE_GUARD, requested=n)
     ring = all_ring_elements(space, field)
     zero_idx = next(i for i, f in enumerate(ring) if f.is_zero)
-    index = {f: i for i, f in enumerate(ring)}
-    add_table = [[index[ring[i] + ring[j]] for j in range(n)] for i in range(n)]
-    mul_table = [[index[ring[i] * ring[j]] for j in range(n)] for i in range(n)]
+    payloads = [f.payloads for f in ring]
+    index = {a: i for i, a in enumerate(payloads)}
+    add, mul = field.add, field.mul
+    add_table = [[index[tuple(map(add, a, b))] for b in payloads]
+                 for a in payloads]
+    mul_table = [[index[tuple(map(mul, a, b))] for b in payloads]
+                 for a in payloads]
     ideals = []
     for mask in range(1 << n):
         if not (mask >> zero_idx) & 1:
@@ -259,6 +307,9 @@ def max_spectrum(space: FiniteSpace, field: FieldDescriptor) -> ZariskiSpace:
     1 - 1_S vanishes exactly on S, every subset of points is a zero
     set, so the closed sets are the 2^n zero patterns of the functions
     1 - 1_S; they are already closed under union and intersection.
+    Each 1 - 1_S is computed as 1 + (-1_S) with the field's payload
+    operations `add` and `neg`, and its zero set read with `is_zero`;
+    no ring element is built.
     """
     n = space.size
     if 2 ** n > SPECTRUM_GUARD:
@@ -266,13 +317,14 @@ def max_spectrum(space: FiniteSpace, field: FieldDescriptor) -> ZariskiSpace:
                        guard="SPECTRUM_GUARD", limit=SPECTRUM_GUARD,
                        requested=2 ** n)
     points = tuple(gelfand_map(space, field, x) for x in space.points())
-    zero, one = field.zero(), field.one()
-    unit = RingElement(field, (one,) * n)
+    add, neg, is_zero = field.add, field.neg, field.is_zero
+    zero, one = field.zero().payload, field.one().payload
+    unit = (one,) * n
     closed = set()
-    for mask in range(1 << n):
-        indicator = RingElement(field, tuple(
-            one if (mask >> x) & 1 else zero for x in space.points()))
-        closed.add((unit - indicator).zero_set())
+    for indicator in itertools.product((zero, one), repeat=n):
+        diff = map(add, unit, map(neg, indicator))
+        closed.add(frozenset(itertools.compress(space.points(),
+                                                map(is_zero, diff))))
     return ZariskiSpace(points, frozenset(closed))
 
 

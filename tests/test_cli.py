@@ -74,6 +74,15 @@ def test_anisotropic_padic_needs_arity_two(tmp_path):
      "--samples must be at least 1"),
     (["--field", "Q", "--padic", "3", "--samples", "0"],
      "--samples must be at least 1"),
+    (["--field", "Fp(3)", "--witness", "x^2+2"],
+     "--witness applies to Q only; over a finite field the base is the "
+     "first root-free monic of degree --m"),
+    (["--field", "Fp(3)", "--witness", "x^2+2", "--samples", "0"],
+     "--witness applies to Q only; over a finite field the base is the "
+     "first root-free monic of degree --m"),
+    (["--field", "Fq(2,2)", "--padic", "5"],
+     "--padic applies to Q only; over a finite field the base is the "
+     "first root-free monic of degree --m"),
 ])
 def test_anisotropic_config_errors_name_the_requirement(
         tmp_path, capsys, args, message):

@@ -243,13 +243,79 @@ def test_case3_per_step_invariant_seeded():
         assert all(step["cover_restored"] for step in cert.per_step_log)
 
 
-def _random_cover(rng, field, size, n):
+def _random_cover(rng, field, size, n, zero_heavy=False):
+    """n functions on size points with no common zero; a zero-heavy
+    cover draws zero seven times in ten before a uniform draw."""
     elems = enumerate_field(field)
-    fns = [[rng.choice(elems) for _ in range(size)] for _ in range(n)]
+
+    def value():
+        if zero_heavy and rng.random() < 0.7:
+            return elems[0]
+        return rng.choice(elems)
+
+    fns = [[value() for _ in range(size)] for _ in range(n)]
     for x in range(size):
         if all(fns[i][x].is_zero for i in range(n)):
             fns[rng.randrange(n)][x] = rng.choice(elems[1:])
     return [RingElement(field, tuple(v)) for v in fns]
+
+
+def _case3_by_field_elements(cover):
+    """Reference for route III on field elements: the image of [psi~, psi_i]
+    is a set of canonical pairs built by the elements' division, the
+    candidates come from enumerate_field, and psi~ is updated by the
+    elements' operators. Returns the coefficients, the step log and the
+    composite's values, or raises AvoidanceExhausted."""
+    F = cover.field
+    one, zero = F.one(), F.zero()
+
+    def projective(u, v):
+        return (one, zero) if v.is_zero else (u / v, one)
+
+    psis = [psi.values for psi in cover.functions]
+    coeffs = [one] + [zero] * (len(psis) - 1)
+    current = psis[0]
+    log = []
+    for i in range(1, len(psis)):
+        rest = psis[i + 1:]
+        y_points = [x for x in cover.space.points()
+                    if all(r[x].is_zero for r in rest)]
+        image = {projective(current[x], psis[i][x]) for x in y_points}
+        chosen = next((a for a in enumerate_field(F)
+                       if projective(a, one) not in image), None)
+        if chosen is None:
+            raise AvoidanceExhausted(i)
+        coeffs[i] = -chosen
+        current = tuple(c - chosen * v for c, v in zip(current, psis[i]))
+        log.append({"step": i + 1, "chosen_a": str(chosen),
+                    "image_size": len(image),
+                    "restricted_points": len(y_points),
+                    "cover_restored": True})
+    return tuple(coeffs), tuple(log), current
+
+
+@pytest.mark.parametrize("field", [Fp(5), Fp(7), Fq(2, 2), Fq(2, 3)],
+                         ids=str)
+def test_case3_matches_field_element_reference(field):
+    rng = random.Random(field.order)
+    outcomes = set()
+    for k in range(80):
+        cover = check_cover(_random_cover(
+            rng, field, rng.randint(3, 30), rng.randint(2, 4),
+            zero_heavy=k % 2 == 1))
+        try:
+            expected = _case3_by_field_elements(cover)
+        except AvoidanceExhausted as exc:
+            with pytest.raises(AvoidanceExhausted) as raised:
+                unit_combination_case3(cover)
+            assert raised.value.step == exc.step
+            outcomes.add("exhausted")
+            continue
+        cert = unit_combination_case3(cover)
+        assert (cert.coefficients, cert.per_step_log,
+                cert.composite.values) == expected
+        outcomes.add("certified")
+    assert outcomes == {"certified", "exhausted"}
 
 
 def test_cross_mode_agreement():

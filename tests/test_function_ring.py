@@ -6,8 +6,9 @@ import pytest
 
 import gelfand.function_ring as function_ring
 from gelfand.errors import NotProper, PointOutOfRange, TooLarge
-from gelfand.field_core import Fp, Fq
+from gelfand.field_core import Fp, Fq, PrimeField, enumerate_field
 from gelfand.function_ring import (
+    ORACLE_GUARD,
     FiniteSpace,
     IdealRepr,
     RingElement,
@@ -235,3 +236,86 @@ def test_spectrum_matches_closure_oracle(field, sizes):
 def test_spectrum_guard_before_work():
     with pytest.raises(TooLarge):
         max_spectrum(FiniteSpace(20), Fp(2))
+
+
+def _closed_sets_by_field_elements(space, field):
+    """Reference: the zero set of 1 - 1_S for every mask S, computed as
+    1 + (-1_S) by the field elements' operators."""
+    zero, one = field.zero(), field.one()
+    closed = set()
+    for mask in range(1 << space.size):
+        diff = [one + -(one if (mask >> x) & 1 else zero)
+                for x in space.points()]
+        closed.add(frozenset(x for x, v in enumerate(diff) if v.is_zero))
+    return frozenset(closed)
+
+
+@pytest.mark.parametrize("field,sizes", [
+    (Fp(2), range(1, 9)), (Fp(3), range(1, 6)), (Fq(2, 2), range(1, 5)),
+    (Fp(5), range(1, 5))], ids=str)
+def test_spectrum_matches_field_element_loop(field, sizes):
+    for size in sizes:
+        space = FiniteSpace(size)
+        assert max_spectrum(space, field).closed_sets == \
+            _closed_sets_by_field_elements(space, field)
+
+
+def _ideals_by_field_elements(space, field):
+    """Reference oracle: the same subset enumeration, with the add and
+    mul tables filled by the field elements' operators and keyed by
+    tuples of field elements."""
+    ring = list(itertools.product(enumerate_field(field),
+                                  repeat=space.size))
+    n = len(ring)
+    index = {f: i for i, f in enumerate(ring)}
+    add = [[index[tuple(a + b for a, b in zip(f, g))] for g in ring]
+           for f in ring]
+    mul = [[index[tuple(a * b for a, b in zip(f, g))] for g in ring]
+           for f in ring]
+    zero = next(i for i, f in enumerate(ring)
+                if all(a.is_zero for a in f))
+    ideals = []
+    for mask in range(1 << n):
+        members = [i for i in range(n) if (mask >> i) & 1]
+        if (mask >> zero) & 1 and all(
+                (mask >> add[i][j]) & 1 for i in members for j in members) \
+                and all((mask >> mul[j][i]) & 1
+                        for i in members for j in range(n)):
+            ideals.append(frozenset(RingElement(field, ring[i])
+                                    for i in members))
+    return ideals
+
+
+ORACLE_FIELDS = [Fp(2), Fp(3), Fq(2, 2), Fp(5), Fp(7), Fq(2, 3), Fq(3, 2),
+                 Fp(11)]
+
+
+@pytest.mark.parametrize("field,size", [
+    (F, size) for F in ORACLE_FIELDS for size in range(1, 5)
+    if F.order ** size <= ORACLE_GUARD], ids=str)
+def test_oracle_matches_field_element_tables(field, size):
+    space = FiniteSpace(size)
+    assert enumerate_ideals_bruteforce(space, field) == \
+        _ideals_by_field_elements(space, field)
+
+
+def test_wrong_negation_breaks_the_topology(monkeypatch):
+    # with -a computed as a, 1 - 1_S over F_3 is 2 on S and 1 elsewhere:
+    # it vanishes nowhere, so the only closed set left is the empty one
+    monkeypatch.setattr(PrimeField, "neg", lambda self, a: a)
+    report = check_homeomorphism(FiniteSpace(3), Fp(3))
+    assert report["closed_set_count"] == 1
+    assert report["bijective"] is True
+    assert report["topology_match"] is False
+    assert report["passed"] is False
+
+
+def test_wrong_oracle_product_breaks_the_correspondence(monkeypatch):
+    # with every product zero, each additive subgroup passes as an ideal,
+    # and the oracle's maximal ideals are no longer the three kernels
+    monkeypatch.setattr(PrimeField, "mul", lambda self, a, b: 0)
+    report = check_homeomorphism(FiniteSpace(3), Fp(2))
+    assert report["oracle_checked"] is True
+    assert report["bijective"] is False
+    assert report["topology_match"] is True
+    assert report["passed"] is False
