@@ -19,7 +19,6 @@ from .anisotropic import (
 from .covers import (
     CombinationCertificate,
     Cover,
-    ProjectivePoint,
     certify,
     check_cover,
     combine_case1,
@@ -51,6 +50,7 @@ from .function_ring import (
     IdealRepr,
     RingElement,
     ZariskiSpace,
+    check_guards,
     check_homeomorphism,
     enumerate_ideals_bruteforce,
     gelfand_map,

@@ -48,6 +48,15 @@ def _new_report(command, config):
     return {"command": command, "config": config, "_t0": time.monotonic()}
 
 
+def _finish(report, instances, passed, out_path):
+    """Record the instances, of which `passed` passed, and the totals,
+    emit the report and return the exit code."""
+    report["instances"] = instances
+    report["totals"] = {"passed": passed, "failed": len(instances) - passed}
+    _emit(report, out_path)
+    return EXIT_OK if passed == len(instances) else EXIT_VERIFICATION_FAILED
+
+
 def _split_field_list(spec):
     """Split on commas outside parentheses: Fq(2,2,t^2+t+1),Fp(3) -> 2."""
     parts, depth, start = [], 0, 0
@@ -137,11 +146,7 @@ def cmd_anisotropic(args):
             "an infinite field must be Q, with --witness or --padic")
 
     instance = aniso.AnisotropicWitness(base, args.n, result).to_json()
-    passed = result.passed
-    report["instances"] = [instance]
-    report["totals"] = {"passed": int(passed), "failed": int(not passed)}
-    _emit(report, args.out)
-    return EXIT_OK if passed else EXIT_VERIFICATION_FAILED
+    return _finish(report, [instance], int(result.passed), args.out)
 
 
 def cmd_gelfand(args):
@@ -153,22 +158,16 @@ def cmd_gelfand(args):
     config = {"fields": [format_field(f) for f in fields], "sizes": sizes,
               "oracle": args.oracle}
     report = _new_report("gelfand", config)
-    instances = []
-    passed = failed = 0
-    for field in fields:
-        for size in sizes:
-            rec = fr.check_homeomorphism(
-                fr.FiniteSpace(size), field,
-                use_oracle=True if args.oracle else None)
-            instances.append(rec)
-            if rec["passed"]:
-                passed += 1
-            else:
-                failed += 1
-    report["instances"] = instances
-    report["totals"] = {"passed": passed, "failed": failed}
-    _emit(report, args.out)
-    return EXIT_OK if failed == 0 else EXIT_VERIFICATION_FAILED
+    use_oracle = True if args.oracle else None
+    sweep = [(fr.FiniteSpace(size), field) for field in fields
+             for size in sizes]
+    # every instance's guards before the first instance's work
+    for space, field in sweep:
+        fr.check_guards(space, field, use_oracle)
+    instances = [fr.check_homeomorphism(space, field, use_oracle)
+                 for space, field in sweep]
+    return _finish(report, instances, sum(r["passed"] for r in instances),
+                   args.out)
 
 
 def _load_functions(field, path):
@@ -194,14 +193,12 @@ def cmd_cover(args):
     try:
         cover = cov.check_cover(functions)
     except CommonZero as exc:
-        report["instances"] = [{"error": "CommonZero", "point": exc.point}]
-        report["totals"] = {"passed": 0, "failed": 1}
-        _emit(report, args.out)
+        _finish(report, [{"error": "CommonZero", "point": exc.point}], 0,
+                args.out)
         return EXIT_CONFIG_ERROR
 
     cases = ["I", "II", "III"] if args.case == "all" else [args.case]
     instances = []
-    passed = failed = 0
     for case in cases:
         if case == "I":
             base = univariate(field, find_rootfree_monic(field, args.m))
@@ -210,16 +207,9 @@ def cmd_cover(args):
             cert = cov.combine_case2(cover)
         else:
             cert = cov.unit_combination_case3(cover)
-        record = cert.to_json()
-        instances.append(record)
-        if record["pass"]:
-            passed += 1
-        else:
-            failed += 1
-    report["instances"] = instances
-    report["totals"] = {"passed": passed, "failed": failed}
-    _emit(report, args.out)
-    return EXIT_OK if failed == 0 else EXIT_VERIFICATION_FAILED
+        instances.append(cert.to_json())
+    return _finish(report, instances, sum(r["pass"] for r in instances),
+                   args.out)
 
 
 def build_parser():

@@ -10,44 +10,21 @@ projective line (route III).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .anisotropic import Tower, build_fn
+from .anisotropic import FORM_TERMS_GUARD, Tower, build_fn
 from .errors import (
     AvoidanceExhausted,
     CommonZero,
     InfiniteField,
     MixedFields,
     OriginInJ,
+    TooLarge,
 )
-from .field_core import (
-    FieldDescriptor,
-    FieldElement,
-    format_element,
-    from_payload,
-)
+from .field_core import FieldDescriptor, format_element, from_payload
 from .function_ring import FiniteSpace, RingElement
 from .poly import MultiPoly, format_poly
-
-
-@dataclass(frozen=True)
-class ProjectivePoint:
-    """A point of P1(F) in canonical form: [u, 1] or [1, 0]."""
-
-    u: FieldElement
-    v: FieldElement
-
-    @classmethod
-    def of(cls, u, v):
-        if u.field != v.field:
-            raise MixedFields(f"{u.field} vs {v.field}")
-        F = u.field
-        a, b = projective_payloads(F, u.payload, v.payload)
-        return cls(from_payload(F, a), from_payload(F, b))
-
-    @property
-    def is_infinite(self):
-        return self.v.is_zero
 
 
 def projective_payloads(F: FieldDescriptor, u, v):
@@ -88,56 +65,78 @@ def check_cover(psis) -> Cover:
 
 
 def image_points(cover: Cover):
-    """The exact image of x -> (psi_1(x), ..., psi_n(x)); the origin is
-    excluded by the cover property."""
-    F = cover.field
-    image = set(zip(*(psi.payloads for psi in cover.functions)))
-    return [tuple(from_payload(F, a) for a in pt) for pt in sorted(image)]
+    """The exact image of x -> (psi_1(x), ..., psi_n(x)), its points
+    given by their payloads, in order; the origin is excluded by the
+    cover property."""
+    return sorted(set(zip(*(psi.payloads for psi in cover.functions))))
 
 
 def indicator_poly(a, F: FieldDescriptor) -> MultiPoly:
-    """Product of (1 - (x_i - a_i)^(q-1)): 1 at a, 0 elsewhere on F^n.
-
-    By Lucas' theorem binom(q-1, j) = (-1)^j mod p, so (x - b)^(q-1) is
-    the sum of b^(q-1-j) x^j over j < q, with 0^0 = 1. The factors'
-    coefficients are read off that sum and their product is written out
-    term by term, with no polynomial arithmetic.
-    """
+    """Product of (1 - (x_i - a_i)^(q-1)): 1 at a, 0 elsewhere on F^n;
+    the one-point case of `interpolate_case2`'s transform."""
     if not F.is_finite:
         raise InfiniteField("indicator polynomials need a finite field")
-    mul, add, neg = F.mul, F.add, F.neg
-    terms = {(): 1}
-    for b in a:
-        b = b.payload
-        powers = [1]  # b^0 .. b^(q-1)
-        for _ in range(F.order - 1):
-            powers.append(mul(powers[-1], b))
-        coeffs = [add(1, neg(powers[-1]))] + [neg(c)
-                                              for c in reversed(powers[:-1])]
-        factor = [(j, c) for j, c in enumerate(coeffs) if c]
-        terms = {m + (j,): mul(c, f)
-                 for m, c in terms.items() for j, f in factor}
-    return MultiPoly.from_payloads(F, len(a), terms)
+    return MultiPoly.from_payloads(
+        F, len(a), _indicator_sum(F, [tuple(x.payload for x in a)]))
 
 
 def interpolate_case2(J, F: FieldDescriptor, arity: int) -> MultiPoly:
-    """Sum of indicator polynomials over J: identically 1 on J, 0 at the
-    origin, and with zero constant term (the origin is excluded)."""
-    J = list(J)
+    """Sum of indicator polynomials over the points of J, each taken
+    once: identically 1 on J, 0 at the origin, and with zero constant
+    term (the origin is excluded)."""
+    return _interpolant(F, arity, [tuple(x.payload for x in a) for a in J])
+
+
+def _interpolant(F, arity, J) -> MultiPoly:
+    """`interpolate_case2` on points given by their payloads. An
+    indicator's factor for a_i has q - 1 terms, or 2 if a_i is 0, and
+    no exponent reaches q: FORM_TERMS_GUARD is checked on that bound."""
     if not J:
         raise ValueError("J must be non-empty")
     for a in J:
         if len(a) != arity:
             raise ValueError("points of J must match the arity")
-        if all(x.is_zero for x in a):
+        if all(map(F.is_zero, a)):
             raise OriginInJ("J must not contain the origin")
-    add = F.add
-    acc = {}
-    for a in J:
-        for m, c in indicator_poly(tuple(a), F).terms:
-            c = c.payload
-            acc[m] = add(acc[m], c) if m in acc else c
-    return MultiPoly.from_payloads(F, arity, acc)
+    if not F.is_finite:
+        raise InfiniteField("indicator polynomials need a finite field")
+    q = F.order
+    bound = min(sum(math.prod(q - 1 if b else 2 for b in a) for a in J),
+                q ** arity)
+    if bound > FORM_TERMS_GUARD:
+        raise TooLarge(f"route II's interpolant may have {bound} terms; the "
+                       f"form-terms guard is {FORM_TERMS_GUARD}",
+                       guard="FORM_TERMS_GUARD", limit=FORM_TERMS_GUARD,
+                       requested=bound)
+    return MultiPoly.from_payloads(F, arity, _indicator_sum(F, J))
+
+
+def _indicator_sum(F, J):
+    """The sum of the indicators of the payload points J, each taken
+    once, as a {monomial: payload} dict without zeros, by a transform
+    one axis at a time: the keys start as the points, and the pass over
+    axis k replaces each key's a_k by the exponents j of the factor for
+    a_k, multiplying coefficients and adding those that meet. By Lucas'
+    theorem binom(q-1, j) = (-1)^j mod p, so (x - b)^(q-1) is the sum of
+    b^(q-1-j) x^j over j < q, with 0^0 = 1: the factor's coefficients
+    are read off that sum once per distinct b.
+    """
+    q, mul, add, neg = F.order, F.mul, F.add, F.neg
+    terms, factors = dict.fromkeys(J, 1), {}
+    for k in range(len(J[0])):
+        acc = {}
+        for key, c in terms.items():
+            b = key[k]
+            if b not in factors:
+                coeffs = [add(int(j == 0), neg(F.pow(b, q - 1 - j)))
+                          for j in range(q)]
+                factors[b] = [(j, f) for j, f in enumerate(coeffs) if f]
+            for j, f in factors[b]:
+                m = key[:k] + (j,) + key[k + 1:]
+                t = mul(c, f)
+                acc[m] = add(acc[m], t) if m in acc else t
+        terms = {m: c for m, c in acc.items() if c}
+    return terms
 
 
 @dataclass(frozen=True)
@@ -169,18 +168,18 @@ class CombinationCertificate:
         return record
 
 
-def _by_column(cover: Cover, evaluate) -> RingElement:
-    """The function x -> evaluate(psi_1(x), ..., psi_n(x)). Its value at
-    a point depends only on the point's column of function values, so
-    evaluate is called once per distinct column."""
-    F = cover.field
+def _by_column(cover: Cover, f) -> RingElement:
+    """The function x -> f(psi_1(x), ..., psi_n(x)), for a MultiPoly or
+    Tower f in the cover's n variables, read by `f.evaluate_payloads`.
+    Its value at a point depends only on the point's column of payloads,
+    so f is evaluated once per distinct column."""
+    if (f.field, f.arity) != (cover.field, len(cover.functions)):
+        raise MixedFields("a polynomial in the cover's functions needs "
+                          "their field and one variable per function")
     keys = list(zip(*(psi.payloads for psi in cover.functions)))
-    value_at = {}
-    for key in keys:
-        if key not in value_at:
-            value_at[key] = evaluate(
-                tuple(from_payload(F, a) for a in key)).payload
-    return RingElement.from_payloads(F, tuple(value_at[key] for key in keys))
+    value_at = {key: f.evaluate_payloads(key) for key in dict.fromkeys(keys)}
+    return RingElement.from_payloads(cover.field,
+                                     tuple(map(value_at.__getitem__, keys)))
 
 
 def combine_case1(cover: Cover, base: MultiPoly) -> CombinationCertificate:
@@ -192,16 +191,21 @@ def combine_case1(cover: Cover, base: MultiPoly) -> CombinationCertificate:
     """
     n = len(cover.functions)
     witness = build_fn(base, n)
-    composite = _by_column(cover, Tower.over(base, n).evaluate)
+    composite = _by_column(cover, Tower.over(base, n))
     return CombinationCertificate("CaseI", cover, composite, witness=witness)
 
 
 def combine_case2(cover: Cover) -> CombinationCertificate:
-    """Interpolate the cover's finite image to the constant 1."""
-    n = len(cover.functions)
-    J = image_points(cover)
-    witness = interpolate_case2(J, cover.field, n)
-    composite = _by_column(cover, witness.evaluate)
+    """Interpolate the cover's finite image to the constant 1.
+
+    The image's points are distinct, so the interpolant is 1 at each of
+    them and the composite is the constant one, with nothing evaluated;
+    `certify` evaluates the witness once per distinct column.
+    """
+    F = cover.field
+    witness = _interpolant(F, len(cover.functions), image_points(cover))
+    composite = RingElement.from_payloads(
+        F, (F.one().payload,) * cover.space.size)
     return CombinationCertificate("CaseII", cover, composite, witness=witness)
 
 
@@ -273,7 +277,8 @@ def certify(cert: CombinationCertificate) -> dict:
 
     Checks that the composite never vanishes, that a polynomial witness
     has zero constant term (ideal membership for routes I/II), and that
-    a route-III composite really equals the linear combination.
+    the composite equals the witness's values on the cover, evaluated
+    once per distinct column, or the route-III linear combination.
     """
     cover = cert.cover
     checks = {"nonvanishing": True, "ideal_membership": True,
@@ -281,14 +286,13 @@ def certify(cert: CombinationCertificate) -> dict:
     failing_point = None
 
     if cert.witness is not None:
-        recomputed = _by_column(cover, cert.witness.evaluate)
+        recomputed = _by_column(cover, cert.witness)
         if not cert.witness.constant_term().is_zero:
             checks["ideal_membership"] = False
     else:
-        acc = RingElement.zeros(cover.field, cover.space.size)
+        recomputed = RingElement.zeros(cover.field, cover.space.size)
         for c, psi in zip(cert.coefficients, cover.functions):
-            acc = acc + psi.scale(c)
-        recomputed = acc
+            recomputed = recomputed + psi.scale(c)
 
     if recomputed != cert.composite:
         checks["recomputation"] = False

@@ -9,6 +9,7 @@ checks this independently at tiny sizes by enumerating element sets.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -21,6 +22,7 @@ from .errors import (
     TooLarge,
 )
 from .field_core import (
+    FIELD_TABLE_CAP,
     FieldDescriptor,
     enumerate_field,
     format_element,
@@ -85,18 +87,8 @@ class RingElement:
         return f
 
     @classmethod
-    def from_ints(cls, field, ints):
-        return cls(field, tuple(field.element(v) for v in ints))
-
-    @classmethod
     def zeros(cls, field, size):
         return cls(field, (field.zero(),) * size)
-
-    @classmethod
-    def indicator(cls, field, size, point):
-        values = [field.zero()] * size
-        values[point] = field.one()
-        return cls(field, tuple(values))
 
     @property
     def values(self):
@@ -145,11 +137,6 @@ class RingElement:
         return RingElement.from_payloads(
             F, tuple(mul(c, a) for a in self.payloads))
 
-    def zero_set(self):
-        payloads = self.payloads
-        return frozenset(itertools.compress(
-            range(len(payloads)), map(self.field.is_zero, payloads)))
-
     def __str__(self):
         return ",".join(format_element(v) for v in self.values)
 
@@ -160,20 +147,35 @@ class RingElement:
 def parse_ring_element(field, line) -> RingElement:
     """One function per line: comma-separated field-element literals.
 
-    A ParseError carries the offset of the bad character in the line.
+    A literal in its canonical text form is looked up in the field's
+    literal table; any other goes through `parse_element`. A ParseError
+    carries the offset of the bad character in the line.
     """
     if not line.strip():
         raise ParseError(line, 0, "comma-separated field-element literals")
-    values, start = [], 0
+    table = _literal_table(field)
+    payloads, start = [], 0
     for part in line.split(","):
-        try:
-            values.append(parse_element(field, part))
-        except ParseError as exc:
-            lead = len(part) - len(part.lstrip())
-            raise ParseError(line, start + lead + exc.pos,
-                             exc.expected) from None
+        a = table.get(part)
+        if a is None:
+            try:
+                a = parse_element(field, part).payload
+            except ParseError as exc:
+                lead = len(part) - len(part.lstrip())
+                raise ParseError(line, start + lead + exc.pos,
+                                 exc.expected) from None
+        payloads.append(a)
         start += len(part) + 1
-    return RingElement(field, tuple(values))
+    return RingElement.from_payloads(field, tuple(payloads))
+
+
+@functools.lru_cache(maxsize=16)
+def _literal_table(field):
+    """Each element's canonical text mapped to its payload, for a finite
+    field of at most FIELD_TABLE_CAP elements; empty for any other."""
+    if not field.is_finite or field.order > FIELD_TABLE_CAP:
+        return {}
+    return {format_element(x): x.payload for x in enumerate_field(field)}
 
 
 def all_ring_elements(space: FiniteSpace, field: FieldDescriptor):
@@ -214,10 +216,6 @@ class IdealRepr:
         is_zero, payloads = self.field.is_zero, f.payloads
         return all(is_zero(payloads[x]) for x in self.vanishing)
 
-    @property
-    def is_proper(self):
-        return bool(self.vanishing)
-
     def element_set(self) -> frozenset:
         """Materialize the full element set (guarded by ring size)."""
         return frozenset(
@@ -233,6 +231,27 @@ def gelfand_map(space: FiniteSpace, field: FieldDescriptor, x: int) -> IdealRepr
     return IdealRepr(space, field, {x})
 
 
+def check_guards(space: FiniteSpace, field: FieldDescriptor,
+                 use_oracle=None) -> bool:
+    """Check the guards of `check_homeomorphism` without doing its work:
+    SPECTRUM_GUARD on the 2^n closed sets, and ORACLE_GUARD on the ring
+    when use_oracle is true. Returns whether the oracle runs: when asked
+    to, or by default when ORACLE_GUARD admits the ring."""
+    n = space.size
+    if 2 ** n > SPECTRUM_GUARD:
+        raise TooLarge(f"2^{n} closed sets exceed the guard {SPECTRUM_GUARD}",
+                       guard="SPECTRUM_GUARD", limit=SPECTRUM_GUARD,
+                       requested=2 ** n)
+    if use_oracle is False:
+        return False
+    ring_size = field.order ** n
+    if use_oracle and ring_size > ORACLE_GUARD:
+        raise TooLarge(
+            f"ring has {ring_size} elements; oracle guard is {ORACLE_GUARD}",
+            guard="ORACLE_GUARD", limit=ORACLE_GUARD, requested=ring_size)
+    return bool(use_oracle) or ring_size <= ORACLE_GUARD
+
+
 def enumerate_ideals_bruteforce(space: FiniteSpace, field: FieldDescriptor):
     """All ideals of the function ring, as element sets, by direct subset
     enumeration.
@@ -243,10 +262,7 @@ def enumerate_ideals_bruteforce(space: FiniteSpace, field: FieldDescriptor):
     tuples. Only feasible for tiny rings; guarded accordingly.
     """
     n = field.order ** space.size
-    if n > ORACLE_GUARD:
-        raise TooLarge(
-            f"ring has {n} elements; oracle guard is {ORACLE_GUARD}",
-            guard="ORACLE_GUARD", limit=ORACLE_GUARD, requested=n)
+    check_guards(space, field, use_oracle=True)
     ring = all_ring_elements(space, field)
     zero_idx = next(i for i, f in enumerate(ring) if f.is_zero)
     payloads = [f.payloads for f in ring]
@@ -312,10 +328,7 @@ def max_spectrum(space: FiniteSpace, field: FieldDescriptor) -> ZariskiSpace:
     no ring element is built.
     """
     n = space.size
-    if 2 ** n > SPECTRUM_GUARD:
-        raise TooLarge(f"2^{n} closed sets exceed the guard {SPECTRUM_GUARD}",
-                       guard="SPECTRUM_GUARD", limit=SPECTRUM_GUARD,
-                       requested=2 ** n)
+    check_guards(space, field, use_oracle=False)
     points = tuple(gelfand_map(space, field, x) for x in space.points())
     add, neg, is_zero = field.add, field.neg, field.is_zero
     zero, one = field.zero().payload, field.one().payload
@@ -330,7 +343,7 @@ def max_spectrum(space: FiniteSpace, field: FieldDescriptor) -> ZariskiSpace:
 
 def preimage_of_ideal(space, field, M: IdealRepr) -> frozenset:
     """Points where every member of the ideal vanishes."""
-    if not M.is_proper:
+    if not M.vanishing:
         raise NotProper("the whole ring has no preimage point set")
     return M.vanishing
 
@@ -346,10 +359,7 @@ def check_homeomorphism(space: FiniteSpace, field: FieldDescriptor,
     nothing is claimed about infinite spaces.
     """
     n = space.size
-    ring_size = field.order ** n
-    if use_oracle is None:
-        use_oracle = ring_size <= ORACLE_GUARD
-
+    use_oracle = check_guards(space, field, use_oracle)
     spectrum = max_spectrum(space, field)
     kernels = spectrum.points
 

@@ -83,7 +83,7 @@ def test_criterion_3_gelfand_finite_instance():
         sp, F = FiniteSpace(size), Fp(2)
         ideals = enumerate_ideals_bruteforce(sp, F)
         ok = ok and len(ideals) == 2 ** size
-        one = RingElement.from_ints(F, [1] * size)
+        one = RingElement.from_payloads(F, (1,) * size)
         maximal = set(maximal_ideals(ideals, one))
         structural = {gelfand_map(sp, F, x).element_set()
                       for x in sp.points()}

@@ -194,6 +194,34 @@ def test_gelfand_with_oracle(tmp_path):
     assert inst["topology_match"]
 
 
+@pytest.mark.parametrize("fields,space,oracle,guard", [
+    ("Fp(2)", "18..20", False, "2^20 closed sets exceed the guard 1000000"),
+    ("Fp(2),Fp(3)", "1..3", True, "ring has 27 elements; oracle guard is 12"),
+])
+def test_gelfand_checks_every_guard_before_the_first_instance(
+        tmp_path, capsys, monkeypatch, fields, space, oracle, guard):
+    def refuse(*args):
+        raise AssertionError("an instance ran before the guards")
+
+    monkeypatch.setattr(cli.fr, "check_homeomorphism", refuse)
+    args = ["gelfand", "--field", fields, "--space", space]
+    code, report = run_cli(args + ["--oracle"] * oracle, tmp_path / "r.json")
+    assert (code, report) == (2, None)
+    assert capsys.readouterr().err == f"error: TooLarge: {guard}\n"
+
+
+def test_cover_route_two_refused_above_form_guard(tmp_path, capsys):
+    # 7 functions over F_7: every indicator has at least 2^7 terms
+    fns = tmp_path / "fns.txt"
+    fns.write_text("".join(f"{i % 7},{(i + 1) % 7},{(i + 3) % 7}\n"
+                           for i in range(7)))
+    code, report = run_cli(["cover", "--field", "Fp(7)", "--functions",
+                            str(fns), "--case", "II"], tmp_path / "r.json")
+    assert (code, report) == (2, None)
+    assert "TooLarge: route II's interpolant may have" in \
+        capsys.readouterr().err
+
+
 def test_cover_all_cases(tmp_path):
     fns = tmp_path / "fns.txt"
     fns.write_text("1,0\n0,1\n")

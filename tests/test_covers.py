@@ -1,14 +1,15 @@
 """Tests for covers and nowhere-vanishing combination certificates."""
 
+import math
 import random
 from functools import partial
 
 import pytest
 
-from gelfand.anisotropic import Tower
+from gelfand import covers
+from gelfand.anisotropic import FORM_TERMS_GUARD, Tower
 from gelfand.covers import (
     CombinationCertificate,
-    ProjectivePoint,
     certify,
     check_cover,
     combine_case1,
@@ -16,11 +17,13 @@ from gelfand.covers import (
     image_points,
     indicator_poly,
     interpolate_case2,
+    projective_payloads,
     unit_combination_case3,
 )
 from gelfand.errors import (
     AvoidanceExhausted,
     CommonZero,
+    MixedFields,
     OriginInJ,
     TooLarge,
 )
@@ -29,6 +32,7 @@ from gelfand.field_core import (
     Fq,
     enumerate_field,
     find_rootfree_monic,
+    from_payload,
 )
 from gelfand.function_ring import RingElement
 from gelfand.poly import MultiPoly, format_poly, univariate
@@ -37,7 +41,9 @@ import itertools
 
 
 def _re(field, values):
-    return RingElement.from_ints(field, values)
+    """A function from its values' payloads; in a prime field these are
+    the residues."""
+    return RingElement.from_payloads(field, tuple(values))
 
 
 def test_check_cover_complementary_supports():
@@ -62,16 +68,13 @@ def test_single_nowhere_zero_function_is_a_cover():
 def test_image_points():
     F = Fp(2)
     cover = check_cover([_re(F, [1, 0]), _re(F, [0, 1])])
-    J = image_points(cover)
-    assert {tuple(x.payload for x in pt) for pt in J} == {(1, 0), (0, 1)}
-    origin = (F.zero(), F.zero())
-    assert origin not in J
+    assert image_points(cover) == [(0, 1), (1, 0)]
 
 
 def test_image_of_constant_cover():
     F = Fp(5)
     cover = check_cover([_re(F, [1, 1, 1])])
-    assert image_points(cover) == [(F.one(),)]
+    assert image_points(cover) == [(1,)]
 
 
 def test_indicator_f2():
@@ -127,6 +130,65 @@ def test_indicator_matches_products(field):
         for a in points:
             assert indicator_poly(a, field).terms == \
                 _indicator_by_products(a, field).terms
+
+
+def _indicator_by_lucas(a, F):
+    """Reference for indicator_poly: the product of the factors
+    1 - (x_i - a_i)^(q-1), each written from the coefficients that Lucas'
+    theorem gives (binom(q-1, j) = (-1)^j mod p, so (x - b)^(q-1) is the
+    sum of b^(q-1-j) x^j over j < q), multiplied out term by term."""
+    mul, add, neg = F.mul, F.add, F.neg
+    terms = {(): 1}
+    for b in a:
+        b = b.payload
+        powers = [1]  # b^0 .. b^(q-1)
+        for _ in range(F.order - 1):
+            powers.append(mul(powers[-1], b))
+        coeffs = [add(1, neg(powers[-1]))] + [neg(c)
+                                              for c in reversed(powers[:-1])]
+        factor = [(j, c) for j, c in enumerate(coeffs) if c]
+        terms = {m + (j,): mul(c, f)
+                 for m, c in terms.items() for j, f in factor}
+    return MultiPoly.from_payloads(F, len(a), terms)
+
+
+def _interpolate_by_sum(J, F, arity):
+    """Reference for interpolate_case2: the sum of the indicators of the
+    points of J."""
+    acc = MultiPoly.zero(F, arity)
+    for a in J:
+        acc = acc + _indicator_by_lucas(a, F)
+    return acc
+
+
+# the fields of the benchmark's cover workload, each with its largest
+# number of functions
+COVER_FIELDS = [(Fp(2), 6), (Fp(3), 4), (Fp(5), 3), (Fp(7), 2),
+                (Fq(2, 2, (1, 1, 1)), 3), (Fq(2, 3, (1, 1, 0, 1)), 2),
+                (Fq(2, 3, (1, 0, 1, 1)), 2)]
+
+
+@pytest.mark.parametrize("field,cap", COVER_FIELDS, ids=str)
+def test_interpolant_matches_sum_of_indicators(field, cap):
+    rng = random.Random(str(field))
+    for k in range(16):
+        n = rng.randint(1, cap)
+        cover = check_cover(_random_cover(
+            rng, field, rng.randint(10, 40), n, zero_heavy=k % 2 == 1))
+        J = [tuple(from_payload(field, a) for a in pt)
+             for pt in image_points(cover)]
+        expected = _interpolate_by_sum(J, field, n).terms
+        assert interpolate_case2(J, field, n).terms == expected
+        assert combine_case2(cover).witness.terms == expected
+
+
+def test_interpolate_takes_a_repeated_point_once():
+    # J is a set of points: the interpolant stays 1 on each of them
+    F = Fp(3)
+    J = [(F.one(), F.zero()), (F.one(), F.zero()), (F.zero(), F.one())]
+    f = interpolate_case2(J, F, 2)
+    assert f.terms == _interpolate_by_sum(J[1:], F, 2).terms
+    assert all(f.evaluate(a) == F.one() for a in J)
 
 
 def test_interpolate_makes_no_poly_arithmetic(monkeypatch):
@@ -333,38 +395,69 @@ def test_cross_mode_agreement():
 def test_witness_evaluated_once_per_distinct_column(monkeypatch, field):
     rng = random.Random(str(field))
     base = univariate(field, find_rootfree_monic(field, 2))
-    evaluate = MultiPoly.evaluate
+    evaluate = MultiPoly.evaluate_payloads
     calls = []
 
     def counting(original):
-        def wrapper(f, point):
-            calls.append((f, tuple(point)))
-            return original(f, point)
+        def wrapper(f, xs):
+            calls.append((f, tuple(xs)))
+            return original(f, xs)
         return wrapper
 
-    monkeypatch.setattr(MultiPoly, "evaluate", counting(evaluate))
-    monkeypatch.setattr(Tower, "evaluate", counting(Tower.evaluate))
+    monkeypatch.setattr(MultiPoly, "evaluate_payloads", counting(evaluate))
+    monkeypatch.setattr(Tower, "evaluate_payloads",
+                        counting(Tower.evaluate_payloads))
     for _ in range(6):
         cover = check_cover(_random_cover(rng, field, 20, rng.randint(1, 3)))
-        columns = [tuple(psi.values[x] for psi in cover.functions)
-                   for x in cover.space.points()]
+        columns = list(zip(*(psi.payloads for psi in cover.functions)))
         distinct = set(columns)
         for combine in (partial(combine_case1, base=base), combine_case2):
             calls.clear()
             cert = combine(cover)
-            # route I evaluates the nested tower, not its expanded
-            # witness, and also evaluates its base while building the form
             if combine is combine_case2:
-                points = [pt for f, pt in calls if f is cert.witness]
+                # the composite is the constant one, evaluated nowhere
+                assert calls == []
             else:
+                # route I evaluates the nested tower (and the tower its
+                # f2), never the expanded witness
                 assert not [f for f, _ in calls if f is cert.witness]
                 points = [pt for f, pt in calls if isinstance(f, Tower)]
-            assert len(points) == len(distinct) and set(points) == distinct
-            assert cert.composite.values == tuple(
-                evaluate(cert.witness, col) for col in columns)
+                assert len(points) == len(distinct)
+                assert set(points) == distinct
             calls.clear()
             assert certify(cert)["pass"]
-            assert len(calls) == len(distinct)
+            assert [f for f, _ in calls] == [cert.witness] * len(distinct)
+            assert {pt for _, pt in calls} == distinct
+            assert cert.composite.payloads == tuple(
+                evaluate(cert.witness, col) for col in columns)
+
+
+def test_certify_rejects_a_changed_route_two_coefficient():
+    """Negative control: changing one coefficient of route II's witness
+    fails the recomputation exactly when the changed term is nonzero at
+    some column of the cover."""
+    F = Fp(3)
+    rng = random.Random(15)
+    caught = 0
+    for _ in range(4):
+        cover = check_cover(_random_cover(rng, F, 8, 2))
+        cert = combine_case2(cover)
+        columns = [tuple(psi.values[x] for psi in cover.functions)
+                   for x in cover.space.points()]
+        for mono, c in cert.witness.terms:
+            terms = dict(cert.witness.terms)
+            terms[mono] = c + F.one()
+            bad = CombinationCertificate(
+                "CaseII", cover, cert.composite,
+                witness=MultiPoly.from_dict(F, 2, terms))
+            seen = any(not math.prod((x ** e for x, e in zip(col, mono)),
+                                     start=F.one()).is_zero
+                       for col in columns)
+            report = certify(bad)
+            assert report["recomputation"] is not seen
+            assert report["ideal_membership"] is (sum(mono) > 0)
+            caught += seen
+    assert caught > 0
 
 
 def test_certify_detects_tampering():
@@ -382,16 +475,30 @@ def test_certify_detects_tampering():
 def test_projective_canonicalization():
     F = Fp(7)
     u, v = F.element(3), F.element(5)
-    base = ProjectivePoint.of(u, v)
+    base = projective_payloads(F, u.payload, v.payload)
+    assert base == ((u / v).payload, 1)
     for lam in enumerate_field(F):
         if lam.is_zero:
             continue
-        assert ProjectivePoint.of(lam * u, lam * v) == base
-    inf = ProjectivePoint.of(F.element(2), F.zero())
-    assert inf.is_infinite
-    assert inf == ProjectivePoint.of(F.element(6), F.zero())
+        assert projective_payloads(F, (lam * u).payload,
+                                   (lam * v).payload) == base
+    assert projective_payloads(F, 2, 0) == (1, 0)
+    assert projective_payloads(F, 6, 0) == (1, 0)
     with pytest.raises(ValueError):
-        ProjectivePoint.of(F.zero(), F.zero())
+        projective_payloads(F, 0, 0)
+
+
+def test_witness_outside_the_covers_ring_is_refused():
+    F = Fp(3)
+    cover = check_cover([_re(F, [1, 0]), _re(F, [0, 1])])
+    cert = combine_case2(cover)
+    for witness in (MultiPoly.variable(F, 1, 0),
+                    MultiPoly.variable(Fp(5), 2, 0)):
+        with pytest.raises(MixedFields):
+            certify(CombinationCertificate("CaseII", cover, cert.composite,
+                                           witness=witness))
+    with pytest.raises(MixedFields):
+        combine_case1(cover, univariate(Fp(5), find_rootfree_monic(Fp(5), 2)))
 
 
 def test_certificate_json_record():
@@ -415,15 +522,15 @@ def test_certify_cross_checks_the_nested_route_one(monkeypatch):
     assert certify(combine_case1(cover, base)) == {
         "pass": True, "nonvanishing": True, "ideal_membership": True,
         "recomputation": True}
-    evaluate = Tower.evaluate
+    evaluate = Tower.evaluate_payloads
     calls = []
 
-    def corrupt_second_column(tower, point):
-        calls.append(point)
-        value = evaluate(tower, point)
-        return value + F.one() if len(calls) == 2 else value
+    def corrupt_second_column(tower, xs):
+        calls.append(xs)
+        value = evaluate(tower, xs)
+        return F.add(value, 1) if len(calls) == 2 else value
 
-    monkeypatch.setattr(Tower, "evaluate", corrupt_second_column)
+    monkeypatch.setattr(Tower, "evaluate_payloads", corrupt_second_column)
     report = certify(combine_case1(cover, base))
     assert len(calls) >= 2
     assert report["recomputation"] is False
@@ -446,3 +553,33 @@ def test_route_one_refused_above_form_guard_before_any_product(monkeypatch):
         combine_case1(cover, base)
     assert info.value.guard == "FORM_TERMS_GUARD"
     assert info.value.requested == 2047
+
+
+def test_route_two_refused_above_form_guard_before_any_product(monkeypatch):
+    F = Fp(7)
+    rng = random.Random(13)
+    cover = check_cover(_random_cover(rng, F, 6, 7))
+    q = F.order
+    bound = min(sum(math.prod(q - 1 if b else 2 for b in a)
+                    for a in image_points(cover)), q ** 7)
+
+    def refuse(*args):
+        raise AssertionError("transform above the guard")
+
+    monkeypatch.setattr(covers, "_indicator_sum", refuse)
+    with pytest.raises(TooLarge) as info:
+        combine_case2(cover)
+    assert (info.value.guard, info.value.limit, info.value.requested) == \
+        ("FORM_TERMS_GUARD", FORM_TERMS_GUARD, bound)
+    assert bound > FORM_TERMS_GUARD
+
+
+def test_route_two_admitted_at_the_form_guard():
+    # q^n = 2^10 is the guard itself, so any cover of 10 functions over F_2
+    # is admitted, however many terms its indicators may have
+    F = Fp(2)
+    rng = random.Random(14)
+    cover = check_cover(_random_cover(rng, F, 12, 10))
+    cert = combine_case2(cover)
+    assert len(cert.witness.terms) <= FORM_TERMS_GUARD
+    assert certify(cert)["pass"]

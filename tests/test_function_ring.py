@@ -5,8 +5,15 @@ import itertools
 import pytest
 
 import gelfand.function_ring as function_ring
-from gelfand.errors import NotProper, PointOutOfRange, TooLarge
-from gelfand.field_core import Fp, Fq, PrimeField, enumerate_field
+from gelfand.errors import NotProper, ParseError, PointOutOfRange, TooLarge
+from gelfand.field_core import (
+    Fp,
+    Fq,
+    PrimeField,
+    enumerate_field,
+    parse_element,
+    parse_field,
+)
 from gelfand.function_ring import (
     ORACLE_GUARD,
     FiniteSpace,
@@ -41,7 +48,7 @@ def test_distinct_points_give_distinct_ideals():
     F, sp = Fp(2), FiniteSpace(3)
     for x, y in itertools.combinations(sp.points(), 2):
         Mx, My = gelfand_map(sp, F, x), gelfand_map(sp, F, y)
-        separator = RingElement.indicator(F, 3, x)
+        separator = _indicator(F, 3, x)
         assert My.contains(separator) and not Mx.contains(separator)
 
 
@@ -51,7 +58,14 @@ def test_gelfand_map_point_range():
 
 
 def _one(field, size):
-    return RingElement.from_ints(field, [1] * size)
+    return RingElement.from_payloads(field, (1,) * size)
+
+
+def _indicator(field, size, point):
+    """1 at the point and 0 elsewhere; in a finite field the payloads
+    of 0 and 1 are 0 and 1."""
+    return RingElement.from_payloads(
+        field, tuple(int(x == point) for x in range(size)))
 
 
 def test_bruteforce_f2_two_points():
@@ -123,7 +137,7 @@ def test_spectrum_single_point():
 def test_basic_open_of_indicator_isolates_its_point():
     # D(f) for f the indicator of x is exactly {kernel at x}
     F, sp = Fp(2), FiniteSpace(3)
-    f = RingElement.indicator(F, 3, 1)
+    f = _indicator(F, 3, 1)
     d_f = {x for x in sp.points() if not gelfand_map(sp, F, x).contains(f)}
     assert d_f == {1}
 
@@ -204,6 +218,51 @@ def test_ring_element_parse_and_ops():
     assert str(-f) == "4,0,2"
 
 
+@pytest.mark.parametrize("spec,line,payloads", [
+    ("Fp(7)", " 1,-1,06", (1, 6, 6)),
+    ("Fp(7)", "3, 7 ,-8", (3, 0, 6)),
+    ("Fq(2,2,t^2+t+1)", "t,t+2, 1+t", (2, 2, 3)),
+])
+def test_literals_off_the_table_parse_as_before(spec, line, payloads):
+    # a leading space, a sign or a leading zero takes the parser's path
+    assert parse_ring_element(parse_field(spec), line).payloads == payloads
+
+
+@pytest.mark.parametrize("spec,line,pos,expected", [
+    ("Fp(7)", "1,x,2", 2, "an integer residue"),
+    ("Fp(7)", "1, 2a", 4, "end of input"),
+    ("Fp(7)", "1,,2", 2, "an integer residue"),
+    ("Fp(7)", "1,2,", 4, "an integer residue"),
+    ("Fq(2,2,t^2+t+1)", "t,t+1, 1+t,t^2", 11,
+     "a term in t of degree at most 1"),
+    ("Q", "1/2,-3, 4/0", 9, "end of input"),
+])
+def test_bad_literals_keep_their_error_offsets(spec, line, pos, expected):
+    with pytest.raises(ParseError) as info:
+        parse_ring_element(parse_field(spec), line)
+    assert (info.value.pos, info.value.expected) == (pos, expected)
+
+
+@pytest.mark.parametrize("spec", ["Fp(2)", "Fp(7)", "Fq(2,2,t^2+t+1)",
+                                  "Fq(2,3,t^3+t+1)", "Fq(3,2)", "Fp(257)"])
+def test_literal_table_agrees_with_the_parser(spec):
+    field = parse_field(spec)
+    table = function_ring._literal_table(field)
+    assert len(table) == field.order
+    for text, payload in table.items():
+        assert parse_element(field, text).payload == payload
+    line = ",".join(table)
+    assert parse_ring_element(field, line).payloads == tuple(table.values())
+
+
+@pytest.mark.parametrize("spec", ["Fp(65537)", "Q", "Q(sqrt(-3))"])
+def test_no_literal_table_for_large_or_infinite_fields(spec):
+    field = parse_field(spec)
+    assert function_ring._literal_table(field) == {}
+    assert parse_ring_element(field, "1,2").values == \
+        (parse_element(field, "1"), parse_element(field, "2"))
+
+
 def test_ideal_repr_rejects_points_outside_the_space():
     with pytest.raises(PointOutOfRange):
         IdealRepr(FiniteSpace(2), Fp(2), {0, 2})
@@ -213,7 +272,9 @@ def test_ideal_repr_rejects_points_outside_the_space():
 def _closed_sets_by_closure(space, field):
     """Reference oracle: the zero sets of every ring element, closed
     under finite union and intersection by fixed-point iteration."""
-    family = {f.zero_set() for f in all_ring_elements(space, field)}
+    family = {frozenset(x for x, a in enumerate(f.payloads)
+                        if field.is_zero(a))
+              for f in all_ring_elements(space, field)}
     family |= {frozenset(), frozenset(space.points())}
     while True:
         fam = list(family)

@@ -4,6 +4,7 @@ requested size, with the message text the guard has always had."""
 import pytest
 
 from gelfand import anisotropic, field_core, function_ring
+from gelfand.covers import check_cover, combine_case2
 from gelfand.anisotropic import (
     build_fn,
     verify_tower_exhaustive,
@@ -13,6 +14,7 @@ from gelfand.errors import TooLarge
 from gelfand.field_core import Fp, find_rootfree_monic
 from gelfand.function_ring import (
     FiniteSpace,
+    RingElement,
     all_ring_elements,
     enumerate_ideals_bruteforce,
     max_spectrum,
@@ -50,6 +52,14 @@ CASES = [
      "FORM_TERMS_GUARD", anisotropic.FORM_TERMS_GUARD, 2047,
      "level 11 of the tower expansion composes a form of at least 2047 "
      "terms; the form-terms guard is 1024"),
+    ("route II interpolant",
+     lambda: combine_case2(check_cover(
+         [RingElement.from_payloads(Fp(7), (1, 0))] * 6
+         + [RingElement.from_payloads(Fp(7), (0, 1))])),
+     "FORM_TERMS_GUARD", anisotropic.FORM_TERMS_GUARD,
+     6 ** 6 * 2 + 2 ** 6 * 6,
+     "route II's interpolant may have 93696 terms; the form-terms guard "
+     "is 1024"),
 ]
 
 
