@@ -56,7 +56,6 @@ from .function_ring import (
     gelfand_map,
     max_spectrum,
     maximal_ideals,
-    preimage_of_ideal,
 )
 from .poly import (
     MultiPoly,

@@ -103,9 +103,12 @@ def cmd_field_find_rootfree(args):
 
 def cmd_anisotropic(args):
     field = parse_field(args.field)
+    samples = args.samples
+    if samples is None and not field.is_finite:
+        samples = 200
     config = {"field": format_field(field), "n": args.n, "m": args.m,
               "witness": args.witness, "padic": args.padic,
-              "seed": args.seed, "samples": args.samples}
+              "seed": args.seed, "samples": samples}
     report = _new_report("anisotropic", config)
 
     if field.is_finite:
@@ -115,13 +118,16 @@ def cmd_anisotropic(args):
                 raise ConfigError(
                     f"{flag} applies to Q only; over a finite field the "
                     f"base is the first root-free monic of degree --m")
+        if samples is not None:
+            raise ConfigError("--samples applies to Q only; over a finite "
+                              "field every point is checked")
         if args.m < 2:
             raise ConfigError("degree guard: --m must be at least 2")
         base = univariate(field, find_rootfree_monic(field, args.m))
         # the tower is verified nested, and the q^n guard fires first;
         # the form is expanded for the report only, under its own guard
         result = aniso.verify_tower_exhaustive(base, args.n)
-    elif args.samples < 1:
+    elif samples < 1:
         raise ConfigError("--samples must be at least 1")
     elif isinstance(field, Q) and args.padic:
         if args.n != 2:
@@ -129,8 +135,8 @@ def cmd_anisotropic(args):
         p = args.padic
         base = parse_poly(field, f"x^2 + -{p}")
         rng = random.Random(args.seed)
-        pairs = list(zip(_seeded_rationals(rng, args.samples),
-                         _seeded_rationals(rng, args.samples)))
+        pairs = list(zip(_seeded_rationals(rng, samples),
+                         _seeded_rationals(rng, samples)))
         result = aniso.valuation_identity_check(p, pairs)
     elif isinstance(field, Q) and args.witness:
         base = parse_poly(field, args.witness)
@@ -139,7 +145,7 @@ def cmd_anisotropic(args):
         # the samples are Fractions, already the canonical payloads of Q
         points = [tuple(from_payload(field, v)
                         for v in _seeded_rationals(rng, args.n))
-                  for _ in range(args.samples)]
+                  for _ in range(samples)]
         result = tower.verify_sampled(points)
     else:
         raise ConfigError(
@@ -241,7 +247,8 @@ def build_parser():
     p_a.add_argument("--padic", type=int,
                      help="prime p for the x^2 - p*y^2 valuation check")
     p_a.add_argument("--seed", type=int, default=0)
-    p_a.add_argument("--samples", type=int, default=200)
+    p_a.add_argument("--samples", type=int,
+                     help="seeded samples over Q (default 200)")
     p_a.add_argument("--out")
     p_a.set_defaults(func=cmd_anisotropic)
 

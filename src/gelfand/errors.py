@@ -71,10 +71,6 @@ class PointOutOfRange(GelfandError):
     """Point index outside the finite space."""
 
 
-class NotProper(GelfandError):
-    """Ideal is the whole ring."""
-
-
 class CommonZero(GelfandError):
     """Functions share a common zero, so they do not form a cover."""
 

@@ -27,6 +27,7 @@ def test_anisotropic_finite(tmp_path):
     assert inst["verification"] == {"mode": "exhaustive",
                                     "points_checked": 27}
     assert report["totals"] == {"passed": 1, "failed": 0}
+    assert report["config"]["samples"] is None
 
 
 def test_anisotropic_rational_witness(tmp_path):
@@ -83,6 +84,12 @@ def test_anisotropic_padic_needs_arity_two(tmp_path):
     (["--field", "Fq(2,2)", "--padic", "5"],
      "--padic applies to Q only; over a finite field the base is the "
      "first root-free monic of degree --m"),
+    (["--field", "Fp(3)", "--samples", "0", "--n", "2"],
+     "--samples applies to Q only; over a finite field every point is "
+     "checked"),
+    (["--field", "Fp(2)", "--samples", "200"],
+     "--samples applies to Q only; over a finite field every point is "
+     "checked"),
 ])
 def test_anisotropic_config_errors_name_the_requirement(
         tmp_path, capsys, args, message):
@@ -319,6 +326,7 @@ def test_anisotropic_above_form_guard_reports_structure(tmp_path):
     assert inst["verification"] == {"mode": "exhaustive",
                                     "points_checked": 2 ** 20}
     assert report["totals"] == {"passed": 1, "failed": 0}
+    assert report["config"]["samples"] is None
 
 
 def test_anisotropic_rational_witness_with_fraction(tmp_path):

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 import gelfand.function_ring as function_ring
-from gelfand.errors import NotProper, ParseError, PointOutOfRange, TooLarge
+from gelfand.errors import MixedFields, ParseError, PointOutOfRange, TooLarge
 from gelfand.field_core import (
     Fp,
     Fq,
@@ -27,7 +27,6 @@ from gelfand.function_ring import (
     max_spectrum,
     maximal_ideals,
     parse_ring_element,
-    preimage_of_ideal,
 )
 
 
@@ -131,7 +130,7 @@ def test_spectrum_size3_f2():
 def test_spectrum_single_point():
     spec = max_spectrum(FiniteSpace(1), Fp(2))
     assert len(spec.points) == 1
-    assert spec.closed_sets == {frozenset(), frozenset({0})}
+    assert spec.closed_sets == {0b0, 0b1}
 
 
 def test_basic_open_of_indicator_isolates_its_point():
@@ -142,23 +141,12 @@ def test_basic_open_of_indicator_isolates_its_point():
     assert d_f == {1}
 
 
-def test_preimage_of_kernel():
-    F, sp = Fp(2), FiniteSpace(3)
-    M = gelfand_map(sp, F, 1)
-    assert preimage_of_ideal(sp, F, M) == frozenset({1})
-
-
-def test_preimage_of_whole_ring_rejected():
-    F, sp = Fp(2), FiniteSpace(2)
-    whole = IdealRepr(sp, F, ())
-    with pytest.raises(NotProper):
-        preimage_of_ideal(sp, F, whole)
-
-
-def test_preimage_of_zero_ideal_is_whole_space():
-    F, sp = Fp(2), FiniteSpace(2)
-    zero_ideal = IdealRepr(sp, F, {0, 1})
-    assert preimage_of_ideal(sp, F, zero_ideal) == frozenset({0, 1})
+def test_contains_rejects_a_function_of_another_ring():
+    ideal = gelfand_map(FiniteSpace(3), Fp(2), 0)
+    with pytest.raises(MixedFields):
+        ideal.contains(RingElement.zeros(Fp(2), 2))   # another size
+    with pytest.raises(MixedFields):
+        ideal.contains(RingElement.zeros(Fp(3), 3))   # another field
 
 
 def test_homeomorphism_size3_f2():
@@ -188,10 +176,10 @@ def test_topology_check_negative_control(monkeypatch, corrupt):
 
     def broken(space, field):
         spectrum = real(space, field)
-        closed = set(spectrum.closed_sets) - {frozenset({0})}
+        closed = set(spectrum.closed_sets) - {1 << 0}
         if corrupt == "outside":
             # same count, but one set holds a point the space lacks
-            closed.add(frozenset({0, space.size}))
+            closed.add(1 | 1 << space.size)
         return ZariskiSpace(spectrum.points, frozenset(closed))
 
     monkeypatch.setattr(function_ring, "max_spectrum", broken)
@@ -205,8 +193,8 @@ def test_topology_check_negative_control(monkeypatch, corrupt):
 def test_zariski_topology_is_discrete():
     spec = max_spectrum(FiniteSpace(4), Fp(2))
     for x in range(4):
-        assert frozenset({x}) in spec.closed_sets           # singleton closed
-        assert frozenset(range(4)) - {x} in spec.closed_sets  # and open
+        assert 1 << x in spec.closed_sets              # singleton closed
+        assert 0b1111 ^ 1 << x in spec.closed_sets     # and open
 
 
 def test_ring_element_parse_and_ops():
@@ -269,6 +257,11 @@ def test_ideal_repr_rejects_points_outside_the_space():
     assert IdealRepr(FiniteSpace(2), Fp(2), [1, 1]).vanishing == {1}
 
 
+def _masks(point_sets):
+    """Each set of points as the bitmask with bit x for point x."""
+    return frozenset(sum(1 << x for x in S) for S in point_sets)
+
+
 def _closed_sets_by_closure(space, field):
     """Reference oracle: the zero sets of every ring element, closed
     under finite union and intersection by fixed-point iteration."""
@@ -291,7 +284,7 @@ def test_spectrum_matches_closure_oracle(field, sizes):
     for size in sizes:
         space = FiniteSpace(size)
         assert max_spectrum(space, field).closed_sets == \
-            _closed_sets_by_closure(space, field)
+            _masks(_closed_sets_by_closure(space, field))
 
 
 def test_spectrum_guard_before_work():
@@ -318,7 +311,7 @@ def test_spectrum_matches_field_element_loop(field, sizes):
     for size in sizes:
         space = FiniteSpace(size)
         assert max_spectrum(space, field).closed_sets == \
-            _closed_sets_by_field_elements(space, field)
+            _masks(_closed_sets_by_field_elements(space, field))
 
 
 def _ideals_by_field_elements(space, field):
@@ -379,4 +372,16 @@ def test_wrong_oracle_product_breaks_the_correspondence(monkeypatch):
     assert report["oracle_checked"] is True
     assert report["bijective"] is False
     assert report["topology_match"] is True
+    assert report["passed"] is False
+
+
+def test_merged_kernels_break_the_correspondence(monkeypatch):
+    # points 0 and 1 sent to one kernel: the oracle still finds three
+    # maximal ideals, so the two lists no longer agree
+    real = function_ring.gelfand_map
+    monkeypatch.setattr(function_ring, "gelfand_map",
+                        lambda space, field, x: real(space, field, max(x, 1)))
+    report = check_homeomorphism(FiniteSpace(3), Fp(2))
+    assert report["oracle_checked"] is True
+    assert report["bijective"] is False
     assert report["passed"] is False
