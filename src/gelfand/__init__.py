@@ -15,6 +15,7 @@ from .anisotropic import (
     verify_tower_exhaustive,
     verify_vanishing_exhaustive,
     verify_vanishing_sampled,
+    verify_witness_sampled,
 )
 from .covers import (
     CombinationCertificate,

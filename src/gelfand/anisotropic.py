@@ -6,13 +6,19 @@ monic univariate f of degree m. A `Tower` keeps it nested: it evaluates
 a point with n - 1 evaluations of f2 (over Q on integer pairs, with no
 gcd per operation), verifies a finite field level by level from a q x q
 table of f2, and expands to a `MultiPoly` only for a report (`expand`,
-which `build_fn` calls), under FORM_TERMS_GUARD. The expanded form
+which `build_fn` calls), under FORM_TERMS_GUARD. Each level of the
+expansion substitutes the form h so far into f2 (`compose_last`): a
+power h^i with i divisible by the characteristic p is the Frobenius
+image of h^(i/p), exponents times p and coefficients to the p-th
+power, and any other is one product h^(i-1)*h. The expanded form
 stays the reference: `verify_vanishing_exhaustive` checks any form term
 by term at every point, and `verify_vanishing_sampled` at seeded
 points. An `AnisotropicWitness` (base, arity, verification) prints the
 form that `build_fn` expands, or the guard's refusal in its place. Over
-the rationals the other stand-ins are the positive-definite norm form
-on Q(sqrt(d)) and the valuation identity for x^2 - p*y^2.
+Q a caller-supplied witness is refused on a rational root before its
+seeded samples (`verify_witness_sampled`). The other stand-ins over the
+rationals are the positive-definite norm form on Q(sqrt(d)) and the
+valuation identity for x^2 - p*y^2.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from .field_core import (
     Qsqrt,
     base_digits,
     enumerate_field,
+    first_rational_root,
     first_root,
     from_payload,
     padic_valuation,
@@ -189,8 +196,11 @@ class Tower:
         exceed it is refused before any product. In the term c*y^i*z^j
         of f2 the exponent j of the new variable is m - i, so the terms
         of f2 give the expansion disjoint slices c*h^i*z^j, and h^i has
-        exactly as many terms as h when i is 1 or a power of the
-        characteristic (Frobenius), and at least one otherwise.
+        at least one term. When i is 1 or a power of the characteristic
+        p it has exactly as many terms as h, by the fact `compose_last`
+        builds it from: h^(p^k) is the Frobenius image of h^(p^(k-1)),
+        each exponent times p and each coefficient to the p-th power,
+        with no product and no term merged or lost.
         """
         form = MultiPoly.variable(self.field, 1, 0)
         if self.f2 is None:
@@ -327,6 +337,26 @@ def verify_tower_exhaustive(f: MultiPoly, n: int):
     """
     _enumeration_size(f.field, n)
     return Tower.over(f, n).verify_exhaustive()
+
+
+def verify_witness_sampled(f: MultiPoly, n: int, points):
+    """The arity-n tower over a monic f over Q: f's rational roots
+    first, then `Tower.verify_sampled` at the points.
+
+    For n >= 2 a rational root r of f (`first_rational_root`, under
+    RATIONAL_ROOT_GUARD) gives the zero (r, 1, 0, ..., 0) off the
+    origin, as f2(r, 1) = f(r) = 0 and f2(0, 0) = 0; it is reported
+    before any sample is evaluated. A pass covers only the points given.
+    """
+    tower = Tower.over(f, n)
+    if n > 1:
+        F = f.field
+        root = first_rational_root([f.coefficient((i,)).payload
+                                    for i in range(f.degree + 1)])
+        if root is not None:
+            return Failed((from_payload(F, root), F.one())
+                          + (F.zero(),) * (n - 2))
+    return tower.verify_sampled(points)
 
 
 def verify_vanishing_sampled(g: MultiPoly, points):

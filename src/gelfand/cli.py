@@ -140,13 +140,12 @@ def cmd_anisotropic(args):
         result = aniso.valuation_identity_check(p, pairs)
     elif isinstance(field, Q) and args.witness:
         base = parse_poly(field, args.witness)
-        tower = aniso.Tower.over(base, args.n)
         rng = random.Random(args.seed)
         # the samples are Fractions, already the canonical payloads of Q
         points = [tuple(from_payload(field, v)
                         for v in _seeded_rationals(rng, args.n))
                   for _ in range(samples)]
-        result = tower.verify_sampled(points)
+        result = aniso.verify_witness_sampled(base, args.n, points)
     else:
         raise ConfigError(
             "an infinite field must be Q, with --witness or --padic")

@@ -19,6 +19,7 @@ floating point is used anywhere.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,6 +37,7 @@ from .errors import (
 
 MAX_EXTENSION_DEGREE = 8
 ROOTFREE_SEARCH_GUARD = 10 ** 7
+RATIONAL_ROOT_GUARD = 10 ** 9   # max |L*c0| and L*f's leading coefficient
 
 
 def is_prime(n: int) -> bool:
@@ -653,6 +655,58 @@ def first_root(F: FieldDescriptor, coeffs, start):
         if not acc:
             return a
     return None
+
+
+def first_rational_root(coeffs):
+    """The first rational root, or None, of the polynomial with Fraction
+    coefficients coeffs (low degree first, the last nonzero), by the
+    rational root theorem.
+
+    With L the lcm of the denominators, L*f has int coefficients, and a
+    root in lowest terms is +-u/v with u | L*c0 and v dividing L*f's
+    leading coefficient (L for a monic f); 0 is a root exactly when
+    c0 = 0. Candidates are tried by v, then u, ascending, u/v before
+    -u/v, each by Horner's rule on v^m*L*f(s/v) in ints.
+    RATIONAL_ROOT_GUARD bounds |L*c0| and the leading coefficient, and
+    is checked before any trial division.
+    """
+    lcm = math.lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * lcm) for c in coeffs]
+    if not ints[0]:
+        return Fraction(0)
+    size = max(abs(ints[0]), abs(ints[-1]))
+    if size > RATIONAL_ROOT_GUARD:
+        raise TooLarge(
+            f"the rational root test divides |L*c0| = {abs(ints[0])} and "
+            f"the leading coefficient {abs(ints[-1])}; the guard is "
+            f"{RATIONAL_ROOT_GUARD}", guard="RATIONAL_ROOT_GUARD",
+            limit=RATIONAL_ROOT_GUARD, requested=size)
+    numerators = _divisors(abs(ints[0]))
+    rest = ints[-2::-1]
+    for v in _divisors(abs(ints[-1])):
+        for u in numerators:
+            if math.gcd(u, v) != 1:
+                continue
+            for s in (u, -u):
+                acc, w = ints[-1], v
+                for a in rest:
+                    acc, w = acc * s + a * w, w * v
+                if not acc:
+                    return Fraction(s, v)
+    return None
+
+
+def _divisors(n):
+    """The positive divisors of n >= 1, ascending, by trial division."""
+    low, high = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            low.append(d)
+            if d * d != n:
+                high.append(n // d)
+        d += 1
+    return low + high[::-1]
 
 
 def find_rootfree_monic(F: FieldDescriptor, m: int):

@@ -351,17 +351,19 @@ def check_homeomorphism(space: FiniteSpace, field: FieldDescriptor,
     """Verify the point/maximal-ideal correspondence at finite scale.
 
     The kernels are the ideals `gelfand_map` builds, each vanishing at
-    one point, so they are distinct and maximal by construction. What is
-    checked is that the brute-force oracle's maximal ideals are exactly
-    the kernels, when its guard permits, and that the Zariski closed
-    sets are all 2^n subsets of the n points, i.e. the topology is
-    discrete. Only the finite discrete instance is checked; nothing is
-    claimed about infinite spaces.
+    one point, so they are maximal by construction. What is checked is
+    that the n points give n distinct kernels (`max_ideal_count` counts
+    distinct vanishing sets), that the brute-force oracle's maximal
+    ideals are exactly the kernels, when its guard permits, and that the
+    Zariski closed sets are all 2^n subsets of the n points, i.e. the
+    topology is discrete. Only the finite discrete instance is checked;
+    nothing is claimed about infinite spaces.
     """
     n = space.size
     use_oracle = check_guards(space, field, use_oracle)
     spectrum = max_spectrum(space, field)
     kernels, closed = spectrum.points, spectrum.closed_sets
+    distinct = len({M.vanishing for M in kernels})
 
     oracle_agrees = None
     if use_oracle:
@@ -373,11 +375,11 @@ def check_homeomorphism(space: FiniteSpace, field: FieldDescriptor,
 
     # 2^n distinct masks below 2^n are all the subsets: discrete
     topology_match = len(closed) == 2 ** n and max(closed) >> n == 0
-    bijective = oracle_agrees is not False
+    bijective = distinct == n and oracle_agrees is not False
     return {
         "space_size": n,
         "field": format_field(field),
-        "max_ideal_count": len(kernels),
+        "max_ideal_count": distinct,
         "bijective": bijective,
         "topology_match": topology_match,
         "oracle_checked": bool(use_oracle),

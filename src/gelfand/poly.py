@@ -110,23 +110,16 @@ class MultiPoly:
 
     def __mul__(self, other):
         F = self.field
-        mul, add = F.mul, F.add
         if isinstance(other, FieldElement):
             if other.field != F:
                 raise MixedFields(f"{F} vs {other.field}")
-            s = other.payload
+            s, mul = other.payload, F.mul
             return MultiPoly.from_payloads(
                 F, self.arity, {m: mul(c.payload, s) for m, c in self.terms})
         self._check(other)
-        right = [(m2, c2.payload) for m2, c2 in other.terms]
-        acc = {}
-        for m1, c1 in self.terms:
-            c1 = c1.payload
-            for m2, c2 in right:
-                m = tuple(map(operator.add, m1, m2))
-                c = mul(c1, c2)
-                acc[m] = add(acc[m], c) if m in acc else c
-        return MultiPoly.from_payloads(F, self.arity, acc)
+        return MultiPoly.from_payloads(F, self.arity, dict(_times(
+            [(m, c.payload) for m, c in self.terms],
+            [(m, c.payload) for m, c in other.terms], F)))
 
     def evaluate(self, point):
         """Exact evaluation at a tuple of field elements."""
@@ -211,9 +204,16 @@ def homogenize2(f: MultiPoly) -> MultiPoly:
 def compose_last(g2: MultiPoly, h: MultiPoly) -> MultiPoly:
     """g2(h(x_1..x_n), x_{n+1}) expanded to canonical form.
 
-    By substitution: the powers h^i are built in h's own arity, one
-    product with h each, and a term c*y^i*z^j of g2 adds c times every
-    term of h^i with the exponent j of x_{n+1} appended to its monomial.
+    By substitution: a term c*y^i*z^j of g2 adds c times every term of
+    h^i with the exponent j of x_{n+1} appended to its monomial. The
+    powers h^i that g2 needs are lists of (monomial, payload) pairs in
+    h's own arity, each built once. When the characteristic p > 0
+    divides i, h^i is the Frobenius image of h^(i/p):
+    (sum a*x^m)^p = sum a^p*x^(p*m), as every cross term of a p-th power
+    has a binomial coefficient divisible by p, so each exponent is
+    multiplied by p and each coefficient raised to the p-th power, and
+    no two terms merge or vanish. Any other h^i is one product
+    h^(i-1)*h, with its zero coefficients dropped.
     """
     if g2.arity != 2:
         raise ArityMismatch("outer polynomial must be bivariate")
@@ -221,18 +221,45 @@ def compose_last(g2: MultiPoly, h: MultiPoly) -> MultiPoly:
         raise MixedFields(f"{g2.field} vs {h.field}")
     n = h.arity
     field = h.field
-    mul, add = field.mul, field.add
-    powers = [MultiPoly.constant(field, n, field.one()), h]
+    mul, add, p = field.mul, field.add, field.characteristic
+    base = [(m, a.payload) for m, a in h.terms]
+    powers = {0: [((0,) * n, field.canonical(1))], 1: base}
+
+    def power(want):
+        """h^want, with the powers it rests on that are not built yet."""
+        chain, i = [], want
+        while i not in powers:
+            chain.append(i)
+            i = i // p if p and i % p == 0 else i - 1
+        for i in reversed(chain):
+            if p and i % p == 0:
+                powers[i] = [(tuple(e * p for e in m), field.pow(a, p))
+                             for m, a in powers[i // p]]
+            else:
+                powers[i] = _times(powers[i - 1], base, field)
+        return powers[want]
+
     acc = {}
     for (i, j), c in g2.terms:
-        while len(powers) <= i:
-            powers.append(powers[-1] * h)
         c = c.payload
-        for m, a in powers[i].terms:
+        for m, a in power(i):
             mono = m + (j,)
-            term = mul(a.payload, c)
+            term = mul(a, c)
             acc[mono] = add(acc[mono], term) if mono in acc else term
     return MultiPoly.from_payloads(field, n + 1, acc)
+
+
+def _times(left, right, field):
+    """The product of two polynomials given as (monomial, payload) lists,
+    as such a list without zero coefficients."""
+    mul, add, is_zero = field.mul, field.add, field.is_zero
+    acc = {}
+    for m1, a1 in left:
+        for m2, a2 in right:
+            m = tuple(map(operator.add, m1, m2))
+            c = mul(a1, a2)
+            acc[m] = add(acc[m], c) if m in acc else c
+    return [(m, c) for m, c in acc.items() if not is_zero(c)]
 
 
 # ---------------------------------------------------------------------------

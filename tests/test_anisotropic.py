@@ -21,6 +21,7 @@ from gelfand.anisotropic import (
     verify_tower_exhaustive,
     verify_vanishing_exhaustive,
     verify_vanishing_sampled,
+    verify_witness_sampled,
 )
 from gelfand.errors import HasRoot, InfiniteField, TooLarge, WrongKind
 from gelfand.field_core import (
@@ -405,6 +406,29 @@ def test_nested_negative_control_rooted_base_rational(n):
     assert isinstance(result, Failed)
     assert result.counterexample == points[7]
     assert result == verify_vanishing_sampled(build_fn(f, n), points)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_rooted_rational_witness_fails_before_any_sample(n):
+    F = Q()
+    f = parse_poly(F, "x^2 - 4/9")
+    result = verify_witness_sampled(f, n, [])
+    assert result == Failed((F.element(Fraction(2, 3)), F.one())
+                            + (F.zero(),) * (n - 2))
+    assert Tower.over(f, n).vanishes_at(result.counterexample)
+    assert build_fn(f, n).evaluate(result.counterexample).is_zero
+
+
+def test_rootfree_rational_witness_is_sampled():
+    F = Q()
+    f = parse_poly(F, "x^3 - 2")
+    points = [tuple(F.element(v) for v in pt)
+              for pt in [(1, 2, 3), (0, 0, 1), (-5, 0, 0)]]
+    assert verify_witness_sampled(f, 3, points) == \
+        Tower.over(f, 3).verify_sampled(points) == SampledPassed(3)
+    # n = 1: the form is x1, whatever roots the base has
+    assert verify_witness_sampled(parse_poly(F, "x^2 - 1"), 1, []) == \
+        SampledPassed(0)
 
 
 def test_nested_sampled_checks_the_origin_and_keeps_order():

@@ -40,6 +40,29 @@ def test_anisotropic_rational_witness(tmp_path):
     assert inst["verification"]["mode"] == "sampled"
 
 
+@pytest.mark.parametrize("witness,n,counterexample", [
+    ("x^2-1", 3, ["1", "1", "0"]), ("x^2-4/9", 2, ["2/3", "1"]),
+    ("x^3-8/27", 2, ["2/3", "1"])])
+def test_anisotropic_rooted_rational_witness_fails(tmp_path, witness, n,
+                                                   counterexample):
+    code, report = run_cli(
+        ["anisotropic", "--field", "Q", "--witness", witness, "--n", str(n),
+         "--seed", "7"], tmp_path / "r.json")
+    assert code == 1
+    assert report["instances"][0]["verification"] == {
+        "mode": "failed", "counterexample": counterexample}
+    assert report["totals"] == {"passed": 0, "failed": 1}
+
+
+@pytest.mark.parametrize("witness", ["x^3-2", "x^2+1/2"])
+def test_anisotropic_rootfree_rational_witness_passes(tmp_path, witness):
+    code, report = run_cli(
+        ["anisotropic", "--field", "Q", "--witness", witness, "--n", "3"],
+        tmp_path / "r.json")
+    assert code == 0
+    assert report["instances"][0]["verification"]["mode"] == "sampled"
+
+
 def test_anisotropic_padic(tmp_path):
     code, report = run_cli(
         ["anisotropic", "--field", "Q", "--padic", "3", "--n", "2"],

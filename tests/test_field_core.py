@@ -16,6 +16,7 @@ from gelfand.errors import (
     InfiniteField,
     MixedFields,
     ParseError,
+    TooLarge,
     WrongKind,
 )
 from gelfand.field_core import (
@@ -28,6 +29,7 @@ from gelfand.field_core import (
     Valuation,
     enumerate_field,
     find_rootfree_monic,
+    first_rational_root,
     first_root,
     format_element,
     format_field,
@@ -36,6 +38,7 @@ from gelfand.field_core import (
     parse_field,
 )
 from gelfand.function_ring import parse_ring_element
+from gelfand.poly import parse_poly
 
 
 def test_f5_inverse_matches_exhaustive_search():
@@ -510,3 +513,50 @@ def test_descriptor_with_tables_equals_a_fresh_one():
                        pickle.loads(pickle.dumps(built))):
             assert copied == built and copied.element_at(5) * x.inv() == \
                 built.one()
+
+
+def _rational_coeffs(text):
+    """Low degree first, from a monic univariate written like x^3-8/27."""
+    f = parse_poly(Q(), text)
+    return [f.coefficient((i,)).payload for i in range(f.degree + 1)]
+
+
+@pytest.mark.parametrize("text,root", [
+    ("x^2-1", 1), ("x^2-4/9", Fraction(2, 3)), ("x^3-8/27", Fraction(2, 3)),
+    ("x^2+7/2*x-15/2", -5), ("x^2+x", 0), ("x^3-2", None),
+    ("x^2+1/2", None), ("x^4+3*x^2+2", None)])
+def test_first_rational_root_names_the_root(text, root):
+    assert first_rational_root(_rational_coeffs(text)) == root
+
+
+def test_first_rational_root_matches_candidate_scan():
+    # products of linear factors with small rational roots and x^2 + c;
+    # the reference evaluates f at every +-a/b with a, b <= 12
+    rng = random.Random(13)
+    grid = sorted({Fraction(s * a, b) for a in range(13)
+                   for b in range(1, 13) for s in (1, -1)})
+    for _ in range(40):
+        coeffs = [Fraction(rng.randint(1, 5), rng.randint(1, 3)), 0, 1]
+        for _ in range(rng.randint(0, 2)):
+            r = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+            coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+        roots = [x for x in grid
+                 if sum(c * x ** i for i, c in enumerate(coeffs)) == 0]
+        found = first_rational_root(coeffs)
+        assert (found is None) == (not roots)
+        assert found is None or found in roots
+
+
+@pytest.mark.parametrize("text,requested", [
+    ("x^2+10000000000", 10 ** 10), ("x^2+1/10000000000", 10 ** 10)])
+def test_rational_root_guard_before_trial_division(monkeypatch, text,
+                                                   requested):
+    def refuse(n):
+        raise AssertionError("trial division before the guard")
+
+    monkeypatch.setattr(field_core, "_divisors", refuse)
+    with pytest.raises(TooLarge) as exc:
+        first_rational_root(_rational_coeffs(text))
+    assert exc.value.guard == "RATIONAL_ROOT_GUARD"
+    assert exc.value.limit == field_core.RATIONAL_ROOT_GUARD
+    assert exc.value.requested == requested

@@ -385,3 +385,10 @@ def test_merged_kernels_break_the_correspondence(monkeypatch):
     assert report["oracle_checked"] is True
     assert report["bijective"] is False
     assert report["passed"] is False
+    # 81 ring elements, above ORACLE_GUARD: the oracle is off, and the
+    # four points give only three distinct kernels
+    report = check_homeomorphism(FiniteSpace(4), Fp(3))
+    assert report["oracle_checked"] is False
+    assert report["max_ideal_count"] == 3
+    assert report["bijective"] is False
+    assert report["passed"] is False

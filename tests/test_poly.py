@@ -173,28 +173,92 @@ def test_compose_last_matches_products_reference(field, arity):
             _compose_last_by_products(g2, h).terms
 
 
+def _count_payload_products(monkeypatch, field):
+    """Record the payload products of field's class, apart from those
+    its `pow` makes, and the exponent of each `pow` call."""
+    products, powers, inside = [], [], []
+    cls = type(field)
+    mul, power = cls.mul, cls.pow
+
+    def counting_mul(self, a, b):
+        if not inside:
+            products.append((a, b))
+        return mul(self, a, b)
+
+    def counting_pow(self, a, e):
+        powers.append(e)
+        inside.append(e)
+        try:
+            return power(self, a, e)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(cls, "mul", counting_mul)
+    monkeypatch.setattr(cls, "pow", counting_pow)
+    return products, powers
+
+
 def test_compose_last_substitutes_without_products_in_x_last(monkeypatch):
     F = Fp(5)
     g2 = parse_poly(F, "x1^3 + 2*x1*x2^2 + 3*x2^3 + x1^2*x2")
     h = parse_poly(F, "x1^2 + 4*x1*x2 + x2")
-    products, built = [], []
-    mul, from_dict = MultiPoly.__mul__, MultiPoly.from_dict.__func__
-
-    def counting_mul(a, b):
-        products.append(a.arity)
-        return mul(a, b)
+    h2 = h * h
+    h3 = h2 * h
+    built = []
+    from_dict = MultiPoly.from_dict.__func__
 
     def counting_from_dict(cls, field, arity, coeffs):
         built.append(arity)
         return from_dict(cls, field, arity, coeffs)
 
-    monkeypatch.setattr(MultiPoly, "__mul__", counting_mul)
+    products, powers = _count_payload_products(monkeypatch, F)
     monkeypatch.setattr(MultiPoly, "from_dict", classmethod(counting_from_dict))
     composed = compose_last(g2, h)
     monkeypatch.undo()
-    assert products == [2, 2]  # h^2 and h^3, in h's own arity
+    # h^2 and h^3 one product each in h's own arity (no Frobenius below
+    # the characteristic), then one scaling per term of h^3, h, 1 and h^2
+    pairs = len(h.terms) * len(h.terms) + len(h2.terms) * len(h.terms)
+    scalings = len(h3.terms) + len(h.terms) + 1 + len(h2.terms)
+    assert len(products) == pairs + scalings
+    assert powers == []
     assert built.count(3) == 1
     assert composed == _compose_last_by_products(g2, h)
+
+
+@pytest.mark.parametrize("field,coeffs", [
+    (Fp(2), (1, 1, 1)), (Fq(2, 2), ((0, 1), (1, 1), 1))])
+def test_compose_last_frobenius_powers_take_no_product(monkeypatch, field,
+                                                       coeffs):
+    # g2 of degree 4 needs h, h^2 and h^4: in characteristic 2 the last
+    # two are Frobenius images, so the only products are the scalings
+    g2 = parse_poly(field, "x1^4 + x1^2*x2^2 + x1*x2^3 + x2^4")
+    h = MultiPoly.from_dict(field, 2, {
+        m: field.element(c)
+        for m, c in zip([(2, 0), (1, 1), (0, 2)], coeffs)})
+    products, powers = _count_payload_products(monkeypatch, field)
+    composed = compose_last(g2, h)
+    monkeypatch.undo()
+    terms = len(h.terms)
+    # |h^4| = |h^2| = |h|: one p-th power per coefficient, none merges
+    assert len(products) == terms + terms + terms + 1
+    assert powers == [2] * (2 * terms)
+    assert composed == _compose_last_by_products(g2, h)
+
+
+@pytest.mark.parametrize("field", [Fp(2), Fp(3), Fq(2, 2), Fq(3, 2)])
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_compose_last_frobenius_matches_products_reference(field, arity):
+    # terms y^p and y^(p^2), with random coefficients: over Fq(2,2) and
+    # Fq(3,2) the Frobenius map a -> a^p moves some of them
+    p = field.characteristic
+    rng = random.Random(f"frobenius-{field}-{arity}")
+    for text in (f"x1^{p}", f"x1^{p * p}",
+                 f"x1^{p * p} + x1^{p}*x2^{p * p - p} + x2^{p * p}"):
+        g2 = parse_poly(field, text, 2)
+        for _ in range(3):
+            h = _random_poly(rng, field, arity, rng.randint(1, 4), 2)
+            assert compose_last(g2, h).terms == \
+                _compose_last_by_products(g2, h).terms
 
 
 # the (field, m, n) cells of the tower ladder of the benchmark workload
