@@ -16,9 +16,10 @@ by term at every point, and `verify_vanishing_sampled` at seeded
 points. An `AnisotropicWitness` (base, arity, verification) prints the
 form that `build_fn` expands, or the guard's refusal in its place. Over
 Q a caller-supplied witness is refused on a rational root before its
-seeded samples (`verify_witness_sampled`). The other stand-ins over the
+seeded samples (`verify_witness_sampled`), which are evaluated on
+(numerator, denominator) int pairs. The other stand-ins over the
 rationals are the positive-definite norm form on Q(sqrt(d)) and the
-valuation identity for x^2 - p*y^2.
+valuation identity for x^2 - p*y^2, also checked on ints.
 """
 
 from __future__ import annotations
@@ -36,12 +37,13 @@ from .field_core import (
     FieldElement,
     Q,
     Qsqrt,
+    _multiplicity,
     base_digits,
     enumerate_field,
     first_rational_root,
     first_root,
     from_payload,
-    padic_valuation,
+    is_prime,
 )
 from .poly import (
     MultiPoly,
@@ -121,12 +123,12 @@ class Tower:
         if f.arity != 1:
             raise ValueError("base polynomial must be univariate")
         field = f.field
+        kind = RationalTower if isinstance(field, Q) else Tower
         if n == 1:
-            return Tower(field, None, 1)
+            return kind(field, None, 1)
         m = f.degree
         if m is None or m < 2:
             raise ValueError("base polynomial must have degree at least 2")
-        kind = RationalTower if isinstance(field, Q) else Tower
         return kind(field, homogenize2(f), n)
 
     @property
@@ -237,7 +239,7 @@ class RationalTower(Tower):
     T_k = f2(N*b, a*E) / (E*b)^m. With L the lcm of the denominators of
     f2's coefficients, N_k = (L*f2)(N*b, a*E) and E_k = L*(E*b)^m are
     integers and E_k is not zero: the zero test reads N != 0, and a
-    value becomes one Fraction at the end.
+    value becomes one Fraction at the end. No pair needs lowest terms.
     """
 
     @cached_property
@@ -247,22 +249,52 @@ class RationalTower(Tower):
         lcm = math.lcm(*(c.payload.denominator for _, c in terms))
         return lcm, [(i, j, int(c.payload * lcm)) for (i, j), c in terms]
 
-    def _pair(self, xs):
+    def _pair(self, pairs):
+        """(N, E) at the point whose coordinates are the int pairs
+        (numerator, denominator)."""
+        num, den = pairs[0]
+        if self.f2 is None:
+            return num, den
         lcm, terms = self._cleared
         m = self.f2.degree
-        num, den = xs[0].numerator, xs[0].denominator
-        for x in xs[1:]:
-            a, b = x.numerator, x.denominator
+        for a, b in pairs[1:]:
             u, v = num * b, a * den
             num = sum(c * u ** i * v ** j for i, j, c in terms)
             den = lcm * (den * b) ** m
         return num, den
 
     def evaluate_payloads(self, xs):
-        return Fraction(*self._pair(xs))
+        return Fraction(*self._pair([_ratio(x) for x in xs]))
 
     def vanishes_at(self, point):
-        return self._pair(tuple(x.payload for x in point))[0] == 0
+        return self._pair([_ratio(x) for x in point])[0] == 0
+
+    def verify_sampled(self, points):
+        """`Tower.verify_sampled` on int pairs: each coordinate is an
+        element of Q or a (numerator, denominator) int pair, in lowest
+        terms or not. Only a counterexample is made into elements, in
+        lowest terms."""
+        points = [[_ratio(x) for x in pt] for pt in points]
+        origin = [(0, 1)] * self.arity
+        for pt in itertools.chain([origin], points):
+            if all(a == 0 for a, _ in pt) != (self._pair(pt)[0] == 0):
+                F = self.field
+                return Failed(tuple(from_payload(F, Fraction(a, b))
+                                    for a, b in pt))
+        return SampledPassed(len(points))
+
+
+def _ratio(x):
+    """(numerator, denominator) of a rational number or an element of Q;
+    an int pair (numerator, denominator) is returned as it is, once its
+    denominator is checked to be nonzero."""
+    if isinstance(x, tuple):
+        if not x[1]:
+            raise ZeroDivisionError(f"the pair {x} has denominator 0")
+        return x
+    if isinstance(x, FieldElement):
+        x = x.payload
+    return x.numerator, x.denominator
 
 
 def _keeps_terms(i, p):
@@ -341,7 +373,8 @@ def verify_tower_exhaustive(f: MultiPoly, n: int):
 
 def verify_witness_sampled(f: MultiPoly, n: int, points):
     """The arity-n tower over a monic f over Q: f's rational roots
-    first, then `Tower.verify_sampled` at the points.
+    first, then `RationalTower.verify_sampled` at the points, whose
+    coordinates are elements of Q or (numerator, denominator) int pairs.
 
     For n >= 2 a rational root r of f (`first_rational_root`, under
     RATIONAL_ROOT_GUARD) gives the zero (r, 1, 0, ..., 0) off the
@@ -435,21 +468,30 @@ def valuation_identity_check(p: int, samples):
     For (x, y) != (0, 0) the identity
     v_p(x^2 - p*y^2) = min(2*v_p(x), 1 + 2*v_p(y)) holds because the two
     candidates have opposite parity; a finite valuation means the value
-    is nonzero. The pair (0, 0) must give value 0.
+    is nonzero. The pair (0, 0) gives value 0 and passes.
+
+    Each coordinate is a rational number, an element of Q or an int pair
+    (numerator, denominator). With x = a/b and y = c/d,
+    x^2 - p*y^2 = N/(b*d)^2 where N = (a*d)^2 - p*(c*b)^2, so
+    v_p(value) = v_p(N) - 2*(v_p(b) + v_p(d)), v_p(x) = v_p(a) - v_p(b)
+    and v_p(y) = v_p(c) - v_p(d): the check runs on ints, and no pair
+    needs lowest terms. p is checked to be prime once, before any sample.
     """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     checked = 0
     for x, y in samples:
-        x, y = Fraction(x), Fraction(y)
-        value = x * x - p * y * y
-        if x == 0 and y == 0:
-            if value != 0:
-                return Failed((x, y))
-        else:
-            vx = padic_valuation(x, p)
-            vy = padic_valuation(y, p)
-            lhs = padic_valuation(value, p)
-            rhs = min(vx + vx, vy + vy + 1)
-            if lhs.is_infinite or lhs != rhs:
-                return Failed((x, y))
+        a, b = _ratio(x)
+        c, d = _ratio(y)
+        if a or c:
+            vb, vd = _multiplicity(b, p), _multiplicity(d, p)
+            # a zero coordinate has infinite valuation: None
+            vx = 2 * (_multiplicity(a, p) - vb) if a else None
+            vy = 1 + 2 * (_multiplicity(c, p) - vd) if c else None
+            rhs = vy if vx is None else vx if vy is None else min(vx, vy)
+            ad, cb = a * d, c * b
+            num = ad * ad - p * cb * cb
+            if not num or _multiplicity(num, p) - 2 * (vb + vd) != rhs:
+                return Failed((Fraction(a, b), Fraction(c, d)))
         checked += 1
     return ValuationPassed(checked, p)

@@ -13,7 +13,6 @@ import json
 import random
 import sys
 import time
-from fractions import Fraction
 
 from . import anisotropic as aniso
 from . import covers as cov
@@ -23,7 +22,7 @@ from .field_core import (
     Q,
     find_rootfree_monic,
     format_field,
-    from_payload,
+    is_prime,
     parse_field,
     rootfree_scan_position,
 )
@@ -79,13 +78,10 @@ def _parse_sizes(spec):
     return [int(s) for s in spec.split(",")]
 
 
-def _seeded_rationals(rng, count):
-    out = []
-    for _ in range(count):
-        num = rng.randint(-99, 99)
-        den = rng.randint(1, 99)
-        out.append(Fraction(num, den))
-    return out
+def _seeded_pairs(rng, count):
+    """count seeded rationals as (numerator, denominator) int pairs, not
+    reduced: numerators in -99..99, denominators in 1..99."""
+    return [(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(count)]
 
 
 def cmd_field_find_rootfree(args):
@@ -129,22 +125,24 @@ def cmd_anisotropic(args):
         result = aniso.verify_tower_exhaustive(base, args.n)
     elif samples < 1:
         raise ConfigError("--samples must be at least 1")
-    elif isinstance(field, Q) and args.padic:
+    elif isinstance(field, Q) and args.padic is not None:
+        p = args.padic
+        if args.witness is not None:
+            raise ConfigError("--padic checks x^2 - p*y^2 and takes no "
+                              "--witness")
+        if not is_prime(p):
+            raise ConfigError(f"--padic must be a prime, got {p}")
         if args.n != 2:
             raise ConfigError("--padic checks x^2 - p*y^2, so --n must be 2")
-        p = args.padic
         base = parse_poly(field, f"x^2 + -{p}")
         rng = random.Random(args.seed)
-        pairs = list(zip(_seeded_rationals(rng, samples),
-                         _seeded_rationals(rng, samples)))
+        pairs = list(zip(_seeded_pairs(rng, samples),
+                         _seeded_pairs(rng, samples)))
         result = aniso.valuation_identity_check(p, pairs)
     elif isinstance(field, Q) and args.witness:
         base = parse_poly(field, args.witness)
         rng = random.Random(args.seed)
-        # the samples are Fractions, already the canonical payloads of Q
-        points = [tuple(from_payload(field, v)
-                        for v in _seeded_rationals(rng, args.n))
-                  for _ in range(samples)]
+        points = [_seeded_pairs(rng, args.n) for _ in range(samples)]
         result = aniso.verify_witness_sampled(base, args.n, points)
     else:
         raise ConfigError(

@@ -31,6 +31,7 @@ from gelfand.field_core import (
     Qsqrt,
     enumerate_field,
     find_rootfree_monic,
+    padic_valuation,
 )
 from gelfand.poly import (
     MultiPoly,
@@ -274,6 +275,82 @@ def test_valuation_result_carries_prime():
                                 "prime": 3}
 
 
+VALUATION_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+def _valuation_reference(p, x, y):
+    """The identity at one pair, with Fraction arithmetic and
+    `padic_valuation`: the reference oracle for the integer kernel."""
+    x, y = Fraction(x), Fraction(y)
+    value = x * x - p * y * y
+    if x == 0 and y == 0:
+        return value == 0
+    lhs = padic_valuation(value, p)
+    vx, vy = padic_valuation(x, p), padic_valuation(y, p)
+    return not lhs.is_infinite and lhs == min(vx + vx, vy + vy + 1)
+
+
+def _scaled_pairs(rng, p, count):
+    """Seeded (x, y), each an int pair (numerator, denominator) whose
+    parts carry p^0..3 and a common factor, so most are not reduced;
+    zero coordinates occur, and three pairs put them in every place."""
+    def coordinate():
+        k = rng.randint(1, 6)
+        return (rng.randint(-30, 30) * p ** rng.randint(0, 3) * k,
+                rng.randint(1, 30) * p ** rng.randint(0, 3) * k)
+    pairs = [(coordinate(), coordinate()) for _ in range(count)]
+    return pairs + [((0, 1), (5, p)), ((3 * p, p * p), (0, 4)),
+                    ((0, 2 * p), (0, 9))]
+
+
+@pytest.mark.parametrize("p", VALUATION_PRIMES)
+def test_valuation_kernel_matches_fraction_reference(p):
+    pairs = _scaled_pairs(random.Random(p), p, 300)
+    for (a, b), (c, d) in pairs:
+        x, y = Fraction(a, b), Fraction(c, d)
+        expected = ValuationPassed(1) if _valuation_reference(p, x, y) \
+            else Failed((x, y))
+        assert valuation_identity_check(p, [((a, b), (c, d))]) == expected
+        assert valuation_identity_check(p, [(x, y)]) == expected
+    assert valuation_identity_check(p, pairs) == ValuationPassed(len(pairs))
+
+
+def test_valuation_kernel_checks_the_prime_once_and_builds_no_fraction(
+        monkeypatch):
+    calls = []
+    prime = anisotropic.is_prime
+    monkeypatch.setattr(anisotropic, "is_prime",
+                        lambda n: calls.append(n) or prime(n))
+
+    def no_fraction(*args):
+        raise AssertionError("a Fraction was built")
+    monkeypatch.setattr(anisotropic, "Fraction", no_fraction)
+    pairs = _scaled_pairs(random.Random(5), 5, 100)
+    assert valuation_identity_check(5, pairs) == ValuationPassed(103)
+    assert calls == [5]
+
+    def untouched():
+        raise AssertionError("a sample was drawn")
+        yield
+    with pytest.raises(ValueError, match="4 is not prime"):
+        valuation_identity_check(4, untouched())
+
+
+@pytest.mark.parametrize("p,pair,unreduced,counterexample", [
+    (4, (2, 1), ((4, 2), (3, 3)), ["2", "1"]),
+    (9, (3, 1), ((6, 2), (-5, -5)), ["3", "1"])])
+def test_valuation_kernel_negative_control_composite_p(
+        monkeypatch, p, pair, unreduced, counterexample):
+    # x^2 - p*y^2 vanishes at (sqrt(p), 1) when p is a square
+    prime = anisotropic.is_prime
+    monkeypatch.setattr(anisotropic, "is_prime",
+                        lambda n: n in (4, 9) or prime(n))
+    for bad in (pair, unreduced):
+        result = valuation_identity_check(p, [(1, 1), (0, 0), bad])
+        assert result == Failed(tuple(map(Fraction, pair)))
+        assert result.to_json()["counterexample"] == counterexample
+
+
 def _q_points(coords):
     return [tuple(Q().element(v) for v in pt) for pt in coords]
 
@@ -429,6 +506,90 @@ def test_rootfree_rational_witness_is_sampled():
     # n = 1: the form is x1, whatever roots the base has
     assert verify_witness_sampled(parse_poly(F, "x^2 - 1"), 1, []) == \
         SampledPassed(0)
+
+
+def _pair_points(rng, n, roots):
+    """Seeded points of int pairs, most not reduced, with zeros; for each
+    root u/v, points (u*k/(v*k), k/k, 0, ..., 0) where a rooted base's
+    tower vanishes."""
+    def coordinate():
+        k = rng.randint(1, 4)
+        return rng.randint(-6, 6) * k, rng.randint(1, 6) * k
+    points = [[coordinate() for _ in range(n)] for _ in range(40)]
+    for r in roots:
+        k = rng.randint(1, 4)
+        points.append([(r.numerator * k, r.denominator * k), (k, k)]
+                      + [(0, rng.randint(1, 9))] * (n - 2))
+    return points
+
+
+@pytest.mark.parametrize("witness,roots", [
+    ("x^2+1", []), ("x^2-3*x+5", []), ("x^2+1/2*x+2/3", []),
+    ("x^2-1", [1, -1]), ("x^3-8/27", [Fraction(2, 3)]),
+    ("x^2-5/6*x+1/6", [Fraction(1, 2), Fraction(1, 3)])])
+def test_int_pair_vanishing_matches_expanded_form(witness, roots):
+    F = Q()
+    f = parse_poly(F, witness)
+    rng = random.Random(witness)
+    vanished = 0
+    for n in range(1, 5):
+        tower = Tower.over(f, n)
+        form = tower.expand()
+        for pairs in _pair_points(rng, n, roots if n > 1 else []):
+            point = tuple(F.element(Fraction(a, b)) for a, b in pairs)
+            value = form.evaluate(point)
+            num, den = tower._pair(pairs)
+            assert (num == 0) == value.is_zero
+            assert Fraction(num, den) == value.payload
+            assert tower.verify_sampled([pairs]) == \
+                verify_vanishing_sampled(form, [point])
+            vanished += value.is_zero and any(a for a, _ in pairs)
+    assert (vanished > 0) == bool(roots)
+
+
+def test_witness_loop_builds_elements_only_for_a_counterexample(
+        monkeypatch):
+    F = Q()
+    f = parse_poly(F, "x^2+1/2*x+2/3")
+    rng = random.Random(3)
+    pairs = [[(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(3)]
+             for _ in range(50)]
+    elements = [tuple(F.element(Fraction(a, b)) for a, b in pt)
+                for pt in pairs]
+    expected = verify_witness_sampled(f, 3, elements)
+    assert expected == SampledPassed(50)
+
+    def forbidden(*args):
+        raise AssertionError("an element or a Fraction was built")
+    monkeypatch.setattr(anisotropic, "Fraction", forbidden)
+    monkeypatch.setattr(anisotropic, "from_payload", forbidden)
+    assert verify_witness_sampled(f, 3, pairs) == expected
+    # n = 1: the form is x1, also on int pairs
+    assert verify_witness_sampled(f, 1, [[(0, 3)], [(2, 4)]]) == \
+        SampledPassed(2)
+
+
+def test_int_pairs_with_denominator_zero_are_refused():
+    F = Q()
+    f = parse_poly(F, "x^2+1")
+    with pytest.raises(ZeroDivisionError, match="denominator 0"):
+        verify_witness_sampled(f, 2, [[(1, 2), (3, 0)]])
+    with pytest.raises(ZeroDivisionError, match="denominator 0"):
+        valuation_identity_check(3, [((0, 0), (0, 1))])
+
+
+def test_witness_loop_negative_control_without_the_root_test(monkeypatch):
+    # with the rational root test skipped, the root 1 of x^2 - 1 must
+    # still be found at a sample where the tower vanishes
+    monkeypatch.setattr(anisotropic, "first_rational_root",
+                        lambda coeffs: None)
+    F = Q()
+    f = parse_poly(F, "x^2-1")
+    points = [[(1, 2), (1, 3), (1, 5)], [(2, 2), (3, 3), (0, 5)],
+              [(1, 1), (1, 1), (1, 1)]]
+    result = verify_witness_sampled(f, 3, points)
+    assert result == Failed((F.one(), F.one(), F.zero()))
+    assert result.to_json()["counterexample"] == ["1", "1", "0"]
 
 
 def test_nested_sampled_checks_the_origin_and_keeps_order():

@@ -2,6 +2,8 @@
 
 import itertools
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -63,6 +65,37 @@ def test_anisotropic_rootfree_rational_witness_passes(tmp_path, witness):
     assert report["instances"][0]["verification"]["mode"] == "sampled"
 
 
+def test_anisotropic_witness_at_arity_one(tmp_path):
+    # the form is x1, checked on the drawn int pairs like any arity
+    code, report = run_cli(
+        ["anisotropic", "--field", "Q", "--witness", "x^2-1", "--n", "1"],
+        tmp_path / "r.json")
+    assert code == 0
+    inst = report["instances"][0]
+    assert inst["form"] == "x1"
+    assert inst["verification"]["samples"] == 200
+
+
+def _seeded_rationals_reference(rng, count):
+    """The CLI's draws when it made Fractions, kept as the reference."""
+    out = []
+    for _ in range(count):
+        num = rng.randint(-99, 99)
+        den = rng.randint(1, 99)
+        out.append(Fraction(num, den))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 7, 21, 1234])
+def test_seeded_pairs_draw_the_reference_rationals(seed):
+    drawn, reference = random.Random(seed), random.Random(seed)
+    for n in (2, 3, 4) * 30:
+        pairs = cli._seeded_pairs(drawn, n)
+        assert [Fraction(a, b) for a, b in pairs] == \
+            _seeded_rationals_reference(reference, n)
+    assert drawn.random() == reference.random()
+
+
 def test_anisotropic_padic(tmp_path):
     code, report = run_cli(
         ["anisotropic", "--field", "Q", "--padic", "3", "--n", "2"],
@@ -113,6 +146,16 @@ def test_anisotropic_padic_needs_arity_two(tmp_path):
     (["--field", "Fp(2)", "--samples", "200"],
      "--samples applies to Q only; over a finite field every point is "
      "checked"),
+    (["--field", "Q", "--padic", "4"], "--padic must be a prime, got 4"),
+    (["--field", "Q", "--padic", "1"], "--padic must be a prime, got 1"),
+    (["--field", "Q", "--padic", "0"], "--padic must be a prime, got 0"),
+    (["--field", "Q", "--padic", "-3"], "--padic must be a prime, got -3"),
+    (["--field", "Q", "--padic", "9", "--n", "3"],
+     "--padic must be a prime, got 9"),
+    (["--field", "Q", "--padic", "5", "--witness", "x^2+1"],
+     "--padic checks x^2 - p*y^2 and takes no --witness"),
+    (["--field", "Q", "--padic", "2", "--witness", "x^2+1", "--n", "3"],
+     "--padic checks x^2 - p*y^2 and takes no --witness"),
 ])
 def test_anisotropic_config_errors_name_the_requirement(
         tmp_path, capsys, args, message):
