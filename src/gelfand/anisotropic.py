@@ -27,6 +27,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -184,11 +185,6 @@ class Tower:
         digits = base_digits(bad, q, n)
         return Failed(tuple(field.element_at(i) for i in reversed(digits)))
 
-    def verify_sampled(self, points):
-        """`verify_vanishing_sampled` on the tower: the origin first, then
-        the points in order; the first violation is reported."""
-        return _verify_sampled(self, self.vanishes_at, points)
-
     def expand(self) -> MultiPoly:
         """The tower as a MultiPoly: n - 1 `compose_last` levels.
 
@@ -270,30 +266,38 @@ class RationalTower(Tower):
         return self._pair([_ratio(x) for x in point])[0] == 0
 
     def verify_sampled(self, points):
-        """`Tower.verify_sampled` on int pairs: each coordinate is an
-        element of Q or a (numerator, denominator) int pair, in lowest
-        terms or not. Only a counterexample is made into elements, in
-        lowest terms."""
+        """`verify_vanishing_sampled` on the tower, read on int pairs: the
+        origin first, then the points in order; the first violation is
+        reported. Each coordinate is anything `_ratio` reads, an int
+        pair in lowest terms or not. Only a counterexample is made into
+        elements, in lowest terms."""
         points = [[_ratio(x) for x in pt] for pt in points]
         origin = [(0, 1)] * self.arity
-        for pt in itertools.chain([origin], points):
-            if all(a == 0 for a, _ in pt) != (self._pair(pt)[0] == 0):
-                F = self.field
-                return Failed(tuple(from_payload(F, Fraction(a, b))
-                                    for a, b in pt))
-        return SampledPassed(len(points))
+        bad = _first_violation(lambda pt: self._pair(pt)[0] == 0,
+                               itertools.chain([origin], points),
+                               lambda pt: not any(a for a, _ in pt))
+        if bad is None:
+            return SampledPassed(len(points))
+        return Failed(tuple(from_payload(self.field, Fraction(a, b))
+                            for a, b in bad))
 
 
 def _ratio(x):
-    """(numerator, denominator) of a rational number or an element of Q;
-    an int pair (numerator, denominator) is returned as it is, once its
-    denominator is checked to be nonzero."""
+    """(numerator, denominator) of an element of Q or of a number that
+    `Fraction` reads (an int, a Fraction, a float, a Decimal or a string
+    like '1/2'); an int pair (numerator, denominator) is returned as it
+    is, once its denominator is checked to be nonzero. An element of
+    another field is refused."""
     if isinstance(x, tuple):
         if not x[1]:
             raise ZeroDivisionError(f"the pair {x} has denominator 0")
         return x
     if isinstance(x, FieldElement):
+        if not isinstance(x.field, Q):
+            raise WrongKind(f"expected an element of Q, got one of {x.field}")
         x = x.payload
+    elif not isinstance(x, numbers.Rational):
+        x = Fraction(x)
     return x.numerator, x.denominator
 
 
@@ -380,7 +384,11 @@ def verify_witness_sampled(f: MultiPoly, n: int, points):
     RATIONAL_ROOT_GUARD) gives the zero (r, 1, 0, ..., 0) off the
     origin, as f2(r, 1) = f(r) = 0 and f2(0, 0) = 0; it is reported
     before any sample is evaluated. A pass covers only the points given.
+    A base over another field is refused; a finite field is verified
+    exhaustively (`verify_tower_exhaustive`).
     """
+    if not isinstance(f.field, Q):
+        raise WrongKind("sampled witnesses are over Q")
     tower = Tower.over(f, n)
     if n > 1:
         F = f.field
@@ -397,21 +405,20 @@ def verify_vanishing_sampled(g: MultiPoly, points):
     nonzero points; the origin is checked first. A pass covers only the
     points given, not all of F^n.
     """
-    return _verify_sampled(g, lambda pt: g.evaluate(pt).is_zero, points)
-
-
-def _verify_sampled(g, vanishes, points):
     points = list(points)
     origin = tuple(g.field.zero() for _ in range(g.arity))
-    bad = _first_violation(vanishes, itertools.chain([origin], points))
+    bad = _first_violation(lambda pt: g.evaluate(pt).is_zero,
+                           itertools.chain([origin], points))
     return SampledPassed(len(points)) if bad is None else Failed(bad)
 
 
-def _first_violation(vanishes, points):
+def _first_violation(vanishes, points,
+                     at_origin=lambda pt: all(x.is_zero for x in pt)):
     """The first point where g is zero off the origin or nonzero at it,
-    given whether g vanishes at a point."""
+    given whether g vanishes at a point and whether the point is the
+    origin (by default, a point of field elements)."""
     for pt in points:
-        if all(x.is_zero for x in pt) != vanishes(pt):
+        if at_origin(pt) != vanishes(pt):
             return pt
     return None
 
@@ -470,8 +477,9 @@ def valuation_identity_check(p: int, samples):
     candidates have opposite parity; a finite valuation means the value
     is nonzero. The pair (0, 0) gives value 0 and passes.
 
-    Each coordinate is a rational number, an element of Q or an int pair
-    (numerator, denominator). With x = a/b and y = c/d,
+    Each coordinate is anything `_ratio` reads: an element of Q (one of
+    another field is refused), a number that `Fraction` reads or an int
+    pair (numerator, denominator). With x = a/b and y = c/d,
     x^2 - p*y^2 = N/(b*d)^2 where N = (a*d)^2 - p*(c*b)^2, so
     v_p(value) = v_p(N) - 2*(v_p(b) + v_p(d)), v_p(x) = v_p(a) - v_p(b)
     and v_p(y) = v_p(c) - v_p(d): the check runs on ints, and no pair

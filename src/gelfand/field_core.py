@@ -40,14 +40,45 @@ ROOTFREE_SEARCH_GUARD = 10 ** 7
 RATIONAL_ROOT_GUARD = 10 ** 9   # max |L*c0| and L*f's leading coefficient
 
 
+# the first 13 primes; as Miller-Rabin bases they decide every n below
+# _MR_EXACT_BELOW (Sorenson and Webster, 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Whether n is prime: trial division by the first 13 primes, then
+    Miller-Rabin to those bases. A composite verdict is always right,
+    and below _MR_EXACT_BELOW (about 3.3 * 10^24) so is a prime one;
+    above it a prime verdict is confirmed by trial division up to
+    sqrt(n), which for a large prime does not finish in practice."""
     if n < 2:
         return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    if n < 43 * 43:
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        i += 1
+    if n >= _MR_EXACT_BELOW:
+        i = 43
+        while i * i <= n:
+            if n % i == 0:
+                return False
+            i += 2
     return True
 
 

@@ -351,6 +351,36 @@ def test_valuation_kernel_negative_control_composite_p(
         assert result.to_json()["counterexample"] == counterexample
 
 
+def test_valuation_kernel_reads_numbers_and_refuses_other_fields():
+    # what Fraction reads is read: (1/2, 3) as a float, a string, a
+    # Decimal and a Fraction alike
+    from decimal import Decimal
+    expected = ValuationPassed(1)
+    for x in (0.5, "1/2", Decimal("0.5"), Fraction(1, 2), Q().element(
+            Fraction(1, 2))):
+        assert valuation_identity_check(3, [(x, 3)]) == expected
+    # x^2 - 2*y^2 at (1/2, 1/2) is -1/4: v_2 = -2 = min(-2, -1)
+    assert valuation_identity_check(2, [("1/2", 0.5)]) == expected
+    # an element of F_5 is not a rational, whatever its payload
+    with pytest.raises(WrongKind):
+        valuation_identity_check(3, [(Fp(5).element(2), 1)])
+    with pytest.raises(WrongKind):
+        valuation_identity_check(3, [(1, Qsqrt(-1).one())])
+
+
+def test_witness_loop_refuses_other_fields():
+    F = Q()
+    tower = Tower.over(parse_poly(F, "x^2+1"), 2)
+    with pytest.raises(WrongKind):
+        tower.verify_sampled([(F.one(), Fp(5).element(2))])
+    assert tower.verify_sampled([(0.5, "2/3")]) == SampledPassed(1)
+    # a finite field is verified exhaustively, not sampled
+    f = _base(Fp(3))
+    with pytest.raises(WrongKind, match="over Q"):
+        verify_witness_sampled(f, 2, [])
+    assert not hasattr(Tower.over(f, 2), "verify_sampled")
+
+
 def _q_points(coords):
     return [tuple(Q().element(v) for v in pt) for pt in coords]
 

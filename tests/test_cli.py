@@ -114,6 +114,17 @@ def test_anisotropic_padic_report_names_prime(tmp_path):
         "mode": "valuation", "samples": 30, "prime": 5}
 
 
+def test_anisotropic_padic_takes_a_large_prime(tmp_path):
+    # 2^61 - 1: the primality check does not run to sqrt(p)
+    p = 2 ** 61 - 1
+    code, report = run_cli(
+        ["anisotropic", "--field", "Q", "--padic", str(p), "--samples",
+         "30"], tmp_path / "r.json")
+    assert code == 0
+    assert report["instances"][0]["verification"] == {
+        "mode": "valuation", "samples": 30, "prime": p}
+
+
 def test_anisotropic_padic_needs_arity_two(tmp_path):
     code, report = run_cli(
         ["anisotropic", "--field", "Q", "--padic", "3", "--n", "3"],

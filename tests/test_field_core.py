@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -120,6 +121,30 @@ def test_rootfree_has_empty_root_set(field):
         for i, c in enumerate(coeffs):
             acc = acc + c * a ** i
         assert not acc.is_zero
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % i for i in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(-3, 50000) if field_core.is_prime(n)] == \
+        [n for n in range(-3, 50000) if _trial_division(n)]
+    rng = random.Random(61)
+    for _ in range(300):
+        n = rng.randrange(10 ** 6, 10 ** 8)
+        assert field_core.is_prime(n) == _trial_division(n)
+
+
+@pytest.mark.parametrize("n,prime", [
+    (561, False), (41041, False), (825265, False), (321197185, False),
+    # strong pseudoprimes to every prime base up to 37, refused by 41
+    (3825123056546413051, False), (318665857834031151167461, False),
+    (2 ** 61 - 1, True), (2 ** 64 - 59, True), (10 ** 24 + 7, True),
+    # composites above the exact bound are refused by Miller-Rabin alone
+    ((2 ** 61 - 1) * (2 ** 31 - 1), False), (10 ** 40 + 1, False)])
+def test_is_prime_large_and_pseudoprimes(n, prime):
+    assert field_core.is_prime(n) == prime
 
 
 def test_padic_examples():
