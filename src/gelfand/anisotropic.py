@@ -151,11 +151,6 @@ class Tower:
             value = f2.evaluate_payloads((value, x))
         return value
 
-    def vanishes_at(self, point) -> bool:
-        """Whether the value at a tuple of field elements is zero."""
-        return self.field.is_zero(
-            self.evaluate_payloads(tuple(x.payload for x in point)))
-
     def verify_exhaustive(self):
         """Check over all of F^n that the tower vanishes exactly at the
         origin, without expanding it.
@@ -261,9 +256,6 @@ class RationalTower(Tower):
 
     def evaluate_payloads(self, xs):
         return Fraction(*self._pair([_ratio(x) for x in xs]))
-
-    def vanishes_at(self, point):
-        return self._pair([_ratio(x) for x in point])[0] == 0
 
     def verify_sampled(self, points):
         """`verify_vanishing_sampled` on the tower, read on int pairs: the

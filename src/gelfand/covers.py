@@ -3,9 +3,9 @@
 A cover is a list of functions with no common zero. Three routes
 produce an element of the ideal they generate that never vanishes:
 plugging the cover into an origin-only-vanishing form (route I),
-interpolating the finite image to the constant 1 (route II), and
-iteratively subtracting a multiple chosen to avoid the image in the
-projective line (route III).
+interpolating the finite image to 1 by linear factors, over any field
+(route II), and iteratively subtracting a multiple chosen to avoid the
+image in the projective line (route III).
 """
 
 from __future__ import annotations
@@ -72,70 +72,78 @@ def image_points(cover: Cover):
 
 
 def indicator_poly(a, F: FieldDescriptor) -> MultiPoly:
-    """Product of (1 - (x_i - a_i)^(q-1)): 1 at a, 0 elsewhere on F^n;
-    the one-point case of `interpolate_case2`'s transform."""
+    """Product of (1 - (x_i - a_i)^(q-1)): 1 at a, 0 elsewhere on F^n.
+    By Lucas' theorem binom(q-1, j) = (-1)^j mod p, so (x - b)^(q-1) is
+    the sum of b^(q-1-j) x^j over j < q, with 0^0 = 1."""
     if not F.is_finite:
         raise InfiniteField("indicator polynomials need a finite field")
-    return MultiPoly.from_payloads(
-        F, len(a), _indicator_sum(F, [tuple(x.payload for x in a)]))
+    q, add, neg = F.order, F.add, F.neg
+    factors = [_terms(F, [add(int(j == 0), neg(F.pow(x.payload, q - 1 - j)))
+                          for j in range(q)]) for x in a]
+    return MultiPoly.from_payloads(F, len(a), _product_over_axes(F, factors))
 
 
 def interpolate_case2(J, F: FieldDescriptor, arity: int) -> MultiPoly:
-    """Sum of indicator polynomials over the points of J, each taken
-    once: identically 1 on J, 0 at the origin, and with zero constant
-    term (the origin is excluded)."""
+    """1 - prod over a in J of (1 - x_i/a_i), i the first axis where a
+    is nonzero: 1 on J, as the factor for a is 0 at a, and 0 at the
+    origin, where every factor is 1, so the constant term is zero."""
     return _interpolant(F, arity, [tuple(x.payload for x in a) for a in J])
 
 
 def _interpolant(F, arity, J) -> MultiPoly:
-    """`interpolate_case2` on points given by their payloads. An
-    indicator's factor for a_i has q - 1 terms, or 2 if a_i is 0, and
-    no exponent reaches q: FORM_TERMS_GUARD is checked on that bound."""
+    """`interpolate_case2` on payload points, over any field. P_i, the
+    product of 1 - x_i/c over the distinct first nonzero values c on
+    axis i, takes one linear step per value; the P_i share no variable,
+    so the interpolant has exactly prod t_i - 1 terms, t_i those of P_i,
+    checked against FORM_TERMS_GUARD before the product."""
     if not J:
         raise ValueError("J must be non-empty")
+    values = [set() for _ in range(arity)]
     for a in J:
         if len(a) != arity:
             raise ValueError("points of J must match the arity")
-        if all(map(F.is_zero, a)):
+        lead = next((i for i, b in enumerate(a) if not F.is_zero(b)), None)
+        if lead is None:
             raise OriginInJ("J must not contain the origin")
-    if not F.is_finite:
-        raise InfiniteField("indicator polynomials need a finite field")
-    q = F.order
-    bound = min(sum(math.prod(q - 1 if b else 2 for b in a) for a in J),
-                q ** arity)
-    if bound > FORM_TERMS_GUARD:
-        raise TooLarge(f"route II's interpolant may have {bound} terms; the "
-                       f"form-terms guard is {FORM_TERMS_GUARD}",
+        values[lead].add(a[lead])
+    factors = [_linear_product(F, cs) for cs in values]
+    count = math.prod(map(len, factors)) - 1
+    if count > FORM_TERMS_GUARD:
+        raise TooLarge(f"route II's interpolant has exactly {count} terms; "
+                       f"the form-terms guard is {FORM_TERMS_GUARD}",
                        guard="FORM_TERMS_GUARD", limit=FORM_TERMS_GUARD,
-                       requested=bound)
-    return MultiPoly.from_payloads(F, arity, _indicator_sum(F, J))
+                       requested=count)
+    product = _product_over_axes(F, factors)
+    del product[(0,) * arity]
+    return MultiPoly.from_payloads(F, arity, {m: F.neg(c)
+                                              for m, c in product.items()})
 
 
-def _indicator_sum(F, J):
-    """The sum of the indicators of the payload points J, each taken
-    once, as a {monomial: payload} dict without zeros, by a transform
-    one axis at a time: the keys start as the points, and the pass over
-    axis k replaces each key's a_k by the exponents j of the factor for
-    a_k, multiplying coefficients and adding those that meet. By Lucas'
-    theorem binom(q-1, j) = (-1)^j mod p, so (x - b)^(q-1) is the sum of
-    b^(q-1-j) x^j over j < q, with 0^0 = 1: the factor's coefficients
-    are read off that sum once per distinct b.
-    """
-    q, mul, add, neg = F.order, F.mul, F.add, F.neg
-    terms, factors = dict.fromkeys(J, 1), {}
-    for k in range(len(J[0])):
-        acc = {}
-        for key, c in terms.items():
-            b = key[k]
-            if b not in factors:
-                coeffs = [add(int(j == 0), neg(F.pow(b, q - 1 - j)))
-                          for j in range(q)]
-                factors[b] = [(j, f) for j, f in enumerate(coeffs) if f]
-            for j, f in factors[b]:
-                m = key[:k] + (j,) + key[k + 1:]
-                t = mul(c, f)
-                acc[m] = add(acc[m], t) if m in acc else t
-        terms = {m: c for m, c in acc.items() if c}
+def _linear_product(F, values):
+    """The `_terms` of the product of 1 - x/c over the payloads c."""
+    mul, add, zero = F.mul, F.add, F.canonical(0)
+    coeffs = [F.canonical(1)]
+    for c in values:
+        r = F.neg(F.inv(c))  # 1 - x/c = 1 + r*x
+        coeffs = [add(u, mul(r, v))
+                  for u, v in zip(coeffs + [zero], [zero] + coeffs)]
+    return _terms(F, coeffs)
+
+
+def _terms(F, coeffs):
+    """A univariate polynomial's (exponent, payload) pairs without zeros,
+    from its coefficient payloads, low degree first."""
+    return [(j, c) for j, c in enumerate(coeffs) if not F.is_zero(c)]
+
+
+def _product_over_axes(F, factors):
+    """The product of univariate factors given by `_terms`, the k-th in
+    x_k, as a {monomial: payload} dict: the factors share no variable,
+    so no two terms merge."""
+    mul, terms = F.mul, {(): F.canonical(1)}
+    for factor in factors:
+        terms = {m + (j,): mul(c, f)
+                 for m, c in terms.items() for j, f in factor}
     return terms
 
 
@@ -196,12 +204,9 @@ def combine_case1(cover: Cover, base: MultiPoly) -> CombinationCertificate:
 
 
 def combine_case2(cover: Cover) -> CombinationCertificate:
-    """Interpolate the cover's finite image to the constant 1.
-
-    The image's points are distinct, so the interpolant is 1 at each of
-    them and the composite is the constant one, with nothing evaluated;
-    `certify` evaluates the witness once per distinct column.
-    """
+    """Interpolate the cover's finite image to the constant 1, so the
+    composite is the constant one, with nothing evaluated; `certify`
+    evaluates the witness once per distinct column."""
     F = cover.field
     witness = _interpolant(F, len(cover.functions), image_points(cover))
     composite = RingElement.from_payloads(

@@ -295,15 +295,44 @@ def test_gelfand_checks_every_guard_before_the_first_instance(
 
 
 def test_cover_route_two_refused_above_form_guard(tmp_path, capsys):
-    # 7 functions over F_7: every indicator has at least 2^7 terms
+    # 3 functions over F_13 with 11 first nonzero values on each axis:
+    # each axis's factor has 12 terms
     fns = tmp_path / "fns.txt"
-    fns.write_text("".join(f"{i % 7},{(i + 1) % 7},{(i + 3) % 7}\n"
-                           for i in range(7)))
-    code, report = run_cli(["cover", "--field", "Fp(7)", "--functions",
+    fns.write_text("".join(
+        ",".join(str(c if k == i else 0) for k in range(3)
+                 for c in range(1, 12)) + "\n" for i in range(3)))
+    code, report = run_cli(["cover", "--field", "Fp(13)", "--functions",
                             str(fns), "--case", "II"], tmp_path / "r.json")
     assert (code, report) == (2, None)
-    assert "TooLarge: route II's interpolant may have" in \
-        capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: TooLarge: route II's interpolant has exactly 1727 terms; "
+        "the form-terms guard is 1024\n")
+
+
+def test_cover_seven_functions_over_f7_takes_every_route(tmp_path):
+    # the README's route-II probe: 7 functions on 6 points over F_7
+    fns = tmp_path / "fns.txt"
+    fns.write_text("2,1,3,5,0,0\n6,4,0,2,4,0\n4,1,0,0,3,3\n0,1,0,4,3,0\n"
+                   "6,4,0,1,5,5\n4,0,4,4,3,0\n1,0,4,6,1,2\n")
+    code, report = run_cli(["cover", "--field", "Fp(7)", "--functions",
+                            str(fns), "--case", "all"], tmp_path / "r.json")
+    assert code == 0
+    assert [(r["mode"], r["pass"]) for r in report["instances"]] == [
+        ("CaseI", True), ("CaseII", True), ("CaseIII", True)]
+    assert report["instances"][1]["witness"].count("+") == 18
+
+
+def test_cover_route_two_over_q(tmp_path):
+    fns = tmp_path / "fns.txt"
+    fns.write_text("1,0,1\n0,1,1\n")
+    args = ["cover", "--field", "Q", "--functions", str(fns), "--case"]
+    code, report = run_cli(args + ["II"], tmp_path / "r.json")
+    assert code == 0
+    assert report["instances"] == [{
+        "mode": "CaseII", "witness": "(-1)*x1*x2 + x1 + x2",
+        "composite_values": ["1", "1", "1"], "pass": True}]
+    code, report = run_cli(args + ["III"], tmp_path / "r3.json")
+    assert (code, report) == (2, None)
 
 
 def test_cover_all_cases(tmp_path):

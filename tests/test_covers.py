@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 from functools import partial
 
 import pytest
@@ -30,6 +31,8 @@ from gelfand.errors import (
 from gelfand.field_core import (
     Fp,
     Fq,
+    Q,
+    Qsqrt,
     enumerate_field,
     find_rootfree_monic,
     from_payload,
@@ -168,8 +171,30 @@ COVER_FIELDS = [(Fp(2), 6), (Fp(3), 4), (Fp(5), 3), (Fp(7), 2),
                 (Fq(2, 3, (1, 0, 1, 1)), 2)]
 
 
+def _axis_terms_by_products(J, F, arity):
+    """Reference for the number of terms of route II's per-axis
+    products: for each axis, the MultiPoly product of the factors
+    1 - x_i/c over the distinct first nonzero values c on that axis."""
+    counts = []
+    for i in range(arity):
+        values = {a[i] for a in J
+                  if next(k for k, b in enumerate(a) if not b.is_zero) == i}
+        one = MultiPoly.constant(F, 1, F.one())
+        product = one
+        for c in values:
+            product = product * (one + MultiPoly.variable(F, 1, 0) * -c.inv())
+        counts.append(len(product.terms))
+    return counts
+
+
+def _values_on(f, points):
+    return [f.evaluate(a) for a in points]
+
+
 @pytest.mark.parametrize("field,cap", COVER_FIELDS, ids=str)
 def test_interpolant_matches_sum_of_indicators(field, cap):
+    # on the seeded covers, the interpolant and the sum of indicators are
+    # 1 on J and 0 at the origin: their composites agree
     rng = random.Random(str(field))
     for k in range(16):
         n = rng.randint(1, cap)
@@ -177,17 +202,27 @@ def test_interpolant_matches_sum_of_indicators(field, cap):
             rng, field, rng.randint(10, 40), n, zero_heavy=k % 2 == 1))
         J = [tuple(from_payload(field, a) for a in pt)
              for pt in image_points(cover)]
-        expected = _interpolate_by_sum(J, field, n).terms
-        assert interpolate_case2(J, field, n).terms == expected
-        assert combine_case2(cover).witness.terms == expected
+        witness = interpolate_case2(J, field, n)
+        assert combine_case2(cover).witness == witness
+        assert witness.constant_term().is_zero
+        assert witness.evaluate((field.zero(),) * n).is_zero
+        assert _values_on(witness, J) == [field.one()] * len(J)
+        reference = _interpolate_by_sum(J, field, n)
+        columns = list(zip(*(psi.values for psi in cover.functions)))
+        assert _values_on(witness, columns) == _values_on(reference, columns)
+        assert len(witness.terms) == \
+            math.prod(_axis_terms_by_products(J, field, n)) - 1
 
 
 def test_interpolate_takes_a_repeated_point_once():
-    # J is a set of points: the interpolant stays 1 on each of them
+    # a repeated point, or a repeated first nonzero value, gives one
+    # factor: 1 - (1 - x1)(1 - x2) over F_3
     F = Fp(3)
-    J = [(F.one(), F.zero()), (F.one(), F.zero()), (F.zero(), F.one())]
+    one, zero, two = F.one(), F.zero(), F.element(2)
+    J = [(one, zero), (one, zero), (zero, one), (one, two)]
     f = interpolate_case2(J, F, 2)
-    assert f.terms == _interpolate_by_sum(J[1:], F, 2).terms
+    assert format_poly(f) == "2*x1*x2 + x1 + x2"
+    assert f == interpolate_case2(J[1:3], F, 2)
     assert all(f.evaluate(a) == F.one() for a in J)
 
 
@@ -226,9 +261,17 @@ def test_interpolate_full_complement_f3():
 
 
 def test_interpolate_cross_cancellation_char2():
+    # in characteristic 2, 1 - x/c = 1 + x/c; over F_4 the factors for
+    # the three nonzero values multiply to 1 + x^3, their x and x^2
+    # terms cancelling within the axis
     F = Fp(2)
     J = [(F.one(), F.zero()), (F.zero(), F.one())]
-    assert format_poly(interpolate_case2(J, F, 2)) == "x1 + x2"
+    assert format_poly(interpolate_case2(J, F, 2)) == "x1*x2 + x1 + x2"
+    F = Fq(2, 2)
+    J = [(c, F.zero()) for c in enumerate_field(F)[1:]] + [(F.zero(), F.one())]
+    f = interpolate_case2(J, F, 2)
+    assert format_poly(f) == "x1^3*x2 + x1^3 + x2"
+    assert all(f.evaluate(a) == F.one() for a in J)
 
 
 def test_interpolate_rejects_origin():
@@ -555,31 +598,126 @@ def test_route_one_refused_above_form_guard_before_any_product(monkeypatch):
     assert info.value.requested == 2047
 
 
+def _refuse(*args):
+    raise AssertionError("product above the guard")
+
+
 def test_route_two_refused_above_form_guard_before_any_product(monkeypatch):
     F = Fp(7)
     rng = random.Random(13)
-    cover = check_cover(_random_cover(rng, F, 6, 7))
-    q = F.order
-    bound = min(sum(math.prod(q - 1 if b else 2 for b in a)
-                    for a in image_points(cover)), q ** 7)
-
-    def refuse(*args):
-        raise AssertionError("transform above the guard")
-
-    monkeypatch.setattr(covers, "_indicator_sum", refuse)
+    cover = check_cover(_random_cover(rng, F, 40, 7, zero_heavy=True))
+    J = [tuple(from_payload(F, a) for a in pt) for pt in image_points(cover)]
+    count = math.prod(_axis_terms_by_products(J, F, 7)) - 1
+    monkeypatch.setattr(covers, "_product_over_axes", _refuse)
     with pytest.raises(TooLarge) as info:
         combine_case2(cover)
     assert (info.value.guard, info.value.limit, info.value.requested) == \
-        ("FORM_TERMS_GUARD", FORM_TERMS_GUARD, bound)
-    assert bound > FORM_TERMS_GUARD
+        ("FORM_TERMS_GUARD", FORM_TERMS_GUARD, count)
+    assert str(info.value) == (f"route II's interpolant has exactly {count} "
+                               f"terms; the form-terms guard is 1024")
+    assert count > FORM_TERMS_GUARD
 
 
 def test_route_two_admitted_at_the_form_guard():
-    # q^n = 2^10 is the guard itself, so any cover of 10 functions over F_2
-    # is admitted, however many terms its indicators may have
+    # over F_2 every factor is 1 + x_i, so 10 functions give at most
+    # 2^10 - 1 terms and are admitted
     F = Fp(2)
     rng = random.Random(14)
     cover = check_cover(_random_cover(rng, F, 12, 10))
     cert = combine_case2(cover)
-    assert len(cert.witness.terms) <= FORM_TERMS_GUARD
+    assert len(cert.witness.terms) <= FORM_TERMS_GUARD - 1
     assert certify(cert)["pass"]
+
+
+def test_route_two_refused_one_axis_past_the_guard(monkeypatch):
+    # 11 functions over F_2, each leading an image point: 2^11 - 1 terms
+    F = Fp(2)
+    cover = check_cover([_re(F, [int(i == x) for x in range(11)])
+                         for i in range(11)])
+    monkeypatch.setattr(covers, "_product_over_axes", _refuse)
+    with pytest.raises(TooLarge) as info:
+        combine_case2(cover)
+    assert info.value.requested == 2047
+
+
+def test_route_two_exact_count_at_the_guard_over_q():
+    # over Q the factors for positive values have alternating signs and
+    # no zero coefficient: 40, 4 and 4 values give 41 * 5 * 5 - 1 = 1024
+    # terms, the guard itself; one more value on the last axis is refused
+    F = Q()
+
+    def points(last):
+        return ([(F.element(c), F.zero(), F.zero()) for c in range(1, 41)]
+                + [(F.zero(), F.element(c), F.zero()) for c in range(1, 5)]
+                + [(F.zero(), F.zero(), F.element(c))
+                   for c in range(1, last + 1)])
+
+    f = interpolate_case2(points(4), F, 3)
+    assert len(f.terms) == FORM_TERMS_GUARD
+    assert all(f.evaluate(a) == F.one() for a in points(4))
+    with pytest.raises(TooLarge) as info:
+        interpolate_case2(points(5), F, 3)
+    assert info.value.requested == 41 * 5 * 6 - 1
+
+
+def _rational_cover(rng, F, size, n, value):
+    fns = [[value(rng) if rng.random() < 0.6 else F.zero()
+            for _ in range(size)] for _ in range(n)]
+    for x in range(size):
+        if all(fns[i][x].is_zero for i in range(n)):
+            fns[rng.randrange(n)][x] = F.one()
+    return [RingElement(F, tuple(v)) for v in fns]
+
+
+@pytest.mark.parametrize("field", [Q(), Qsqrt(-1)], ids=str)
+def test_route_two_over_infinite_fields(field):
+    rng = random.Random(str(field))
+
+    def value(rng):
+        a = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        b = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        return field.element((a, b) if field.kind == "quadratic" else a)
+
+    for _ in range(12):
+        n = rng.randint(1, 3)
+        cover = check_cover(_rational_cover(rng, field, rng.randint(2, 8), n,
+                                            value))
+        cert = combine_case2(cover)
+        assert certify(cert)["pass"]
+        J = [tuple(from_payload(field, a) for a in pt)
+             for pt in image_points(cover)]
+        assert len(cert.witness.terms) == \
+            math.prod(_axis_terms_by_products(J, field, n)) - 1
+
+
+def test_certify_rejects_route_two_without_one_axis(monkeypatch):
+    """Negative control: route II's witness with the factor of one axis
+    dropped. Certify fails exactly when the witness is not 1 on every
+    column; dropping the last axis that leads a point leaves the
+    product 1 there, so the witness vanishes at that point."""
+    F = Fp(5)
+    rng = random.Random(16)
+    linear_product = covers._linear_product
+    for _ in range(10):
+        cover = check_cover(_random_cover(rng, F, 10, 3))
+        columns = [tuple(from_payload(F, a) for a in col) for col in
+                   zip(*(psi.payloads for psi in cover.functions))]
+        leads = {next(i for i, b in enumerate(a) if b)
+                 for a in image_points(cover)}
+        for k in sorted(leads):
+            axes = iter(range(3))
+
+            def dropping(F, values):
+                return ([(0, 1)] if next(axes) == k
+                        else linear_product(F, values))
+
+            monkeypatch.setattr(covers, "_linear_product", dropping)
+            bad = combine_case2(cover)
+            monkeypatch.undo()
+            assert bad.witness != combine_case2(cover).witness
+            report = certify(bad)
+            assert report["pass"] is (
+                _values_on(bad.witness, columns) == [F.one()] * len(columns))
+            if k == max(leads):
+                assert report["pass"] is False
+                assert report["nonvanishing"] is False

@@ -54,11 +54,11 @@ CASES = [
      "terms; the form-terms guard is 1024"),
     ("route II interpolant",
      lambda: combine_case2(check_cover(
-         [RingElement.from_payloads(Fp(7), (1, 0))] * 6
-         + [RingElement.from_payloads(Fp(7), (0, 1))])),
-     "FORM_TERMS_GUARD", anisotropic.FORM_TERMS_GUARD,
-     6 ** 6 * 2 + 2 ** 6 * 6,
-     "route II's interpolant may have 93696 terms; the form-terms guard "
+         [RingElement.from_payloads(Fp(13), tuple(
+             c if k == i else 0 for k in range(3) for c in range(1, 12)))
+          for i in range(3)])),
+     "FORM_TERMS_GUARD", anisotropic.FORM_TERMS_GUARD, 12 ** 3 - 1,
+     "route II's interpolant has exactly 1727 terms; the form-terms guard "
      "is 1024"),
 ]
 
