@@ -14,7 +14,6 @@ from .anisotropic import (
     valuation_identity_check,
     verify_tower_exhaustive,
     verify_vanishing_exhaustive,
-    verify_vanishing_sampled,
     verify_witness_sampled,
 )
 from .covers import (
@@ -26,7 +25,6 @@ from .covers import (
     combine_case2,
     image_points,
     indicator_poly,
-    interpolate_case2,
     unit_combination_case3,
 )
 from .field_core import (
@@ -36,12 +34,10 @@ from .field_core import (
     Fq,
     Q,
     Qsqrt,
-    Valuation,
     enumerate_field,
     find_rootfree_monic,
     format_element,
     format_field,
-    padic_valuation,
     parse_element,
     parse_field,
     rootfree_scan_position,

@@ -12,11 +12,11 @@ power h^i with i divisible by the characteristic p is the Frobenius
 image of h^(i/p), exponents times p and coefficients to the p-th
 power, and any other is one product h^(i-1)*h. The expanded form
 stays the reference: `verify_vanishing_exhaustive` checks any form term
-by term at every point, and `verify_vanishing_sampled` at seeded
-points. An `AnisotropicWitness` (base, arity, verification) prints the
-form that `build_fn` expands, or the guard's refusal in its place. Over
-Q a caller-supplied witness is refused on a rational root before its
-seeded samples (`verify_witness_sampled`), which are evaluated on
+by term at every point. An `AnisotropicWitness` (base, arity,
+verification) prints the form that `build_fn` expands, or the guard's
+refusal in its place. Over Q a caller-supplied witness is refused on a
+rational root before its seeded samples (`verify_witness_sampled`,
+through `RationalTower.verify_sampled`), which are evaluated on
 (numerator, denominator) int pairs. The other stand-ins over the
 rationals are the positive-definite norm form on Q(sqrt(d)) and the
 valuation identity for x^2 - p*y^2, also checked on ints.
@@ -38,7 +38,6 @@ from .field_core import (
     FieldElement,
     Q,
     Qsqrt,
-    _multiplicity,
     base_digits,
     enumerate_field,
     first_rational_root,
@@ -258,11 +257,12 @@ class RationalTower(Tower):
         return Fraction(*self._pair([_ratio(x) for x in xs]))
 
     def verify_sampled(self, points):
-        """`verify_vanishing_sampled` on the tower, read on int pairs: the
-        origin first, then the points in order; the first violation is
-        reported. Each coordinate is anything `_ratio` reads, an int
-        pair in lowest terms or not. Only a counterexample is made into
-        elements, in lowest terms."""
+        """Check that the tower vanishes at the origin and at none of the
+        given points, read on int pairs: the origin first, then the
+        points in order; the first violation is reported, and a pass
+        covers only the points given. Each coordinate is anything
+        `_ratio` reads, an int pair in lowest terms or not. Only a
+        counterexample is made into elements, in lowest terms."""
         points = [[_ratio(x) for x in pt] for pt in points]
         origin = [(0, 1)] * self.arity
         bad = _first_violation(lambda pt: self._pair(pt)[0] == 0,
@@ -392,18 +392,6 @@ def verify_witness_sampled(f: MultiPoly, n: int, points):
     return tower.verify_sampled(points)
 
 
-def verify_vanishing_sampled(g: MultiPoly, points):
-    """Check that g vanishes at the origin and at none of the given
-    nonzero points; the origin is checked first. A pass covers only the
-    points given, not all of F^n.
-    """
-    points = list(points)
-    origin = tuple(g.field.zero() for _ in range(g.arity))
-    bad = _first_violation(lambda pt: g.evaluate(pt).is_zero,
-                           itertools.chain([origin], points))
-    return SampledPassed(len(points)) if bad is None else Failed(bad)
-
-
 def _first_violation(vanishes, points,
                      at_origin=lambda pt: all(x.is_zero for x in pt)):
     """The first point where g is zero off the origin or nonzero at it,
@@ -459,6 +447,18 @@ def norm_form_eval(points) -> FieldElement:
             raise MixedFields(f"{owner} vs {x.field}")
         acc = acc + x.norm()
     return acc
+
+
+def _multiplicity(n, p):
+    """The exponent of p in the nonzero int n."""
+    if n == 0:
+        raise ValueError("multiplicity of 0 is undefined")
+    n = abs(n)
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e
 
 
 def valuation_identity_check(p: int, samples):

@@ -83,19 +83,15 @@ def indicator_poly(a, F: FieldDescriptor) -> MultiPoly:
     return MultiPoly.from_payloads(F, len(a), _product_over_axes(F, factors))
 
 
-def interpolate_case2(J, F: FieldDescriptor, arity: int) -> MultiPoly:
-    """1 - prod over a in J of (1 - x_i/a_i), i the first axis where a
-    is nonzero: 1 on J, as the factor for a is 0 at a, and 0 at the
-    origin, where every factor is 1, so the constant term is zero."""
-    return _interpolant(F, arity, [tuple(x.payload for x in a) for a in J])
-
-
 def _interpolant(F, arity, J) -> MultiPoly:
-    """`interpolate_case2` on payload points, over any field. P_i, the
-    product of 1 - x_i/c over the distinct first nonzero values c on
-    axis i, takes one linear step per value; the P_i share no variable,
-    so the interpolant has exactly prod t_i - 1 terms, t_i those of P_i,
-    checked against FORM_TERMS_GUARD before the product."""
+    """1 - prod over a in J of (1 - x_i/a_i), i the first axis where a
+    is nonzero, for the payload points J, over any field: 1 on J, as
+    the factor for a is 0 at a, and 0 at the origin, where every factor
+    is 1, so the constant term is zero. P_i, the product of 1 - x_i/c
+    over the distinct first nonzero values c on axis i, takes one linear
+    step per value; the P_i share no variable, so the interpolant has
+    exactly prod t_i - 1 terms, t_i those of P_i, checked against
+    FORM_TERMS_GUARD before the product."""
     if not J:
         raise ValueError("J must be non-empty")
     values = [set() for _ in range(arity)]
@@ -250,9 +246,10 @@ def unit_combination_case3(cover: Cover) -> CombinationCertificate:
                 # cannot happen on a valid cover restricted this way
                 raise CommonZero(x)
             image.add(projective_payloads(field, u, v))
-        # a payload is the element's index in enumeration order
+        # a payload is the element's index in enumeration order, and
+        # [a, 1] is canonical in P1(F)
         a = next((a for a in range(field.order)
-                  if projective_payloads(field, a, one) not in image), None)
+                  if (a, one) not in image), None)
         if a is None:
             raise AvoidanceExhausted(i)
         chosen = from_payload(field, a)

@@ -23,7 +23,6 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
 
 from .errors import (
     DivisionByZero,
@@ -313,17 +312,13 @@ class FieldDescriptor:
 
 class FiniteField(FieldDescriptor):
     """The finite kinds: an element's payload is its index in
-    `enumerate_field`, so the index map is the identity."""
+    `enumerate_field`."""
 
     is_finite = True
 
     @property
     def characteristic(self):
         return self.p
-
-    def index(self, x):
-        """Position of x in `enumerate_field`."""
-        return x.payload
 
     def element_at(self, i):
         """The element at position i mod q of `enumerate_field`."""
@@ -770,94 +765,12 @@ def find_rootfree_monic(F: FieldDescriptor, m: int):
 
 def rootfree_scan_position(F: FieldDescriptor, coeffs):
     """1-based position of a monic coefficient tuple in the candidate
-    order of `find_rootfree_monic`: the tail read as base-q digits of
-    element indices, most significant first."""
+    order of `find_rootfree_monic`: the tail's payloads, which are
+    element indices, read as base-q digits, most significant first."""
     position = 0
     for c in coeffs[:-1]:
-        position = position * F.order + F.index(c)
+        position = position * F.order + c.payload
     return position + 1
-
-
-# ---------------------------------------------------------------------------
-# p-adic valuations
-
-
-@total_ordering
-class Valuation:
-    """An integer valuation value, or +infinity (the valuation of 0)."""
-
-    __slots__ = ("_v",)
-
-    def __init__(self, value=None):
-        if value is not None and not isinstance(value, int):
-            raise TypeError("valuation value must be an int or None")
-        self._v = value
-
-    @property
-    def is_infinite(self):
-        return self._v is None
-
-    def __eq__(self, other):
-        if isinstance(other, Valuation):
-            return self._v == other._v
-        if isinstance(other, int):
-            return self._v == other
-        return NotImplemented
-
-    def __lt__(self, other):
-        if isinstance(other, int):
-            other = Valuation(other)
-        if not isinstance(other, Valuation):
-            return NotImplemented
-        if self._v is None:
-            return False
-        if other._v is None:
-            return True
-        return self._v < other._v
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = Valuation(other)
-        if not isinstance(other, Valuation):
-            return NotImplemented
-        if self._v is None or other._v is None:
-            return Valuation()
-        return Valuation(self._v + other._v)
-
-    __radd__ = __add__
-
-    def __hash__(self):
-        return hash(self._v)  # agrees with equality to ints
-
-    def __repr__(self):
-        return "Valuation(+inf)" if self._v is None else f"Valuation({self._v})"
-
-
-def _multiplicity(n, p):
-    if n == 0:
-        raise ValueError("multiplicity of 0 is undefined")
-    n = abs(n)
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e
-
-
-def padic_valuation(r, p) -> Valuation:
-    """v_p of a rational: multiplicity of p in the numerator minus the
-    multiplicity in the denominator; v_p(0) = +infinity."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if isinstance(r, FieldElement):
-        if not isinstance(r.field, RationalField):
-            raise WrongKind("p-adic valuation applies to rational elements")
-        r = r.payload
-    r = Fraction(r)
-    if r == 0:
-        return Valuation()
-    return Valuation(_multiplicity(r.numerator, p)
-                     - _multiplicity(r.denominator, p))
 
 
 # ---------------------------------------------------------------------------

@@ -39,21 +39,27 @@ class MultiPoly:
 
     @classmethod
     def from_dict(cls, field, arity, coeffs):
-        """Build from a {monomial: FieldElement} mapping, dropping zeros."""
-        items = [(tuple(m), c) for m, c in coeffs.items() if not c.is_zero]
+        """Build from a {monomial: FieldElement} mapping, dropping zeros;
+        every coefficient must lie in field."""
+        for c in coeffs.values():
+            if c.field != field:
+                raise MixedFields(f"{field} vs {c.field}")
+        return cls.from_payloads(field, arity,
+                                 {m: c.payload for m, c in coeffs.items()})
+
+    @classmethod
+    def from_payloads(cls, field, arity, coeffs):
+        """Build from a {monomial: payload} mapping, as the kernels below
+        produce it, dropping zeros and wrapping each payload once."""
+        is_zero = field.is_zero
+        items = [(tuple(m), from_payload(field, a))
+                 for m, a in coeffs.items() if not is_zero(a)]
         for m, _ in items:
             if len(m) != arity or min(m, default=0) < 0:
                 raise ArityMismatch(f"monomial {m} does not fit arity {arity}")
         # descending total degree, then descending lexicographic
         items.sort(key=lambda mc: (sum(mc[0]), mc[0]), reverse=True)
         return cls(field, arity, tuple(items))
-
-    @classmethod
-    def from_payloads(cls, field, arity, coeffs):
-        """Build from a {monomial: payload} mapping, as the kernels below
-        produce it, wrapping each payload once."""
-        return cls.from_dict(field, arity, {m: from_payload(field, a)
-                                            for m, a in coeffs.items()})
 
     @classmethod
     def zero(cls, field, arity):

@@ -9,6 +9,7 @@ import json
 import random
 from fractions import Fraction
 
+from gelfand import covers
 from gelfand.anisotropic import (
     ExhaustivePassed,
     ValuationPassed,
@@ -21,7 +22,6 @@ from gelfand.cli import main as cli_main
 from gelfand.covers import (
     certify,
     check_cover,
-    interpolate_case2,
     unit_combination_case3,
 )
 from gelfand.field_core import (
@@ -102,7 +102,8 @@ def test_criterion_4_case2_interpolation():
         points = [pt for pt in itertools.product(elems, repeat=n)
                   if any(not x.is_zero for x in pt)]
         J = rng.sample(points, rng.randint(1, len(points)))
-        f = interpolate_case2(J, field, n)
+        f = covers._interpolant(field, n,
+                                [tuple(x.payload for x in a) for a in J])
         origin = tuple(field.zero() for _ in range(n))
         ok = ok and f.evaluate(origin).is_zero
         ok = ok and f.constant_term().is_zero

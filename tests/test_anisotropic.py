@@ -20,7 +20,6 @@ from gelfand.anisotropic import (
     valuation_identity_check,
     verify_tower_exhaustive,
     verify_vanishing_exhaustive,
-    verify_vanishing_sampled,
     verify_witness_sampled,
 )
 from gelfand.errors import HasRoot, InfiniteField, TooLarge, WrongKind
@@ -31,7 +30,6 @@ from gelfand.field_core import (
     Qsqrt,
     enumerate_field,
     find_rootfree_monic,
-    padic_valuation,
 )
 from gelfand.poly import (
     MultiPoly,
@@ -278,16 +276,60 @@ def test_valuation_result_carries_prime():
 VALUATION_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
+def _padic(r, p):
+    """v_p of a rational: the exponent of p in the numerator minus that
+    in the denominator, or None for 0, whose valuation is +infinity."""
+    r = Fraction(r)
+    if r == 0:
+        return None
+    v = 0
+    for n, sign in ((r.numerator, 1), (r.denominator, -1)):
+        while n % p == 0:
+            n //= p
+            v += sign
+    return v
+
+
+def _min_valuation(*vs):
+    """The least of valuations given by `_padic`, None as +infinity."""
+    return min((v for v in vs if v is not None), default=None)
+
+
+def test_padic_examples():
+    assert _padic(12, 2) == 2
+    assert _padic(Fraction(0), 5) is None
+    assert _padic(Fraction(1, 9), 3) == -2
+    assert _padic(Fraction(-50, 7), 5) == 2 and _padic(7, 5) == 0
+
+
+def test_padic_properties_seeded():
+    # v(xy) = v(x) + v(y) and v(x + y) >= min(v(x), v(y)), with equality
+    # when v(x) != v(y), on seeded rationals that include 0 (v = +inf)
+    rng = random.Random(42)
+    values = [Fraction(0)] + [Fraction(rng.randint(-50, 50) or 1,
+                                       rng.randint(1, 50)) for _ in range(30)]
+    for p in (2, 3, 5):
+        for x, y in itertools.product(values, repeat=2):
+            vx, vy = _padic(x, p), _padic(y, p)
+            vxy = None if None in (vx, vy) else vx + vy
+            assert _padic(x * y, p) == vxy
+            vsum, least = _padic(x + y, p), _min_valuation(vx, vy)
+            assert vsum is None or vsum >= least
+            if vx != vy:
+                assert vsum == least
+
+
 def _valuation_reference(p, x, y):
-    """The identity at one pair, with Fraction arithmetic and
-    `padic_valuation`: the reference oracle for the integer kernel."""
+    """The identity at one pair, with Fraction arithmetic and `_padic`:
+    the reference oracle for the integer kernel."""
     x, y = Fraction(x), Fraction(y)
     value = x * x - p * y * y
     if x == 0 and y == 0:
         return value == 0
-    lhs = padic_valuation(value, p)
-    vx, vy = padic_valuation(x, p), padic_valuation(y, p)
-    return not lhs.is_infinite and lhs == min(vx + vx, vy + vy + 1)
+    lhs = _padic(value, p)
+    vx, vy = _padic(x, p), _padic(y, p)
+    return lhs is not None and lhs == _min_valuation(
+        None if vx is None else 2 * vx, None if vy is None else 2 * vy + 1)
 
 
 def _scaled_pairs(rng, p, count):
@@ -351,6 +393,25 @@ def test_valuation_kernel_negative_control_composite_p(
         assert result.to_json()["counterexample"] == counterexample
 
 
+@pytest.mark.parametrize("p,x,y", [
+    (3, (1, 1), (1, 1)), (2, (3, 4), (5, 6)), (5, (10, 3), (0, 7)),
+    (7, (0, 2), (14, 9))])
+def test_valuation_kernel_negative_control_multiplicity_off_by_one(
+        monkeypatch, p, x, y):
+    # a kernel that miscounts p in N = (a*d)^2 - p*(c*b)^2 must fail a
+    # pair that the Fraction oracle passes
+    (a, b), (c, d) = x, y
+    N = (a * d) ** 2 - p * (c * b) ** 2
+    assert N not in (a, b, c, d)
+    assert _valuation_reference(p, Fraction(a, b), Fraction(c, d))
+    assert valuation_identity_check(p, [(x, y)]) == ValuationPassed(1)
+    multiplicity = anisotropic._multiplicity
+    monkeypatch.setattr(anisotropic, "_multiplicity",
+                        lambda n, q: multiplicity(n, q) + (n == N))
+    assert valuation_identity_check(p, [((1, 1), (0, 1)), (x, y)]) == \
+        Failed((Fraction(a, b), Fraction(c, d)))
+
+
 def test_valuation_kernel_reads_numbers_and_refuses_other_fields():
     # what Fraction reads is read: (1/2, 3) as a float, a string, a
     # Decimal and a Fraction alike
@@ -379,6 +440,22 @@ def test_witness_loop_refuses_other_fields():
     with pytest.raises(WrongKind, match="over Q"):
         verify_witness_sampled(f, 2, [])
     assert not hasattr(Tower.over(f, 2), "verify_sampled")
+
+
+# ---------------------------------------------------------------------------
+# the element-level sampled reference, and the tests of the reference
+
+
+def verify_vanishing_sampled(g, points):
+    """Reference for `RationalTower.verify_sampled` on the expanded form
+    g, evaluated term by term on field elements: g must vanish at the
+    origin, checked first, and at none of the given points, in order;
+    the first violation is reported."""
+    points = list(points)
+    for pt in itertools.chain([(g.field.zero(),) * g.arity], points):
+        if all(x.is_zero for x in pt) != g.evaluate(pt).is_zero:
+            return Failed(pt)
+    return SampledPassed(len(points))
 
 
 def _q_points(coords):

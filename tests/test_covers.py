@@ -17,7 +17,6 @@ from gelfand.covers import (
     combine_case2,
     image_points,
     indicator_poly,
-    interpolate_case2,
     projective_payloads,
     unit_combination_case3,
 )
@@ -155,9 +154,14 @@ def _indicator_by_lucas(a, F):
     return MultiPoly.from_payloads(F, len(a), terms)
 
 
+def _payloads(J):
+    """The payload points of route II's interpolant, from element points."""
+    return [tuple(x.payload for x in a) for a in J]
+
+
 def _interpolate_by_sum(J, F, arity):
-    """Reference for interpolate_case2: the sum of the indicators of the
-    points of J."""
+    """Reference for route II's interpolant: the sum of the indicators
+    of the points of J."""
     acc = MultiPoly.zero(F, arity)
     for a in J:
         acc = acc + _indicator_by_lucas(a, F)
@@ -202,7 +206,7 @@ def test_interpolant_matches_sum_of_indicators(field, cap):
             rng, field, rng.randint(10, 40), n, zero_heavy=k % 2 == 1))
         J = [tuple(from_payload(field, a) for a in pt)
              for pt in image_points(cover)]
-        witness = interpolate_case2(J, field, n)
+        witness = covers._interpolant(field, n, image_points(cover))
         assert combine_case2(cover).witness == witness
         assert witness.constant_term().is_zero
         assert witness.evaluate((field.zero(),) * n).is_zero
@@ -220,9 +224,9 @@ def test_interpolate_takes_a_repeated_point_once():
     F = Fp(3)
     one, zero, two = F.one(), F.zero(), F.element(2)
     J = [(one, zero), (one, zero), (zero, one), (one, two)]
-    f = interpolate_case2(J, F, 2)
+    f = covers._interpolant(F, 2, _payloads(J))
     assert format_poly(f) == "2*x1*x2 + x1 + x2"
-    assert f == interpolate_case2(J[1:3], F, 2)
+    assert f == covers._interpolant(F, 2, _payloads(J[1:3]))
     assert all(f.evaluate(a) == F.one() for a in J)
 
 
@@ -239,12 +243,11 @@ def test_interpolate_makes_no_poly_arithmetic(monkeypatch):
 
     for op in ("__mul__", "__add__"):
         monkeypatch.setattr(MultiPoly, op, refuse)
-    assert interpolate_case2(J, F, 2).terms == expected.terms
+    assert covers._interpolant(F, 2, _payloads(J)).terms == expected.terms
 
 
 def test_interpolate_singleton():
-    F = Fp(2)
-    f = interpolate_case2([(F.one(),)], F, 1)
+    f = covers._interpolant(Fp(2), 1, [(1,)])
     assert format_poly(f) == "x1"
 
 
@@ -253,7 +256,7 @@ def test_interpolate_full_complement_f3():
     elems = enumerate_field(F)
     J = [pt for pt in itertools.product(elems, repeat=2)
          if any(not x.is_zero for x in pt)]
-    f = interpolate_case2(J, F, 2)
+    f = covers._interpolant(F, 2, _payloads(J))
     assert f.evaluate((F.zero(), F.zero())).is_zero
     for pt in J:
         assert f.evaluate(pt) == F.one()
@@ -264,20 +267,18 @@ def test_interpolate_cross_cancellation_char2():
     # in characteristic 2, 1 - x/c = 1 + x/c; over F_4 the factors for
     # the three nonzero values multiply to 1 + x^3, their x and x^2
     # terms cancelling within the axis
-    F = Fp(2)
-    J = [(F.one(), F.zero()), (F.zero(), F.one())]
-    assert format_poly(interpolate_case2(J, F, 2)) == "x1*x2 + x1 + x2"
+    f = covers._interpolant(Fp(2), 2, [(1, 0), (0, 1)])
+    assert format_poly(f) == "x1*x2 + x1 + x2"
     F = Fq(2, 2)
     J = [(c, F.zero()) for c in enumerate_field(F)[1:]] + [(F.zero(), F.one())]
-    f = interpolate_case2(J, F, 2)
+    f = covers._interpolant(F, 2, _payloads(J))
     assert format_poly(f) == "x1^3*x2 + x1^3 + x2"
     assert all(f.evaluate(a) == F.one() for a in J)
 
 
 def test_interpolate_rejects_origin():
-    F = Fp(2)
     with pytest.raises(OriginInJ):
-        interpolate_case2([(F.zero(), F.zero())], F, 2)
+        covers._interpolant(Fp(2), 2, [(0, 0)])
 
 
 def test_combine_case1_f3():
@@ -652,11 +653,11 @@ def test_route_two_exact_count_at_the_guard_over_q():
                 + [(F.zero(), F.zero(), F.element(c))
                    for c in range(1, last + 1)])
 
-    f = interpolate_case2(points(4), F, 3)
+    f = covers._interpolant(F, 3, _payloads(points(4)))
     assert len(f.terms) == FORM_TERMS_GUARD
     assert all(f.evaluate(a) == F.one() for a in points(4))
     with pytest.raises(TooLarge) as info:
-        interpolate_case2(points(5), F, 3)
+        covers._interpolant(F, 3, _payloads(points(5)))
     assert info.value.requested == 41 * 5 * 6 - 1
 
 

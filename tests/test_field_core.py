@@ -27,14 +27,12 @@ from gelfand.field_core import (
     PrimeField,
     Q,
     Qsqrt,
-    Valuation,
     enumerate_field,
     find_rootfree_monic,
     first_rational_root,
     first_root,
     format_element,
     format_field,
-    padic_valuation,
     parse_element,
     parse_field,
 )
@@ -147,38 +145,6 @@ def test_is_prime_large_and_pseudoprimes(n, prime):
     assert field_core.is_prime(n) == prime
 
 
-def test_padic_examples():
-    assert padic_valuation(Fraction(12), 2) == Valuation(2)
-    assert padic_valuation(Fraction(0), 5).is_infinite
-    assert padic_valuation(Fraction(1, 9), 3) == Valuation(-2)
-
-
-def test_padic_properties_seeded():
-    # v(xy) = v(x) + v(y) and v(x + y) >= min(v(x), v(y)), with equality
-    # when v(x) != v(y), on seeded rationals that include 0 (v = +inf)
-    rng = random.Random(42)
-    values = [Fraction(0)] + [Fraction(rng.randint(-50, 50) or 1,
-                                       rng.randint(1, 50)) for _ in range(30)]
-    for p in (2, 3, 5):
-        for x, y in itertools.product(values, repeat=2):
-            vx, vy = padic_valuation(x, p), padic_valuation(y, p)
-            assert padic_valuation(x * y, p) == vx + vy
-            vsum = padic_valuation(x + y, p)
-            assert vsum >= min(vx, vy)
-            if vx != vy:
-                assert vsum == min(vx, vy)
-
-
-def test_infinite_valuation_absorbs_addition_and_tops_every_int():
-    inf = Valuation()
-    for k in range(-20, 21):
-        assert inf + Valuation(k) == inf and Valuation(k) + inf == inf
-        assert inf + k == inf and k + inf == inf
-        assert Valuation(k) < inf and k < inf and not inf < k
-        assert inf > Valuation(k) and inf != k
-    assert inf + inf == inf and not inf < inf
-
-
 def test_conjugate_and_norm():
     Qi = Qsqrt(-1)
     x = Qi.element((1, 1))
@@ -219,13 +185,14 @@ def _rational_samples(field, rng, count):
                                    Fq(3, 2), Q(), Qsqrt(-2)])
 def test_field_axioms_sampled(field):
     """Every pair and triple of a finite field, seeded triples of an
-    infinite one; also every element's text and index round-trips."""
+    infinite one; also every element's text round-trips, and a finite
+    element's payload is its index."""
     one, zero = field.one(), field.zero()
     if field.is_finite:
         elems = enumerate_field(field)
         triples = itertools.product(elems, repeat=3)
         for i, x in enumerate(elems):
-            assert field.index(x) == i
+            assert x.payload == i
             assert field.element_at(i) == x
     else:
         rng = random.Random(13)
@@ -443,12 +410,6 @@ def test_quadratic_multidigit_roundtrip_seeded():
     for text in ("12*sqrt(-3)", "-12*sqrt(-3)", "3/4*sqrt(-3)",
                  "12+34*sqrt(-3)", "-5/7-12*sqrt(-3)"):
         assert format_element(parse_element(F, text)) == text
-
-
-def test_valuation_hash_agrees_with_int_equality():
-    assert hash(Valuation(3)) == hash(3)
-    assert Valuation(3) == 3
-    assert len({Valuation(3), 3}) == 1
 
 
 # ---------------------------------------------------------------------------

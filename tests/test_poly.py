@@ -8,6 +8,7 @@ import pytest
 
 from gelfand.errors import (
     ArityMismatch,
+    MixedFields,
     NotMonic,
     ParseError,
     ZeroPolynomial,
@@ -57,6 +58,27 @@ def test_evaluate_arity_mismatch():
     f = parse_poly(F, "x1 + x2")
     with pytest.raises(ArityMismatch):
         f.evaluate((F.one(),))
+
+
+def test_from_dict_refuses_a_coefficient_of_another_field():
+    # 3 in F_7 has the payload 3, a valid F_5 payload: it must not pass
+    F = Fp(5)
+    with pytest.raises(MixedFields, match="Fp\\(5\\) vs Fp\\(7\\)"):
+        MultiPoly.from_dict(F, 1, {(1,): Fp(7).element(3), (0,): F.one()})
+    with pytest.raises(MixedFields):
+        MultiPoly.constant(F, 2, Fq(5, 2).one())
+    f = MultiPoly.from_dict(F, 1, {(1,): F.element(3), (0,): F.one()})
+    assert format_poly(f) == "3*x1 + 1"
+
+
+def test_univariate_refuses_a_coefficient_of_another_field():
+    with pytest.raises(MixedFields):
+        univariate(Fp(5), [Fp(7).element(3)])
+    with pytest.raises(MixedFields):
+        univariate(Q(), [1, Qsqrt(-1).one()])
+    # ints are lifted into the field
+    assert univariate(Fp(5), [7, Fp(5).element(3)]) == \
+        parse_poly(Fp(5), "3*x + 2")
 
 
 def test_homogenize_x2_plus_1():
@@ -205,14 +227,15 @@ def test_compose_last_substitutes_without_products_in_x_last(monkeypatch):
     h2 = h * h
     h3 = h2 * h
     built = []
-    from_dict = MultiPoly.from_dict.__func__
+    from_payloads = MultiPoly.from_payloads.__func__
 
-    def counting_from_dict(cls, field, arity, coeffs):
+    def counting_from_payloads(cls, field, arity, coeffs):
         built.append(arity)
-        return from_dict(cls, field, arity, coeffs)
+        return from_payloads(cls, field, arity, coeffs)
 
     products, powers = _count_payload_products(monkeypatch, F)
-    monkeypatch.setattr(MultiPoly, "from_dict", classmethod(counting_from_dict))
+    monkeypatch.setattr(MultiPoly, "from_payloads",
+                        classmethod(counting_from_payloads))
     composed = compose_last(g2, h)
     monkeypatch.undo()
     # h^2 and h^3 one product each in h's own arity (no Frobenius below
