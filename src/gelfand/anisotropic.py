@@ -32,7 +32,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import HasRoot, InfiniteField, MixedFields, TooLarge, WrongKind
+from .errors import (
+    ArityMismatch,
+    HasRoot,
+    InfiniteField,
+    MixedFields,
+    TooLarge,
+    WrongKind,
+)
 from .field_core import (
     FieldDescriptor,
     FieldElement,
@@ -261,9 +268,15 @@ class RationalTower(Tower):
         given points, read on int pairs: the origin first, then the
         points in order; the first violation is reported, and a pass
         covers only the points given. Each coordinate is anything
-        `_ratio` reads, an int pair in lowest terms or not. Only a
-        counterexample is made into elements, in lowest terms."""
+        `_ratio` reads, an int pair in lowest terms or not; a point
+        without exactly n coordinates is refused before any is
+        evaluated. Only a counterexample is made into elements, in
+        lowest terms."""
         points = [[_ratio(x) for x in pt] for pt in points]
+        for pt in points:
+            if len(pt) != self.arity:
+                raise ArityMismatch(f"point has {len(pt)} coordinates, "
+                                    f"arity is {self.arity}")
         origin = [(0, 1)] * self.arity
         bad = _first_violation(lambda pt: self._pair(pt)[0] == 0,
                                itertools.chain([origin], points),

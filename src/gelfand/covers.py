@@ -27,16 +27,6 @@ from .function_ring import FiniteSpace, RingElement
 from .poly import MultiPoly, format_poly
 
 
-def projective_payloads(F: FieldDescriptor, u, v):
-    """The payloads of the canonical form of [u, v] in P1(F), for payloads
-    u and v: (u * v^-1, 1), or (1, 0) when v is zero."""
-    if F.is_zero(v):
-        if F.is_zero(u):
-            raise ValueError("[0, 0] is not a projective point")
-        return F.one().payload, F.zero().payload
-    return F.mul(u, F.inv(v)), F.one().payload
-
-
 @dataclass(frozen=True)
 class Cover:
     """Functions with no common zero on a finite discrete space."""
@@ -145,24 +135,24 @@ def _product_over_axes(F, factors):
 
 @dataclass(frozen=True)
 class CombinationCertificate:
-    """A certified nowhere-vanishing element of a cover's ideal.
-
-    Routes I and II carry a polynomial witness with zero constant term;
-    route III carries a coefficient tuple for a linear combination.
-    """
+    """A certified nowhere-vanishing element of a cover's ideal: the
+    composite g(psi_1, ..., psi_n) of a polynomial witness g with zero
+    constant term. Route III's witness is its linear form, printed as
+    its n coefficients."""
 
     mode: str  # "CaseI" | "CaseII" | "CaseIII"
     cover: Cover
     composite: RingElement
-    witness: MultiPoly = None
-    coefficients: tuple = None
+    witness: MultiPoly
     per_step_log: tuple = ()
 
     def to_json(self):
+        g, n = self.witness, self.witness.arity
         record = {
             "mode": self.mode,
-            "witness": (format_poly(self.witness) if self.witness is not None
-                        else [format_element(c) for c in self.coefficients]),
+            "witness": ([format_element(g.coefficient(_variable(n, i)))
+                         for i in range(n)] if self.mode == "CaseIII"
+                        else format_poly(g)),
             "composite_values": [format_element(v)
                                  for v in self.composite.values],
             "pass": certify(self)["pass"],
@@ -170,6 +160,11 @@ class CombinationCertificate:
         if self.per_step_log:
             record["per_step_log"] = list(self.per_step_log)
         return record
+
+
+def _variable(n, i):
+    """The monomial x_(i+1) in n variables."""
+    return (0,) * i + (1,) + (0,) * (n - i - 1)
 
 
 def _by_column(cover: Cover, f) -> RingElement:
@@ -218,11 +213,10 @@ def unit_combination_case3(cover: Cover) -> CombinationCertificate:
     takes the image of [psi~, psi_i] in P1(F), and subtracts a*psi_i for
     the enumeration-smallest a with [a,1] outside the image. An empty
     restriction is treated as vacuous (any a works). The route reads the
-    functions' payloads: the image is a set of canonical payload pairs
-    (`projective_payloads`), the candidates a are the payloads in
-    enumeration order, and psi~ is updated by the ring operators, which
-    compute on payloads; field elements are built for the certificate
-    and the log only.
+    functions' payloads: the image is the set of forbidden values u/v,
+    with None for [1:0], the candidates a are the payloads in
+    enumeration order, and psi~ is updated by the ring operators. The
+    witness is the linear form sum of c_i x_i.
     """
     field = cover.field
     if not field.is_finite:
@@ -238,18 +232,14 @@ def unit_combination_case3(cover: Cover) -> CombinationCertificate:
         rest = [r.payloads for r in psis[i + 1:]]
         y_points = [x for x in range(size)
                     if all(is_zero(r[x]) for r in rest)]
-        image = set()
+        # u = v = 0 cannot occur here: check_cover rules it out for step
+        # 1, and the previous step's restoration scan after that
         u_at, v_at = current.payloads, psis[i].payloads
-        for x in y_points:
-            u, v = u_at[x], v_at[x]
-            if is_zero(u) and is_zero(v):
-                # cannot happen on a valid cover restricted this way
-                raise CommonZero(x)
-            image.add(projective_payloads(field, u, v))
-        # a payload is the element's index in enumeration order, and
-        # [a, 1] is canonical in P1(F)
-        a = next((a for a in range(field.order)
-                  if (a, one) not in image), None)
+        image = {None if is_zero(v_at[x])
+                 else field.mul(u_at[x], field.inv(v_at[x]))
+                 for x in y_points}
+        # a payload is the element's index in enumeration order
+        a = next((a for a in range(field.order) if a not in image), None)
         if a is None:
             raise AvoidanceExhausted(i)
         chosen = from_payload(field, a)
@@ -268,43 +258,26 @@ def unit_combination_case3(cover: Cover) -> CombinationCertificate:
             "restricted_points": len(y_points),
             "cover_restored": True,
         })
-    return CombinationCertificate(
-        "CaseIII", cover, current,
-        coefficients=tuple(from_payload(field, c) for c in coeffs),
-        per_step_log=tuple(log))
+    witness = MultiPoly.from_payloads(
+        field, n, {_variable(n, i): c for i, c in enumerate(coeffs)})
+    return CombinationCertificate("CaseIII", cover, current, witness,
+                                  tuple(log))
 
 
 def certify(cert: CombinationCertificate) -> dict:
     """Recompute the composite from scratch and confirm the contract.
 
-    Checks that the composite never vanishes, that a polynomial witness
-    has zero constant term (ideal membership for routes I/II), and that
-    the composite equals the witness's values on the cover, evaluated
-    once per distinct column, or the route-III linear combination.
+    Evaluates the witness on the cover once per distinct column, and
+    checks that its constant term is zero (ideal membership), that the
+    result equals the composite, and that it never vanishes.
     """
-    cover = cert.cover
-    checks = {"nonvanishing": True, "ideal_membership": True,
-              "recomputation": True}
-    failing_point = None
-
-    if cert.witness is not None:
-        recomputed = _by_column(cover, cert.witness)
-        if not cert.witness.constant_term().is_zero:
-            checks["ideal_membership"] = False
-    else:
-        recomputed = RingElement.zeros(cover.field, cover.space.size)
-        for c, psi in zip(cert.coefficients, cover.functions):
-            recomputed = recomputed + psi.scale(c)
-
-    if recomputed != cert.composite:
-        checks["recomputation"] = False
-    is_zero = cover.field.is_zero
-    for x, a in enumerate(recomputed.payloads):
-        if is_zero(a):
-            checks["nonvanishing"] = False
-            failing_point = x
-            break
-
+    recomputed = _by_column(cert.cover, cert.witness)
+    is_zero = cert.cover.field.is_zero
+    failing_point = next((x for x, a in enumerate(recomputed.payloads)
+                          if is_zero(a)), None)
+    checks = {"nonvanishing": failing_point is None,
+              "ideal_membership": cert.witness.constant_term().is_zero,
+              "recomputation": recomputed == cert.composite}
     result = {"pass": all(checks.values()), **checks}
     if failing_point is not None:
         result["failing_point"] = failing_point

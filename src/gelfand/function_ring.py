@@ -238,15 +238,19 @@ def gelfand_map(space: FiniteSpace, field: FieldDescriptor, x: int) -> IdealRepr
 def check_guards(space: FiniteSpace, field: FieldDescriptor,
                  use_oracle=None) -> bool:
     """Check the guards of `check_homeomorphism` without doing its work:
-    SPECTRUM_GUARD on the 2^n closed sets, and ORACLE_GUARD on the ring
-    when use_oracle is true. Returns whether the oracle runs: when asked
-    to, or by default when ORACLE_GUARD admits the ring."""
+    SPECTRUM_GUARD on the 2^n closed sets, and, when use_oracle is true,
+    a finite field and ORACLE_GUARD on the ring. Returns whether the
+    oracle runs: when asked to, or by default when F is finite and
+    ORACLE_GUARD admits the ring."""
     n = space.size
     if 2 ** n > SPECTRUM_GUARD:
         raise TooLarge(f"2^{n} closed sets exceed the guard {SPECTRUM_GUARD}",
                        guard="SPECTRUM_GUARD", limit=SPECTRUM_GUARD,
                        requested=2 ** n)
-    if use_oracle is False:
+    if not field.is_finite:
+        if use_oracle:
+            raise InfiniteField("the ideal oracle enumerates the ring, "
+                                "which needs a finite field")
         return False
     ring_size = field.order ** n
     if use_oracle and ring_size > ORACLE_GUARD:
@@ -333,7 +337,7 @@ def max_spectrum(space: FiniteSpace, field: FieldDescriptor) -> ZariskiSpace:
     straight into a bitmask; no ring element and no point set is built.
     """
     n = space.size
-    check_guards(space, field, use_oracle=False)
+    check_guards(space, field)
     points = tuple(gelfand_map(space, field, x) for x in space.points())
     add, neg, is_zero = field.add, field.neg, field.is_zero
     zero, one = field.zero().payload, field.one().payload

@@ -22,7 +22,13 @@ from gelfand.anisotropic import (
     verify_vanishing_exhaustive,
     verify_witness_sampled,
 )
-from gelfand.errors import HasRoot, InfiniteField, TooLarge, WrongKind
+from gelfand.errors import (
+    ArityMismatch,
+    HasRoot,
+    InfiniteField,
+    TooLarge,
+    WrongKind,
+)
 from gelfand.field_core import (
     Fp,
     Fq,
@@ -706,6 +712,20 @@ def test_nested_sampled_checks_the_origin_and_keeps_order():
     # the origin among the samples is consistent, not a violation
     origin = (F.zero(),) * 3
     assert tower.verify_sampled(points + [origin]) == SampledPassed(4)
+
+
+@pytest.mark.parametrize("length", [2, 4])
+def test_sampled_refuses_a_point_of_another_length(monkeypatch, length):
+    """A point with n - 1 or n + 1 coordinates is refused before any
+    point is evaluated, the good points before it included."""
+    f = parse_poly(Q(), "x^2 + 1")
+    tower = Tower.over(f, 3)
+    _forbid(monkeypatch, anisotropic.RationalTower, "_pair")
+    points = [[(1, 2), (1, 3), (1, 5)], [(1, 1)] * length]
+    with pytest.raises(ArityMismatch):
+        tower.verify_sampled(points)
+    with pytest.raises(ArityMismatch):
+        verify_witness_sampled(f, 3, points)
 
 
 # ---------------------------------------------------------------------------

@@ -294,6 +294,36 @@ def test_gelfand_checks_every_guard_before_the_first_instance(
     assert capsys.readouterr().err == f"error: TooLarge: {guard}\n"
 
 
+def test_gelfand_over_q(tmp_path, capsys):
+    code, report = run_cli(["gelfand", "--field", "Q,Q(sqrt(-1))",
+                            "--space", "1..4"], tmp_path / "r.json")
+    assert code == 0
+    assert report["totals"] == {"passed": 8, "failed": 0}
+    assert not any(r["oracle_checked"] for r in report["instances"])
+    code, report = run_cli(["gelfand", "--field", "Q", "--space", "2",
+                            "--oracle"], tmp_path / "o.json")
+    assert (code, report) == (2, None)
+    assert capsys.readouterr().err.startswith("error: InfiniteField: ")
+
+
+def test_cover_certifies_nothing_when_a_route_raises(tmp_path, capsys,
+                                                     monkeypatch):
+    # over F_2 route III finds no free coefficient for this cover
+    calls = []
+    certify = cli.cov.certify
+    monkeypatch.setattr(cli.cov, "certify",
+                        lambda cert: calls.append(cert) or certify(cert))
+    fns = tmp_path / "fns.txt"
+    fns.write_text("1,0\n1,1\n")
+    args = ["cover", "--field", "Fp(2)", "--functions", str(fns), "--case"]
+    code, report = run_cli(args + ["all"], tmp_path / "r.json")
+    assert (code, report, calls) == (2, None, [])
+    assert capsys.readouterr().err.startswith(
+        "error: AvoidanceExhausted: ")
+    code, report = run_cli(args + ["II"], tmp_path / "r2.json")
+    assert code == 0 and len(calls) == 1
+
+
 def test_cover_route_two_refused_above_form_guard(tmp_path, capsys):
     # 3 functions over F_13 with 11 first nonzero values on each axis:
     # each axis's factor has 12 terms

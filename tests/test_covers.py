@@ -17,7 +17,6 @@ from gelfand.covers import (
     combine_case2,
     image_points,
     indicator_poly,
-    projective_payloads,
     unit_combination_case3,
 )
 from gelfand.errors import (
@@ -46,6 +45,15 @@ def _re(field, values):
     """A function from its values' payloads; in a prime field these are
     the residues."""
     return RingElement.from_payloads(field, tuple(values))
+
+
+def _linear_coefficients(cert):
+    """The coefficients c_1, ..., c_n of route III's witness, zeros
+    included, once the witness is checked to be a linear form."""
+    g = cert.witness
+    assert all(sum(m) == 1 for m, _ in g.terms)
+    return tuple(g.coefficient(covers._variable(g.arity, i))
+                 for i in range(g.arity))
 
 
 def test_check_cover_complementary_supports():
@@ -315,7 +323,7 @@ def test_case3_f5_two_functions():
     F = Fp(5)
     cover = check_cover([_re(F, [1, 0]), _re(F, [0, 1])])
     cert = unit_combination_case3(cover)
-    assert [c.payload for c in cert.coefficients] == [1, 4]
+    assert [c.payload for c in _linear_coefficients(cert)] == [1, 4]
     assert [v.payload for v in cert.composite.values] == [1, 4]
     assert certify(cert)["pass"]
     assert cert.per_step_log[0]["chosen_a"] == "1"
@@ -325,7 +333,7 @@ def test_case3_single_function():
     F = Fp(5)
     psi = _re(F, [2, 3])
     cert = unit_combination_case3(check_cover([psi]))
-    assert [c.payload for c in cert.coefficients] == [1]
+    assert [c.payload for c in _linear_coefficients(cert)] == [1]
     assert cert.composite == psi
 
 
@@ -418,7 +426,7 @@ def test_case3_matches_field_element_reference(field):
             outcomes.add("exhausted")
             continue
         cert = unit_combination_case3(cover)
-        assert (cert.coefficients, cert.per_step_log,
+        assert (_linear_coefficients(cert), cert.per_step_log,
                 cert.composite.values) == expected
         outcomes.add("certified")
     assert outcomes == {"certified", "exhausted"}
@@ -508,28 +516,30 @@ def test_certify_detects_tampering():
     F = Fp(5)
     cover = check_cover([_re(F, [1, 0]), _re(F, [0, 1])])
     good = unit_combination_case3(cover)
-    bad = CombinationCertificate(
-        "CaseIII", cover, good.composite,
-        coefficients=(F.one(), F.zero()))  # combination vanishes at point 1
+    # the linear form x1 alone vanishes at point 1
+    bad = CombinationCertificate("CaseIII", cover, good.composite,
+                                 MultiPoly.variable(F, 2, 0))
     report = certify(bad)
     assert not report["pass"]
+    assert not report["recomputation"]
     assert report["failing_point"] == 1
 
 
-def test_projective_canonicalization():
-    F = Fp(7)
-    u, v = F.element(3), F.element(5)
-    base = projective_payloads(F, u.payload, v.payload)
-    assert base == ((u / v).payload, 1)
-    for lam in enumerate_field(F):
-        if lam.is_zero:
-            continue
-        assert projective_payloads(F, (lam * u).payload,
-                                   (lam * v).payload) == base
-    assert projective_payloads(F, 2, 0) == (1, 0)
-    assert projective_payloads(F, 6, 0) == (1, 0)
-    with pytest.raises(ValueError):
-        projective_payloads(F, 0, 0)
+def test_certify_rejects_route_three_witness_with_a_constant_term():
+    """Negative control: a constant added to route III's linear form
+    takes it out of the ideal, although the composite still never
+    vanishes and matches the witness's values."""
+    F = Fp(5)
+    cover = check_cover([_re(F, [1, 0]), _re(F, [0, 1])])
+    good = unit_combination_case3(cover)
+    # x1 + 4*x2 + 2 takes the values 3 and 1 on the cover
+    witness = good.witness + MultiPoly.constant(F, 2, F.element(2))
+    bad = CombinationCertificate("CaseIII", cover,
+                                 covers._by_column(cover, witness), witness)
+    report = certify(bad)
+    assert report == {"pass": False, "nonvanishing": True,
+                      "ideal_membership": False, "recomputation": True}
+    assert certify(good)["pass"]
 
 
 def test_witness_outside_the_covers_ring_is_refused():

@@ -5,11 +5,19 @@ import itertools
 import pytest
 
 import gelfand.function_ring as function_ring
-from gelfand.errors import MixedFields, ParseError, PointOutOfRange, TooLarge
+from gelfand.errors import (
+    InfiniteField,
+    MixedFields,
+    ParseError,
+    PointOutOfRange,
+    TooLarge,
+)
 from gelfand.field_core import (
     Fp,
     Fq,
     PrimeField,
+    Q,
+    Qsqrt,
     enumerate_field,
     parse_element,
     parse_field,
@@ -168,6 +176,23 @@ def test_homeomorphism_size4_f3_structural_only():
     assert report["passed"]
     assert report["max_ideal_count"] == 4
     assert not report["oracle_checked"]
+
+
+@pytest.mark.parametrize("field", [Q(), Qsqrt(-1)], ids=str)
+@pytest.mark.parametrize("size", [1, 2, 3, 4])
+def test_homeomorphism_over_infinite_fields(field, size):
+    """The spectrum and the kernel count need no finite field; the
+    oracle, which enumerates the ring, does not run by default."""
+    report = check_homeomorphism(FiniteSpace(size), field)
+    assert report["passed"]
+    assert report["max_ideal_count"] == size
+    assert report["closed_set_count"] == 2 ** size
+    assert not report["oracle_checked"]
+
+
+def test_forced_oracle_over_q_is_refused():
+    with pytest.raises(InfiniteField, match="oracle"):
+        check_homeomorphism(FiniteSpace(2), Q(), use_oracle=True)
 
 
 @pytest.mark.parametrize("corrupt", ["drop", "outside"])
