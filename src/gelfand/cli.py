@@ -161,13 +161,12 @@ def cmd_gelfand(args):
     config = {"fields": [format_field(f) for f in fields], "sizes": sizes,
               "oracle": args.oracle}
     report = _new_report("gelfand", config)
-    use_oracle = True if args.oracle else None
     sweep = [(fr.FiniteSpace(size), field) for field in fields
              for size in sizes]
     # every instance's guards before the first instance's work
     for space, field in sweep:
-        fr.check_guards(space, field, use_oracle)
-    instances = [fr.check_homeomorphism(space, field, use_oracle)
+        fr.check_guards(space, field, args.oracle)
+    instances = [fr.check_homeomorphism(space, field, args.oracle)
                  for space, field in sweep]
     return _finish(report, instances, sum(r["passed"] for r in instances),
                    args.out)
@@ -201,18 +200,19 @@ def cmd_cover(args):
         return EXIT_CONFIG_ERROR
 
     cases = ["I", "II", "III"] if args.case == "all" else [args.case]
-    certs = []
-    for case in cases:
+    certs = {}
+    # every route's certificate before any is certified, route III's
+    # first, as it raises on most covers: a route that raises leaves no
+    # report, so the others' work would be wasted
+    for case in sorted(cases, key=lambda case: case != "III"):
         if case == "I":
             base = univariate(field, find_rootfree_monic(field, args.m))
-            certs.append(cov.combine_case1(cover, base))
+            certs[case] = cov.combine_case1(cover, base)
         elif case == "II":
-            certs.append(cov.combine_case2(cover))
+            certs[case] = cov.combine_case2(cover)
         else:
-            certs.append(cov.unit_combination_case3(cover))
-    # every route's certificate before any is certified: a route that
-    # raises leaves no report, so the others' work would be wasted
-    instances = [cert.to_json() for cert in certs]
+            certs[case] = cov.unit_combination_case3(cover)
+    instances = [certs[case].to_json() for case in cases]
     return _finish(report, instances, sum(r["pass"] for r in instances),
                    args.out)
 
@@ -288,7 +288,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ParseError, ValueError) as exc:
+    except (ConfigError, ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except GelfandError as exc:

@@ -87,10 +87,6 @@ class RingElement:
         _set(f, "payloads", payloads)
         return f
 
-    @classmethod
-    def zeros(cls, field, size):
-        return cls(field, (field.zero(),) * size)
-
     @property
     def values(self):
         F = self.field
@@ -236,11 +232,11 @@ def gelfand_map(space: FiniteSpace, field: FieldDescriptor, x: int) -> IdealRepr
 
 
 def check_guards(space: FiniteSpace, field: FieldDescriptor,
-                 use_oracle=None) -> bool:
+                 force_oracle: bool = False) -> bool:
     """Check the guards of `check_homeomorphism` without doing its work:
-    SPECTRUM_GUARD on the 2^n closed sets, and, when use_oracle is true,
-    a finite field and ORACLE_GUARD on the ring. Returns whether the
-    oracle runs: when asked to, or by default when F is finite and
+    SPECTRUM_GUARD on the 2^n closed sets, and, when the oracle is
+    forced, a finite field and ORACLE_GUARD on the ring. Returns whether
+    the oracle runs: when forced, or else when F is finite and
     ORACLE_GUARD admits the ring."""
     n = space.size
     if 2 ** n > SPECTRUM_GUARD:
@@ -248,16 +244,16 @@ def check_guards(space: FiniteSpace, field: FieldDescriptor,
                        guard="SPECTRUM_GUARD", limit=SPECTRUM_GUARD,
                        requested=2 ** n)
     if not field.is_finite:
-        if use_oracle:
+        if force_oracle:
             raise InfiniteField("the ideal oracle enumerates the ring, "
                                 "which needs a finite field")
         return False
     ring_size = field.order ** n
-    if use_oracle and ring_size > ORACLE_GUARD:
+    if force_oracle and ring_size > ORACLE_GUARD:
         raise TooLarge(
             f"ring has {ring_size} elements; oracle guard is {ORACLE_GUARD}",
             guard="ORACLE_GUARD", limit=ORACLE_GUARD, requested=ring_size)
-    return bool(use_oracle) or ring_size <= ORACLE_GUARD
+    return force_oracle or ring_size <= ORACLE_GUARD
 
 
 def enumerate_ideals_bruteforce(space: FiniteSpace, field: FieldDescriptor):
@@ -270,7 +266,7 @@ def enumerate_ideals_bruteforce(space: FiniteSpace, field: FieldDescriptor):
     tuples. Only feasible for tiny rings; guarded accordingly.
     """
     n = field.order ** space.size
-    check_guards(space, field, use_oracle=True)
+    check_guards(space, field, force_oracle=True)
     ring = all_ring_elements(space, field)
     zero_idx = next(i for i, f in enumerate(ring) if f.is_zero)
     payloads = [f.payloads for f in ring]
@@ -328,30 +324,28 @@ class ZariskiSpace:
 def max_spectrum(space: FiniteSpace, field: FieldDescriptor) -> ZariskiSpace:
     """Compute Max(C(X,F)) and its Zariski topology.
 
-    The basic closed set C_f = {M : f in M} is the zero set of f. Since
-    1 - 1_S vanishes exactly on S, every subset of points is a zero
-    set, so the closed sets are the 2^n zero patterns of the functions
-    1 - 1_S; they are already closed under union and intersection.
-    Each 1 - 1_S is computed as 1 + (-1_S) with the field's payload
-    operations `add` and `neg`, and its zero set read with `is_zero`
-    straight into a bitmask; no ring element and no point set is built.
+    The basic closed set C_f = {M : f in M} is the zero set of f, and
+    the zero sets of the 2^n functions 1 - 1_S are closed under union
+    and intersection. As 1 - 1_S is 1 - 1 on S and 1 - 0 off it, only
+    those two values are computed, with the field's payload operations
+    `add`, `neg` and `is_zero`, and the zero set of 1 - 1_S is S, its
+    complement, both or neither, as a bitmask. In a field 1 - 1 = 0 and
+    1 - 0 != 0, so every subset of points is a zero set.
     """
     n = space.size
     check_guards(space, field)
     points = tuple(gelfand_map(space, field, x) for x in space.points())
     add, neg, is_zero = field.add, field.neg, field.is_zero
     zero, one = field.zero().payload, field.one().payload
-    unit = (one,) * n
-    bits = [1 << x for x in space.points()]
-    closed = frozenset(
-        sum(itertools.compress(
-            bits, map(is_zero, map(add, unit, map(neg, indicator)))))
-        for indicator in itertools.product((zero, one), repeat=n))
+    on, off = (is_zero(add(one, neg(a))) for a in (one, zero))
+    full = (1 << n) - 1
+    closed = frozenset((S if on else 0) | (full ^ S if off else 0)
+                       for S in range(1 << n))
     return ZariskiSpace(points, closed)
 
 
 def check_homeomorphism(space: FiniteSpace, field: FieldDescriptor,
-                        use_oracle=None) -> dict:
+                        force_oracle: bool = False) -> dict:
     """Verify the point/maximal-ideal correspondence at finite scale.
 
     The kernels are the ideals `gelfand_map` builds, each vanishing at
@@ -364,13 +358,13 @@ def check_homeomorphism(space: FiniteSpace, field: FieldDescriptor,
     nothing is claimed about infinite spaces.
     """
     n = space.size
-    use_oracle = check_guards(space, field, use_oracle)
+    run_oracle = check_guards(space, field, force_oracle)
     spectrum = max_spectrum(space, field)
     kernels, closed = spectrum.points, spectrum.closed_sets
     distinct = len({M.vanishing for M in kernels})
 
     oracle_agrees = None
-    if use_oracle:
+    if run_oracle:
         one = RingElement(field, (field.one(),) * n)
         oracle_max = maximal_ideals(enumerate_ideals_bruteforce(space, field),
                                     one)
@@ -386,7 +380,7 @@ def check_homeomorphism(space: FiniteSpace, field: FieldDescriptor,
         "max_ideal_count": distinct,
         "bijective": bijective,
         "topology_match": topology_match,
-        "oracle_checked": bool(use_oracle),
+        "oracle_checked": run_oracle,
         "closed_set_count": len(closed),
         "passed": bijective and topology_match,
     }

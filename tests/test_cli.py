@@ -308,20 +308,40 @@ def test_gelfand_over_q(tmp_path, capsys):
 
 def test_cover_certifies_nothing_when_a_route_raises(tmp_path, capsys,
                                                      monkeypatch):
-    # over F_2 route III finds no free coefficient for this cover
-    calls = []
+    # over F_2 route III finds no free coefficient for this cover; it is
+    # built first, so routes I and II are not built either
+    calls, built = [], []
     certify = cli.cov.certify
     monkeypatch.setattr(cli.cov, "certify",
                         lambda cert: calls.append(cert) or certify(cert))
+    for route in ("combine_case1", "combine_case2"):
+        real = getattr(cli.cov, route)
+        monkeypatch.setattr(cli.cov, route,
+                            lambda *a, route=route, real=real:
+                            built.append(route) or real(*a))
     fns = tmp_path / "fns.txt"
     fns.write_text("1,0\n1,1\n")
     args = ["cover", "--field", "Fp(2)", "--functions", str(fns), "--case"]
     code, report = run_cli(args + ["all"], tmp_path / "r.json")
     assert (code, report, calls) == (2, None, [])
+    assert built.count("combine_case1") == built.count("combine_case2") == 0
     assert capsys.readouterr().err.startswith(
         "error: AvoidanceExhausted: ")
     code, report = run_cli(args + ["II"], tmp_path / "r2.json")
-    assert code == 0 and len(calls) == 1
+    assert code == 0 and len(calls) == 1 and built == ["combine_case2"]
+
+
+def test_cover_all_over_q_reports_route_three_first(tmp_path, capsys):
+    # routes I and III both need a finite field; route III is built
+    # first, so its refusal is the one reported
+    fns = tmp_path / "fns.txt"
+    fns.write_text("1,0,1\n0,1,1\n")
+    args = ["cover", "--field", "Q", "--functions", str(fns), "--case"]
+    code, _ = run_cli(args + ["all"], tmp_path / "r.json")
+    err = capsys.readouterr().err
+    code3, _ = run_cli(args + ["III"], tmp_path / "r3.json")
+    assert code == code3 == 2
+    assert err == capsys.readouterr().err
 
 
 def test_cover_route_two_refused_above_form_guard(tmp_path, capsys):
@@ -387,6 +407,23 @@ def test_cover_common_zero_exit_code(tmp_path):
         tmp_path / "r.json")
     assert code == 2
     assert report["instances"][0] == {"error": "CommonZero", "point": 1}
+
+
+@pytest.mark.parametrize("missing", ["functions", "out"])
+def test_unreadable_file_is_config_error(tmp_path, capsys, missing):
+    # a missing functions file, or an --out path in a missing directory
+    fns, out = tmp_path / "fns.txt", tmp_path / "r.json"
+    fns.write_text("1,0\n0,1\n")
+    if missing == "functions":
+        fns = tmp_path / "missing.txt"
+    else:
+        out = tmp_path / "missing" / "r.json"
+    code = main(["cover", "--field", "Fp(5)", "--functions", str(fns),
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and not out.exists()
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "No such file or directory" in err
 
 
 def test_bad_field_text_is_config_error(tmp_path):

@@ -47,7 +47,7 @@ def test_kernel_at_point_explicit_set():
 def test_single_point_space_kernel_is_zero_ideal():
     F, sp = Fp(3), FiniteSpace(1)
     M = gelfand_map(sp, F, 0)
-    assert M.element_set() == {RingElement.zeros(F, 1)}
+    assert M.element_set() == {RingElement(F, (F.zero(),) * 1)}
     assert M.is_maximal()
 
 
@@ -86,7 +86,7 @@ def test_bruteforce_one_point():
     assert len(ideals) == 2
     maximal = maximal_ideals(ideals, _one(Fp(2), 1))
     assert len(maximal) == 1
-    assert maximal[0] == {RingElement.zeros(Fp(2), 1)}
+    assert maximal[0] == {RingElement(Fp(2), (Fp(2).zero(),) * 1)}
 
 
 def test_bruteforce_f2_three_points():
@@ -152,9 +152,9 @@ def test_basic_open_of_indicator_isolates_its_point():
 def test_contains_rejects_a_function_of_another_ring():
     ideal = gelfand_map(FiniteSpace(3), Fp(2), 0)
     with pytest.raises(MixedFields):
-        ideal.contains(RingElement.zeros(Fp(2), 2))   # another size
+        ideal.contains(RingElement(Fp(2), (Fp(2).zero(),) * 2))  # another size
     with pytest.raises(MixedFields):
-        ideal.contains(RingElement.zeros(Fp(3), 3))   # another field
+        ideal.contains(RingElement(Fp(3), (Fp(3).zero(),) * 3))  # another field
 
 
 def test_homeomorphism_size3_f2():
@@ -192,7 +192,7 @@ def test_homeomorphism_over_infinite_fields(field, size):
 
 def test_forced_oracle_over_q_is_refused():
     with pytest.raises(InfiniteField, match="oracle"):
-        check_homeomorphism(FiniteSpace(2), Q(), use_oracle=True)
+        check_homeomorphism(FiniteSpace(2), Q(), force_oracle=True)
 
 
 @pytest.mark.parametrize("corrupt", ["drop", "outside"])
@@ -331,7 +331,8 @@ def _closed_sets_by_field_elements(space, field):
 
 @pytest.mark.parametrize("field,sizes", [
     (Fp(2), range(1, 9)), (Fp(3), range(1, 6)), (Fq(2, 2), range(1, 5)),
-    (Fp(5), range(1, 5))], ids=str)
+    (Fp(5), range(1, 5)), (Q(), range(1, 7)), (Qsqrt(-1), range(1, 7))],
+    ids=str)
 def test_spectrum_matches_field_element_loop(field, sizes):
     for size in sizes:
         space = FiniteSpace(size)
@@ -385,6 +386,32 @@ def test_wrong_negation_breaks_the_topology(monkeypatch):
     report = check_homeomorphism(FiniteSpace(3), Fp(3))
     assert report["closed_set_count"] == 1
     assert report["bijective"] is True
+    assert report["topology_match"] is False
+    assert report["passed"] is False
+
+
+@pytest.mark.parametrize("field", [Fp(2), Fq(2, 3), Q(), Qsqrt(-1)], ids=str)
+def test_spectrum_reads_two_field_values(monkeypatch, field):
+    # 1 - 1_S takes only the values 1 - 1 and 1 - 0, whatever n is
+    calls = []
+    kind = type(field)
+    for name in ("add", "neg"):
+        real = getattr(kind, name)
+        monkeypatch.setattr(kind, name, lambda self, *a, name=name, real=real:
+                            calls.append(name) or real(self, *a))
+    spectrum = max_spectrum(FiniteSpace(12), field)
+    assert len(spectrum.closed_sets) == 2 ** 12
+    assert calls.count("add") <= 2 and calls.count("neg") <= 2
+
+
+def test_one_minus_zero_read_as_zero_breaks_the_topology(monkeypatch):
+    # with a + 0 computed as 0, 1 - 1_S over F_3 vanishes everywhere:
+    # every S gives the full set, the only closed set left
+    real = PrimeField.add
+    monkeypatch.setattr(PrimeField, "add",
+                        lambda self, a, b: 0 if b == 0 else real(self, a, b))
+    report = check_homeomorphism(FiniteSpace(3), Fp(3))
+    assert report["closed_set_count"] == 1
     assert report["topology_match"] is False
     assert report["passed"] is False
 
