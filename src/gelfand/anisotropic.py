@@ -328,9 +328,10 @@ def _enumeration_size(field, n):
     """q^n, once F is checked to be finite and q^n within the guard."""
     if not field.is_finite:
         raise InfiniteField("exhaustive verification needs a finite field")
-    size = field.order ** n
+    q = field.order
+    size = q ** n
     if size > EXHAUSTIVE_GUARD:
-        raise TooLarge(f"q^n = {size} exceeds the enumeration guard",
+        raise TooLarge(f"q^n = {q}^{n} exceeds the enumeration guard",
                        guard="EXHAUSTIVE_GUARD", limit=EXHAUSTIVE_GUARD,
                        requested=size)
     return size

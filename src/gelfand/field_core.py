@@ -753,7 +753,7 @@ def find_rootfree_monic(F: FieldDescriptor, m: int):
     q = F.order
     candidates = q ** m
     if candidates > ROOTFREE_SEARCH_GUARD:
-        raise TooLarge(f"q^m = {candidates} exceeds the search guard",
+        raise TooLarge(f"q^m = {q}^{m} exceeds the search guard",
                        guard="ROOTFREE_SEARCH_GUARD",
                        limit=ROOTFREE_SEARCH_GUARD, requested=candidates)
     # payloads are indices, and the payload of one is 1

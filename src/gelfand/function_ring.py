@@ -5,8 +5,10 @@ Every function on a finite discrete space is continuous, so the ring is
 just F^n with pointwise operations. Every ideal of F^n is I_V, the
 functions vanishing on some set V of points; the brute-force oracle
 checks this independently at tiny sizes by enumerating element sets.
-A closed set of the spectrum is held as an int bitmask of points, bit x
-for the kernel at x, since 2^n of them are held at once.
+A closed set of the spectrum is an int bitmask of points, bit x for the
+kernel at x. The closed-set family is a `range` of such masks, decided by
+the two field values 1 - 1 and 1 - 0 and never stored set by set, so a
+caller compares it with another family through `set(...)`.
 """
 
 from __future__ import annotations
@@ -33,7 +35,9 @@ from .field_core import (
 )
 
 ORACLE_GUARD = 12          # max ring size for subset enumeration
-SPECTRUM_GUARD = 10 ** 6   # max ring size to enumerate, max closed-set count
+# max ring size to enumerate, and max 2^n closed-set count: a bound on
+# the input, as the closed-set family is a range, never stored set by set
+SPECTRUM_GUARD = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -314,11 +318,12 @@ class ZariskiSpace:
 
     Each closed set is an int bitmask of point indices via the
     point -> kernel correspondence: bit x is set when the kernel at x
-    lies in the set.
+    lies in the set. `max_spectrum` gives the family in closed form, as
+    a `range` of masks that holds no set; compare it through `set(...)`.
     """
 
     points: tuple  # IdealRepr per space point
-    closed_sets: frozenset  # frozenset of int bitmasks of points
+    closed_sets: range  # the int bitmasks of the closed sets
 
 
 def max_spectrum(space: FiniteSpace, field: FieldDescriptor) -> ZariskiSpace:
@@ -329,8 +334,9 @@ def max_spectrum(space: FiniteSpace, field: FieldDescriptor) -> ZariskiSpace:
     and intersection. As 1 - 1_S is 1 - 1 on S and 1 - 0 off it, only
     those two values are computed, with the field's payload operations
     `add`, `neg` and `is_zero`, and the zero set of 1 - 1_S is S, its
-    complement, both or neither, as a bitmask. In a field 1 - 1 = 0 and
-    1 - 0 != 0, so every subset of points is a zero set.
+    complement, both or neither. When exactly one value is zero, as in
+    every field, S -> zero set reaches every mask and the family is
+    `range(2^n)`; otherwise it is the one mask `full` or `0`.
     """
     n = space.size
     check_guards(space, field)
@@ -338,9 +344,11 @@ def max_spectrum(space: FiniteSpace, field: FieldDescriptor) -> ZariskiSpace:
     add, neg, is_zero = field.add, field.neg, field.is_zero
     zero, one = field.zero().payload, field.one().payload
     on, off = (is_zero(add(one, neg(a))) for a in (one, zero))
-    full = (1 << n) - 1
-    closed = frozenset((S if on else 0) | (full ^ S if off else 0)
-                       for S in range(1 << n))
+    if on != off:   # S -> S or S -> its complement: every mask
+        closed = range(1 << n)
+    else:           # every S gives the full set (both zero) or none
+        only = (1 << n) - 1 if on else 0
+        closed = range(only, only + 1)
     return ZariskiSpace(points, closed)
 
 

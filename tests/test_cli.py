@@ -220,6 +220,22 @@ def test_anisotropic_guard_fires_before_build(tmp_path, monkeypatch):
     assert report is None
 
 
+@pytest.mark.parametrize("args,guard", [
+    (["anisotropic", "--field", "Fp(2)", "--n", "100000"],
+     "q^n = 2^100000 exceeds the enumeration guard"),
+    (["anisotropic", "--field", "Fp(2)", "--m", "100000", "--n", "2"],
+     "q^m = 2^100000 exceeds the search guard"),
+    (["field", "find-rootfree", "--field", "Fp(2)", "--m", "100000"],
+     "q^m = 2^100000 exceeds the search guard"),
+], ids=["anisotropic-n", "anisotropic-m", "find-rootfree"])
+def test_power_guards_name_a_power_too_long_to_print(tmp_path, capsys, args,
+                                                     guard):
+    # 2^100000 has 30103 decimal digits, past what str(int) converts
+    code, report = run_cli(args, tmp_path / "r.json")
+    assert (code, report) == (2, None)
+    assert capsys.readouterr().err == f"error: TooLarge: {guard}\n"
+
+
 def test_field_find_rootfree(tmp_path):
     code, report = run_cli(
         ["field", "find-rootfree", "--field", "Fp(2)", "--m", "2"],

@@ -1,6 +1,7 @@
 """Tests for the finite function ring, its ideals, and the spectrum."""
 
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -138,7 +139,7 @@ def test_spectrum_size3_f2():
 def test_spectrum_single_point():
     spec = max_spectrum(FiniteSpace(1), Fp(2))
     assert len(spec.points) == 1
-    assert spec.closed_sets == {0b0, 0b1}
+    assert set(spec.closed_sets) == {0b0, 0b1}
 
 
 def test_basic_open_of_indicator_isolates_its_point():
@@ -308,8 +309,20 @@ def _closed_sets_by_closure(space, field):
 def test_spectrum_matches_closure_oracle(field, sizes):
     for size in sizes:
         space = FiniteSpace(size)
-        assert max_spectrum(space, field).closed_sets == \
+        assert set(max_spectrum(space, field).closed_sets) == \
             _masks(_closed_sets_by_closure(space, field))
+
+
+def test_spectrum_holds_no_set_per_closed_set():
+    # the family of 2^19 masks is given in closed form, not stored
+    tracemalloc.start()
+    try:
+        spectrum = max_spectrum(FiniteSpace(19), Fp(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(spectrum.closed_sets) == 2 ** 19
+    assert peak < 1 << 20
 
 
 def test_spectrum_guard_before_work():
@@ -336,7 +349,7 @@ def _closed_sets_by_field_elements(space, field):
 def test_spectrum_matches_field_element_loop(field, sizes):
     for size in sizes:
         space = FiniteSpace(size)
-        assert max_spectrum(space, field).closed_sets == \
+        assert set(max_spectrum(space, field).closed_sets) == \
             _masks(_closed_sets_by_field_elements(space, field))
 
 
