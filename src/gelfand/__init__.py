@@ -3,7 +3,6 @@ finite maximal spectra with their Zariski topology, and certified
 nowhere-vanishing combinations from covers."""
 
 from .anisotropic import (
-    AnisotropicWitness,
     ExhaustivePassed,
     Failed,
     SampledPassed,
@@ -12,9 +11,7 @@ from .anisotropic import (
     build_fn,
     norm_form_eval,
     valuation_identity_check,
-    verify_tower_exhaustive,
     verify_vanishing_exhaustive,
-    verify_witness_sampled,
 )
 from .covers import (
     CombinationCertificate,

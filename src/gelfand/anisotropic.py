@@ -2,24 +2,24 @@
 
 The n-variable form is the composition tower
 f2(f2(...f2(x1, x2)...), xn) over the homogenization f2 of a root-free
-monic univariate f of degree m. A `Tower` keeps it nested: it evaluates
-a point with n - 1 evaluations of f2 (over Q on integer pairs, with no
-gcd per operation), verifies a finite field level by level from a q x q
-table of f2, and expands to a `MultiPoly` only for a report (`expand`,
-which `build_fn` calls), under FORM_TERMS_GUARD. Each level of the
-expansion substitutes the form h so far into f2 (`compose_last`): a
-power h^i with i divisible by the characteristic p is the Frobenius
-image of h^(i/p), exponents times p and coefficients to the p-th
-power, and any other is one product h^(i-1)*h. The expanded form
-stays the reference: `verify_vanishing_exhaustive` checks any form term
-by term at every point. An `AnisotropicWitness` (base, arity,
-verification) prints the form that `build_fn` expands, or the guard's
-refusal in its place. Over Q a caller-supplied witness is refused on a
-rational root before its seeded samples (`verify_witness_sampled`,
-through `RationalTower.verify_sampled`), which are evaluated on
-(numerator, denominator) int pairs. The other stand-ins over the
-rationals are the positive-definite norm form on Q(sqrt(d)) and the
-valuation identity for x^2 - p*y^2, also checked on ints.
+monic univariate f of degree m. A `Tower` holds f and keeps the form
+nested: it evaluates a point with n - 1 evaluations of f2 (over Q on
+integer pairs, with no gcd per operation), verifies a finite field level
+by level from a q x q table of f2, and expands to a `MultiPoly` only for
+a report (`expand`, which `build_fn` calls), under FORM_TERMS_GUARD.
+Each level of the expansion substitutes the form h so far into f2
+(`compose_last`): a power h^i with i divisible by the characteristic p
+is the Frobenius image of h^(i/p), exponents times p and coefficients to
+the p-th power, and any other is one product h^(i-1)*h. The expanded
+form stays the reference: `verify_vanishing_exhaustive` checks any form
+term by term at every point. `Tower.record` writes the base, the arity,
+the form that `build_fn` expands (or the guard's refusal in its place)
+and a verification. Over Q the tower is refused on a rational root of f
+before its seeded samples are read (`RationalTower.verify_sampled`),
+which are evaluated on (numerator, denominator) int pairs. The other
+stand-ins over the rationals are the positive-definite norm form on
+Q(sqrt(d)) and the valuation identity for x^2 - p*y^2, also checked on
+ints.
 """
 
 from __future__ import annotations
@@ -111,12 +111,12 @@ class Failed:
 
 @dataclass(frozen=True)
 class Tower:
-    """The arity-n composition tower f2(f2(...f2(x1, x2)...), xn), kept
-    nested. f2 is the homogenized base, or None for n = 1, where the
-    tower is x1. `Tower.over` builds it from the univariate base.
+    """The arity-n composition tower f2(f2(...f2(x1, x2)...), xn) over a
+    univariate base, kept nested. f2 is the homogenized base, or None for
+    n = 1, where the tower is x1. `Tower.over` builds it from the base.
     """
 
-    field: FieldDescriptor
+    base: MultiPoly
     f2: MultiPoly
     arity: int
 
@@ -124,19 +124,23 @@ class Tower:
     def over(f: MultiPoly, n: int) -> Tower:
         """The tower over a monic univariate f of degree at least 2 (any
         f for n = 1). The base is not checked to be root-free, which the
-        form's only zero at the origin needs; `build_fn` checks it."""
+        form's only zero at the origin needs: `build_fn` checks it over a
+        finite field, and `verify_sampled` over Q."""
         if n < 1:
             raise ValueError("arity must be at least 1")
         if f.arity != 1:
             raise ValueError("base polynomial must be univariate")
-        field = f.field
-        kind = RationalTower if isinstance(field, Q) else Tower
+        kind = RationalTower if isinstance(f.field, Q) else Tower
         if n == 1:
-            return kind(field, None, 1)
+            return kind(f, None, 1)
         m = f.degree
         if m is None or m < 2:
             raise ValueError("base polynomial must have degree at least 2")
-        return kind(field, homogenize2(f), n)
+        return kind(f, homogenize2(f), n)
+
+    @property
+    def field(self) -> FieldDescriptor:
+        return self.base.field
 
     @property
     def degree(self):
@@ -228,6 +232,22 @@ class Tower:
         return {"f2": format_poly(self.f2), "nesting": f"f2({nest}, x{n})",
                 "levels": n - 1}
 
+    def record(self, verification):
+        """The tower's report with a verification: the base, the arity,
+        the form that `build_fn` expands, or `form_withheld` (the refusal
+        and the nesting) in its place when FORM_TERMS_GUARD refuses the
+        expansion, the degree and the verification."""
+        record = {"base": format_poly(self.base), "arity": self.arity}
+        try:
+            record["form"] = format_poly(build_fn(self.base, self.arity))
+        except TooLarge as exc:
+            record["form_withheld"] = {
+                "guard": exc.guard, "limit": exc.limit,
+                "requested": exc.requested, **self.structure()}
+        record["degree"] = self.degree
+        record["verification"] = verification.to_json()
+        return record
+
 
 class RationalTower(Tower):
     """A tower over Q, evaluated on integer pairs.
@@ -271,7 +291,17 @@ class RationalTower(Tower):
         `_ratio` reads, an int pair in lowest terms or not; a point
         without exactly n coordinates is refused before any is
         evaluated. Only a counterexample is made into elements, in
-        lowest terms."""
+        lowest terms. For n >= 2 a rational root r of the base
+        (`first_rational_root`, under RATIONAL_ROOT_GUARD) gives the zero
+        (r, 1, 0, ..., 0), as f2(r, 1) = f(r) = 0 and f2(0, 0) = 0, and is
+        reported before any point is read."""
+        F, f = self.field, self.base
+        if self.f2 is not None:
+            root = first_rational_root([f.coefficient((i,)).payload
+                                        for i in range(f.degree + 1)])
+            if root is not None:
+                return Failed((from_payload(F, root), F.one())
+                              + (F.zero(),) * (self.arity - 2))
         points = [[_ratio(x) for x in pt] for pt in points]
         for pt in points:
             if len(pt) != self.arity:
@@ -283,8 +313,7 @@ class RationalTower(Tower):
                                lambda pt: not any(a for a, _ in pt))
         if bad is None:
             return SampledPassed(len(points))
-        return Failed(tuple(from_payload(self.field, Fraction(a, b))
-                            for a, b in bad))
+        return Failed(tuple(from_payload(F, Fraction(a, b)) for a, b in bad))
 
 
 def _ratio(x):
@@ -372,40 +401,6 @@ def verify_vanishing_exhaustive(g: MultiPoly):
     return ExhaustivePassed(points) if bad is None else Failed(bad)
 
 
-def verify_tower_exhaustive(f: MultiPoly, n: int):
-    """`Tower.verify_exhaustive` on the arity-n tower over f; the q^n
-    guard is checked before the base. The base is not required to be
-    root-free.
-    """
-    _enumeration_size(f.field, n)
-    return Tower.over(f, n).verify_exhaustive()
-
-
-def verify_witness_sampled(f: MultiPoly, n: int, points):
-    """The arity-n tower over a monic f over Q: f's rational roots
-    first, then `RationalTower.verify_sampled` at the points, whose
-    coordinates are elements of Q or (numerator, denominator) int pairs.
-
-    For n >= 2 a rational root r of f (`first_rational_root`, under
-    RATIONAL_ROOT_GUARD) gives the zero (r, 1, 0, ..., 0) off the
-    origin, as f2(r, 1) = f(r) = 0 and f2(0, 0) = 0; it is reported
-    before any sample is evaluated. A pass covers only the points given.
-    A base over another field is refused; a finite field is verified
-    exhaustively (`verify_tower_exhaustive`).
-    """
-    if not isinstance(f.field, Q):
-        raise WrongKind("sampled witnesses are over Q")
-    tower = Tower.over(f, n)
-    if n > 1:
-        F = f.field
-        root = first_rational_root([f.coefficient((i,)).payload
-                                    for i in range(f.degree + 1)])
-        if root is not None:
-            return Failed((from_payload(F, root), F.one())
-                          + (F.zero(),) * (n - 2))
-    return tower.verify_sampled(points)
-
-
 def _first_violation(vanishes, points,
                      at_origin=lambda pt: all(x.is_zero for x in pt)):
     """The first point where g is zero off the origin or nonzero at it,
@@ -415,32 +410,6 @@ def _first_violation(vanishes, points,
         if at_origin(pt) != vanishes(pt):
             return pt
     return None
-
-
-@dataclass(frozen=True)
-class AnisotropicWitness:
-    """The tower of the given arity over a base, with its verification
-    evidence."""
-
-    base: MultiPoly
-    arity: int
-    verification: object
-
-    def to_json(self):
-        """The record, with the form that `build_fn` expands, or with
-        `form_withheld` (the refusal and the nesting) in its place when
-        FORM_TERMS_GUARD refuses the expansion."""
-        tower = Tower.over(self.base, self.arity)
-        record = {"base": format_poly(self.base), "arity": self.arity}
-        try:
-            record["form"] = format_poly(build_fn(self.base, self.arity))
-        except TooLarge as exc:
-            record["form_withheld"] = {
-                "guard": exc.guard, "limit": exc.limit,
-                "requested": exc.requested, **tower.structure()}
-        record["degree"] = tower.degree
-        record["verification"] = self.verification.to_json()
-        return record
 
 
 def norm_form_eval(points) -> FieldElement:

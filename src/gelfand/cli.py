@@ -72,9 +72,10 @@ def _split_field_list(spec):
 
 
 def _parse_sizes(spec):
+    """A list (1,2,3), or lo..hi as a range, read only as far as needed."""
     if ".." in spec:
         lo, hi = spec.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        return range(int(lo), int(hi) + 1)
     return [int(s) for s in spec.split(",")]
 
 
@@ -119,10 +120,11 @@ def cmd_anisotropic(args):
                               "field every point is checked")
         if args.m < 2:
             raise ConfigError("degree guard: --m must be at least 2")
-        base = univariate(field, find_rootfree_monic(field, args.m))
+        tower = aniso.Tower.over(
+            univariate(field, find_rootfree_monic(field, args.m)), args.n)
         # the tower is verified nested, and the q^n guard fires first;
         # the form is expanded for the report only, under its own guard
-        result = aniso.verify_tower_exhaustive(base, args.n)
+        result = tower.verify_exhaustive()
     elif samples < 1:
         raise ConfigError("--samples must be at least 1")
     elif isinstance(field, Q) and args.padic is not None:
@@ -134,22 +136,23 @@ def cmd_anisotropic(args):
             raise ConfigError(f"--padic must be a prime, got {p}")
         if args.n != 2:
             raise ConfigError("--padic checks x^2 - p*y^2, so --n must be 2")
-        base = parse_poly(field, f"x^2 + -{p}")
+        tower = aniso.Tower.over(parse_poly(field, f"x^2 + -{p}"), 2)
         rng = random.Random(args.seed)
         pairs = list(zip(_seeded_pairs(rng, samples),
                          _seeded_pairs(rng, samples)))
         result = aniso.valuation_identity_check(p, pairs)
     elif isinstance(field, Q) and args.witness:
-        base = parse_poly(field, args.witness)
+        tower = aniso.Tower.over(parse_poly(field, args.witness), args.n)
         rng = random.Random(args.seed)
-        points = [_seeded_pairs(rng, args.n) for _ in range(samples)]
-        result = aniso.verify_witness_sampled(base, args.n, points)
+        # drawn as read: a rooted witness fails before the first draw
+        result = tower.verify_sampled(
+            _seeded_pairs(rng, args.n) for _ in range(samples))
     else:
         raise ConfigError(
             "an infinite field must be Q, with --witness or --padic")
 
-    instance = aniso.AnisotropicWitness(base, args.n, result).to_json()
-    return _finish(report, [instance], int(result.passed), args.out)
+    return _finish(report, [tower.record(result)], int(result.passed),
+                   args.out)
 
 
 def cmd_gelfand(args):
@@ -158,14 +161,17 @@ def cmd_gelfand(args):
     if not fields or not sizes:
         raise ConfigError("an empty sweep: --field and --space must each "
                           "name at least one entry")
-    config = {"fields": [format_field(f) for f in fields], "sizes": sizes,
-              "oracle": args.oracle}
+    # every instance's guards, in sweep order, before the first
+    # instance's work; a range is read only up to the size they refuse
+    sweep = []
+    for field in fields:
+        for size in sizes:
+            space = fr.FiniteSpace(size)
+            fr.check_guards(space, field, args.oracle)
+            sweep.append((space, field))
+    config = {"fields": [format_field(f) for f in fields],
+              "sizes": list(sizes), "oracle": args.oracle}
     report = _new_report("gelfand", config)
-    sweep = [(fr.FiniteSpace(size), field) for field in fields
-             for size in sizes]
-    # every instance's guards before the first instance's work
-    for space, field in sweep:
-        fr.check_guards(space, field, args.oracle)
     instances = [fr.check_homeomorphism(space, field, args.oracle)
                  for space, field in sweep]
     return _finish(report, instances, sum(r["passed"] for r in instances),

@@ -9,7 +9,6 @@ import pytest
 from gelfand import anisotropic
 from gelfand.anisotropic import (
     FORM_TERMS_GUARD,
-    AnisotropicWitness,
     ExhaustivePassed,
     Failed,
     ValuationPassed,
@@ -18,9 +17,7 @@ from gelfand.anisotropic import (
     build_fn,
     norm_form_eval,
     valuation_identity_check,
-    verify_tower_exhaustive,
     verify_vanishing_exhaustive,
-    verify_witness_sampled,
 )
 from gelfand.errors import (
     ArityMismatch,
@@ -182,7 +179,7 @@ def test_tower_verifier_matches_per_term_reference(field, m, n):
     f = _base(field, m)
     expected = verify_vanishing_exhaustive(build_fn(f, n))
     assert expected == ExhaustivePassed(field.order ** n)
-    assert verify_tower_exhaustive(f, n) == expected
+    assert Tower.over(f, n).verify_exhaustive() == expected
 
 
 def _unchecked_tower(f, n):
@@ -197,7 +194,7 @@ def _unchecked_tower(f, n):
 @pytest.mark.parametrize("n,point", [(2, (1, 2)), (3, (0, 1, 2))])
 def test_tower_verifier_fails_on_rooted_base(n, point):
     f = parse_poly(Fp(5), "x^2 + 1")   # 2^2 + 1 = 0 in F_5
-    result = verify_tower_exhaustive(f, n)
+    result = Tower.over(f, n).verify_exhaustive()
     assert isinstance(result, Failed)
     assert tuple(x.payload for x in result.counterexample) == point
     assert result == verify_vanishing_exhaustive(_unchecked_tower(f, n))
@@ -206,12 +203,14 @@ def test_tower_verifier_fails_on_rooted_base(n, point):
             parse_poly(Fp(5), "x1^2 + x2^2"))
 
 
-def test_tower_verifier_guard_precedes_work():
-    # a base of degree 1 would be refused, but the guard fires first
+def test_tower_verifier_guard_precedes_work(monkeypatch):
+    # the q^n guard fires before the q x q table of f2 is built
+    tower = Tower.over(parse_poly(Fp(2), "x^2 + x + 1"), 24)
+    _forbid(monkeypatch, type(tower.f2), "evaluate_payloads")
     with pytest.raises(TooLarge):
-        verify_tower_exhaustive(parse_poly(Fp(2), "x + 1"), 24)
+        tower.verify_exhaustive()
     with pytest.raises(InfiniteField):
-        verify_tower_exhaustive(parse_poly(Q(), "x^2 + 1"), 2)
+        Tower.over(parse_poly(Q(), "x^2 + 1"), 2).verify_exhaustive()
 
 
 def test_norm_form_examples():
@@ -265,8 +264,10 @@ def test_witness_record_json():
     field = Fp(3)
     base = _base(field)
     fn = build_fn(base, 2)
-    w = AnisotropicWitness(base, 2, verify_vanishing_exhaustive(fn))
-    record = w.to_json()
+    record = Tower.over(base, 2).record(verify_vanishing_exhaustive(fn))
+    assert list(record) == ["base", "arity", "form", "degree",
+                            "verification"]
+    assert record["form"] == format_poly(fn)
     assert record["degree"] == 2
     assert record["verification"] == {"mode": "exhaustive",
                                       "points_checked": 9}
@@ -442,10 +443,7 @@ def test_witness_loop_refuses_other_fields():
         tower.verify_sampled([(F.one(), Fp(5).element(2))])
     assert tower.verify_sampled([(0.5, "2/3")]) == SampledPassed(1)
     # a finite field is verified exhaustively, not sampled
-    f = _base(Fp(3))
-    with pytest.raises(WrongKind, match="over Q"):
-        verify_witness_sampled(f, 2, [])
-    assert not hasattr(Tower.over(f, 2), "verify_sampled")
+    assert not hasattr(Tower.over(_base(Fp(3)), 2), "verify_sampled")
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +573,7 @@ def test_nested_negative_control_rooted_base_finite(n):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_nested_negative_control_rooted_base_rational(n):
+def test_nested_negative_control_rooted_base_rational(monkeypatch, n):
     F = Q()
     f = parse_poly(F, "x^2 - 1")
     rng = random.Random(n)
@@ -588,6 +586,12 @@ def test_nested_negative_control_rooted_base_rational(n):
         pt[2:] = [F.zero()] * (n - 2)
         points.insert(at, tuple(pt))
     tower = Tower.over(f, n)
+    # the root 1 gives the zero (1, 1, 0, ..., 0) before any sample
+    assert tower.verify_sampled(points) == \
+        Failed((F.one(), F.one()) + (F.zero(),) * (n - 2))
+    # without the root test, the samples find a zero of their own
+    monkeypatch.setattr(anisotropic, "first_rational_root",
+                        lambda coeffs: None)
     result = tower.verify_sampled(points)
     assert isinstance(result, Failed)
     assert result.counterexample == points[7]
@@ -598,7 +602,11 @@ def test_nested_negative_control_rooted_base_rational(n):
 def test_rooted_rational_witness_fails_before_any_sample(n):
     F = Q()
     f = parse_poly(F, "x^2 - 4/9")
-    result = verify_witness_sampled(f, n, [])
+
+    def unread():
+        raise AssertionError("a sample was read")
+        yield
+    result = Tower.over(f, n).verify_sampled(unread())
     assert result == Failed((F.element(Fraction(2, 3)), F.one())
                             + (F.zero(),) * (n - 2))
     assert Tower.over(f, n).evaluate(result.counterexample).is_zero
@@ -610,10 +618,9 @@ def test_rootfree_rational_witness_is_sampled():
     f = parse_poly(F, "x^3 - 2")
     points = [tuple(F.element(v) for v in pt)
               for pt in [(1, 2, 3), (0, 0, 1), (-5, 0, 0)]]
-    assert verify_witness_sampled(f, 3, points) == \
-        Tower.over(f, 3).verify_sampled(points) == SampledPassed(3)
+    assert Tower.over(f, 3).verify_sampled(points) == SampledPassed(3)
     # n = 1: the form is x1, whatever roots the base has
-    assert verify_witness_sampled(parse_poly(F, "x^2 - 1"), 1, []) == \
+    assert Tower.over(parse_poly(F, "x^2 - 1"), 1).verify_sampled([]) == \
         SampledPassed(0)
 
 
@@ -636,10 +643,23 @@ def _pair_points(rng, n, roots):
     ("x^2+1", []), ("x^2-3*x+5", []), ("x^2+1/2*x+2/3", []),
     ("x^2-1", [1, -1]), ("x^3-8/27", [Fraction(2, 3)]),
     ("x^2-5/6*x+1/6", [Fraction(1, 2), Fraction(1, 3)])])
-def test_int_pair_vanishing_matches_expanded_form(witness, roots):
+def test_int_pair_vanishing_matches_expanded_form(monkeypatch, witness,
+                                                  roots):
     F = Q()
     f = parse_poly(F, witness)
     rng = random.Random(witness)
+    for n in range(2, 5):
+        # a rooted base fails at the zero of its root, before any sample
+        result = Tower.over(f, n).verify_sampled([])
+        if roots:
+            r, *rest = result.counterexample
+            assert r.payload in roots
+            assert rest == [F.one()] + [F.zero()] * (n - 2)
+        else:
+            assert result == SampledPassed(0)
+    # without the root test, the sample loop alone meets the roots' zeros
+    monkeypatch.setattr(anisotropic, "first_rational_root",
+                        lambda coeffs: None)
     vanished = 0
     for n in range(1, 5):
         tower = Tower.over(f, n)
@@ -665,16 +685,17 @@ def test_witness_loop_builds_elements_only_for_a_counterexample(
              for _ in range(50)]
     elements = [tuple(F.element(Fraction(a, b)) for a, b in pt)
                 for pt in pairs]
-    expected = verify_witness_sampled(f, 3, elements)
+    tower = Tower.over(f, 3)
+    expected = tower.verify_sampled(elements)
     assert expected == SampledPassed(50)
 
     def forbidden(*args):
         raise AssertionError("an element or a Fraction was built")
     monkeypatch.setattr(anisotropic, "Fraction", forbidden)
     monkeypatch.setattr(anisotropic, "from_payload", forbidden)
-    assert verify_witness_sampled(f, 3, pairs) == expected
+    assert tower.verify_sampled(pairs) == expected
     # n = 1: the form is x1, also on int pairs
-    assert verify_witness_sampled(f, 1, [[(0, 3)], [(2, 4)]]) == \
+    assert Tower.over(f, 1).verify_sampled([[(0, 3)], [(2, 4)]]) == \
         SampledPassed(2)
 
 
@@ -682,7 +703,7 @@ def test_int_pairs_with_denominator_zero_are_refused():
     F = Q()
     f = parse_poly(F, "x^2+1")
     with pytest.raises(ZeroDivisionError, match="denominator 0"):
-        verify_witness_sampled(f, 2, [[(1, 2), (3, 0)]])
+        Tower.over(f, 2).verify_sampled([[(1, 2), (3, 0)]])
     with pytest.raises(ZeroDivisionError, match="denominator 0"):
         valuation_identity_check(3, [((0, 0), (0, 1))])
 
@@ -696,7 +717,7 @@ def test_witness_loop_negative_control_without_the_root_test(monkeypatch):
     f = parse_poly(F, "x^2-1")
     points = [[(1, 2), (1, 3), (1, 5)], [(2, 2), (3, 3), (0, 5)],
               [(1, 1), (1, 1), (1, 1)]]
-    result = verify_witness_sampled(f, 3, points)
+    result = Tower.over(f, 3).verify_sampled(points)
     assert result == Failed((F.one(), F.one(), F.zero()))
     assert result.to_json()["counterexample"] == ["1", "1", "0"]
 
@@ -724,8 +745,6 @@ def test_sampled_refuses_a_point_of_another_length(monkeypatch, length):
     points = [[(1, 2), (1, 3), (1, 5)], [(1, 1)] * length]
     with pytest.raises(ArityMismatch):
         tower.verify_sampled(points)
-    with pytest.raises(ArityMismatch):
-        verify_witness_sampled(f, 3, points)
 
 
 # ---------------------------------------------------------------------------
@@ -819,8 +838,8 @@ def test_frobenius_keeps_term_counts():
 
 def test_witness_record_above_the_form_guard():
     f = _base(Fp(2))
-    result = verify_tower_exhaustive(f, 12)
-    record = AnisotropicWitness(f, 12, result).to_json()
+    tower = Tower.over(f, 12)
+    record = tower.record(tower.verify_exhaustive())
     assert "form" not in record
     assert record["form_withheld"] == {
         "guard": "FORM_TERMS_GUARD", "limit": 1024, "requested": 2047,
@@ -829,6 +848,7 @@ def test_witness_record_above_the_form_guard():
     assert record["degree"] == 2 ** 11
     assert record["verification"] == {"mode": "exhaustive",
                                       "points_checked": 4096}
-    small = AnisotropicWitness(f, 3, verify_tower_exhaustive(f, 3))
-    assert small.to_json()["form"] == format_poly(build_fn(f, 3))
-    assert Tower.over(f, 3).structure()["nesting"] == "f2(f2(x1, x2), x3)"
+    small = Tower.over(f, 3)
+    assert small.record(small.verify_exhaustive())["form"] == \
+        format_poly(build_fn(f, 3))
+    assert small.structure()["nesting"] == "f2(f2(x1, x2), x3)"

@@ -76,6 +76,20 @@ def test_anisotropic_witness_at_arity_one(tmp_path):
     assert inst["verification"]["samples"] == 200
 
 
+@pytest.mark.parametrize("witness,draws", [("x^2-1", 0), ("x^2+1", 50)])
+def test_rooted_witness_draws_no_sample(tmp_path, monkeypatch, witness,
+                                        draws):
+    calls = []
+    real = cli._seeded_pairs
+    monkeypatch.setattr(cli, "_seeded_pairs",
+                        lambda rng, count: calls.append(count)
+                        or real(rng, count))
+    code, _ = run_cli(["anisotropic", "--field", "Q", "--witness", witness,
+                       "--n", "3", "--samples", "50"], tmp_path / "r.json")
+    assert code == (1 if draws == 0 else 0)
+    assert calls == [3] * draws
+
+
 def _seeded_rationals_reference(rng, count):
     """The CLI's draws when it made Fractions, kept as the reference."""
     out = []
@@ -308,6 +322,25 @@ def test_gelfand_checks_every_guard_before_the_first_instance(
     code, report = run_cli(args + ["--oracle"] * oracle, tmp_path / "r.json")
     assert (code, report) == (2, None)
     assert capsys.readouterr().err == f"error: TooLarge: {guard}\n"
+
+
+def test_gelfand_range_past_the_guard_is_refused_unread(
+        tmp_path, capsys, monkeypatch):
+    # the guards read the range in sweep order: sizes 1..20, not 10^5
+    built = []
+    real = cli.fr.FiniteSpace
+
+    def counted(size):
+        built.append(size)
+        return real(size)
+
+    monkeypatch.setattr(cli.fr, "FiniteSpace", counted)
+    code, report = run_cli(["gelfand", "--field", "Fp(2)", "--space",
+                            "1..100000"], tmp_path / "r.json")
+    assert (code, report) == (2, None)
+    assert capsys.readouterr().err == \
+        "error: TooLarge: 2^20 closed sets exceed the guard 1000000\n"
+    assert len(built) <= 21
 
 
 def test_gelfand_over_q(tmp_path, capsys):

@@ -216,6 +216,17 @@ def test_topology_check_negative_control(monkeypatch, corrupt):
     assert report["passed"] is False
 
 
+def test_topology_check_reads_no_mask(monkeypatch):
+    # the family is compared to range(2^n) whole, not scanned for its max
+    def refuse(*args, **kwargs):
+        raise AssertionError("the closed-set family was scanned")
+
+    monkeypatch.setattr(function_ring, "max", refuse, raising=False)
+    report = check_homeomorphism(FiniteSpace(19), Fp(2))
+    assert report["topology_match"] and report["passed"]
+    assert report["closed_set_count"] == 2 ** 19
+
+
 def test_zariski_topology_is_discrete():
     spec = max_spectrum(FiniteSpace(4), Fp(2))
     for x in range(4):

@@ -8,8 +8,8 @@ import pytest
 from gelfand import anisotropic, field_core, function_ring
 from gelfand.covers import check_cover, combine_case2
 from gelfand.anisotropic import (
+    Tower,
     build_fn,
-    verify_tower_exhaustive,
     verify_vanishing_exhaustive,
 )
 from gelfand.errors import TooLarge
@@ -25,7 +25,8 @@ from gelfand.poly import parse_poly, univariate
 
 CASES = [
     ("tower verifier",
-     lambda: verify_tower_exhaustive(parse_poly(Fp(2), "x^2 + x + 1"), 24),
+     lambda: Tower.over(parse_poly(Fp(2), "x^2 + x + 1"),
+                        24).verify_exhaustive(),
      "EXHAUSTIVE_GUARD", anisotropic.EXHAUSTIVE_GUARD, 2 ** 24,
      "q^n = 2^24 exceeds the enumeration guard"),
     ("per-term verifier",
