@@ -16,7 +16,7 @@ term by term at every point. `Tower.record` writes the base, the arity,
 the form that `build_fn` expands (or the guard's refusal in its place)
 and a verification. Over Q the tower is refused on a rational root of f
 before its seeded samples are read (`RationalTower.verify_sampled`),
-which are evaluated on (numerator, denominator) int pairs. The other
+which are then read and evaluated one at a time on int pairs. The other
 stand-ins over the rationals are the positive-definite norm form on
 Q(sqrt(d)) and the valuation identity for x^2 - p*y^2, also checked on
 ints.
@@ -285,35 +285,33 @@ class RationalTower(Tower):
 
     def verify_sampled(self, points):
         """Check that the tower vanishes at the origin and at none of the
-        given points, read on int pairs: the origin first, then the
-        points in order; the first violation is reported, and a pass
-        covers only the points given. Each coordinate is anything
-        `_ratio` reads, an int pair in lowest terms or not; a point
-        without exactly n coordinates is refused before any is
-        evaluated. Only a counterexample is made into elements, in
-        lowest terms. For n >= 2 a rational root r of the base
-        (`first_rational_root`, under RATIONAL_ROOT_GUARD) gives the zero
-        (r, 1, 0, ..., 0), as f2(r, 1) = f(r) = 0 and f2(0, 0) = 0, and is
-        reported before any point is read."""
-        F, f = self.field, self.base
+        given points, on int pairs in one pass: the origin first, then
+        each point as it is read, so no point is held once checked; the
+        first violation is reported, and a pass covers only the points
+        given. Each coordinate is anything `_ratio` reads, an int pair in
+        lowest terms or not; a point without exactly n coordinates is
+        refused when it is read, after any violation before it. Only a
+        counterexample is made into elements, in lowest terms. For n >= 2
+        a rational root r of the base (`first_rational_root`, under
+        RATIONAL_ROOT_GUARD) gives the zero (r, 1, 0, ..., 0), as
+        f2(r, 1) = f(r) = 0 and f2(0, 0) = 0, before any point is read."""
+        F, f, n = self.field, self.base, self.arity
         if self.f2 is not None:
             root = first_rational_root([f.coefficient((i,)).payload
                                         for i in range(f.degree + 1)])
             if root is not None:
                 return Failed((from_payload(F, root), F.one())
-                              + (F.zero(),) * (self.arity - 2))
-        points = [[_ratio(x) for x in pt] for pt in points]
-        for pt in points:
-            if len(pt) != self.arity:
+                              + (F.zero(),) * (n - 2))
+        # the origin is read first, so `read` ends at the count of points
+        for read, pt in enumerate(itertools.chain([[(0, 1)] * n], points)):
+            pt = [_ratio(x) for x in pt]
+            if len(pt) != n:
                 raise ArityMismatch(f"point has {len(pt)} coordinates, "
-                                    f"arity is {self.arity}")
-        origin = [(0, 1)] * self.arity
-        bad = _first_violation(lambda pt: self._pair(pt)[0] == 0,
-                               itertools.chain([origin], points),
-                               lambda pt: not any(a for a, _ in pt))
-        if bad is None:
-            return SampledPassed(len(points))
-        return Failed(tuple(from_payload(F, Fraction(a, b)) for a, b in bad))
+                                    f"arity is {n}")
+            if (self._pair(pt)[0] == 0) != all(a == 0 for a, _ in pt):
+                return Failed(tuple(from_payload(F, Fraction(a, b))
+                                    for a, b in pt))
+        return SampledPassed(read)
 
 
 def _ratio(x):
@@ -396,20 +394,10 @@ def verify_vanishing_exhaustive(g: MultiPoly):
     field = g.field
     points = _enumeration_size(field, g.arity)
     elements = enumerate_field(field)
-    bad = _first_violation(lambda pt: g.evaluate(pt).is_zero,
-                           itertools.product(elements, repeat=g.arity))
-    return ExhaustivePassed(points) if bad is None else Failed(bad)
-
-
-def _first_violation(vanishes, points,
-                     at_origin=lambda pt: all(x.is_zero for x in pt)):
-    """The first point where g is zero off the origin or nonzero at it,
-    given whether g vanishes at a point and whether the point is the
-    origin (by default, a point of field elements)."""
-    for pt in points:
-        if at_origin(pt) != vanishes(pt):
-            return pt
-    return None
+    for pt in itertools.product(elements, repeat=g.arity):
+        if g.evaluate(pt).is_zero != all(x.is_zero for x in pt):
+            return Failed(pt)
+    return ExhaustivePassed(points)
 
 
 def norm_form_eval(points) -> FieldElement:

@@ -246,10 +246,10 @@ def unit_combination_case3(cover: Cover) -> CombinationCertificate:
         coeffs[i] = field.neg(a)
         current = current - psis[i].scale(chosen)
         # the replaced function together with the remaining ones must
-        # still cover the space
+        # still cover the space, so it must not vanish on y_points
         u_at = current.payloads
-        for x in range(size):
-            if is_zero(u_at[x]) and all(is_zero(r[x]) for r in rest):
+        for x in y_points:
+            if is_zero(u_at[x]):
                 raise CommonZero(x)
         log.append({
             "step": i + 1,

@@ -37,20 +37,22 @@ from .errors import (
 MAX_EXTENSION_DEGREE = 8
 ROOTFREE_SEARCH_GUARD = 10 ** 7
 RATIONAL_ROOT_GUARD = 10 ** 9   # max |L*c0| and L*f's leading coefficient
+IRREDUCIBLE_TEST_GUARD = 10 ** 4   # max monic divisors one test tries
 
 
 # the first 13 primes; as Miller-Rabin bases they decide every n below
 # _MR_EXACT_BELOW (Sorenson and Webster, 2015)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3317044064679887385961981
+PRIME_TEST_GUARD = _MR_EXACT_BELOW - 1
 
 
 def is_prime(n: int) -> bool:
     """Whether n is prime: trial division by the first 13 primes, then
     Miller-Rabin to those bases. A composite verdict is always right,
-    and below _MR_EXACT_BELOW (about 3.3 * 10^24) so is a prime one;
-    above it a prime verdict is confirmed by trial division up to
-    sqrt(n), which for a large prime does not finish in practice."""
+    and below _MR_EXACT_BELOW (about 3.3 * 10^24) so is a prime one; an
+    n at or above it that the bases pass is refused (PRIME_TEST_GUARD),
+    as no test here decides it in practice."""
     if n < 2:
         return False
     for a in _MR_BASES:
@@ -72,12 +74,12 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    if n >= _MR_EXACT_BELOW:
-        i = 43
-        while i * i <= n:
-            if n % i == 0:
-                return False
-            i += 2
+    if n > PRIME_TEST_GUARD:
+        raise TooLarge(
+            f"a probable prime of {n.bit_length()} bits exceeds the "
+            f"prime-test guard {PRIME_TEST_GUARD}, up to which Miller-Rabin "
+            f"to 13 bases decides primality",
+            guard="PRIME_TEST_GUARD", limit=PRIME_TEST_GUARD, requested=n)
     return True
 
 
@@ -401,7 +403,15 @@ class ExtensionField(FiniteField):
         if not 1 <= self.k <= MAX_EXTENSION_DEGREE:
             raise ValueError(
                 f"extension degree must be in 1..{MAX_EXTENSION_DEGREE}")
-        # p and k are checked first: the search is exponential in k
+        # p and k are checked first, then the size of the irreducibility
+        # test, which tries every monic divisor of degree 1..k//2
+        divisors = sum(self.p ** d for d in range(1, self.k // 2 + 1))
+        if divisors > IRREDUCIBLE_TEST_GUARD:
+            raise TooLarge(
+                f"the irreducibility test in degree {self.k} over F_{self.p} "
+                f"tries {divisors} divisors; the irreducibility guard is "
+                f"{IRREDUCIBLE_TEST_GUARD}", guard="IRREDUCIBLE_TEST_GUARD",
+                limit=IRREDUCIBLE_TEST_GUARD, requested=divisors)
         _set(self, "modulus", tuple(_first_irreducible(self.p, self.k)
                                     if self.modulus is None else self.modulus))
         if len(self.modulus) != self.k + 1 or self.modulus[-1] != 1:

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -735,16 +736,50 @@ def test_nested_sampled_checks_the_origin_and_keeps_order():
     assert tower.verify_sampled(points + [origin]) == SampledPassed(4)
 
 
+def _then_unread(points):
+    """The points, then an error if anything after them is read."""
+    yield from points
+    raise AssertionError("a point after the last one was read")
+
+
 @pytest.mark.parametrize("length", [2, 4])
-def test_sampled_refuses_a_point_of_another_length(monkeypatch, length):
-    """A point with n - 1 or n + 1 coordinates is refused before any
-    point is evaluated, the good points before it included."""
+def test_sampled_refuses_a_point_of_another_length(length):
+    """A point with n - 1 or n + 1 coordinates is refused when it is
+    read, after the good points before it, and nothing after it is
+    read."""
     f = parse_poly(Q(), "x^2 + 1")
     tower = Tower.over(f, 3)
-    _forbid(monkeypatch, anisotropic.RationalTower, "_pair")
-    points = [[(1, 2), (1, 3), (1, 5)], [(1, 1)] * length]
-    with pytest.raises(ArityMismatch):
-        tower.verify_sampled(points)
+    points = [[(1, 2), (1, 3), (1, 5)], [(2, 1), (0, 1), (0, 1)],
+              [(1, 1)] * length]
+    with pytest.raises(ArityMismatch, match=f"point has {length} "):
+        tower.verify_sampled(_then_unread(points))
+
+
+def test_sampled_violation_before_a_malformed_point_is_reported(
+        monkeypatch):
+    # the violation is returned before the malformed point is read
+    monkeypatch.setattr(anisotropic, "first_rational_root",
+                        lambda coeffs: None)
+    F = Q()
+    tower = Tower.over(parse_poly(F, "x^2 - 1"), 3)
+    points = [[(1, 2), (1, 3), (1, 5)], [(1, 1), (1, 1), (0, 1)],
+              [(1, 1)] * 2]
+    assert tower.verify_sampled(_then_unread(points)) == \
+        Failed((F.one(), F.one(), F.zero()))
+
+
+def test_sampled_holds_no_point_after_checking_it():
+    # 100,000 points from a generator: each is dropped once checked
+    tower = Tower.over(parse_poly(Q(), "x^2 + 1"), 3)
+    points = ([(k, 1), (1, 2), (0, 1)] for k in range(100000))
+    tracemalloc.start()
+    try:
+        result = tower.verify_sampled(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == SampledPassed(100000)
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------

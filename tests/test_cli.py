@@ -250,6 +250,29 @@ def test_power_guards_name_a_power_too_long_to_print(tmp_path, capsys, args,
     assert capsys.readouterr().err == f"error: TooLarge: {guard}\n"
 
 
+PRIME_REFUSED = ("a probable prime of 89 bits exceeds the prime-test guard "
+                 "3317044064679887385961980, up to which Miller-Rabin to 13 "
+                 "bases decides primality")
+
+
+@pytest.mark.parametrize("args,guard", [
+    (["gelfand", "--field", "Fp(618970019642690137449562111)", "--space",
+      "1"], PRIME_REFUSED),
+    (["anisotropic", "--field", "Q", "--padic",
+      "618970019642690137449562111"], PRIME_REFUSED),
+    (["gelfand", "--field", "Fq(251,8)", "--space", "1"],
+     "the irreducibility test in degree 8 over F_251 tries 3985002504 "
+     "divisors; the irreducibility guard is 10000"),
+], ids=["Fp-2^89-1", "padic-2^89-1", "Fq-251-8"])
+def test_field_guards_refuse_before_the_search(tmp_path, capsys, args,
+                                                guard):
+    # 2^89 - 1 is prime, and F_251^8 has irreducible moduli: each is
+    # refused before its search starts
+    code, report = run_cli(args, tmp_path / "r.json")
+    assert (code, report) == (2, None)
+    assert capsys.readouterr().err == f"error: TooLarge: {guard}\n"
+
+
 def test_field_find_rootfree(tmp_path):
     code, report = run_cli(
         ["field", "find-rootfree", "--field", "Fp(2)", "--m", "2"],

@@ -344,6 +344,19 @@ def test_case3_avoidance_exhausted_over_f2():
         unit_combination_case3(cover)
 
 
+def test_case3_restoration_check_catches_a_missed_ratio(monkeypatch):
+    # with 1/2 read as 1 the image misses the ratio 3 at point 3, so 3
+    # is chosen and the new combination 1 - 3*2 vanishes there
+    F = Fp(5)
+    inv = type(F).inv
+    monkeypatch.setattr(type(F), "inv",
+                        lambda self, a: 1 if a == 2 else inv(self, a))
+    cover = check_cover([_re(F, [0, 1, 2, 1]), _re(F, [1, 1, 1, 2])])
+    with pytest.raises(CommonZero) as exc:
+        unit_combination_case3(cover)
+    assert exc.value.point == 3
+
+
 def test_case3_per_step_invariant_seeded():
     rng = random.Random(2024)
     for _ in range(20):

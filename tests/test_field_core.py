@@ -145,6 +145,13 @@ def test_is_prime_large_and_pseudoprimes(n, prime):
     assert field_core.is_prime(n) == prime
 
 
+def test_is_prime_refuses_what_its_bases_cannot_decide():
+    # the bound itself is a composite that passes all 13 bases
+    with pytest.raises(TooLarge) as info:
+        field_core.is_prime(field_core._MR_EXACT_BELOW)
+    assert info.value.requested == field_core._MR_EXACT_BELOW
+
+
 def test_conjugate_and_norm():
     Qi = Qsqrt(-1)
     x = Qi.element((1, 1))

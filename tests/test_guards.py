@@ -13,7 +13,7 @@ from gelfand.anisotropic import (
     verify_vanishing_exhaustive,
 )
 from gelfand.errors import TooLarge
-from gelfand.field_core import Fp, find_rootfree_monic
+from gelfand.field_core import Fp, Fq, find_rootfree_monic, is_prime
 from gelfand.function_ring import (
     FiniteSpace,
     RingElement,
@@ -38,6 +38,18 @@ CASES = [
      lambda: find_rootfree_monic(Fp(101), 4),
      "ROOTFREE_SEARCH_GUARD", field_core.ROOTFREE_SEARCH_GUARD, 101 ** 4,
      "q^m = 101^4 exceeds the search guard"),
+    ("prime test",
+     lambda: is_prime(2 ** 89 - 1),
+     "PRIME_TEST_GUARD", field_core.PRIME_TEST_GUARD, 2 ** 89 - 1,
+     "a probable prime of 89 bits exceeds the prime-test guard "
+     "3317044064679887385961980, up to which Miller-Rabin to 13 bases "
+     "decides primality"),
+    ("irreducibility test",
+     lambda: Fq(251, 8),
+     "IRREDUCIBLE_TEST_GUARD", field_core.IRREDUCIBLE_TEST_GUARD,
+     251 + 251 ** 2 + 251 ** 3 + 251 ** 4,
+     "the irreducibility test in degree 8 over F_251 tries 3985002504 "
+     "divisors; the irreducibility guard is 10000"),
     ("ring enumeration",
      lambda: all_ring_elements(FiniteSpace(13), Fp(3)),
      "SPECTRUM_GUARD", function_ring.SPECTRUM_GUARD, 3 ** 13,
