@@ -13,7 +13,7 @@ is the Frobenius image of h^(i/p), exponents times p and coefficients to
 the p-th power, and any other is one product h^(i-1)*h. The expanded
 form stays the reference: `verify_vanishing_exhaustive` checks any form
 term by term at every point. `Tower.record` writes the base, the arity,
-the form that `build_fn` expands (or the guard's refusal in its place)
+the expanded form (or the guard's refusal in its place)
 and a verification. Over Q the tower is refused on a rational root of f
 before its seeded samples are read (`RationalTower.verify_sampled`),
 which are then read and evaluated one at a time on int pairs. The other
@@ -234,12 +234,12 @@ class Tower:
 
     def record(self, verification):
         """The tower's report with a verification: the base, the arity,
-        the form that `build_fn` expands, or `form_withheld` (the refusal
+        the form `expand` gives, or `form_withheld` (the refusal
         and the nesting) in its place when FORM_TERMS_GUARD refuses the
         expansion, the degree and the verification."""
         record = {"base": format_poly(self.base), "arity": self.arity}
         try:
-            record["form"] = format_poly(build_fn(self.base, self.arity))
+            record["form"] = format_poly(self.expand())
         except TooLarge as exc:
             record["form_withheld"] = {
                 "guard": exc.guard, "limit": exc.limit,

@@ -264,7 +264,7 @@ def build_parser():
     p_g.add_argument("--space", required=True,
                      help="size, list (1,2,3) or range (1..5)")
     p_g.add_argument("--oracle", action="store_true",
-                     help="force the brute-force ideal oracle")
+                     help="force the ideal oracle")
     p_g.add_argument("--out")
     p_g.set_defaults(func=cmd_gelfand)
 

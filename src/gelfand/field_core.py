@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -118,6 +119,15 @@ def base_digits(n, base, count):
         n, d = divmod(n, base)
         digits.append(d)
     return tuple(digits)
+
+
+def _residue(c, p):
+    """An int c mod p; a Fraction, float, str or other raises ValueError."""
+    try:
+        return operator.index(c) % p
+    except TypeError:
+        raise ValueError(f"a finite-field payload must be an int, "
+                         f"got {type(c).__name__}") from None
 
 
 def _is_irreducible(modulus, p):
@@ -343,7 +353,7 @@ class PrimeField(FiniteField):
         return self.p
 
     def canonical(self, payload):
-        return int(payload) % self.p
+        return _residue(payload, self.p)
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -412,8 +422,10 @@ class ExtensionField(FiniteField):
                 f"tries {divisors} divisors; the irreducibility guard is "
                 f"{IRREDUCIBLE_TEST_GUARD}", guard="IRREDUCIBLE_TEST_GUARD",
                 limit=IRREDUCIBLE_TEST_GUARD, requested=divisors)
-        _set(self, "modulus", tuple(_first_irreducible(self.p, self.k)
-                                    if self.modulus is None else self.modulus))
+        if self.modulus is None:   # the search returns an irreducible
+            _set(self, "modulus", _first_irreducible(self.p, self.k))
+            return
+        _set(self, "modulus", tuple(self.modulus))
         if len(self.modulus) != self.k + 1 or self.modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree k")
         if any(not 0 <= c < self.p for c in self.modulus):
@@ -487,10 +499,10 @@ class ExtensionField(FiniteField):
         return result
 
     def canonical(self, payload):
-        """An int is a constant; a sequence gives all k coefficients."""
-        if isinstance(payload, int):
-            return payload % self.p
-        coeffs = [int(c) % self.p for c in payload]
+        """An int is a constant; a tuple or list gives the k coefficients."""
+        if not isinstance(payload, (tuple, list)):
+            return _residue(payload, self.p)
+        coeffs = [_residue(c, self.p) for c in payload]
         if len(coeffs) != self.k:
             raise ValueError(f"payload must have {self.k} coefficients")
         return self._encode(coeffs)

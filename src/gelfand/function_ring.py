@@ -3,8 +3,8 @@ maximal spectrum with the Zariski topology, and the point-to-kernel map.
 
 Every function on a finite discrete space is continuous, so the ring is
 just F^n with pointwise operations. Every ideal of F^n is I_V, the
-functions vanishing on some set V of points; the brute-force oracle
-checks this independently at tiny sizes by enumerating element sets.
+functions vanishing on some set V of points; the ideal oracle checks
+this independently at tiny sizes, summing principal ideals aR.
 A closed set of the spectrum is an int bitmask of points, bit x for the
 kernel at x. The closed-set family is a `range` of such masks, decided by
 the two field values 1 - 1 and 1 - 0 and never stored set by set, so a
@@ -34,7 +34,7 @@ from .field_core import (
     parse_element,
 )
 
-ORACLE_GUARD = 12          # max ring size for subset enumeration
+ORACLE_GUARD = 12          # max ring size for the ideal oracle
 # max ring size to enumerate, and max 2^n closed-set count: a bound on
 # the input, as the closed-set family is a range, never stored set by set
 SPECTRUM_GUARD = 10 ** 6
@@ -261,47 +261,34 @@ def check_guards(space: FiniteSpace, field: FieldDescriptor,
 
 
 def enumerate_ideals_bruteforce(space: FiniteSpace, field: FieldDescriptor):
-    """All ideals of the function ring, as element sets, by direct subset
-    enumeration.
-
-    Checks every subset containing zero for closure under addition and
-    under multiplication by arbitrary ring elements, read off add and mul
-    tables that the field's payload operations fill pointwise on payload
-    tuples. Only feasible for tiny rings; guarded accordingly.
+    """All ideals of the function ring, as element sets, generated from
+    its principal ideals: in a commutative ring with 1, every ideal J is
+    the sum of the aR over a in J, and aR is row a of the product table.
+    The distinct rows, closed under sums I + aR read off the sum table,
+    are every ideal. Both tables use the field's payload operations,
+    pointwise on payload tuples. The ideals are sorted by element-index
+    mask, the order of the reference subset enumeration in `tests/`,
+    `_ideals_by_field_elements`. Guarded by ORACLE_GUARD.
     """
-    n = field.order ** space.size
     check_guards(space, field, force_oracle=True)
     ring = all_ring_elements(space, field)
-    zero_idx = next(i for i, f in enumerate(ring) if f.is_zero)
     payloads = [f.payloads for f in ring]
     index = {a: i for i, a in enumerate(payloads)}
     add, mul = field.add, field.mul
     add_table = [[index[tuple(map(add, a, b))] for b in payloads]
                  for a in payloads]
-    mul_table = [[index[tuple(map(mul, a, b))] for b in payloads]
-                 for a in payloads]
-    ideals = []
-    for mask in range(1 << n):
-        if not (mask >> zero_idx) & 1:
-            continue
-        members = [i for i in range(n) if (mask >> i) & 1]
-        ok = True
-        for i in members:
-            for j in members:
-                if not (mask >> add_table[i][j]) & 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-            for j in range(n):
-                if not (mask >> mul_table[j][i]) & 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            ideals.append(frozenset(ring[i] for i in members))
-    return ideals
+    rows = {frozenset(index[tuple(map(mul, a, b))] for b in payloads)
+            for a in payloads}
+    ideals, todo = set(rows), list(rows)
+    while todo:
+        I = todo.pop()
+        for J in rows:
+            S = frozenset(add_table[i][j] for i in I for j in J)
+            if S not in ideals:
+                ideals.add(S)
+                todo.append(S)
+    by_mask = sorted(ideals, key=lambda I: sum(1 << i for i in I))
+    return [frozenset(ring[i] for i in I) for I in by_mask]
 
 
 def maximal_ideals(ideals, one: RingElement):
@@ -359,7 +346,7 @@ def check_homeomorphism(space: FiniteSpace, field: FieldDescriptor,
     The kernels are the ideals `gelfand_map` builds, each vanishing at
     one point, so they are maximal by construction. What is checked is
     that the n points give n distinct kernels (`max_ideal_count` counts
-    distinct vanishing sets), that the brute-force oracle's maximal
+    distinct vanishing sets), that the ideal oracle's maximal
     ideals are exactly the kernels, when its guard permits, and that the
     Zariski closed sets are all 2^n subsets of the n points, i.e. the
     topology is discrete. Only the finite discrete instance is checked;

@@ -573,6 +573,24 @@ def test_nested_negative_control_rooted_base_finite(n):
     assert tower.expand() == _unchecked_tower(f, n)
 
 
+@pytest.mark.parametrize("field,text", [(Fp(3), "x^2 + 2"),
+                                        (Q(), "x^2 - 1")], ids=str)
+def test_rooted_tower_records_its_form_and_failure(field, text):
+    # the record expands the tower it holds, with no second root test:
+    # over a finite field as over Q, a rooted base writes its form
+    # beside the Failed verification, while build_fn still refuses it
+    tower = Tower.over(parse_poly(field, text), 3)
+    result = (tower.verify_exhaustive() if field.is_finite
+              else tower.verify_sampled([]))
+    assert isinstance(result, Failed)
+    record = tower.record(result)
+    assert record["form"] == format_poly(tower.expand())
+    assert record["verification"] == result.to_json()
+    if field.is_finite:
+        with pytest.raises(HasRoot):
+            build_fn(tower.base, 3)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_nested_negative_control_rooted_base_rational(monkeypatch, n):
     F = Q()

@@ -300,6 +300,43 @@ def test_public_constructor_canonicalises():
     assert FieldElement(Qsqrt(-1), 3) == Qsqrt(-1).element((3, 0))
 
 
+@pytest.mark.parametrize("field", [Fp(5), Fq(2, 2)], ids=str)
+@pytest.mark.parametrize("payload", [Fraction(1, 2), Fraction(4, 1), 2.7,
+                                     2.0, "3", None], ids=repr)
+def test_finite_field_refuses_a_payload_that_is_not_an_int(field, payload):
+    # 1/2 is 3 in F_5, not the 0 that truncation gave; a payload that is
+    # not an int is refused, even one of integral value
+    with pytest.raises(ValueError):
+        field.element(payload)
+    if field.kind == "extension":
+        with pytest.raises(ValueError):
+            field.element((1, payload))
+
+
+def test_finite_field_reads_ints_and_bools():
+    assert Fp(5).element(True) == Fp(5).one()
+    assert Fp(5).element(-7).payload == 3
+    assert Fq(2, 2).element((True, 3)) == Fq(2, 2).element((1, 1))
+    assert Fq(3, 2).element(5).payload == 2
+
+
+def test_found_modulus_is_tested_once(monkeypatch):
+    calls = []
+    real = field_core._is_irreducible
+    monkeypatch.setattr(field_core, "_is_irreducible",
+                        lambda m, p: calls.append(m) or real(m, p))
+    F = Fq(3, 4)
+    assert calls.count(F.modulus) == 1
+    assert calls[-1] == F.modulus
+    # a modulus from the caller is still tested, and a reducible one
+    # raises: t^2 + 1 = (t + 1)(t + 2) over F_5
+    calls.clear()
+    assert Fq(3, 2, [1, 0, 1]).modulus == (1, 0, 1)
+    assert calls == [(1, 0, 1)]
+    with pytest.raises(ValueError, match="reducible"):
+        Fq(5, 2, (1, 0, 1))
+
+
 def test_descriptor_equality_is_structural():
     assert Fp(5) == Fp(5) and hash(Fp(5)) == hash(Fp(5))
     assert Fq(2, 3) == parse_field("Fq(2,3,t^3+t+1)")

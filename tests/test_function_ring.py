@@ -403,6 +403,37 @@ def test_oracle_matches_field_element_tables(field, size):
         _ideals_by_field_elements(space, field)
 
 
+def _local_ring_mul(self, a, b):
+    """The product of F_2[x, y]/(x, y)^2 on the payloads 0..7 of F_8: bit
+    0 is the constant, bits 1 and 2 the coefficients of x and y."""
+    if a & 1 and b & 1:
+        return a ^ b ^ 1   # (1 + u)(1 + v) = 1 + u + v, as uv = 0
+    return b if a & 1 else a if b & 1 else 0
+
+
+def test_oracle_sums_principal_ideals_into_the_rest(monkeypatch):
+    # in F^n every ideal is principal, but the oracle assumes only a
+    # commutative ring with 1: in F_2[x, y]/(x, y)^2 the maximal ideal
+    # (x, y) = {0, x, y, x + y} is xR + yR and no row aR
+    monkeypatch.setattr(type(Fq(2, 3)), "mul", _local_ring_mul)
+    space, field = FiniteSpace(1), Fq(2, 3)
+    ideals = enumerate_ideals_bruteforce(space, field)
+    assert ideals == _ideals_by_field_elements(space, field)
+    assert len(ideals) == 6
+    assert {0, 2, 4, 6} in [{f.payloads[0] for f in I} for I in ideals]
+    assert check_homeomorphism(space, field)["bijective"] is False
+
+
+def test_oracle_past_its_guard_generates_the_readme_ring(monkeypatch):
+    # Fq(2,2) on 4 points: 256 elements, 16 ideals, summed from principal
+    # ideals; a subset enumeration would test 2^256 subsets
+    monkeypatch.setattr(function_ring, "ORACLE_GUARD", 256)
+    report = check_homeomorphism(FiniteSpace(4), Fq(2, 2), force_oracle=True)
+    assert report["oracle_checked"] is True
+    assert report["passed"] is True
+    assert len(enumerate_ideals_bruteforce(FiniteSpace(4), Fq(2, 2))) == 16
+
+
 def test_wrong_negation_breaks_the_topology(monkeypatch):
     # with -a computed as a, 1 - 1_S over F_3 is 2 on S and 1 elsewhere:
     # it vanishes nowhere, so the only closed set left is the empty one
@@ -441,8 +472,9 @@ def test_one_minus_zero_read_as_zero_breaks_the_topology(monkeypatch):
 
 
 def test_wrong_oracle_product_breaks_the_correspondence(monkeypatch):
-    # with every product zero, each additive subgroup passes as an ideal,
-    # and the oracle's maximal ideals are no longer the three kernels
+    # with every product zero, each row aR is {0}, so only the zero ideal
+    # is generated, and the oracle's maximal ideals are no longer the
+    # three kernels
     monkeypatch.setattr(PrimeField, "mul", lambda self, a, b: 0)
     report = check_homeomorphism(FiniteSpace(3), Fp(2))
     assert report["oracle_checked"] is True
