@@ -28,6 +28,7 @@ import dataclasses
 import itertools
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -256,15 +257,28 @@ class RationalTower(Tower):
     T_k = f2(N*b, a*E) / (E*b)^m. With L the lcm of the denominators of
     f2's coefficients, N_k = (L*f2)(N*b, a*E) and E_k = L*(E*b)^m are
     integers and E_k is not zero: the zero test reads N != 0, and a
-    value becomes one Fraction at the end. No pair needs lowest terms.
+    value becomes one Fraction at the end. No pair needs lowest terms:
+    a coordinate is any pair of ints with a nonzero denominator of
+    either sign, such as the seeded pairs the CLI draws (numerators in
+    -99..99, denominators in 1..99), and a pair holding anything but
+    ints is refused (`_ratio`). Each level evaluates L*f2 at (u, v) by
+    homogeneous Horner's rule on its dense coefficients c_0..c_m of
+    u^m, u^(m-1)*v, ..., v^m: N = c_0, then N = N*u + c_k*v^k for
+    k = 1..m, the powers of v built one product at a time, so N costs
+    3m int products a level and no exponent is read.
     """
 
     @cached_property
     def _cleared(self):
-        """L, and the terms (i, j, c) of L*f2 with int coefficients."""
+        """L, and the int coefficients c_0..c_m of L*f2 from u^m down to
+        v^m (zeros included) as c_0 and the list c_1..c_m, whose length
+        is m."""
         terms = self.f2.terms
         lcm = math.lcm(*(c.payload.denominator for _, c in terms))
-        return lcm, [(i, j, int(c.payload * lcm)) for (i, j), c in terms]
+        dense = [0] * (self.f2.degree + 1)
+        for (_, j), c in terms:
+            dense[j] = int(c.payload * lcm)
+        return lcm, dense[0], dense[1:]
 
     def _pair(self, pairs):
         """(N, E) at the point whose coordinates are the int pairs
@@ -272,11 +286,14 @@ class RationalTower(Tower):
         num, den = pairs[0]
         if self.f2 is None:
             return num, den
-        lcm, terms = self._cleared
-        m = self.f2.degree
+        lcm, top, rest = self._cleared
+        m = len(rest)
         for a, b in pairs[1:]:
             u, v = num * b, a * den
-            num = sum(c * u ** i * v ** j for i, j, c in terms)
+            num, vk = top, 1
+            for c in rest:
+                vk *= v
+                num = num * u + c * vk
             den = lcm * (den * b) ** m
         return num, den
 
@@ -318,10 +335,20 @@ def _ratio(x):
     """(numerator, denominator) of an element of Q or of a number that
     `Fraction` reads (an int, a Fraction, a float, a Decimal or a string
     like '1/2'); an int pair (numerator, denominator) is returned as it
-    is, once its denominator is checked to be nonzero. An element of
-    another field is refused."""
+    is, once its denominator is checked to be nonzero, and a pair whose
+    entries are not ints (read through `operator.index`, so a float or
+    a Fraction) raises TypeError, as the sample loops do int arithmetic
+    on it. An element of another field is refused."""
     if isinstance(x, tuple):
-        if not x[1]:
+        a, b = x
+        if type(a) is not int or type(b) is not int:
+            try:
+                x = a, b = operator.index(a), operator.index(b)
+            except TypeError:
+                raise TypeError(f"an int pair must hold ints, got "
+                                f"{type(a).__name__} and "
+                                f"{type(b).__name__}") from None
+        if not b:
             raise ZeroDivisionError(f"the pair {x} has denominator 0")
         return x
     if isinstance(x, FieldElement):

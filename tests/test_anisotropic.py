@@ -1,6 +1,7 @@
 """Tests for origin-only-vanishing forms and their verification."""
 
 import itertools
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -725,6 +726,67 @@ def test_int_pairs_with_denominator_zero_are_refused():
         Tower.over(f, 2).verify_sampled([[(1, 2), (3, 0)]])
     with pytest.raises(ZeroDivisionError, match="denominator 0"):
         valuation_identity_check(3, [((0, 0), (0, 1))])
+
+
+def _pair_by_terms(tower, pairs):
+    """Reference for `RationalTower._pair`: each level sums the terms
+    c*u^i*v^j of L*f2, read from the expanded f2."""
+    num, den = pairs[0]
+    if tower.f2 is None:
+        return num, den
+    terms = tower.f2.terms
+    lcm = math.lcm(*(c.payload.denominator for _, c in terms))
+    m = tower.f2.degree
+    for a, b in pairs[1:]:
+        u, v = num * b, a * den
+        num = sum(int(c.payload * lcm) * u ** i * v ** j
+                  for (i, j), c in terms)
+        den = lcm * (den * b) ** m
+    return num, den
+
+
+@pytest.mark.parametrize("witness", ["x^4+3*x^2+2", "x^3+5/7", "x^5+1"])
+def test_pair_horner_matches_the_term_sum(witness):
+    # sparse bases and odd degrees, at unreduced and negative denominators
+    F = Q()
+    f = parse_poly(F, witness)
+    rng = random.Random(witness)
+    for n in range(1, 5):
+        tower = Tower.over(f, n)
+        form = tower.expand()
+        for _ in range(12):
+            pairs = []
+            for _ in range(n):
+                k = rng.randint(1, 3)
+                pairs.append((rng.randint(-7, 7) * k,
+                              rng.choice([-1, 1]) * rng.randint(1, 7) * k))
+            num, den = tower._pair(pairs)
+            assert (num, den) == _pair_by_terms(tower, pairs)
+            value = Fraction(num, den)
+            assert value == tower.evaluate_payloads(pairs)
+            assert value == form.evaluate_payloads(
+                tuple(Fraction(a, b) for a, b in pairs))
+
+
+def test_int_pairs_must_hold_ints():
+    # a float or Fraction entry would run the loops in float or Fraction
+    # arithmetic: 1e-200 squared underflows to a zero numerator
+    F = Q()
+    tower = Tower.over(parse_poly(F, "x^2+1"), 2)
+    for bad in ([(1e-200, 1), (1e-200, 1)], [(0.5, 1), (1, 3)],
+                [(1, 3), (1, Fraction(1, 2))]):
+        with pytest.raises(TypeError, match="must hold ints"):
+            tower.verify_sampled([bad])
+        with pytest.raises(TypeError, match="must hold ints"):
+            tower.evaluate_payloads(bad)
+        with pytest.raises(TypeError, match="must hold ints"):
+            valuation_identity_check(5, [tuple(bad)])
+    # ints pass, and so do bools, which operator.index reads as ints
+    for good in ([(1, 2), (-1, 3)], [(True, 1), (1, True)]):
+        assert tower.verify_sampled([good]) == SampledPassed(1)
+        assert valuation_identity_check(5, [tuple(good)]) == \
+            ValuationPassed(1)
+    assert tower.evaluate_payloads([(True, 2), (2, -4)]) == Fraction(1, 2)
 
 
 def test_witness_loop_negative_control_without_the_root_test(monkeypatch):

@@ -110,6 +110,27 @@ def test_seeded_pairs_draw_the_reference_rationals(seed):
     assert drawn.random() == reference.random()
 
 
+class _ScriptedBits:
+    """A stand-in rng whose getrandbits returns the scripted values in
+    turn and records the width asked for each."""
+
+    def __init__(self, values):
+        self.values, self.widths = list(values), []
+
+    def getrandbits(self, k):
+        self.widths.append(k)
+        return self.values.pop(0)
+
+
+def test_seeded_pairs_reject_at_the_bounds_of_each_width():
+    # 199 numerators need 8 bits and 99 denominators 7: 199 and 255 are
+    # rejected, then 198 is 99; 99 and 127 are rejected, then 98 is 99
+    rng = _ScriptedBits([199, 255, 198, 99, 127, 98, 0, 0])
+    assert cli._seeded_pairs(rng, 2) == [(99, 99), (-99, 1)]
+    assert rng.widths == [8, 8, 8, 7, 7, 7, 8, 7]
+    assert rng.values == []
+
+
 def test_anisotropic_padic(tmp_path):
     code, report = run_cli(
         ["anisotropic", "--field", "Q", "--padic", "3", "--n", "2"],
