@@ -5,21 +5,23 @@ f2(f2(...f2(x1, x2)...), xn) over the homogenization f2 of a root-free
 monic univariate f of degree m. A `Tower` holds f and keeps the form
 nested: it evaluates a point with n - 1 evaluations of f2 (over Q on
 integer pairs, with no gcd per operation), verifies a finite field level
-by level from a q x q table of f2, and expands to a `MultiPoly` only for
-a report (`expand`, which `build_fn` calls), under FORM_TERMS_GUARD.
-Each level of the expansion substitutes the form h so far into f2
-(`compose_last`): a power h^i with i divisible by the characteristic p
-is the Frobenius image of h^(i/p), exponents times p and coefficients to
-the p-th power, and any other is one product h^(i-1)*h. The expanded
-form stays the reference: `verify_vanishing_exhaustive` checks any form
-term by term at every point. `Tower.record` writes the base, the arity,
-the expanded form (or the guard's refusal in its place)
-and a verification. Over Q the tower is refused on a rational root of f
-before its seeded samples are read (`RationalTower.verify_sampled`),
-which are then read and evaluated one at a time on int pairs. The other
-stand-ins over the rationals are the positive-definite norm form on
-Q(sqrt(d)) and the valuation identity for x^2 - p*y^2, also checked on
-ints.
+by level from a q x q table of f2, built by the homogenization
+f2(u, v) = v^m * f(u/v) from the q values of f, and expands to a
+`MultiPoly` only for a report (`expand`, which `build_fn` calls), under
+FORM_TERMS_GUARD. Each level of the expansion substitutes the form h so
+far into f2 on packed monomials (`poly.compose_packed`), and the form is
+unpacked once at the end: a power h^i with i divisible by the
+characteristic p is the Frobenius image of h^(i/p), exponents times p
+and coefficients to the p-th power, and any other is one product
+h^(i-1)*h. The expanded form stays the reference:
+`verify_vanishing_exhaustive` checks any form term by term at every
+point. `Tower.record` writes the base, the arity, the expanded form (or
+the guard's refusal in its place) and a verification. Over Q the tower
+is refused on a rational root of f before its seeded samples are read
+(`RationalTower.verify_sampled`), which are then read and evaluated one
+at a time on int pairs. The other stand-ins over the rationals are the
+positive-definite norm form on Q(sqrt(d)) and the valuation identity for
+x^2 - p*y^2, also checked on ints.
 """
 
 from __future__ import annotations
@@ -52,13 +54,17 @@ from .field_core import (
     first_root,
     from_payload,
     is_prime,
+    payload_values,
 )
 from .poly import (
     MultiPoly,
-    compose_last,
+    compose_packed,
     format_poly,
+    from_packed,
     homogenize2,
+    packed,
     point_payloads,
+    slot_width,
 )
 
 EXHAUSTIVE_GUARD = 10 ** 7
@@ -179,8 +185,7 @@ class Tower:
         q = field.order
         values = list(range(q))
         if n > 1:
-            f2 = self.f2.evaluate_payloads
-            table = [[f2((u, v)) for v in range(q)] for u in range(q)]
+            table = self._f2_table()
             for _ in range(n - 1):
                 values = list(itertools.chain.from_iterable(
                     map(table.__getitem__, values)))
@@ -191,8 +196,23 @@ class Tower:
         digits = base_digits(bad, q, n)
         return Failed(tuple(field.element_at(i) for i in reversed(digits)))
 
+    def _f2_table(self):
+        """T[u][v] = f2(u, v) for all payloads u, v of a finite field, by
+        the homogenization f2(u, v) = v^m * f(u/v): f is evaluated once
+        at each payload (`payload_values`), T[u][0] = u^m as f is monic,
+        and any other entry is the two products v^m * f(u * v^-1)."""
+        F, m = self.field, self.f2.degree
+        mul, q = F.mul, F.order
+        f = list(payload_values(F, _dense(self.base)))
+        powers = [F.pow(v, m) for v in range(q)]
+        inverses = [0] + [F.inv(v) for v in range(1, q)]
+        return [[powers[u]] + [mul(powers[v], f[mul(u, inverses[v])])
+                               for v in range(1, q)]
+                for u in range(q)]
+
     def expand(self) -> MultiPoly:
-        """The tower as a MultiPoly: n - 1 `compose_last` levels.
+        """The tower as a MultiPoly: n - 1 `compose_packed` levels on
+        packed monomials, unpacked once at the end.
 
         FORM_TERMS_GUARD bounds the term count of each level's input. It
         is checked on the exact count before each level, and first on a
@@ -201,10 +221,12 @@ class Tower:
         of f2 the exponent j of the new variable is m - i, so the terms
         of f2 give the expansion disjoint slices c*h^i*z^j, and h^i has
         at least one term. When i is 1 or a power of the characteristic
-        p it has exactly as many terms as h, by the fact `compose_last`
+        p it has exactly as many terms as h, by the fact `compose_packed`
         builds it from: h^(p^k) is the Frobenius image of h^(p^(k-1)),
         each exponent times p and each coefficient to the p-th power,
-        with no product and no term merged or lost.
+        with no product and no term merged or lost. The digit width of
+        the packed monomials is that of the tower's degree D = m^(n-1):
+        no exponent, and no total degree, exceeds D at any level.
         """
         form = MultiPoly.variable(self.field, 1, 0)
         if self.f2 is None:
@@ -216,10 +238,12 @@ class Tower:
         for level in range(1, self.arity):
             _check_form_terms(level, bound)
             bound = keep * bound + rest
+        width = slot_width(self.degree)
+        form = packed(form, width)
         for level in range(1, self.arity):
-            _check_form_terms(level, len(form.terms))
-            form = compose_last(self.f2, form)
-        return form
+            _check_form_terms(level, len(form))
+            form = compose_packed(self.f2, form, level, width)
+        return from_packed(self.field, self.arity, form, width)
 
     def structure(self):
         """The nesting, for a report that does not print the form."""
@@ -312,10 +336,9 @@ class RationalTower(Tower):
         a rational root r of the base (`first_rational_root`, under
         RATIONAL_ROOT_GUARD) gives the zero (r, 1, 0, ..., 0), as
         f2(r, 1) = f(r) = 0 and f2(0, 0) = 0, before any point is read."""
-        F, f, n = self.field, self.base, self.arity
+        F, n = self.field, self.arity
         if self.f2 is not None:
-            root = first_rational_root([f.coefficient((i,)).payload
-                                        for i in range(f.degree + 1)])
+            root = first_rational_root(_dense(self.base))
             if root is not None:
                 return Failed((from_payload(F, root), F.one())
                               + (F.zero(),) * (n - 2))
@@ -358,6 +381,12 @@ def _ratio(x):
     elif not isinstance(x, numbers.Rational):
         x = Fraction(x)
     return x.numerator, x.denominator
+
+
+def _dense(f):
+    """The payloads of the univariate f's coefficients, low degree first,
+    zeros included."""
+    return [f.coefficient((i,)).payload for i in range(f.degree + 1)]
 
 
 def _keeps_terms(i, p):
@@ -405,8 +434,7 @@ def build_fn(f: MultiPoly, n: int) -> MultiPoly:
     # a shape that Tower.over refuses is left to it; a rooted base
     # reports its first root before homogenize2 can find it not monic
     if n > 1 and field.is_finite and f.arity == 1 and (m or 0) >= 2:
-        root = first_root(field, [f.coefficient((i,)).payload
-                                  for i in range(m + 1)], 0)
+        root = first_root(field, _dense(f), 0)
         if root is not None:
             raise HasRoot(from_payload(field, root))
     return Tower.over(f, n).expand()

@@ -11,13 +11,15 @@ order: in a finite field it is the element's index in
 `enumerate_field`, an int, so sorting by payload gives that canonical
 order and ties broken by "smallest element" are reproducible. An
 extension field with at most `FIELD_TABLE_CAP` elements multiplies,
-inverts and adds through log/antilog (Zech) tables built on first use
-(by XOR over F_2); a larger one multiplies coefficient lists. No
+inverts and adds through log/antilog (Zech) tables (by XOR over F_2),
+built once per process for each (p, k, modulus) and shared by equal
+descriptors; a larger one multiplies coefficient lists. No
 floating point is used anywhere.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -387,15 +389,19 @@ class ExtensionField(FiniteField):
     constant coefficient first.
 
     For q <= FIELD_TABLE_CAP, the arithmetic reads tables indexed by
-    the payload, built on first use from a primitive element g (the
-    scheme of the `galois` package, https://github.com/mhostetter/galois):
+    the payload, built from a primitive element g (the scheme of the
+    `galois` package, https://github.com/mhostetter/galois):
     `_exp[i]` = g^i and `_log[g^i]` = i, so that a product is
     g^(log a + log b), and Zech logarithms `_zech[d]` = log(1 + g^d),
     so that g^i + g^j = g^(i + zech[j - i]). The zero element has the
     sentinel log 2(q-1), whose sums index a run of zeros at the end of
-    `_exp`. Over F_2 the sum is the XOR of payloads. Above the cap,
-    `_log` is None and the operations decode the digits and multiply by
-    `_pmul`/`_pmod`.
+    `_exp`. Over F_2 the sum is the XOR of payloads. The tables depend
+    only on (p, k, modulus), so, as `galois` caches its field classes,
+    they are built once per process for all equal descriptors
+    (`_tables`, which holds at most 16 fields) and fill a descriptor's
+    slots on first use; copies and pickles start empty and refill them
+    from it. Above the cap, `_log` is None and the operations decode the
+    digits and multiply by `_pmul`/`_pmod`.
     """
 
     p: int
@@ -445,22 +451,12 @@ class ExtensionField(FiniteField):
         return type(self), (self.p, self.k, self.modulus)
 
     def _build_tables(self):
-        q, p = self.order, self.p
-        if q > FIELD_TABLE_CAP:
+        if self.order > FIELD_TABLE_CAP:
             _set(self, "_log", None)
             return
-        n = q - 1
-        g = self._primitive()
-        exp, power = [], (1,)
-        for _ in range(n):
-            exp.append(self._encode(power))
-            power = self._dmul(power, g)
-        log = [2 * n] * q
-        for i, a in enumerate(exp):
-            log[a] = i
-        # 1 + g^d changes the constant coefficient, the lowest digit, only
-        _set(self, "_zech", [log[a - a % p + (a + 1) % p] for a in exp])
-        _set(self, "_exp", exp + exp + [0] * (2 * n + 1))
+        log, exp, zech = _tables(self)
+        _set(self, "_zech", zech)
+        _set(self, "_exp", exp)
         _set(self, "_log", log)
 
     def _primitive(self):
@@ -559,6 +555,26 @@ class ExtensionField(FiniteField):
     def parse(self, text):
         coeffs = _parse_tpoly(text, 0, len(text), self.p, self.k - 1)
         return self.element(coeffs + (0,) * (self.k - len(coeffs)))
+
+
+@functools.lru_cache(maxsize=16)
+def _tables(F: ExtensionField):
+    """The log, exp and Zech tables of F, built once per process for all
+    equal descriptors: the cache is keyed by F, whose equality and hash
+    are those of (p, k, modulus)."""
+    q, p = F.order, F.p
+    n = q - 1
+    g = F._primitive()
+    exp, power = [], (1,)
+    for _ in range(n):
+        exp.append(F._encode(power))
+        power = F._dmul(power, g)
+    log = [2 * n] * q
+    for i, a in enumerate(exp):
+        log[a] = i
+    # 1 + g^d changes the constant coefficient, the lowest digit, only
+    zech = [log[a - a % p + (a + 1) % p] for a in exp]
+    return log, exp + exp + [0] * (2 * n + 1), zech
 
 
 @dataclass(frozen=True, eq=False, unsafe_hash=True, repr=False)
@@ -690,17 +706,25 @@ def enumerate_field(F: FieldDescriptor):
     return [F.element_at(i) for i in range(F.order)]
 
 
-def first_root(F: FieldDescriptor, coeffs, start):
-    """The first root at or after index start, or None, of the polynomial
-    over finite F with payload coefficients coeffs (low degree first), by
-    Horner's rule on payloads; a root is an index, i.e. a payload."""
+def payload_values(F: FieldDescriptor, coeffs, start=0):
+    """The values, in index order from index start, of the polynomial
+    over finite F with payload coefficients coeffs (low degree first),
+    by Horner's rule on payloads."""
     mul, add = F.mul, F.add
     top, rest = coeffs[-1], coeffs[-2::-1]
     for a in range(start, F.order):
         acc = top
         for c in rest:
             acc = add(mul(acc, a), c)
-        if not acc:
+        yield acc
+
+
+def first_root(F: FieldDescriptor, coeffs, start):
+    """The first root at or after index start, or None, of the polynomial
+    over finite F with payload coefficients coeffs (low degree first),
+    by `payload_values`; a root is an index, i.e. a payload."""
+    for a, value in enumerate(payload_values(F, coeffs, start), start):
+        if not value:
             return a
     return None
 

@@ -44,6 +44,7 @@ from gelfand.poly import (
     parse_poly,
     univariate,
 )
+from test_poly import _compose_last_by_products
 
 
 def _base(field, m=2):
@@ -77,9 +78,9 @@ def test_build_fn_rejects_rooted_base():
 
 
 def test_build_fn_reports_first_root_before_expanding(monkeypatch):
-    def compose_last(*args):
-        raise AssertionError("compose_last ran before the root check")
-    monkeypatch.setattr(anisotropic, "compose_last", compose_last)
+    def compose_packed(*args):
+        raise AssertionError("compose_packed ran before the root check")
+    monkeypatch.setattr(anisotropic, "compose_packed", compose_packed)
     f = parse_poly(Fp(5), "x^2 + 1")   # roots 2 and 3
     with pytest.raises(HasRoot) as info:
         build_fn(f, 3)
@@ -208,7 +209,7 @@ def test_tower_verifier_fails_on_rooted_base(n, point):
 def test_tower_verifier_guard_precedes_work(monkeypatch):
     # the q^n guard fires before the q x q table of f2 is built
     tower = Tower.over(parse_poly(Fp(2), "x^2 + x + 1"), 24)
-    _forbid(monkeypatch, type(tower.f2), "evaluate_payloads")
+    _forbid(monkeypatch, Tower, "_f2_table")
     with pytest.raises(TooLarge):
         tower.verify_exhaustive()
     with pytest.raises(InfiniteField):
@@ -875,7 +876,7 @@ def _forbid(monkeypatch, owner, attr):
 def test_form_guard_refuses_f2_n12_before_any_product(monkeypatch):
     f = _base(Fp(2))
     _forbid(monkeypatch, MultiPoly, "__mul__")
-    _forbid(monkeypatch, anisotropic, "compose_last")
+    _forbid(monkeypatch, anisotropic, "compose_packed")
     with pytest.raises(TooLarge) as info:
         build_fn(f, 12)
     exc = info.value
@@ -907,10 +908,10 @@ def test_form_guard_checks_each_level_on_the_exact_count(monkeypatch):
     f = _base(Fp(3))
     assert len(build_fn(f, 5).terms) == 26
     levels = []
-    original = anisotropic.compose_last
-    monkeypatch.setattr(anisotropic, "compose_last",
-                        lambda g, h: levels.append(len(h.terms))
-                        or original(g, h))
+    original = anisotropic.compose_packed
+    monkeypatch.setattr(anisotropic, "compose_packed",
+                        lambda g, h, *rest: levels.append(len(h))
+                        or original(g, h, *rest))
     with pytest.raises(TooLarge) as info:
         build_fn(f, 6)
     assert info.value.requested == 26
@@ -967,3 +968,101 @@ def test_witness_record_above_the_form_guard():
     assert small.record(small.verify_exhaustive())["form"] == \
         format_poly(build_fn(f, 3))
     assert small.structure()["nesting"] == "f2(f2(x1, x2), x3)"
+
+
+# ---------------------------------------------------------------------------
+# the packed expansion and the table of f2, against references that share
+# no code with them
+
+
+def _expansion_bases(field, m):
+    """A root-free and a rooted monic base of degree m over field."""
+    if field.is_finite:
+        rootfree = _base(field, m)
+    else:   # x^m + x/2 + 1: no rational root for m = 2..4
+        rootfree = univariate(field, [1, field.element(Fraction(1, 2))]
+                              + [0] * (m - 2) + [1])
+    # x^m + x - 2 has the root 1
+    rooted = univariate(field, [field.element(-2), 1] + [0] * (m - 2) + [1])
+    return rootfree, rooted
+
+
+# (field, m, largest n): n = 5 where the reference's repeated products
+# take well under a second on both bases
+EXPANSION_CELLS = [
+    (Fp(2), 2, 5), (Fp(2), 3, 5), (Fp(2), 4, 4),
+    (Fp(3), 2, 5), (Fp(3), 3, 5), (Fp(3), 4, 4),
+    (Fp(5), 2, 5), (Fp(5), 3, 4), (Fp(5), 4, 4),
+    (Fq(2, 2), 2, 5), (Fq(2, 2), 3, 5), (Fq(2, 2), 4, 4),
+    (Fq(3, 2), 2, 5), (Fq(3, 2), 3, 4), (Fq(3, 2), 4, 4),
+    (Q(), 2, 5), (Q(), 3, 4), (Q(), 4, 3),
+]
+
+
+@pytest.mark.parametrize("field,m,top", EXPANSION_CELLS, ids=str)
+def test_expand_matches_the_level_by_level_products(field, m, top):
+    """Tower.expand on packed monomials against the chain of
+    `_compose_last_by_products` levels, whose products are tuple
+    products (`MultiPoly.__mul__`)."""
+    for f in _expansion_bases(field, m):
+        f2 = homogenize2(f)
+        reference = MultiPoly.variable(field, 1, 0)
+        for n in range(1, top + 1):
+            if n > 1:
+                reference = _compose_last_by_products(f2, reference)
+            assert Tower.over(f, n).expand().terms == reference.terms, (f, n)
+
+
+def test_expand_at_the_largest_admitted_size_needs_every_bit():
+    # the largest expansion FORM_TERMS_GUARD admits, Fp(2) with n = 11,
+    # has degree 1024 = 2^10, so x1^1024 fills all 11 bits of its digit.
+    # Over F_2, h -> h^2 + h*z + z^2 keeps its three slices disjoint: the
+    # monomials of h doubled, those of h times z, and z^2
+    monos = {(1,)}
+    for k in range(1, 11):
+        monos = ({tuple(2 * e for e in mono) + (0,) for mono in monos}
+                 | {mono + (1,) for mono in monos} | {(0,) * k + (2,)})
+    form = build_fn(_base(Fp(2)), 11)
+    assert len(form.terms) == len(monos) == 2047
+    assert {mono for mono, _ in form.terms} == monos
+    assert all(c == Fp(2).one() for _, c in form.terms)
+    assert form.terms[0][0] == (1024,) + (0,) * 10
+
+
+def _table_by_evaluation(tower):
+    q = tower.field.order
+    f2 = tower.f2.evaluate_payloads
+    return [[f2((u, v)) for v in range(q)] for u in range(q)]
+
+
+@pytest.mark.parametrize("field", [Fp(2), Fp(3), Fp(5), Fp(7), Fq(2, 2),
+                                   Fq(2, 3), Fq(3, 2)], ids=str)
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_f2_table_matches_evaluation(field, m):
+    for f in _expansion_bases(field, m):
+        tower = Tower.over(f, 2)
+        assert tower._f2_table() == _table_by_evaluation(tower), f
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_f2_table_matches_evaluation_over_f256(m):
+    # q = 256: the root-free search is past its guard for m >= 3
+    field = Fq(2, 8)
+    bases = _expansion_bases(field, m) if m == 2 else [
+        univariate(field, [field.element(-2), 1] + [0] * (m - 2) + [1]),
+        univariate(field, [field.element_at(2), 0] + [0] * (m - 2) + [1])]
+    for f in bases:
+        tower = Tower.over(f, 2)
+        assert tower._f2_table() == _table_by_evaluation(tower), f
+
+
+@pytest.mark.parametrize("field,m,top", [
+    (Fp(2), 3, 4), (Fp(3), 2, 4), (Fp(5), 3, 3), (Fp(7), 2, 3),
+    (Fq(2, 2), 3, 3), (Fq(3, 2), 2, 3), (Fq(2, 3), 4, 2)], ids=str)
+def test_tower_verifier_matches_per_term_reference_on_both_bases(field, m,
+                                                                 top):
+    for f in _expansion_bases(field, m):
+        for n in range(2, top + 1):
+            tower = Tower.over(f, n)
+            assert tower.verify_exhaustive() == \
+                verify_vanishing_exhaustive(tower.expand()), (f, n)

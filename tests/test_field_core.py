@@ -545,6 +545,38 @@ def test_descriptor_with_tables_equals_a_fresh_one():
                 built.one()
 
 
+def test_equal_descriptors_share_one_set_of_tables():
+    found = parse_field("Fq(2,3)")
+    given = parse_field("Fq(2,3,t^3+t+1)")
+    assert found is not given and found == given
+    assert found._exp is given._exp
+    assert found._log is given._log and found._zech is given._zech
+    assert parse_field("Fq(2,3,t^3+t^2+1)")._exp is not found._exp
+    pairs = list(itertools.product(range(found.order), repeat=2))
+    for copied in (copy.copy(found), pickle.loads(pickle.dumps(found))):
+        assert copied == found
+        for a, b in pairs:
+            assert copied.mul(a, b) == found.mul(a, b)
+            assert copied.add(a, b) == found.add(a, b)
+            if a:
+                assert copied.inv(a) == found.inv(a)
+        assert copied._exp is found._exp
+
+
+def test_tables_above_the_cap_stay_unbuilt():
+    before = field_core._tables.cache_info()
+    F = Fq(17, 4)
+    assert F.order > field_core.FIELD_TABLE_CAP
+    assert F._log is None
+    assert F.mul(F.canonical((1, 2, 3, 4)), 5) == \
+        F.canonical((5, 10, 15, 20))
+    assert field_core._tables.cache_info() == before
+
+
+def test_table_cache_holds_a_fixed_number_of_fields():
+    assert field_core._tables.cache_parameters()["maxsize"] == 16
+
+
 def _rational_coeffs(text):
     """Low degree first, from a monic univariate written like x^3-8/27."""
     f = parse_poly(Q(), text)
