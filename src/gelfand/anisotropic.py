@@ -44,6 +44,7 @@ from .errors import (
     WrongKind,
 )
 from .field_core import (
+    RATIONALS,
     FieldDescriptor,
     FieldElement,
     Q,
@@ -330,7 +331,9 @@ class RationalTower(Tower):
         each point as it is read, so no point is held once checked; the
         first violation is reported, and a pass covers only the points
         given. Each coordinate is anything `_ratio` reads, an int pair in
-        lowest terms or not; a point without exactly n coordinates is
+        lowest terms or not; an int pair with a nonzero denominator, as
+        the CLI draws it, is read inline, without `_ratio`, and anything
+        else goes through it. A point without exactly n coordinates is
         refused when it is read, after any violation before it. Only a
         counterexample is made into elements, in lowest terms. For n >= 2
         a rational root r of the base (`first_rational_root`, under
@@ -343,12 +346,21 @@ class RationalTower(Tower):
                 return Failed((from_payload(F, root), F.one())
                               + (F.zero(),) * (n - 2))
         # the origin is read first, so `read` ends at the count of points
-        for read, pt in enumerate(itertools.chain([[(0, 1)] * n], points)):
-            pt = [_ratio(x) for x in pt]
+        for read, point in enumerate(
+                itertools.chain([[(0, 1)] * n], points)):
+            pt = []
+            for x in point:
+                if not (type(x) is tuple and len(x) == 2
+                        and type(x[0]) is int is type(x[1]) and x[1]):
+                    x = _ratio(x)
+                pt.append(x)
             if len(pt) != n:
                 raise ArityMismatch(f"point has {len(pt)} coordinates, "
                                     f"arity is {n}")
-            if (self._pair(pt)[0] == 0) != all(a == 0 for a, _ in pt):
+            # a violation is a zero value off the origin or a nonzero one
+            # at it; the first numerator decides most points
+            if (self._pair(pt)[0] == 0) == (pt[0][0] != 0
+                                            or any(a for a, _ in pt)):
                 return Failed(tuple(from_payload(F, Fraction(a, b))
                                     for a, b in pt))
         return SampledPassed(read)
@@ -459,7 +471,9 @@ def norm_form_eval(points) -> FieldElement:
     """Sum of norms of a tuple of Q(sqrt(d)) elements, as a rational.
 
     The value is >= 0 and is 0 exactly when every entry is zero, since
-    d < 0 makes each norm positive definite.
+    d < 0 makes each norm positive definite. Each norm is computed on
+    the ints of its element's parts (`QuadraticField.norm`), and the sum
+    is an element of the one Q descriptor that the norms share.
     """
     points = tuple(points)
     if not points:
@@ -467,7 +481,7 @@ def norm_form_eval(points) -> FieldElement:
     owner = points[0].field
     if not isinstance(owner, Qsqrt):
         raise WrongKind("norm form is defined over Q(sqrt(d))")
-    acc = Q().zero()
+    acc = RATIONALS.zero()
     for x in points:
         if x.field != owner:
             raise MixedFields(f"{owner} vs {x.field}")

@@ -13,7 +13,11 @@ order and ties broken by "smallest element" are reproducible. An
 extension field with at most `FIELD_TABLE_CAP` elements multiplies,
 inverts and adds through log/antilog (Zech) tables (by XOR over F_2),
 built once per process for each (p, k, modulus) and shared by equal
-descriptors; a larger one multiplies coefficient lists. No
+descriptors; a larger one multiplies coefficient lists. Over Q and
+Q(sqrt(d)) a payload that is already an exact Fraction is shared, not
+copied, as a Fraction is immutable and in lowest terms; a norm is
+computed on the numerators and denominators, and a literal is read once,
+its Fractions built from the digit groups that its pattern matched. No
 floating point is used anywhere.
 """
 
@@ -373,7 +377,7 @@ class PrimeField(FiniteField):
         return f"Fp({self.p})"
 
     def parse(self, text):
-        _scan(text, 0, [(r"-?\d+", "an integer residue")])
+        _scan(text, 0, _RESIDUE_LITERAL)
         return self.element(int(text))
 
 
@@ -577,14 +581,26 @@ def _tables(F: ExtensionField):
     return log, exp + exp + [0] * (2 * n + 1), zech
 
 
+def _fraction(x):
+    """x as an exact Fraction. An exact Fraction is immutable and in
+    lowest terms, so it is shared, not copied; anything else (an int, a
+    bool, a float, a Decimal, a string like '3/4' or an instance of a
+    Fraction subclass) is converted by `Fraction`."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 @dataclass(frozen=True, eq=False, unsafe_hash=True, repr=False)
 class RationalField(FieldDescriptor):
-    """Q; an element's payload is a Fraction."""
+    """Q; an element's payload is an exact Fraction, shared with the
+    payload it was built from when that is one."""
 
     kind = "rational"
 
     def canonical(self, payload):
-        return Fraction(payload)
+        return _fraction(payload)
 
     def add(self, a, b):
         return a + b
@@ -602,14 +618,16 @@ class RationalField(FieldDescriptor):
         return "Q"
 
     def parse(self, text):
-        _scan(text, 0, [(_RATIONAL, "a rational like -3 or 5/6")])
-        return self.element(Fraction(text))
+        m, = _scan(text, 0, _RATIONAL_LITERAL)
+        return from_payload(self, _read_rational(m[1], m[2]))
 
 
 @dataclass(frozen=True, eq=False, unsafe_hash=True, repr=False)
 class QuadraticField(FieldDescriptor):
-    """Q(sqrt(d)), d < 0; an element's payload is the pair of Fractions
-    (a, b) of a + b*sqrt(d)."""
+    """Q(sqrt(d)), d < 0; an element's payload is the pair of exact
+    Fractions (a, b) of a + b*sqrt(d), each shared with the part it was
+    built from when that is one. The norm a^2 - d*b^2 is computed on the
+    ints of a and b, and a literal's parts are read from its digits."""
 
     d: int
     kind = "quadratic"
@@ -621,7 +639,7 @@ class QuadraticField(FieldDescriptor):
     def canonical(self, payload):
         """A rational number is the element with b = 0."""
         a, b = payload if isinstance(payload, (tuple, list)) else (payload, 0)
-        return (Fraction(a), Fraction(b))
+        return (_fraction(a), _fraction(b))
 
     def is_zero(self, u):
         return not any(u)
@@ -648,8 +666,13 @@ class QuadraticField(FieldDescriptor):
         return from_payload(self, (a, -b))
 
     def norm(self, x):
+        """a^2 - d*b^2 in ints: with a = an/ad and b = bn/bd, the value
+        ((an*bd)^2 - d*(bn*ad)^2) / (ad*bd)^2, in lowest terms."""
         a, b = x.payload
-        return from_payload(Q(), a * a - self.d * b * b)
+        ad, bd = a.denominator, b.denominator
+        u, v = a.numerator * bd, b.numerator * ad
+        return from_payload(RATIONALS,
+                            Fraction(u * u - self.d * v * v, (ad * bd) ** 2))
 
     def __str__(self):
         return f"Q(sqrt({self.d}))"
@@ -659,18 +682,19 @@ class QuadraticField(FieldDescriptor):
         if b == 0:
             return str(a)
         root = f"sqrt({self.d})"
-        bpart = root if abs(b) == 1 else f"{abs(b)}*{root}"
+        mag = abs(b)
+        bpart = root if mag == 1 else f"{mag}*{root}"
         if a == 0:
             return bpart if b > 0 else "-" + bpart
         return f"{a}{'+' if b > 0 else '-'}{bpart}"
 
     def parse(self, text):
-        if re.fullmatch(_RATIONAL, text):
-            return self.element(Fraction(text))
+        m = _RATIONAL.fullmatch(text)
+        if m:
+            return from_payload(self, (_read_rational(m[1], m[2]), _ZERO))
         head = _QUADRATIC_HEAD.match(text)
-        a, sign, b, star = head.groups()
-        if b and not star and re.compile(_ZERO_DENOMINATOR).match(
-                text, head.end()):
+        an, ad, sign, b, bn, bd, star = head.groups()
+        if b and not star and _ZERO_DENOMINATOR.match(text, head.end()):
             raise ParseError(text, head.end() + 1, "a nonzero denominator")
         # what may stand at the end of the head, where 'sqrt(' is missing
         expected = ("'*' or a sign" if b and not star else
@@ -678,16 +702,20 @@ class QuadraticField(FieldDescriptor):
                     "a number or 'sqrt('" if sign else
                     "a number, a sign or 'sqrt('")
         _, d, _ = _scan(text, head.end(),
-                        [(r"sqrt\(", expected)] + _QUADRATIC_TAIL)
+                        [(_SQRT, expected)] + _QUADRATIC_TAIL)
         if b and not star:
-            raise ParseError(text, head.end(3), "'*'")
+            raise ParseError(text, head.end(4), "'*'")
         if int(d[0]) != self.d:
             raise ParseError(text, d.start(), f"sqrt({self.d})")
-        b = Fraction(b or 1)
-        return self.element((Fraction(a or 0), -b if sign == "-" else b))
+        a = _read_rational(an, ad) if an else _ZERO
+        b = _read_rational(bn, bd) if b else _ONE
+        return from_payload(self, (a, -b if sign == "-" else b))
 
 
 Fp, Fq, Q, Qsqrt = PrimeField, ExtensionField, RationalField, QuadraticField
+# the one Q descriptor of norms, so that sums of norms compare their
+# fields by identity
+RATIONALS = Q()
 
 
 # ---------------------------------------------------------------------------
@@ -827,18 +855,42 @@ def format_field(F: FieldDescriptor) -> str:
     return str(F)
 
 
-# a zero denominator is not part of a literal
-_NUMBER = r"\d+(?:/0*[1-9]\d*)?"
-_RATIONAL = "-?" + _NUMBER
+# the patterns are compiled once, and each (pattern, expected) list is a
+# sequence of pieces for _scan
+_DIGITS = re.compile(r"\d+")
+_INTEGER = re.compile(r"-?\d+")
+_CLOSE = re.compile(r"\)")
+# a literal's numerator and denominator are groups, read by
+# _read_rational; a zero denominator is not part of a literal
+_DENOMINATOR = r"(?:/(0*[1-9]\d*))?"
+_RATIONAL = re.compile(r"(-?\d+)" + _DENOMINATOR)
 # [a][+-][b*]sqrt(d): a head that always matches, then 'sqrt(' and the
 # tail pieces for _scan; a rational part a stands only before a sign, so
-# 12*sqrt(-3) has b = 12. The '*' after b is optional here so that a
-# missing one is reported where it belongs
+# 12*sqrt(-3) has b = 12. The groups are a's numerator and denominator,
+# the sign, b and its numerator and denominator, and the '*' after b,
+# which is optional here so that a missing one is reported where it
+# belongs
 _QUADRATIC_HEAD = re.compile(
-    rf"(?:({_RATIONAL})(?=[+-]))?([+-]?)(?:({_NUMBER})(\*)?)?")
-_QUADRATIC_TAIL = [(r"-?\d+", "an integer"), (r"\)", "')'")]
+    rf"(?:(-?\d+){_DENOMINATOR}(?=[+-]))?([+-]?)"
+    rf"(?:((\d+){_DENOMINATOR})(\*)?)?")
+_SQRT = re.compile(r"sqrt\(")
+_QUADRATIC_TAIL = [(_INTEGER, "an integer"), (_CLOSE, "')'")]
 # what stops a number short of its '/': a denominator of zeros or none
-_ZERO_DENOMINATOR = r"/0*(?![1-9])"
+_ZERO_DENOMINATOR = re.compile(r"/0*(?![1-9])")
+_RESIDUE_LITERAL = [(_INTEGER, "an integer residue")]
+_RATIONAL_LITERAL = [(_RATIONAL, "a rational like -3 or 5/6")]
+_PRIME_FIELD = [(_DIGITS, "a prime"), (_CLOSE, "')'")]
+_QUADRATIC_FIELD = [(_INTEGER, "an integer"), (re.compile(r"\)\)"), "'))'")]
+_EXTENSION_FIELD = [
+    (_DIGITS, "a prime"), (re.compile(","), "','"),
+    (_DIGITS, "an extension degree"),
+    (re.compile(r"(,[^)]*)?"), ""), (_CLOSE, "')'")]
+
+
+def _read_rational(num, den):
+    """The Fraction num/den from a literal's digit groups: num with its
+    sign, den None or the digits of a nonzero denominator."""
+    return Fraction(int(num), int(den)) if den else Fraction(int(num))
 
 
 def _format_tpoly(coeffs) -> str:
@@ -881,11 +933,12 @@ def _parse_tpoly(text, start, end, p, max_degree):
 
 
 def _scan(text, pos, pieces):
-    """Match (pattern, expected) pieces one after another from pos to the
-    end of text; the matches, or a ParseError where a piece fails."""
+    """Match (compiled pattern, expected) pieces one after another from
+    pos to the end of text; the matches, or a ParseError where a piece
+    fails."""
     matches = []
     for pattern, expected in pieces:
-        m = re.compile(pattern).match(text, pos)
+        m = pattern.match(text, pos)
         if not m:
             raise ParseError(text, pos, expected)
         matches.append(m)
@@ -904,15 +957,13 @@ def parse_field(text: str) -> FieldDescriptor:
     if text == "Q":
         return Q()
     if text.startswith("Fp("):
-        p, _ = _scan(text, 3, [(r"\d+", "a prime"), (r"\)", "')'")])
+        p, _ = _scan(text, 3, _PRIME_FIELD)
         return Fp(int(p[0]))
     if text.startswith("Q(sqrt("):
-        d, _ = _scan(text, 7, [(r"-?\d+", "an integer"), (r"\)\)", "'))'")])
+        d, _ = _scan(text, 7, _QUADRATIC_FIELD)
         return Qsqrt(int(d[0]))
     if text.startswith("Fq("):
-        p, _, k, body, _ = _scan(text, 3, [
-            (r"\d+", "a prime"), (",", "','"), (r"\d+", "an extension degree"),
-            (r"(,[^)]*)?", ""), (r"\)", "')'")])
+        p, _, k, body, _ = _scan(text, 3, _EXTENSION_FIELD)
         p, k = int(p[0]), int(k[0])
         if not body[0]:
             return Fq(p, k)

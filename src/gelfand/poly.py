@@ -366,6 +366,7 @@ def format_poly(f: MultiPoly) -> str:
 
 
 _VAR_RE = re.compile(r"^x(\d*)(?:\^(\d+))?$")
+_LEADING_COEFF = re.compile(r"\d+(?:/\d+)?")
 
 
 def _split_terms(text):
@@ -425,7 +426,7 @@ def _parse_term(field, text, start, term):
         if pos < len(term) and term[pos] == "*":
             pos += 1
     elif term[0] != "x":
-        m = re.match(r"\d+(?:/\d+)?", term)
+        m = _LEADING_COEFF.match(term)
         if not m:
             raise ParseError(text, start, "a coefficient or variable")
         coeff = _parse_coefficient(field, text, start, start + m.end())

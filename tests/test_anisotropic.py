@@ -804,6 +804,27 @@ def test_witness_loop_negative_control_without_the_root_test(monkeypatch):
     assert result.to_json()["counterexample"] == ["1", "1", "0"]
 
 
+def test_sampled_reads_int_pairs_without_ratio(monkeypatch):
+    # the CLI's int pairs are read inline; anything else still goes
+    # through _ratio. (0, 1, -1) is a zero of the rooted x^2 - 1 off the
+    # origin whose first numerator is 0, so the loop must read past it
+    monkeypatch.setattr(anisotropic, "first_rational_root",
+                        lambda coeffs: None)
+    seen = []
+    ratio = anisotropic._ratio
+    monkeypatch.setattr(anisotropic, "_ratio",
+                        lambda x: seen.append(x) or ratio(x))
+    F = Q()
+    tower = Tower.over(parse_poly(F, "x^2 - 1"), 3)
+    points = [[(1, 2), (1, 3), (1, 5)], [(0, 7), (2, 2), (-3, 3)]]
+    assert tower.verify_sampled(points) == \
+        Failed((F.zero(), F.one(), -F.one()))
+    assert seen == []
+    others = [Fraction(1, 2), (True, 3), F.element(5)]
+    assert tower.verify_sampled([others]) == SampledPassed(1)
+    assert seen == others
+
+
 def test_nested_sampled_checks_the_origin_and_keeps_order():
     F = Q()
     tower = Tower.over(parse_poly(F, "x^2 + 1"), 3)
