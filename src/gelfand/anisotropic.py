@@ -8,12 +8,15 @@ integer pairs, with no gcd per operation), verifies a finite field level
 by level from a q x q table of f2, built by the homogenization
 f2(u, v) = v^m * f(u/v) from the q values of f, and expands to a
 `MultiPoly` only for a report (`expand`, which `build_fn` calls), under
-FORM_TERMS_GUARD. Each level of the expansion substitutes the form h so
-far into f2 on packed monomials (`poly.compose_packed`), and the form is
-unpacked once at the end: a power h^i with i divisible by the
-characteristic p is the Frobenius image of h^(i/p), exponents times p
+FORM_TERMS_GUARD. The expansion multiplies no polynomials in several
+variables: as f2 is homogeneous, the terms of T_k^e are those of the
+T_(k-1)^j times the coefficients of the univariate power f^e, so each
+term of the form is one chain of exponents from x1 up, and the guard
+counts the terms of every level exactly from the powers of f alone,
+before any term is built. A power f^e with e divisible by the
+characteristic p is the Frobenius image of f^(e/p), exponents times p
 and coefficients to the p-th power, and any other is one product
-h^(i-1)*h. The expanded form stays the reference:
+f^(e-1)*f. The expanded form stays the reference:
 `verify_vanishing_exhaustive` checks any form term by term at every
 point. `Tower.record` writes the base, the arity, the expanded form (or
 the guard's refusal in its place) and a verification. Over Q the tower
@@ -57,16 +60,7 @@ from .field_core import (
     is_prime,
     payload_values,
 )
-from .poly import (
-    MultiPoly,
-    compose_packed,
-    format_poly,
-    from_packed,
-    homogenize2,
-    packed,
-    point_payloads,
-    slot_width,
-)
+from .poly import MultiPoly, format_poly, homogenize2, point_payloads
 
 EXHAUSTIVE_GUARD = 10 ** 7
 FORM_TERMS_GUARD = 2 ** 10   # max terms of the form a tower level expands
@@ -212,39 +206,39 @@ class Tower:
                 for u in range(q)]
 
     def expand(self) -> MultiPoly:
-        """The tower as a MultiPoly: n - 1 `compose_packed` levels on
-        packed monomials, unpacked once at the end.
+        """The tower as a MultiPoly, by exponent chains.
 
-        FORM_TERMS_GUARD bounds the term count of each level's input. It
-        is checked on the exact count before each level, and first on a
-        lower bound of every level's count, so that a tower sure to
-        exceed it is refused before any product. In the term c*y^i*z^j
-        of f2 the exponent j of the new variable is m - i, so the terms
-        of f2 give the expansion disjoint slices c*h^i*z^j, and h^i has
-        at least one term. When i is 1 or a power of the characteristic
-        p it has exactly as many terms as h, by the fact `compose_packed`
-        builds it from: h^(p^k) is the Frobenius image of h^(p^(k-1)),
-        each exponent times p and each coefficient to the p-th power,
-        with no product and no term merged or lost. The digit width of
-        the packed monomials is that of the tower's degree D = m^(n-1):
-        no exponent, and no total degree, exceeds D at any level.
+        With [f^e]_j the coefficient of y^j in f(y)^e, f2(y, z)^e =
+        z^(m*e) * f(y/z)^e gives T_k^e = sum_j [f^e]_j * T_(k-1)^j *
+        x_k^(m*e - j), and T_1^e = x1^e. Distinct j give distinct
+        exponents of x_k, so no two terms merge and none vanishes: each
+        term of T_k^e is a term of some T_(k-1)^j with x_k's exponent
+        appended and one payload product. The exponents reached d levels
+        below T_L^1 do not depend on L: they are {1} for d = 0, and then
+        the j with [f^e]_j != 0 for an e reached at d - 1. T_n = T_n^1
+        is built from x1 up over these (`_fold`).
+
+        The same identity counts the terms exactly: N_1(e) = 1 and
+        N_k(e) = sum of N_(k-1)(j) over the j with [f^e]_j != 0.
+        FORM_TERMS_GUARD bounds the form T_L of each level L = 1..n-1,
+        which the level above composes, and is checked on N_L(1) for
+        each L in turn before any term is built.
         """
-        form = MultiPoly.variable(self.field, 1, 0)
+        F, n = self.field, self.arity
         if self.f2 is None:
-            return form
-        p = self.field.characteristic
-        keep = sum(_keeps_terms(mono[0], p) for mono, _ in self.f2.terms)
-        rest = len(self.f2.terms) - keep
-        bound = 1
-        for level in range(1, self.arity):
-            _check_form_terms(level, bound)
-            bound = keep * bound + rest
-        width = slot_width(self.degree)
-        form = packed(form, width)
-        for level in range(1, self.arity):
-            _check_form_terms(level, len(form))
-            form = compose_packed(self.f2, form, level, width)
-        return from_packed(self.field, self.arity, form, width)
+            return MultiPoly.variable(F, 1, 0)
+        power = _powers(self.base)
+        reached = [{1}]
+        while len(reached) < n:
+            _check_form_terms(len(reached), _fold(
+                reached, lambda e: 1,
+                lambda e, below: sum(below[j] for j, _ in power(e))))
+            reached.append({j for e in reached[-1] for j, _ in power(e)})
+        m, mul, one = self.f2.degree, F.mul, F.canonical(1)
+        return MultiPoly.from_payloads(F, n, dict(_fold(
+            reached, lambda e: [((e,), one)],
+            lambda e, below: [(mono + (m * e - j,), mul(c, a))
+                              for j, c in power(e) for mono, a in below[j]])))
 
     def structure(self):
         """The nesting, for a report that does not print the form."""
@@ -401,12 +395,51 @@ def _dense(f):
     return [f.coefficient((i,)).payload for i in range(f.degree + 1)]
 
 
-def _keeps_terms(i, p):
-    """Whether h^i has as many terms as h for every polynomial h over a
-    field of characteristic p: i is 1 or a power of p > 0."""
-    while p and i > 1 and i % p == 0:
-        i //= p
-    return i == 1
+def _powers(f):
+    """e -> the nonzero coefficients of f(y)^e as (j, payload) pairs, for
+    the monic univariate f, each power built once. In characteristic
+    p > 0, f^(p*e) is the Frobenius image of f^e: (sum a*y^j)^p = sum
+    a^p*y^(p*j), as every cross term of a p-th power has a binomial
+    coefficient divisible by p, so no term merges or vanishes. Any other
+    f^e is one product f^(e-1)*f, with its zero coefficients dropped; a
+    monomial y^m has the powers y^(m*e) without any product."""
+    F = f.field
+    mul, add, is_zero, p = F.mul, F.add, F.is_zero, F.characteristic
+    base = [(mono[0], c.payload) for mono, c in f.terms]
+    powers = {0: [(0, F.canonical(1))], 1: base}
+
+    def power(want):
+        if len(base) == 1:
+            return [(f.degree * want, base[0][1])]
+        chain, e = [], want
+        while e not in powers:
+            chain.append(e)
+            e = e // p if p and e % p == 0 else e - 1
+        for e in reversed(chain):
+            if p and e % p == 0:
+                powers[e] = [(j * p, F.pow(a, p)) for j, a in powers[e // p]]
+                continue
+            acc = {}
+            for j1, a1 in powers[e - 1]:
+                for j2, a2 in base:
+                    c = mul(a1, a2)
+                    j = j1 + j2
+                    acc[j] = add(acc[j], c) if j in acc else c
+            powers[e] = [(j, c) for j, c in acc.items() if not is_zero(c)]
+        return powers[want]
+
+    return power
+
+
+def _fold(reached, leaf, node):
+    """A value of T_L^1 folded over its exponent chains, where reached[d]
+    holds the exponents d levels below the top, d < L: leaf(e) is the
+    value at T_1^e, and node(e, below) that at T_k^e from the values
+    `below` at level k - 1, keyed by exponent."""
+    values = {e: leaf(e) for e in reached[-1]}
+    for exponents in reversed(reached[:-1]):
+        values = {e: node(e, values) for e in exponents}
+    return values[1]
 
 
 def _check_form_terms(level, terms):
@@ -434,7 +467,8 @@ def _enumeration_size(field, n):
 
 def build_fn(f: MultiPoly, n: int) -> MultiPoly:
     """The arity-n composition tower over a root-free monic univariate f,
-    expanded (`Tower.expand`, under FORM_TERMS_GUARD).
+    expanded by exponent chains (`Tower.expand`, under FORM_TERMS_GUARD,
+    which counts every level's terms before any is built).
 
     n = 1 gives the identity polynomial; for n >= 2 the result has
     degree m^(n-1) and zero constant term. It need not be homogeneous:

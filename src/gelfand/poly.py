@@ -3,12 +3,12 @@
 Terms are kept in descending graded-lexicographic order with no zero
 coefficients, so the representation is canonical: two polynomials are
 equal exactly when their term tuples are equal, and printing followed
-by parsing is a bit-exact round trip. Composition into the last variable
-(`compose_packed`, behind `compose_last` and the tower's expansion)
-works on packed monomials, one int each, where a product of monomials
-is one int addition; `MultiPoly.__mul__` keeps tuple monomials, so that
-products built with it are a reference that shares no code with that
-kernel.
+by parsing is a bit-exact round trip. `compose_last` substitutes a form
+into the last variable of a bivariate one by products
+(`MultiPoly.__mul__`), one level of the composition tower; the tower
+itself is expanded without any product of polynomials
+(`anisotropic.Tower.expand`), so these products stay a reference that
+shares no code with it.
 """
 
 from __future__ import annotations
@@ -213,121 +213,28 @@ def homogenize2(f: MultiPoly) -> MultiPoly:
 
 
 def compose_last(g2: MultiPoly, h: MultiPoly) -> MultiPoly:
-    """g2(h(x_1..x_n), x_{n+1}) expanded to canonical form: h packed,
-    one `compose_packed` level, and the result unpacked."""
+    """g2(h(x_1..x_n), x_{n+1}) expanded to canonical form: each term
+    c*y^i*z^j of g2 adds c*x_{n+1}^j times h^i, and each power h^i is one
+    product h^(i-1)*h (`MultiPoly.__mul__`)."""
     if g2.arity != 2:
         raise ArityMismatch("outer polynomial must be bivariate")
     if g2.field != h.field:
         raise MixedFields(f"{g2.field} vs {h.field}")
-    # no exponent or total degree of the result exceeds
-    # deg g2 * max(deg h, 1)
-    width = slot_width((g2.degree or 0) * max(h.degree or 0, 1))
-    return from_packed(h.field, h.arity + 1,
-                       compose_packed(g2, packed(h, width), h.arity, width),
-                       width)
-
-
-# Packed monomials. A monomial x_1^e_1 * ... * x_n^e_n of total degree d
-# is the int whose base-2^width digits, most significant first, are
-# d, e_1, ..., e_n. While every exponent and d stay below 2^width no
-# digit carries, so the product of two monomials is the sum of their
-# ints, the p-th power of one is its int times p, and descending int
-# order is the canonical order: descending total degree, then
-# descending lexicographic.
-
-
-def slot_width(degree):
-    """The digit width that holds every exponent up to degree."""
-    return max(degree, 1).bit_length()
-
-
-def packed(f: MultiPoly, width):
-    """f's terms as {packed monomial: payload}."""
-    out = {}
-    for mono, c in f.terms:
-        key = sum(mono)
-        for e in mono:
-            key = key << width | e
-        out[key] = c.payload
-    return out
-
-
-def from_packed(field, arity, terms, width) -> MultiPoly:
-    """The MultiPoly of arity `arity` with the {packed monomial: payload}
-    terms."""
-    mask = (1 << width) - 1
-    shifts = range((arity - 1) * width, -1, -width)
-    return MultiPoly.from_payloads(field, arity, {
-        tuple(key >> s & mask for s in shifts): a
-        for key, a in terms.items()})
-
-
-def compose_packed(g2: MultiPoly, h, arity, width):
-    """g2(h, x_{arity+1}) for h in `arity` variables given as {packed
-    monomial: payload}, as such a dict without zero coefficients; the
-    caller picks a width that holds every exponent of the result.
-
-    By substitution: a term c*y^i*z^j of g2 adds c times every term of
-    h^i with x_{arity+1}^j appended, a shift by one digit plus j in the
-    new digit and in the degree digit. The powers h^i that g2 needs are
-    each built once. When the characteristic p > 0 divides i, h^i is
-    the Frobenius image of h^(i/p): (sum a*x^m)^p = sum a^p*x^(p*m), as
-    every cross term of a p-th power has a binomial coefficient
-    divisible by p, so each monomial is multiplied by p and each
-    coefficient raised to the p-th power, and no two terms merge or
-    vanish. Any other h^i is one product h^(i-1)*h, with its zero
-    coefficients dropped.
-    """
-    field = g2.field
-    mul, add, is_zero = field.mul, field.add, field.is_zero
-    p = field.characteristic
-    powers = {0: {0: field.canonical(1)}, 1: h}
-
-    def power(want):
-        """h^want, with the powers it rests on that are not built yet."""
-        chain, i = [], want
-        while i not in powers:
-            chain.append(i)
-            i = i // p if p and i % p == 0 else i - 1
-        for i in reversed(chain):
-            if p and i % p == 0:
-                powers[i] = {key * p: field.pow(a, p)
-                             for key, a in powers[i // p].items()}
-            else:
-                powers[i] = _times_packed(powers[i - 1], h, field)
-        return powers[want]
-
-    lift = (1 << (arity + 1) * width) + 1
-    acc = {}
+    F, n = h.field, h.arity
+    h = MultiPoly(F, n + 1, tuple((m + (0,), c) for m, c in h.terms))
+    powers = [MultiPoly.constant(F, n + 1, F.one())]
+    result = MultiPoly.zero(F, n + 1)
     for (i, j), c in g2.terms:
-        c, shift = c.payload, j * lift
-        for key, a in power(i).items():
-            key = (key << width) + shift
-            term = mul(a, c)
-            acc[key] = add(acc[key], term) if key in acc else term
-    return {key: a for key, a in acc.items() if not is_zero(a)}
-
-
-def _times_packed(left, right, field):
-    """The product of two polynomials given as {packed monomial: payload},
-    as such a dict without zero coefficients: `_times` with the sum of
-    two packed monomials for their product."""
-    mul, add, is_zero = field.mul, field.add, field.is_zero
-    right = right.items()
-    acc = {}
-    for k1, a1 in left.items():
-        for k2, a2 in right:
-            k = k1 + k2
-            c = mul(a1, a2)
-            acc[k] = add(acc[k], c) if k in acc else c
-    return {k: c for k, c in acc.items() if not is_zero(c)}
+        while len(powers) <= i:
+            powers.append(powers[-1] * h)
+        result = result + powers[i] * MultiPoly.from_dict(
+            F, n + 1, {(0,) * n + (j,): c})
+    return result
 
 
 def _times(left, right, field):
     """The product of two polynomials given as (monomial, payload) lists,
-    as such a list without zero coefficients; `MultiPoly.__mul__` only,
-    so that the products of a reference computation share no code with
-    the packed kernel."""
+    as such a list without zero coefficients."""
     mul, add, is_zero = field.mul, field.add, field.is_zero
     acc = {}
     for m1, a1 in left:
@@ -409,7 +316,6 @@ def _parse_term(field, text, start, term):
         if not term:
             raise ParseError(text, start, "a term after '-'")
         start += 1
-    coeff = field.one()
     pos = 0
     if term.startswith("("):
         # _split_terms has checked that the parentheses balance
@@ -433,6 +339,8 @@ def _parse_term(field, text, start, term):
         pos = m.end()
         if pos < len(term) and term[pos] == "*":
             pos += 1
+    else:
+        coeff = field.one()
     exps = {}
     if pos < len(term):
         for piece in term[pos:].split("*"):

@@ -44,7 +44,7 @@ from gelfand.poly import (
     parse_poly,
     univariate,
 )
-from test_poly import _compose_last_by_products
+from test_poly import _compose_last_by_products, _count_payload_products
 
 
 def _base(field, m=2):
@@ -78,9 +78,10 @@ def test_build_fn_rejects_rooted_base():
 
 
 def test_build_fn_reports_first_root_before_expanding(monkeypatch):
-    def compose_packed(*args):
-        raise AssertionError("compose_packed ran before the root check")
-    monkeypatch.setattr(anisotropic, "compose_packed", compose_packed)
+    def powers(*args):
+        raise AssertionError("the powers of f were built before the root "
+                             "check")
+    monkeypatch.setattr(anisotropic, "_powers", powers)
     f = parse_poly(Fp(5), "x^2 + 1")   # roots 2 and 3
     with pytest.raises(HasRoot) as info:
         build_fn(f, 3)
@@ -896,8 +897,8 @@ def _forbid(monkeypatch, owner, attr):
 
 def test_form_guard_refuses_f2_n12_before_any_product(monkeypatch):
     f = _base(Fp(2))
+    tower = Tower.over(f, 12)
     _forbid(monkeypatch, MultiPoly, "__mul__")
-    _forbid(monkeypatch, anisotropic, "compose_packed")
     with pytest.raises(TooLarge) as info:
         build_fn(f, 12)
     exc = info.value
@@ -905,13 +906,18 @@ def test_form_guard_refuses_f2_n12_before_any_product(monkeypatch):
         "FORM_TERMS_GUARD", FORM_TERMS_GUARD, 2047)
     assert FORM_TERMS_GUARD == 2 ** 10
     assert "level 11" in str(exc)
+    # the refusal comes from the counts alone: no term is built
+    _forbid(monkeypatch, MultiPoly, "from_payloads")
+    with pytest.raises(TooLarge) as again:
+        tower.expand()
+    assert str(again.value) == str(exc)
     # the nested tower still verifies without a product
-    assert Tower.over(f, 12).verify_exhaustive() == ExhaustivePassed(2 ** 12)
+    assert tower.verify_exhaustive() == ExhaustivePassed(2 ** 12)
 
 
 def test_form_guard_limit_and_exact_count(monkeypatch):
-    # over F_2 the lower bound is exact (2^k - 1 terms), so the guard
-    # admits n = 5 (15 input terms) and refuses n = 6 (31) up front
+    # over F_2 the level forms have 2^k - 1 terms, so the guard admits
+    # n = 5 (15 terms at level 4) and refuses n = 6 (31 at level 5)
     monkeypatch.setattr(anisotropic, "FORM_TERMS_GUARD", 15)
     f = _base(Fp(2))
     assert len(build_fn(f, 5).terms) == 31
@@ -922,29 +928,32 @@ def test_form_guard_limit_and_exact_count(monkeypatch):
 
 
 def test_form_guard_checks_each_level_on_the_exact_count(monkeypatch):
-    # over F_3, f2 = x^2 + y^2 squares its input, which the lower bound
-    # cannot count, so the exact count refuses at the level itself:
-    # the inputs have 1, 2, 4, 9, 26 terms
+    # over F_3, f2 = x^2 + y^2 squares its input: the levels 1..5 have
+    # 1, 2, 4, 9, 26 terms, each counted before any term is built
     monkeypatch.setattr(anisotropic, "FORM_TERMS_GUARD", 9)
     f = _base(Fp(3))
     assert len(build_fn(f, 5).terms) == 26
-    levels = []
-    original = anisotropic.compose_packed
-    monkeypatch.setattr(anisotropic, "compose_packed",
-                        lambda g, h, *rest: levels.append(len(h))
-                        or original(g, h, *rest))
+    tower = Tower.over(f, 6)
+    counts = []
+    check = anisotropic._check_form_terms
+    monkeypatch.setattr(anisotropic, "_check_form_terms",
+                        lambda level, terms: counts.append(terms)
+                        or check(level, terms))
+    _forbid(monkeypatch, MultiPoly, "from_payloads")
     with pytest.raises(TooLarge) as info:
-        build_fn(f, 6)
+        tower.expand()
     assert info.value.requested == 26
-    assert levels == [1, 2, 4, 9]
+    assert "level 5" in str(info.value)
+    assert counts == [1, 2, 4, 9, 26]
 
 
 @pytest.mark.parametrize("field,m,top", [
     (field, m, top) for field, m, top in DIFFERENTIAL_CASES])
 def test_form_guard_lower_bound_admits_every_level(monkeypatch, field,
                                                    m, top):
-    """With the guard at the largest input a level really composes, the
-    up-front lower bound must not refuse: it never exceeds the count."""
+    """With the guard at the largest form a level really composes, the
+    guard must admit the tower, and one less must refuse it: each level
+    is checked on its exact count, never on an estimate above it."""
     f = _base(field, m)
     inputs = [len(build_fn(f, k).terms) for k in range(1, top)]
     monkeypatch.setattr(anisotropic, "FORM_TERMS_GUARD", max(inputs))
@@ -954,6 +963,15 @@ def test_form_guard_lower_bound_admits_every_level(monkeypatch, field,
         build_fn(f, top)
 
 
+def _power_by_products(f, e):
+    """Reference for the powers of the univariate f: the nonzero
+    coefficients of the e-fold product, as (exponent, payload) pairs."""
+    power = MultiPoly.constant(f.field, 1, f.field.one())
+    for _ in range(e):
+        power = power * f
+    return sorted((mono[0], c.payload) for mono, c in power.terms)
+
+
 def test_frobenius_keeps_term_counts():
     rng = random.Random(5)
     for field in (Fp(2), Fp(3), Fq(2, 2), Fq(3, 2), Q()):
@@ -961,16 +979,53 @@ def test_frobenius_keeps_term_counts():
                  else enumerate_field(field)[1:])
         p = field.characteristic
         for _ in range(5):
-            h = MultiPoly.from_dict(field, 2, {
-                (rng.randint(0, 3), rng.randint(0, 3)): rng.choice(elems)
-                for _ in range(4)})
-            power = h
-            for i in range(2, 10):
-                power = power * h
-                if anisotropic._keeps_terms(i, p):
-                    assert len(power.terms) == len(h.terms)
-        assert anisotropic._keeps_terms(1, p)
-        assert not anisotropic._keeps_terms(0, p)
+            m = rng.randint(2, 4)
+            f = univariate(field, [rng.choice(elems + [field.zero()])
+                                   for _ in range(m)] + [1])
+            power = anisotropic._powers(f)
+            for e in range(10):
+                assert sorted(power(e)) == _power_by_products(f, e), (f, e)
+            for e in (p, p * p) if p else ():
+                # the Frobenius image: exponents times p, none merges
+                assert len(power(e)) == len(f.terms)
+
+
+def test_univariate_powers_take_one_product_each(monkeypatch):
+    # below the characteristic f^2, f^3 and f^4 are one product each,
+    # f^(e-1)*f, and f^5 is the Frobenius image of f, with no product
+    F = Fp(5)
+    f = parse_poly(F, "x^3 + 2*x + 3")
+    sizes = [len(_power_by_products(f, e)) for e in range(1, 4)]
+    products, powers = _count_payload_products(monkeypatch, F)
+    power = anisotropic._powers(f)
+    power(4)
+    assert len(products) == sum(sizes) * len(f.terms)
+    assert powers == []
+    assert len(power(5)) == len(f.terms)
+    # f^5 added one 5th power per coefficient and no product
+    assert len(products) == sum(sizes) * len(f.terms)
+    assert powers == [5] * len(f.terms)
+    monkeypatch.undo()
+    for e in range(6):
+        assert sorted(power(e)) == _power_by_products(f, e)
+
+
+@pytest.mark.parametrize("field,coeffs", [
+    (Fp(2), (1, 1)), (Fq(2, 2), ((0, 1), (1, 1)))])
+def test_univariate_frobenius_powers_take_no_product(monkeypatch, field,
+                                                     coeffs):
+    # in characteristic 2, f^2, f^4 and f^8 are Frobenius images: one
+    # squaring per coefficient, no product, and f's term count kept
+    f = univariate(field, [field.element(c) for c in coeffs] + [1])
+    products, powers = _count_payload_products(monkeypatch, field)
+    power = anisotropic._powers(f)
+    power(8)
+    assert products == []
+    assert powers == [2] * (3 * len(f.terms))
+    assert all(len(power(2 ** k)) == len(f.terms) for k in range(4))
+    monkeypatch.undo()
+    for e in (2, 4, 8):
+        assert sorted(power(e)) == _power_by_products(f, e)
 
 
 def test_witness_record_above_the_form_guard():
@@ -992,8 +1047,8 @@ def test_witness_record_above_the_form_guard():
 
 
 # ---------------------------------------------------------------------------
-# the packed expansion and the table of f2, against references that share
-# no code with them
+# the expansion by exponent chains and the table of f2, against references
+# that share no code with them
 
 
 def _expansion_bases(field, m):
@@ -1011,9 +1066,9 @@ def _expansion_bases(field, m):
 # (field, m, largest n): n = 5 where the reference's repeated products
 # take well under a second on both bases
 EXPANSION_CELLS = [
-    (Fp(2), 2, 5), (Fp(2), 3, 5), (Fp(2), 4, 4),
+    (Fp(2), 2, 5), (Fp(2), 3, 5), (Fp(2), 4, 4), (Fp(2), 5, 5),
     (Fp(3), 2, 5), (Fp(3), 3, 5), (Fp(3), 4, 4),
-    (Fp(5), 2, 5), (Fp(5), 3, 4), (Fp(5), 4, 4),
+    (Fp(5), 2, 5), (Fp(5), 3, 4), (Fp(5), 4, 4), (Fp(5), 5, 4),
     (Fq(2, 2), 2, 5), (Fq(2, 2), 3, 5), (Fq(2, 2), 4, 4),
     (Fq(3, 2), 2, 5), (Fq(3, 2), 3, 4), (Fq(3, 2), 4, 4),
     (Q(), 2, 5), (Q(), 3, 4), (Q(), 4, 3),
@@ -1022,7 +1077,7 @@ EXPANSION_CELLS = [
 
 @pytest.mark.parametrize("field,m,top", EXPANSION_CELLS, ids=str)
 def test_expand_matches_the_level_by_level_products(field, m, top):
-    """Tower.expand on packed monomials against the chain of
+    """Tower.expand by exponent chains against the chain of
     `_compose_last_by_products` levels, whose products are tuple
     products (`MultiPoly.__mul__`)."""
     for f in _expansion_bases(field, m):
@@ -1034,11 +1089,45 @@ def test_expand_matches_the_level_by_level_products(field, m, top):
             assert Tower.over(f, n).expand().terms == reference.terms, (f, n)
 
 
+@pytest.mark.parametrize("field,m,top", EXPANSION_CELLS, ids=str)
+def test_chain_count_is_the_term_count(monkeypatch, field, m, top):
+    """The count the guard reads for each level L, N_L(1), is the term
+    count of the tower of arity L, on both bases."""
+
+    class Counted(Exception):
+        pass
+
+    for f in _expansion_bases(field, m):
+        counts = []
+
+        def check(level, terms):
+            counts.append(terms)
+            if level == top:
+                raise Counted
+
+        monkeypatch.setattr(anisotropic, "_check_form_terms", check)
+        with pytest.raises(Counted):
+            Tower.over(f, top + 1).expand()
+        monkeypatch.undo()
+        assert counts == [len(Tower.over(f, n).expand().terms)
+                          for n in range(1, top + 1)], f
+
+
+@pytest.mark.parametrize("field", [Q(), Fp(3)], ids=str)
+def test_monomial_base_expands_to_one_term_at_any_arity(field):
+    # the rooted base x^2 keeps one term at every level, so no level is
+    # refused, and T_40 = x1^(2^39) needs f^(2^38): with 2^38 - 1
+    # products f^(e-1)*f over Q it would never finish
+    form = Tower.over(parse_poly(field, "x^2"), 40).expand()
+    assert form.terms == (((2 ** 39,) + (0,) * 39, field.one()),)
+
+
 def test_expand_at_the_largest_admitted_size_needs_every_bit():
     # the largest expansion FORM_TERMS_GUARD admits, Fp(2) with n = 11,
-    # has degree 1024 = 2^10, so x1^1024 fills all 11 bits of its digit.
-    # Over F_2, h -> h^2 + h*z + z^2 keeps its three slices disjoint: the
-    # monomials of h doubled, those of h times z, and z^2
+    # has degree 1024 = 2^10: x1^1024 is the chain 1, 2, 4, ..., 1024 of
+    # Frobenius images. Over F_2, h -> h^2 + h*z + z^2 keeps its three
+    # slices disjoint: the monomials of h doubled, those of h times z,
+    # and z^2
     monos = {(1,)}
     for k in range(1, 11):
         monos = ({tuple(2 * e for e in mono) + (0,) for mono in monos}

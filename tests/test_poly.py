@@ -220,54 +220,6 @@ def _count_payload_products(monkeypatch, field):
     return products, powers
 
 
-def test_compose_last_substitutes_without_products_in_x_last(monkeypatch):
-    F = Fp(5)
-    g2 = parse_poly(F, "x1^3 + 2*x1*x2^2 + 3*x2^3 + x1^2*x2")
-    h = parse_poly(F, "x1^2 + 4*x1*x2 + x2")
-    h2 = h * h
-    h3 = h2 * h
-    built = []
-    from_payloads = MultiPoly.from_payloads.__func__
-
-    def counting_from_payloads(cls, field, arity, coeffs):
-        built.append(arity)
-        return from_payloads(cls, field, arity, coeffs)
-
-    products, powers = _count_payload_products(monkeypatch, F)
-    monkeypatch.setattr(MultiPoly, "from_payloads",
-                        classmethod(counting_from_payloads))
-    composed = compose_last(g2, h)
-    monkeypatch.undo()
-    # h^2 and h^3 one product each in h's own arity (no Frobenius below
-    # the characteristic), then one scaling per term of h^3, h, 1 and h^2
-    pairs = len(h.terms) * len(h.terms) + len(h2.terms) * len(h.terms)
-    scalings = len(h3.terms) + len(h.terms) + 1 + len(h2.terms)
-    assert len(products) == pairs + scalings
-    assert powers == []
-    assert built.count(3) == 1
-    assert composed == _compose_last_by_products(g2, h)
-
-
-@pytest.mark.parametrize("field,coeffs", [
-    (Fp(2), (1, 1, 1)), (Fq(2, 2), ((0, 1), (1, 1), 1))])
-def test_compose_last_frobenius_powers_take_no_product(monkeypatch, field,
-                                                       coeffs):
-    # g2 of degree 4 needs h, h^2 and h^4: in characteristic 2 the last
-    # two are Frobenius images, so the only products are the scalings
-    g2 = parse_poly(field, "x1^4 + x1^2*x2^2 + x1*x2^3 + x2^4")
-    h = MultiPoly.from_dict(field, 2, {
-        m: field.element(c)
-        for m, c in zip([(2, 0), (1, 1), (0, 2)], coeffs)})
-    products, powers = _count_payload_products(monkeypatch, field)
-    composed = compose_last(g2, h)
-    monkeypatch.undo()
-    terms = len(h.terms)
-    # |h^4| = |h^2| = |h|: one p-th power per coefficient, none merges
-    assert len(products) == terms + terms + terms + 1
-    assert powers == [2] * (2 * terms)
-    assert composed == _compose_last_by_products(g2, h)
-
-
 @pytest.mark.parametrize("field", [Fp(2), Fp(3), Fq(2, 2), Fq(3, 2)])
 @pytest.mark.parametrize("arity", [1, 2, 3])
 def test_compose_last_frobenius_matches_products_reference(field, arity):
@@ -408,6 +360,20 @@ def test_parse_accepts_bare_x_and_minus():
     assert f.constant_term() == F.element(-3)
     g = parse_poly(F, "x1^2 + (-3)")
     assert f == g
+
+
+@pytest.mark.parametrize("field", [Fp(5), Qsqrt(-2)], ids=str)
+def test_parse_builds_one_only_for_a_term_without_coefficient(monkeypatch,
+                                                              field):
+    calls = []
+    one = type(field).one
+    monkeypatch.setattr(type(field), "one",
+                        lambda self: calls.append(self) or one(self))
+    f = parse_poly(field, "2*x1^2 + (3)*x1*x2 - x2^2 + x1")
+    monkeypatch.undo()
+    assert len(calls) == 2   # -x2^2 and x1
+    assert format_poly(f) == format_poly(parse_poly(
+        field, "2*x1^2 + 3*x1*x2 + (-1)*x2^2 + 1*x1"))
 
 
 @pytest.mark.parametrize("text,pos", [
