@@ -44,9 +44,12 @@ def check_cover(psis) -> Cover:
         raise ValueError("need at least one function")
     field = psis[0].field
     size = psis[0].size
-    for psi in psis:
-        if psi.field != field or psi.size != size:
+    for i, psi in enumerate(psis, 1):
+        if psi.field != field:
             raise MixedFields("functions live in different rings")
+        if psi.size != size:
+            raise MixedFields(f"function {i} has {psi.size} values, "
+                              f"function 1 has {size}")
     is_zero = field.is_zero
     for x, column in enumerate(zip(*(psi.payloads for psi in psis))):
         if all(map(is_zero, column)):

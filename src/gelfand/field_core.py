@@ -12,8 +12,8 @@ order: in a finite field it is the element's index in
 order and ties broken by "smallest element" are reproducible. An
 extension field with at most `FIELD_TABLE_CAP` elements multiplies,
 inverts and adds through log/antilog (Zech) tables (by XOR over F_2),
-built once per process for each (p, k, modulus) and shared by equal
-descriptors; a larger one multiplies coefficient lists. Over Q and
+set by its constructor from one build per (p, k, modulus) per process;
+a larger one multiplies coefficient lists. Over Q and
 Q(sqrt(d)) a payload that is already an exact Fraction is shared, not
 copied, as a Fraction is immutable and in lowest terms; a norm is
 computed on the numerators and denominators, and a literal is read once,
@@ -303,17 +303,9 @@ class FieldDescriptor:
         return a == 0
 
     def pow(self, a, e):
-        """a**e for an int e >= 0 by square-and-multiply: a**(2^k) takes
-        k products, and the unit is built for e = 0 only, never as a
-        factor."""
-        mul, result = self.mul, None if e else self.canonical(1)
-        while e:
-            if e & 1:
-                result = a if result is None else mul(result, a)
-            e >>= 1
-            if e:
-                a = mul(a, a)
-        return result
+        """a**e for an int e >= 0 by `_power`; the unit is built for
+        e = 0 only."""
+        return _power(self.mul, a, e) if e else self.canonical(1)
 
     def format(self, x):
         return str(x.payload)
@@ -326,6 +318,19 @@ class FieldDescriptor:
 
     def __repr__(self):
         return f"FieldDescriptor({format_field(self)})"
+
+
+def _power(mul, a, e):
+    """a**e for an int e >= 1 by square-and-multiply with the product
+    mul: a**(2^k) takes k products, and the unit is never a factor."""
+    result = None
+    while True:
+        if e & 1:
+            result = a if result is None else mul(result, a)
+        e >>= 1
+        if not e:
+            return result
+        a = mul(a, a)
 
 
 class FiniteField(FieldDescriptor):
@@ -402,10 +407,10 @@ class ExtensionField(FiniteField):
     `_exp`. Over F_2 the sum is the XOR of payloads. The tables depend
     only on (p, k, modulus), so, as `galois` caches its field classes,
     they are built once per process for all equal descriptors
-    (`_tables`, which holds at most 16 fields) and fill a descriptor's
-    slots on first use; copies and pickles start empty and refill them
-    from it. Above the cap, `_log` is None and the operations decode the
-    digits and multiply by `_pmul`/`_pmod`.
+    (`_tables`, which holds at most 16 fields), and the constructor sets
+    a descriptor's slots from there; copies and pickles are made by the
+    constructor too. Above the cap, `_log` is None and the operations
+    decode the digits and multiply by `_pmul`/`_pmod`.
     """
 
     p: int
@@ -413,7 +418,7 @@ class ExtensionField(FiniteField):
     modulus: tuple = None
     kind = "extension"
     # kept out of the instance dict, so that equality and hashing see
-    # the dataclass fields only; filled by __getattr__ on first use
+    # the dataclass fields only; set by the constructor
     __slots__ = ("_log", "_exp", "_zech")
 
     def __post_init__(self):
@@ -434,34 +439,23 @@ class ExtensionField(FiniteField):
                 limit=IRREDUCIBLE_TEST_GUARD, requested=divisors)
         if self.modulus is None:   # the search returns an irreducible
             _set(self, "modulus", _first_irreducible(self.p, self.k))
-            return
-        _set(self, "modulus", tuple(self.modulus))
-        if len(self.modulus) != self.k + 1 or self.modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree k")
-        if any(not 0 <= c < self.p for c in self.modulus):
-            raise ValueError("modulus coefficients must lie in [0, p)")
-        if not _is_irreducible(self.modulus, self.p):
-            raise ValueError("modulus is reducible over F_p")
-
-    def __getattr__(self, name):
-        # reached only while the table slots are empty
-        if name not in ExtensionField.__slots__:
-            raise AttributeError(name)
-        self._build_tables()
-        return getattr(self, name)
+        else:
+            _set(self, "modulus", tuple(self.modulus))
+            if len(self.modulus) != self.k + 1 or self.modulus[-1] != 1:
+                raise ValueError("modulus must be monic of degree k")
+            if any(not 0 <= c < self.p for c in self.modulus):
+                raise ValueError("modulus coefficients must lie in [0, p)")
+            if not _is_irreducible(self.modulus, self.p):
+                raise ValueError("modulus is reducible over F_p")
+        log, exp, zech = (_tables(self) if self.order <= FIELD_TABLE_CAP
+                          else (None, None, None))
+        _set(self, "_log", log)
+        _set(self, "_exp", exp)
+        _set(self, "_zech", zech)
 
     def __reduce__(self):
-        # copies and pickles start without tables
+        # copies and pickles are made by the constructor, from the fields
         return type(self), (self.p, self.k, self.modulus)
-
-    def _build_tables(self):
-        if self.order > FIELD_TABLE_CAP:
-            _set(self, "_log", None)
-            return
-        log, exp, zech = _tables(self)
-        _set(self, "_zech", zech)
-        _set(self, "_exp", exp)
-        _set(self, "_log", log)
 
     def _primitive(self):
         """The digits of the first element, in index order, of order
@@ -470,7 +464,8 @@ class ExtensionField(FiniteField):
         primes = [r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]
         for i in range(1, n + 1):
             g = self._digits(i)
-            if all(self._encode(self._dpow(g, n // r)) != 1 for r in primes):
+            if all(self._encode(_power(self._dmul, g, n // r)) != 1
+                   for r in primes):
                 return g
         raise NoneFound(f"no primitive element in {self}")
 
@@ -489,14 +484,6 @@ class ExtensionField(FiniteField):
 
     def _dmul(self, u, v):
         return tuple(_pmod(_pmul(u, v, self.p), self.modulus, self.p))
-
-    def _dpow(self, u, e):
-        result = (1,)
-        for bit in bin(e)[2:]:
-            result = self._dmul(result, result)
-            if bit == "1":
-                result = self._dmul(result, u)
-        return result
 
     def canonical(self, payload):
         """An int is a constant; a tuple or list gives the k coefficients."""
@@ -983,3 +970,15 @@ def parse_element(F: FieldDescriptor, text: str) -> FieldElement:
     ParseError carries the offset of the bad character or term in the
     stripped literal."""
     return F.parse(text.strip())
+
+
+def parse_element_at(F: FieldDescriptor, text: str, start: int,
+                     end: int) -> FieldElement:
+    """Parse the literal text[start:end] by `parse_element`; a ParseError
+    carries its offset in text, past the literal's leading whitespace."""
+    literal = text[start:end]
+    try:
+        return parse_element(F, literal)
+    except ParseError as exc:
+        lead = len(literal) - len(literal.lstrip())
+        raise ParseError(text, start + lead + exc.pos, exc.expected) from None

@@ -31,7 +31,7 @@ from .field_core import (
     format_element,
     format_field,
     from_payload,
-    parse_element,
+    parse_element_at,
 )
 
 ORACLE_GUARD = 12          # max ring size for the ideal oracle
@@ -149,8 +149,8 @@ def parse_ring_element(field, line) -> RingElement:
     """One function per line: comma-separated field-element literals.
 
     A literal in its canonical text form is looked up in the field's
-    literal table; any other goes through `parse_element`. A ParseError
-    carries the offset of the bad character in the line.
+    literal table; any other is read by `parse_element_at`, so that a
+    ParseError carries the offset of the bad character in the line.
     """
     if not line.strip():
         raise ParseError(line, 0, "comma-separated field-element literals")
@@ -159,12 +159,7 @@ def parse_ring_element(field, line) -> RingElement:
     for part in line.split(","):
         a = table.get(part)
         if a is None:
-            try:
-                a = parse_element(field, part).payload
-            except ParseError as exc:
-                lead = len(part) - len(part.lstrip())
-                raise ParseError(line, start + lead + exc.pos,
-                                 exc.expected) from None
+            a = parse_element_at(field, line, start, start + len(part)).payload
         payloads.append(a)
         start += len(part) + 1
     return RingElement.from_payloads(field, tuple(payloads))

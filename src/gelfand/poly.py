@@ -30,7 +30,7 @@ from .field_core import (
     FieldElement,
     format_element,
     from_payload,
-    parse_element,
+    parse_element_at,
 )
 
 
@@ -279,9 +279,10 @@ _LEADING_COEFF = re.compile(r"\d+(?:/\d+)?")
 def _split_terms(text):
     """Split on top-level '+' and '-'; a minus is kept with its term.
 
-    Returns (offset, term) pairs, offsets into text.
+    Returns (offset, term, close) triples, offsets into text: close is
+    that of the ')' matching the term's first top-level '(', or None.
     """
-    terms, depth, start, opened = [], 0, 0, 0
+    terms, depth, start, opened, close = [], 0, 0, 0, None
     for i, ch in enumerate(text):
         if ch == "(":
             if depth == 0:
@@ -291,56 +292,39 @@ def _split_terms(text):
             depth -= 1
             if depth < 0:
                 raise ParseError(text, i, "balanced parentheses")
+            if depth == 0 and close is None:
+                close = i
         elif depth == 0 and ch in "+-" and i > start:
-            terms.append((start, text[start:i]))
-            start = i + 1 if ch == "+" else i
+            terms.append((start, text[start:i], close))
+            start, close = i + 1 if ch == "+" else i, None
     if depth != 0:
         raise ParseError(text, opened, "a ')' closing this '('")
-    terms.append((start, text[start:]))
-    return [(i, t) for i, t in terms if t]
+    terms.append((start, text[start:], close))
+    return [term for term in terms if term[1]]
 
 
-def _parse_coefficient(field, text, start, end):
-    try:
-        return parse_element(field, text[start:end])
-    except ParseError as exc:
-        raise ParseError(text, start + exc.pos, exc.expected) from None
-
-
-def _parse_term(field, text, start, term):
-    """Parse one term found at offset start of text; errors carry
-    offsets into text."""
+def _parse_term(field, text, start, term, close):
+    """Parse one term found at offset start of text, with the offset
+    close from `_split_terms`; errors carry offsets into text."""
     negate = term.startswith("-")
     if negate:
         term = term[1:]
         if not term:
             raise ParseError(text, start, "a term after '-'")
         start += 1
-    pos = 0
-    if term.startswith("("):
-        # _split_terms has checked that the parentheses balance
-        depth = 0
-        for pos, ch in enumerate(term):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0:
-                    break
-        coeff = _parse_coefficient(field, text, start + 1, start + pos)
-        pos += 1
-        if pos < len(term) and term[pos] == "*":
-            pos += 1
+    if term[0] == "(":
+        coeff = parse_element_at(field, text, start + 1, close)
+        pos = close + 1 - start
     elif term[0] != "x":
         m = _LEADING_COEFF.match(term)
         if not m:
             raise ParseError(text, start, "a coefficient or variable")
-        coeff = _parse_coefficient(field, text, start, start + m.end())
+        coeff = parse_element_at(field, text, start, start + m.end())
         pos = m.end()
-        if pos < len(term) and term[pos] == "*":
-            pos += 1
     else:
-        coeff = field.one()
+        coeff, pos = field.one(), 0
+    if term.startswith("*", pos):   # pos is 0 only before an 'x'
+        pos += 1
     exps = {}
     if pos < len(term):
         for piece in term[pos:].split("*"):
@@ -365,14 +349,15 @@ def parse_poly(field, text, arity=None) -> MultiPoly:
 
     A bare 'x' is accepted as an alias for 'x1'. The arity is inferred
     from the largest variable index unless given explicitly. A
-    ParseError carries the offset of the offending term in text.
+    ParseError carries the offset of the offending term in text, or of
+    the bad character in a coefficient (`parse_element_at`).
     """
     compact = text.replace(" ", "")
     if not compact:
         raise ParseError(text, 0, "a polynomial")
     try:
-        parsed = [(i, *_parse_term(field, compact, i, t))
-                  for i, t in _split_terms(compact)]
+        parsed = [(i, *_parse_term(field, compact, i, t, close))
+                  for i, t, close in _split_terms(compact)]
         max_idx = max((max(e) + 1 for _, _, e in parsed if e), default=1)
         if arity is None:
             arity = max_idx

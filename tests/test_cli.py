@@ -424,6 +424,16 @@ def test_cover_certifies_nothing_when_a_route_raises(tmp_path, capsys,
     assert code == 0 and len(calls) == 1 and built == ["combine_case2"]
 
 
+def test_cover_with_a_short_row_names_the_sizes(tmp_path, capsys):
+    fns = tmp_path / "fns.txt"
+    fns.write_text("1,0\n0\n")
+    code, report = run_cli(["cover", "--field", "Fp(5)", "--functions",
+                            str(fns)], tmp_path / "r.json")
+    assert (code, report) == (2, None)
+    assert capsys.readouterr().err == \
+        "error: MixedFields: function 2 has 1 values, function 1 has 2\n"
+
+
 def test_cover_all_over_q_reports_route_three_first(tmp_path, capsys):
     # routes I and III both need a finite field; route III is built
     # first, so its refusal is the one reported

@@ -555,6 +555,22 @@ def test_certify_rejects_route_three_witness_with_a_constant_term():
     assert certify(good)["pass"]
 
 
+def test_functions_of_different_sizes_name_their_sizes():
+    F = Fp(5)
+    with pytest.raises(MixedFields) as exc:
+        check_cover([_re(F, [1, 0]), _re(F, [0])])
+    assert str(exc.value) == "function 2 has 1 values, function 1 has 2"
+    with pytest.raises(MixedFields) as exc:
+        check_cover([_re(F, [1, 0]), _re(F, [0, 1]), _re(F, [1, 1, 1])])
+    assert str(exc.value) == "function 3 has 3 values, function 1 has 2"
+
+
+def test_functions_over_different_fields_are_mixed_fields():
+    with pytest.raises(MixedFields) as exc:
+        check_cover([_re(Fp(5), [1, 0]), _re(Fp(3), [0, 1])])
+    assert str(exc.value) == "functions live in different rings"
+
+
 def test_witness_outside_the_covers_ring_is_refused():
     F = Fp(3)
     cover = check_cover([_re(F, [1, 0]), _re(F, [0, 1])])

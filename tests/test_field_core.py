@@ -532,13 +532,13 @@ def test_descriptor_with_tables_equals_a_fresh_one():
     for spec in ("Fq(2,3)", "Fq(3,2)"):
         built = parse_field(spec)
         x = built.element_at(5)
-        assert x * x.inv() == built.one()  # builds the tables
+        assert x * x.inv() == built.one()  # arithmetic on the tables
         fresh = parse_field(spec)
         assert built == fresh and fresh == built
         assert hash(built) == hash(fresh)
         assert vars(built) == vars(fresh)
         assert len({built, fresh}) == 1
-        # copies start without tables
+        # copies are made by the constructor, which sets the tables
         for copied in (copy.deepcopy(built),
                        pickle.loads(pickle.dumps(built))):
             assert copied == built and copied.element_at(5) * x.inv() == \

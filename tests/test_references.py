@@ -1,0 +1,385 @@
+"""The earlier two-mechanism versions of the polynomial and ring-line
+parsers and of the extension-field power, kept as references.
+
+The polynomial parser once rescanned each parenthesized coefficient for
+its ')' and re-raised a coefficient's ParseError by its own rule, the
+ring-line parser had a second such rule, and the primitive element was
+found by a left-to-right power loop that squared the unit. The library
+now has one mechanism for each job (`_split_terms` gives the ')' offset,
+`parse_element_at` places the error, `_power` is the only loop); each
+test here checks that it gives the same results, and the same errors at
+the same offsets, as the reference on a seeded corpus.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import gelfand.field_core as field_core
+from gelfand.errors import ParseError
+from gelfand.field_core import (
+    FIELD_TABLE_CAP,
+    Fp,
+    Fq,
+    Q,
+    Qsqrt,
+    _power,
+    format_element,
+    parse_element,
+)
+from gelfand.function_ring import (
+    RingElement,
+    _literal_table,
+    parse_ring_element,
+)
+from gelfand.poly import _LEADING_COEFF, _VAR_RE, MultiPoly, parse_poly
+
+# ---------------------------------------------------------------------------
+# reference parsers
+
+
+def _ref_split_terms(text):
+    terms, depth, start, opened = [], 0, 0, 0
+    for i, ch in enumerate(text):
+        if ch == "(":
+            if depth == 0:
+                opened = i
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                raise ParseError(text, i, "balanced parentheses")
+        elif depth == 0 and ch in "+-" and i > start:
+            terms.append((start, text[start:i]))
+            start = i + 1 if ch == "+" else i
+    if depth != 0:
+        raise ParseError(text, opened, "a ')' closing this '('")
+    terms.append((start, text[start:]))
+    return [(i, t) for i, t in terms if t]
+
+
+def _ref_parse_coefficient(field, text, start, end):
+    try:
+        return parse_element(field, text[start:end])
+    except ParseError as exc:
+        raise ParseError(text, start + exc.pos, exc.expected) from None
+
+
+def _ref_parse_term(field, text, start, term):
+    negate = term.startswith("-")
+    if negate:
+        term = term[1:]
+        if not term:
+            raise ParseError(text, start, "a term after '-'")
+        start += 1
+    pos = 0
+    if term.startswith("("):
+        depth = 0
+        for pos, ch in enumerate(term):
+            if ch == "(":
+                depth += 1
+            elif ch == ")":
+                depth -= 1
+                if depth == 0:
+                    break
+        coeff = _ref_parse_coefficient(field, text, start + 1, start + pos)
+        pos += 1
+        if pos < len(term) and term[pos] == "*":
+            pos += 1
+    elif term[0] != "x":
+        m = _LEADING_COEFF.match(term)
+        if not m:
+            raise ParseError(text, start, "a coefficient or variable")
+        coeff = _ref_parse_coefficient(field, text, start, start + m.end())
+        pos = m.end()
+        if pos < len(term) and term[pos] == "*":
+            pos += 1
+    else:
+        coeff = field.one()
+    exps = {}
+    if pos < len(term):
+        for piece in term[pos:].split("*"):
+            vm = _VAR_RE.match(piece)
+            if not vm:
+                raise ParseError(text, start + pos,
+                                 f"a variable like x1 or x2^3 (got {piece!r})")
+            idx = int(vm.group(1)) if vm.group(1) else 1
+            if idx < 1:
+                raise ParseError(text, start + pos,
+                                 "variable indices start at 1")
+            e = int(vm.group(2)) if vm.group(2) else 1
+            exps[idx - 1] = exps.get(idx - 1, 0) + e
+            pos += len(piece) + 1
+    if negate:
+        coeff = -coeff
+    return coeff, exps
+
+
+def _ref_parse_poly(field, text, arity=None):
+    compact = text.replace(" ", "")
+    if not compact:
+        raise ParseError(text, 0, "a polynomial")
+    try:
+        parsed = [(i, *_ref_parse_term(field, compact, i, t))
+                  for i, t in _ref_split_terms(compact)]
+        max_idx = max((max(e) + 1 for _, _, e in parsed if e), default=1)
+        if arity is None:
+            arity = max_idx
+        for i, _, exps in parsed:
+            if exps and max(exps) >= arity:
+                raise ParseError(compact, i, f"variables within arity {arity}")
+    except ParseError as exc:
+        offsets = [i for i, ch in enumerate(text) if ch != " "] + [len(text)]
+        raise ParseError(text, offsets[exc.pos], exc.expected) from None
+    acc = {}
+    for _, coeff, exps in parsed:
+        mono = tuple(exps.get(i, 0) for i in range(arity))
+        acc[mono] = acc[mono] + coeff if mono in acc else coeff
+    return MultiPoly.from_dict(field, arity, acc)
+
+
+def _ref_parse_ring_element(field, line):
+    if not line.strip():
+        raise ParseError(line, 0, "comma-separated field-element literals")
+    table = _literal_table(field)
+    payloads, start = [], 0
+    for part in line.split(","):
+        a = table.get(part)
+        if a is None:
+            try:
+                a = parse_element(field, part).payload
+            except ParseError as exc:
+                lead = len(part) - len(part.lstrip())
+                raise ParseError(line, start + lead + exc.pos,
+                                 exc.expected) from None
+        payloads.append(a)
+        start += len(part) + 1
+    return RingElement.from_payloads(field, tuple(payloads))
+
+
+# ---------------------------------------------------------------------------
+# the seeded corpus
+
+FIELDS = [Fp(5), Fq(2, 3), Q(), Qsqrt(-3)]
+# literals that are malformed in some or all of the four fields
+BAD_LITERALS = ["1/0", "2/", "0/00", "--1", "-", "", "sqrt(-3)", "sqrt(-2)",
+                "3*sqrt(-3)", "3sqrt(-3)", "1+sqrt(-3", "2-sqrt(-3))", "t^2+t",
+                "t^9", "2*t", "t+", "x", "1+", "sqrt(", "7", "1/2", "12"]
+VARIABLES = ["x", "x1", "x2", "x1^2", "x2^3", "x2*x1", "x^2"]
+BAD_VARIABLES = ["x3", "x0", "y", "x^", "x1^0", "x1**x2"]
+
+
+def _random_literal(F, rng, faulty=True):
+    """A canonical literal of a random element of F, or, if faulty, at
+    times a literal that is malformed in F or in another field."""
+    if faulty and rng.random() < 0.3:
+        return rng.choice(BAD_LITERALS)
+    if F.is_finite:
+        x = F.element_at(rng.randrange(F.order))
+    else:
+        parts = [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                 for _ in range(2)]
+        x = F.element(parts if F.kind == "quadratic" else parts[0])
+    return format_element(x)
+
+
+def _random_term(F, rng, faulty):
+    lit = _random_literal(F, rng, faulty)
+    if F.kind == "quadratic" and rng.random() < 0.2:
+        lit = rng.choice(["1+2*sqrt(-3)", "-sqrt(-3)", "1/2-3/4*sqrt(-3)"])
+    coeff = rng.choice(["", lit, f"({lit})", f"(({lit}))", f"(-{lit})",
+                        f"( {lit} )"] + ["(1)(2)"] * faulty)
+    names = VARIABLES + BAD_VARIABLES * faulty
+    variables = "*".join(rng.choice(names) for _ in range(rng.randint(0, 2)))
+    seps = ["*", "*", "", " * "] + ["**"] * faulty
+    sep = rng.choice(seps) if coeff and variables else ""
+    return rng.choice(["", "", "-"]) + coeff + sep + variables
+
+
+def _random_poly(F, rng):
+    """A polynomial text and an arity; one text in two is faulty: bad
+    literals, variables and joins, and stray or dropped characters."""
+    faulty = rng.random() < 0.5
+    text = rng.choice(["", "-", " "])
+    for k in range(rng.randint(1, 4)):
+        if k:
+            text += rng.choice([" + ", "+", "-", " - ", "+-"]
+                               + ["++"] * faulty)
+        text += _random_term(F, rng, faulty)
+    for _ in range(rng.choice([0, 1, 2]) if faulty else 0):
+        i = rng.randrange(len(text) + 1)
+        if rng.random() < 0.25 and text:
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text[:i] + rng.choice("()*( ") + text[i:]
+    return text, rng.choice([None, None, 1, 2, 3] if faulty else [None, 2])
+
+
+def _random_ring_line(F, rng):
+    parts = []
+    for _ in range(rng.randint(1, 4)):
+        lit = _random_literal(F, rng)
+        parts.append(rng.choice(["", " ", "  ", "\t"]) + lit
+                     + rng.choice(["", "", " "]))
+    return ",".join(parts)
+
+
+def _outcome(parse, *args):
+    try:
+        return "ok", parse(*args)
+    except ParseError as exc:
+        return "ParseError", exc.text, exc.pos, exc.expected
+    except Exception as exc:   # any other error must match too
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_parse_poly_matches_the_reference(F):
+    rng = random.Random(f"poly {F}")
+    errors = 0
+    for _ in range(1500):
+        text, arity = _random_poly(F, rng)
+        got = _outcome(parse_poly, F, text, arity)
+        assert got == _outcome(_ref_parse_poly, F, text, arity), text
+        errors += got[0] != "ok"
+    # the corpus holds both outcomes in quantity
+    assert errors > 600 and 1500 - errors > 100
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=str)
+def test_parse_ring_element_matches_the_reference(F):
+    rng = random.Random(f"ring {F}")
+    errors = leading = 0
+    for _ in range(600):
+        line = _random_ring_line(F, rng)
+        got = _outcome(parse_ring_element, F, line)
+        assert got == _outcome(_ref_parse_ring_element, F, line), line
+        errors += got[0] != "ok"
+        # an error in a literal after its leading whitespace
+        leading += got[0] == "ParseError" and line[got[2] - 1:got[2]] in (
+            " ", "\t")
+    assert errors > 100 and 600 - errors > 100 and leading > 20
+
+
+@pytest.mark.parametrize("text,pos,expected", [
+    ("(1/0)*x", 3, "a nonzero denominator"),
+    ("x + (2+sqrt(-3)*x", 4, "a ')' closing this '('"),
+    ("-(3*sqrt(-2))*x", 9, "sqrt(-3)"),
+    ("(1)*(2)*x", 4, "a variable like x1 or x2^3 (got '(2)')"),
+    ("2**x", 2, "a variable like x1 or x2^3 (got '')"),
+    ("((1/2) )", 1, "a number, a sign or 'sqrt('"),
+])
+def test_coefficient_errors_carry_offsets_in_the_polynomial(text, pos,
+                                                            expected):
+    for parse in (parse_poly, _ref_parse_poly):
+        with pytest.raises(ParseError) as exc:
+            parse(Qsqrt(-3), text)
+        assert (exc.value.pos, exc.value.expected) == (pos, expected)
+
+
+def test_a_coefficient_error_is_placed_past_leading_whitespace():
+    # the earlier rule left the tab out and pointed at the '1'
+    text = "(\t1/0)*x"
+    with pytest.raises(ParseError) as exc:
+        parse_poly(Q(), text)
+    assert (exc.value.pos, exc.value.expected) == (3, "end of input")
+    assert _outcome(_ref_parse_poly, Q(), text)[2] == 2
+
+
+# ---------------------------------------------------------------------------
+# the extension-field tables and the power loop
+
+
+def _ref_dpow(F, u, e):
+    result = (1,)
+    for bit in bin(e)[2:]:
+        result = F._dmul(result, result)
+        if bit == "1":
+            result = F._dmul(result, u)
+    return result
+
+
+def _ref_primitive(F):
+    n = F.order - 1
+    primes = [r for r in range(2, n + 1)
+              if n % r == 0 and field_core.is_prime(r)]
+    for i in range(1, n + 1):
+        g = F._digits(i)
+        if all(F._encode(_ref_dpow(F, g, n // r)) != 1 for r in primes):
+            return g
+    raise AssertionError(f"no primitive element in {F}")
+
+
+def _ref_tables(F):
+    q, p = F.order, F.p
+    n = q - 1
+    g = _ref_primitive(F)
+    exp, power = [], (1,)
+    for _ in range(n):
+        exp.append(F._encode(power))
+        power = F._dmul(power, g)
+    log = [2 * n] * q
+    for i, a in enumerate(exp):
+        log[a] = i
+    zech = [log[a - a % p + (a + 1) % p] for a in exp]
+    return log, exp + exp + [0] * (2 * n + 1), zech
+
+
+TABLED = ([(2, k) for k in range(1, 9)] + [(3, k) for k in range(2, 9)]
+          + [(5, k) for k in range(2, 7)] + [(7, k) for k in range(2, 6)]
+          + [(13, 4)])
+
+
+@pytest.mark.parametrize("p,k", TABLED)
+def test_tables_and_primitive_match_the_reference(p, k):
+    F = Fq(p, k)
+    assert F.order <= FIELD_TABLE_CAP
+    assert F._primitive() == _ref_primitive(F)
+    assert (F._log, F._exp, F._zech) == _ref_tables(F)
+
+
+def test_a_made_field_needs_no_further_table_build(monkeypatch):
+    F = Fq(3, 4)
+
+    def refuse(field):
+        raise AssertionError("tables built after the field was made")
+
+    monkeypatch.setattr(field_core, "_tables", refuse)
+    one = F.canonical(1)
+    for a in range(1, F.order):
+        assert F.mul(a, F.inv(a)) == one
+        assert F.add(a, F.neg(a)) == 0
+    assert F.add(5, 7) == F.canonical(
+        [(u + v) % 3 for u, v in zip(F._digits(5), F._digits(7))])
+
+
+def _counting(mul, unit):
+    """mul that counts its calls and refuses the unit as an operand."""
+    calls = []
+
+    def counted(a, b):
+        assert unit not in (a, b), "a product by the unit"
+        calls.append((a, b))
+        return mul(a, b)
+
+    return counted, calls
+
+
+@pytest.mark.parametrize("F", [Fp(101), Fq(2, 8), Fq(17, 4), Q()], ids=str)
+def test_power_squares_k_times_for_a_power_of_two(F):
+    # a of order above 128, so that no power taken here is the unit
+    a = F._encode(F._primitive()) if F.kind == "extension" else 2
+    unit = F.canonical(1)
+    for k in range(8):
+        mul, calls = _counting(F.mul, unit)
+        assert _power(mul, a, 2 ** k) == F.pow(a, 2 ** k)
+        assert len(calls) == k
+    for e in range(1, 70):
+        mul, calls = _counting(F.mul, unit)
+        expected = a
+        for _ in range(e - 1):
+            expected = F.mul(expected, a)
+        assert _power(mul, a, e) == expected
+        assert len(calls) == e.bit_length() - 1 + bin(e).count("1") - 1
+    assert F.pow(a, 0) == unit
