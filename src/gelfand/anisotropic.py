@@ -59,6 +59,7 @@ from .field_core import (
     from_payload,
     is_prime,
     payload_values,
+    power_within,
 )
 from .poly import MultiPoly, format_poly, homogenize2, point_payloads
 
@@ -457,8 +458,8 @@ def _enumeration_size(field, n):
     if not field.is_finite:
         raise InfiniteField("exhaustive verification needs a finite field")
     q = field.order
-    size = q ** n
-    if size > EXHAUSTIVE_GUARD:
+    size = power_within(q, n, EXHAUSTIVE_GUARD)
+    if size is None or size > EXHAUSTIVE_GUARD:
         raise TooLarge(f"q^n = {q}^{n} exceeds the enumeration guard",
                        guard="EXHAUSTIVE_GUARD", limit=EXHAUSTIVE_GUARD,
                        requested=size)

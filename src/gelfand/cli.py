@@ -154,9 +154,9 @@ def cmd_anisotropic(args):
             raise ConfigError("--padic checks x^2 - p*y^2, so --n must be 2")
         tower = aniso.Tower.over(parse_poly(field, f"x^2 + -{p}"), 2)
         rng = random.Random(args.seed)
-        pairs = list(zip(_seeded_pairs(rng, samples),
-                         _seeded_pairs(rng, samples)))
-        result = aniso.valuation_identity_check(p, pairs)
+        # every x draw precedes the first y: draws are held, pairs are not
+        result = aniso.valuation_identity_check(
+            p, zip(_seeded_pairs(rng, samples), _seeded_pairs(rng, samples)))
     elif isinstance(field, Q) and args.witness:
         tower = aniso.Tower.over(parse_poly(field, args.witness), args.n)
         rng = random.Random(args.seed)

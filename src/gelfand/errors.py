@@ -38,7 +38,9 @@ class NoneFound(GelfandError):
 
 class TooLarge(GelfandError):
     """A guard would be exceeded; names the guard, its limit and the
-    size that was requested."""
+    size that was requested. A size that is a power is None when its
+    exponent alone puts it past the limit (`power_within`), as it is
+    then never formed; the message still names it as base^exponent."""
 
     def __init__(self, message, *, guard, limit, requested):
         self.guard = guard

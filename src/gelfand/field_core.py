@@ -90,6 +90,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def power_within(base: int, exp: int, limit: int):
+    """base**exp when exp <= limit.bit_length(), else None: for base >= 2
+    a larger exponent gives a power past limit, so a guard on the power
+    is decided on the exponent without forming it."""
+    return base ** exp if exp <= limit.bit_length() else None
+
+
 # ---------------------------------------------------------------------------
 # dense polynomials over F_p, as int sequences (low degree first); only
 # used internally for extension-field moduli and products
@@ -812,8 +819,8 @@ def find_rootfree_monic(F: FieldDescriptor, m: int):
     if not F.is_finite:
         raise InfiniteField("root-free search requires a finite field")
     q = F.order
-    candidates = q ** m
-    if candidates > ROOTFREE_SEARCH_GUARD:
+    candidates = power_within(q, m, ROOTFREE_SEARCH_GUARD)
+    if candidates is None or candidates > ROOTFREE_SEARCH_GUARD:
         raise TooLarge(f"q^m = {q}^{m} exceeds the search guard",
                        guard="ROOTFREE_SEARCH_GUARD",
                        limit=ROOTFREE_SEARCH_GUARD, requested=candidates)

@@ -27,11 +27,11 @@ from .errors import (
 from .field_core import (
     FIELD_TABLE_CAP,
     FieldDescriptor,
-    enumerate_field,
     format_element,
     format_field,
     from_payload,
     parse_element_at,
+    power_within,
 )
 
 ORACLE_GUARD = 12          # max ring size for the ideal oracle
@@ -148,44 +148,44 @@ class RingElement:
 def parse_ring_element(field, line) -> RingElement:
     """One function per line: comma-separated field-element literals.
 
-    A literal in its canonical text form is looked up in the field's
-    literal table; any other is read by `parse_element_at`, so that a
-    ParseError carries the offset of the bad character in the line.
+    Each literal is read by `parse_element_at`, so that a ParseError
+    carries its offset in the line, and its payload is kept under its
+    text in the field's memo (`_literals`), up to FIELD_TABLE_CAP texts.
     """
     if not line.strip():
         raise ParseError(line, 0, "comma-separated field-element literals")
-    table = _literal_table(field)
+    memo = _literals(field)
     payloads, start = [], 0
     for part in line.split(","):
-        a = table.get(part)
+        a = memo.get(part)
         if a is None:
             a = parse_element_at(field, line, start, start + len(part)).payload
+            if len(memo) < FIELD_TABLE_CAP:
+                memo[part] = a
         payloads.append(a)
         start += len(part) + 1
     return RingElement.from_payloads(field, tuple(payloads))
 
 
 @functools.lru_cache(maxsize=16)
-def _literal_table(field):
-    """Each element's canonical text mapped to its payload, for a finite
-    field of at most FIELD_TABLE_CAP elements; empty for any other."""
-    if not field.is_finite or field.order > FIELD_TABLE_CAP:
-        return {}
-    return {format_element(x): x.payload for x in enumerate_field(field)}
+def _literals(field):
+    """The payloads `parse_element_at` gave for the field, by literal
+    text: a memo of the parser alone, filled by `parse_ring_element`."""
+    return {}
 
 
 def all_ring_elements(space: FiniteSpace, field: FieldDescriptor):
     """Every function on the space, in lexicographic order."""
     if not field.is_finite:
         raise InfiniteField("the function ring is finite only for finite F")
-    size = field.order ** space.size
-    if size > SPECTRUM_GUARD:
+    size = power_within(field.order, space.size, SPECTRUM_GUARD)
+    if size is None or size > SPECTRUM_GUARD:
         raise TooLarge("function ring too large to enumerate",
                        guard="SPECTRUM_GUARD", limit=SPECTRUM_GUARD,
                        requested=size)
-    elements = [x.payload for x in enumerate_field(field)]
-    return [RingElement.from_payloads(field, payloads)
-            for payloads in itertools.product(elements, repeat=space.size)]
+    payloads = range(field.order)   # a finite field's element indices
+    return [RingElement.from_payloads(field, values)
+            for values in itertools.product(payloads, repeat=space.size)]
 
 
 @dataclass(frozen=True)
@@ -238,10 +238,11 @@ def check_guards(space: FiniteSpace, field: FieldDescriptor,
     the oracle runs: when forced, or else when F is finite and
     ORACLE_GUARD admits the ring."""
     n = space.size
-    if 2 ** n > SPECTRUM_GUARD:
+    closed = power_within(2, n, SPECTRUM_GUARD)
+    if closed is None or closed > SPECTRUM_GUARD:
         raise TooLarge(f"2^{n} closed sets exceed the guard {SPECTRUM_GUARD}",
                        guard="SPECTRUM_GUARD", limit=SPECTRUM_GUARD,
-                       requested=2 ** n)
+                       requested=closed)
     if not field.is_finite:
         if force_oracle:
             raise InfiniteField("the ideal oracle enumerates the ring, "

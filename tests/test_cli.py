@@ -149,6 +149,25 @@ def test_anisotropic_padic_report_names_prime(tmp_path):
         "mode": "valuation", "samples": 30, "prime": 5}
 
 
+def test_anisotropic_padic_hands_its_pairs_over_as_an_iterator(
+        tmp_path, monkeypatch):
+    # the check reads each pair as it is zipped, with no list of pairs
+    check, received = cli.aniso.valuation_identity_check, []
+
+    def spy(p, samples):
+        received.append(samples)
+        return check(p, samples)
+
+    monkeypatch.setattr(cli.aniso, "valuation_identity_check", spy)
+    code, report = run_cli(
+        ["anisotropic", "--field", "Q", "--padic", "5", "--samples", "30"],
+        tmp_path / "r.json")
+    assert code == 0
+    assert report["instances"][0]["verification"]["samples"] == 30
+    (samples,) = received
+    assert iter(samples) is samples and not isinstance(samples, list)
+
+
 def test_anisotropic_padic_takes_a_large_prime(tmp_path):
     # 2^61 - 1: the primality check does not run to sqrt(p)
     p = 2 ** 61 - 1

@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+import gelfand.field_core as field_core
 import gelfand.function_ring as function_ring
 from gelfand.errors import (
     InfiniteField,
@@ -20,6 +21,7 @@ from gelfand.field_core import (
     Q,
     Qsqrt,
     enumerate_field,
+    format_element,
     parse_element,
     parse_field,
 )
@@ -249,7 +251,8 @@ def test_ring_element_parse_and_ops():
     ("Fq(2,2,t^2+t+1)", "t,t+2, 1+t", (2, 2, 3)),
 ])
 def test_literals_off_the_table_parse_as_before(spec, line, payloads):
-    # a leading space, a sign or a leading zero takes the parser's path
+    # a leading space, a sign or a leading zero is read by the parser
+    # like any other literal
     assert parse_ring_element(parse_field(spec), line).payloads == payloads
 
 
@@ -268,24 +271,86 @@ def test_bad_literals_keep_their_error_offsets(spec, line, pos, expected):
     assert (info.value.pos, info.value.expected) == (pos, expected)
 
 
+@pytest.fixture
+def empty_memo():
+    """The ring-line memo of every field emptied, before and after."""
+    function_ring._literals.cache_clear()
+    yield function_ring._literals
+    function_ring._literals.cache_clear()
+
+
 @pytest.mark.parametrize("spec", ["Fp(2)", "Fp(7)", "Fq(2,2,t^2+t+1)",
                                   "Fq(2,3,t^3+t+1)", "Fq(3,2)", "Fp(257)"])
-def test_literal_table_agrees_with_the_parser(spec):
+def test_literal_table_agrees_with_the_parser(spec, empty_memo):
+    # the literal table is the memo of what the parser read: a line of
+    # every canonical literal reads the parser's payloads, on the first
+    # read and from the memo on the second, and the memo holds the texts
+    # read and nothing else
     field = parse_field(spec)
-    table = function_ring._literal_table(field)
-    assert len(table) == field.order
-    for text, payload in table.items():
-        assert parse_element(field, text).payload == payload
-    line = ",".join(table)
-    assert parse_ring_element(field, line).payloads == tuple(table.values())
+    texts = [format_element(x) for x in enumerate_field(field)]
+    parsed = {t: parse_element(field, t).payload for t in texts}
+    line = ",".join(texts)
+    for _ in range(2):
+        assert parse_ring_element(field, line).payloads == \
+            tuple(parsed.values())
+    assert empty_memo(field) == parsed
 
 
-@pytest.mark.parametrize("spec", ["Fp(65537)", "Q", "Q(sqrt(-3))"])
-def test_no_literal_table_for_large_or_infinite_fields(spec):
+@pytest.mark.parametrize("spec,line", [
+    ("Fp(65537)", "65536, 1,2,-1,0"),
+    ("Q", "1/2,-3, 4/6,0,-3"),
+    ("Q(sqrt(-3))", "1/2-sqrt(-3),sqrt(-3), 2,0"),
+], ids=["Fp(65537)", "Q", "Q(sqrt(-3))"])
+def test_no_literal_table_for_large_or_infinite_fields(spec, line,
+                                                       empty_memo):
+    # no table of the field's elements: a field past FIELD_TABLE_CAP or
+    # an infinite one reads its literals through the same memo
     field = parse_field(spec)
-    assert function_ring._literal_table(field) == {}
-    assert parse_ring_element(field, "1,2").values == \
-        (parse_element(field, "1"), parse_element(field, "2"))
+    parts = line.split(",")
+    parsed = {t: parse_element(field, t).payload for t in parts}
+    for _ in range(2):
+        assert parse_ring_element(field, line).payloads == \
+            tuple(parsed[t] for t in parts)
+    assert empty_memo(field) == parsed
+
+
+def test_first_line_over_a_large_tabled_field_formats_no_element(
+        monkeypatch, empty_memo):
+    # Fq(251,2) has 63,001 elements, under FIELD_TABLE_CAP: reading a
+    # line formats and enumerates none of them
+    field = Fq(251, 2)
+
+    def forbidden(*args):
+        raise AssertionError("the line was read by a whole-field pass")
+
+    for module in (field_core, function_ring):
+        monkeypatch.setattr(module, "format_element", forbidden)
+        monkeypatch.setattr(module, "enumerate_field", forbidden,
+                            raising=False)
+    assert parse_ring_element(field, "1,2").payloads == (1, 2)
+    assert parse_ring_element(field, "t,1").payloads == (251, 1)
+
+
+def test_memo_stops_at_the_cap(monkeypatch, empty_memo):
+    monkeypatch.setattr(function_ring, "FIELD_TABLE_CAP", 3)
+    field = Fp(5)
+    assert parse_ring_element(field, "0,1,2,3,4").payloads == (0, 1, 2, 3, 4)
+    assert empty_memo(field) == {"0": 0, "1": 1, "2": 2}
+    assert parse_ring_element(field, "4,3, 1").payloads == (4, 3, 1)
+    assert empty_memo(field) == {"0": 0, "1": 1, "2": 2}
+
+
+@pytest.mark.parametrize("line,pos,expected", [
+    ("1, 2a", 4, "end of input"),
+    ("1,x,2", 2, "an integer residue"),
+])
+def test_a_bad_literal_is_not_remembered(line, pos, expected, empty_memo):
+    field = Fp(7)
+    for _ in range(2):
+        with pytest.raises(ParseError) as info:
+            parse_ring_element(field, line)
+        assert (info.value.pos, info.value.expected) == (pos, expected)
+    assert empty_memo(field) == {"1": 1}
 
 
 def test_ideal_repr_rejects_points_outside_the_space():

@@ -1,7 +1,11 @@
 """Every guard raises a TooLarge that names itself, its limit and the
 requested size, with the guard's message text. The q^n and q^m guards
 write the power as base^exponent, so that a power too long to print in
-decimal still gives its message."""
+decimal still gives its message, and a power guard whose exponent alone
+puts the power past its limit never forms it: its requested size is
+None."""
+
+import tracemalloc
 
 import pytest
 
@@ -88,3 +92,44 @@ def test_guard_names_itself(call, guard, limit, requested, message):
     assert (exc.guard, exc.limit, exc.requested) == (guard, limit, requested)
     assert requested > limit
     assert str(exc) == message
+
+
+HUGE = 10 ** 8   # 2^HUGE is a 12.5 MB int
+
+
+@pytest.mark.parametrize("call,guard,message", [
+    (lambda: Tower.over(parse_poly(Fp(2), "x^2 + x + 1"),
+                        HUGE).verify_exhaustive(),
+     "EXHAUSTIVE_GUARD", f"q^n = 2^{HUGE} exceeds the enumeration guard"),
+    (lambda: find_rootfree_monic(Fp(2), HUGE),
+     "ROOTFREE_SEARCH_GUARD", f"q^m = 2^{HUGE} exceeds the search guard"),
+    (lambda: all_ring_elements(FiniteSpace(HUGE), Fp(2)),
+     "SPECTRUM_GUARD", "function ring too large to enumerate"),
+    (lambda: function_ring.check_guards(FiniteSpace(HUGE), Fp(2)),
+     "SPECTRUM_GUARD", f"2^{HUGE} closed sets exceed the guard 1000000"),
+], ids=["tower verifier", "root-free search", "ring enumeration",
+        "closed sets"])
+def test_power_guard_decides_on_the_exponent(call, guard, message):
+    # the power is never formed: the exponent alone puts it past the
+    # limit, so requested is None and the peak stays far below 12.5 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge) as info:
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    exc = info.value
+    assert (exc.guard, exc.requested, str(exc)) == (guard, None, message)
+    assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("base,limit", [(2, 10 ** 6), (3, 10 ** 7),
+                                        (101, 10 ** 7), (2, 1), (65537, 8)])
+def test_power_within_forms_every_power_that_may_fit(base, limit):
+    for exp in range(40):
+        power = field_core.power_within(base, exp, limit)
+        if power is None:
+            assert base ** exp > limit
+        else:
+            assert power == base ** exp

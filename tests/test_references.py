@@ -1,14 +1,17 @@
-"""The earlier two-mechanism versions of the polynomial and ring-line
-parsers and of the extension-field power, kept as references.
+"""The earlier two-mechanism versions of the polynomial parser and of
+the extension-field power, and a ring-line parser with no memo, kept as
+references.
 
 The polynomial parser once rescanned each parenthesized coefficient for
-its ')' and re-raised a coefficient's ParseError by its own rule, the
-ring-line parser had a second such rule, and the primitive element was
-found by a left-to-right power loop that squared the unit. The library
-now has one mechanism for each job (`_split_terms` gives the ')' offset,
-`parse_element_at` places the error, `_power` is the only loop); each
-test here checks that it gives the same results, and the same errors at
-the same offsets, as the reference on a seeded corpus.
+its ')' and re-raised a coefficient's ParseError by its own rule, and the
+primitive element was found by a left-to-right power loop that squared
+the unit. The library now has one mechanism for each job (`_split_terms`
+gives the ')' offset, `parse_element_at` places the error, `_power` is
+the only loop, and a ring line keeps the payloads it parsed in a memo);
+each test here checks that it gives the same results, and the same
+errors at the same offsets, as the reference on a seeded corpus. The
+ring-line reference parses every literal afresh, so that it shares no
+cache with the reader it checks.
 """
 
 import random
@@ -17,6 +20,7 @@ from fractions import Fraction
 import pytest
 
 import gelfand.field_core as field_core
+import gelfand.function_ring as function_ring
 from gelfand.errors import ParseError
 from gelfand.field_core import (
     FIELD_TABLE_CAP,
@@ -28,11 +32,7 @@ from gelfand.field_core import (
     format_element,
     parse_element,
 )
-from gelfand.function_ring import (
-    RingElement,
-    _literal_table,
-    parse_ring_element,
-)
+from gelfand.function_ring import RingElement, parse_ring_element
 from gelfand.poly import _LEADING_COEFF, _VAR_RE, MultiPoly, parse_poly
 
 # ---------------------------------------------------------------------------
@@ -140,19 +140,18 @@ def _ref_parse_poly(field, text, arity=None):
 
 
 def _ref_parse_ring_element(field, line):
+    """Every literal through `parse_element`, with no table and no memo,
+    and a ParseError placed at its offset in the line."""
     if not line.strip():
         raise ParseError(line, 0, "comma-separated field-element literals")
-    table = _literal_table(field)
     payloads, start = [], 0
     for part in line.split(","):
-        a = table.get(part)
-        if a is None:
-            try:
-                a = parse_element(field, part).payload
-            except ParseError as exc:
-                lead = len(part) - len(part.lstrip())
-                raise ParseError(line, start + lead + exc.pos,
-                                 exc.expected) from None
+        try:
+            a = parse_element(field, part).payload
+        except ParseError as exc:
+            lead = len(part) - len(part.lstrip())
+            raise ParseError(line, start + lead + exc.pos,
+                             exc.expected) from None
         payloads.append(a)
         start += len(part) + 1
     return RingElement.from_payloads(field, tuple(payloads))
@@ -251,10 +250,15 @@ def test_parse_poly_matches_the_reference(F):
 def test_parse_ring_element_matches_the_reference(F):
     rng = random.Random(f"ring {F}")
     errors = leading = 0
+    function_ring._literals.cache_clear()
     for _ in range(600):
         line = _random_ring_line(F, rng)
-        got = _outcome(parse_ring_element, F, line)
-        assert got == _outcome(_ref_parse_ring_element, F, line), line
+        expected = _outcome(_ref_parse_ring_element, F, line)
+        # the second read takes the memo's hits for every literal the
+        # first one read
+        for _ in range(2):
+            got = _outcome(parse_ring_element, F, line)
+            assert got == expected, line
         errors += got[0] != "ok"
         # an error in a literal after its leading whitespace
         leading += got[0] == "ParseError" and line[got[2] - 1:got[2]] in (
