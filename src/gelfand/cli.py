@@ -3,6 +3,11 @@
 Exit codes: 0 when everything passed, 1 on a verification failure,
 2 on an input or precondition error. Reports are deterministic for a
 fixed configuration apart from the wall_time_s field.
+
+`build_parser` is the one declaration of the grammar. `main(argv)` reads
+plain argv (command words, then exact option strings, each with its
+value) off a table taken once from that parser's own actions, and hands
+any other argv to argparse, which alone prints help, usage and errors.
 """
 
 from __future__ import annotations
@@ -157,7 +162,7 @@ def cmd_anisotropic(args):
         # every x draw precedes the first y: draws are held, pairs are not
         result = aniso.valuation_identity_check(
             p, zip(_seeded_pairs(rng, samples), _seeded_pairs(rng, samples)))
-    elif isinstance(field, Q) and args.witness:
+    elif isinstance(field, Q) and args.witness is not None:
         tower = aniso.Tower.over(parse_poly(field, args.witness), args.n)
         rng = random.Random(args.seed)
         # drawn as read: a rooted witness fails before the first draw
@@ -306,8 +311,81 @@ def _parser():
     return build_parser()
 
 
+@functools.cache
+def _argv_table():
+    """The parser's grammar read off its own actions, once per process:
+    a dict from each command word to its parser's entry, and for a
+    parser without subcommands the tuple (the defaults of its Namespace,
+    its store and store_true actions by exact option string, its
+    required actions). Help actions are left out.
+
+    It reads argparse's private attributes: `ArgumentParser._defaults`
+    and `._actions`, and the classes `argparse._SubParsersAction`,
+    `_StoreAction` and `_StoreTrueAction`. A change to any of them in a
+    new Python shows in `test_argv_reader_agrees_with_argparse`."""
+    def entry(parser, inherited):
+        defaults = {**inherited, **parser._defaults}
+        options, required, commands = {}, [], None
+        for action in parser._actions:
+            if action.default is not argparse.SUPPRESS:
+                defaults[action.dest] = action.default
+            if isinstance(action, argparse._SubParsersAction):
+                commands = action
+            elif (type(action) in (argparse._StoreAction,
+                                   argparse._StoreTrueAction)
+                  and action.nargs in (None, 0)):
+                options.update(dict.fromkeys(action.option_strings, action))
+                if action.required:
+                    required.append(action)
+        if commands is None:
+            return defaults, options, required
+        return {word: entry(sub, {**defaults, commands.dest: word})
+                for word, sub in commands.choices.items()}
+    return entry(_parser(), {})
+
+
+def _read_argv(argv):
+    """The Namespace that argparse makes of plain argv: the command words,
+    then exact option strings, each store option followed by a value
+    that does not start with "-", converted by its action's type and
+    within its choices, and every required option given. None for any
+    other argv, which is left to argparse: help, usage errors,
+    abbreviations, --opt=value, values starting with "-" and "--"."""
+    entry, words = _argv_table(), iter(argv)
+    while isinstance(entry, dict):
+        entry = entry.get(next(words, None))
+        if entry is None:
+            return None
+    defaults, options, required = entry
+    values, seen = dict(defaults), set()
+    for word in words:
+        action = options.get(word)
+        if action is None:
+            return None
+        if action.nargs == 0:
+            value = action.const
+        else:
+            text = next(words, "-")   # a missing value reads as "-"
+            if text.startswith("-"):
+                return None
+            try:
+                value = text if action.type is None else action.type(text)
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+        values[action.dest] = value
+        seen.add(action)
+    if any(action not in seen for action in required):
+        return None
+    return argparse.Namespace(**values)
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_argv(argv)
+    if args is None:
+        args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, ParseError, ValueError, OSError) as exc:

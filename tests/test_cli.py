@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import shlex
 from fractions import Fraction
 
 import pytest
@@ -221,6 +222,8 @@ def test_anisotropic_padic_needs_arity_two(tmp_path):
      "--padic checks x^2 - p*y^2 and takes no --witness"),
     (["--field", "Q", "--padic", "2", "--witness", "x^2+1", "--n", "3"],
      "--padic checks x^2 - p*y^2 and takes no --witness"),
+    (["--field", "Q", "--witness", "", "--n", "2"],
+     "parse error at position 0: expected a polynomial (input: '')"),
 ])
 def test_anisotropic_config_errors_name_the_requirement(
         tmp_path, capsys, args, message):
@@ -574,14 +577,14 @@ def test_reports_are_deterministic(tmp_path, args):
 
 
 def test_main_reuses_one_parser(tmp_path, monkeypatch):
-    """Reports from one process-wide parser equal those from a fresh
-    parser per call."""
+    """Reports from argv read off the parser's table equal those from the
+    one process-wide parser, built once, which plain argv never reaches."""
     functions = tmp_path / "cover.txt"
     functions.write_text("1,0,1\n0,1,1\n")
     commands = [
         ["anisotropic", "--field", "Fp(2)", "--m", "2", "--n", "3"],
         ["field", "find-rootfree", "--field", "Fp(3)", "--m", "2"],
-        ["gelfand", "--field", "Fp(2),Fp(3)", "--space", "1..2"],
+        ["gelfand", "--field", "Fp(2),Fp(3)", "--space", "1..2", "--oracle"],
         ["cover", "--field", "Fp(5)", "--functions", str(functions),
          "--case", "all"],
         ["anisotropic", "--field", "Q", "--padic", "5", "--samples", "20"],
@@ -599,12 +602,148 @@ def test_main_reuses_one_parser(tmp_path, monkeypatch):
             out.append((code, report))
         return out
 
-    shared = reports()
-    assert cli._parser() is cli._parser()
-    monkeypatch.setattr(cli, "_parser", cli.build_parser)
-    assert cli.build_parser() is not cli.build_parser()
-    assert reports() == shared
-    assert [code for code, _ in shared] == [0, 0, 0, 0, 0, 2]
+    cli._argv_table()   # taken from the parser once per process
+    built = []
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda real=cli.build_parser: built.append(1) or real())
+    cli._parser.cache_clear()
+    read = reports()
+    assert built == []
+    monkeypatch.setattr(cli, "_read_argv", lambda argv: None)
+    assert reports() == read
+    assert built == [1] and cli._parser() is cli._parser()
+    assert [code for code, _ in read] == [0, 0, 0, 0, 0, 2]
+
+
+# every command of the README's command-line block and of the CI, with
+# the shell's variables spelled out
+DOCUMENTED_COMMANDS = """
+field find-rootfree --field "Fp(3)" --m 2
+anisotropic --field "Fp(2)" --m 2 --n 3
+anisotropic --field "Fq(2,8)" --m 2 --n 2
+anisotropic --field "Q" --witness "x^2+1" --n 2 --seed 7
+anisotropic --field "Fp(2)" --n 20
+anisotropic --field Q --witness "x^2+1/2" --n 4 --seed 7
+anisotropic --field "Fp(2)" --m 2 --n 11
+anisotropic --field "Fp(2)" --m 4 --n 6
+anisotropic --field "Fp(5)" --m 5 --n 5
+anisotropic --field "Q" --padic 5 --samples 200 --seed 7
+anisotropic --field Q --witness "x^2+1" --n 3 --samples 300000
+anisotropic --field Q --padic 5 --samples 300000
+anisotropic --field "Fp(2)" --n 24
+anisotropic --field Q --witness "x^2+1" --samples 0
+anisotropic --field "Fp(3)" --samples 0 --n 2
+anisotropic --field "Fp(3)" --witness "x^2+2"
+anisotropic --field Q --witness "x^2-1" --n 3
+anisotropic --field Q --padic 4
+anisotropic --field Q --padic 5 --witness "x^2+1"
+anisotropic --field Q --witness "x^2-1" --n 3 --samples 1000000
+anisotropic --n 1000000000 --field "Fp(2)"
+gelfand --field "Fp(2),Fp(3)" --space 1..2 --oracle
+gelfand --field "Fp(11)" --space 1 --oracle
+gelfand --field "Fp(3)" --space 2 --oracle
+gelfand --field "Fp(2)" --space 3 --oracle
+gelfand --field "Q,Q(sqrt(-1))" --space 1..4
+gelfand --field "Q,Q(sqrt(-1))" --space 18
+gelfand --field "Fp(2)" --space 19
+gelfand --field "Q(sqrt(-3)),Q(sqrt(-7))" --space 1..2
+gelfand --field "Fq(17,4)" --space 1..3
+gelfand --field "Fp(2)" --space 3..1
+gelfand --field "Fp(2)" --space 20
+gelfand --field Q --space 2 --oracle
+gelfand --field "Fp(2)" --space 18..20
+gelfand --field "Fp(2)" --space 1..1000000000
+gelfand --field "Fq(251,8)" --space 1
+gelfand --field "Fp(618970019642690137449562111)" --space 1
+gelfand --space 1000000000 --field "Fp(2)"
+cover --field "Fp(5)" --functions cover.txt --case all --m 2
+cover --field "Fq(2,3)" --functions cover8.txt --case II
+cover --field Q --functions cover.txt --case II
+cover --field Q --functions cover.txt --case III
+cover --field "Q(sqrt(-1))" --functions coverqi.txt --case II
+cover --field "Fp(7)" --functions cover7.txt --case II
+cover --field "Fp(7)" --functions cover7.txt --case all
+cover --field "Fq(17,4)" --functions cover17.txt --case II
+cover --field "Fq(17,4)" --functions cover17.txt --case III
+cover --field "Fq(251,2)" --functions cover251.txt --case II
+cover --field "Fp(13)" --functions cover13.txt --case II
+cover --field "Fp(5)" --functions missing.txt
+field find-rootfree --m 1000000000 --field "Fp(2)"
+"""
+
+
+def _mutations(argv, rng):
+    """Seeded variants of a documented argv that argparse reads by rules
+    the table does not hold, or refuses; a few the table reads too."""
+    words = 2 if argv[0] == "field" else 1
+    i = rng.choice([k for k, w in enumerate(argv[:-1])
+                    if w.startswith("--") and not argv[k + 1].startswith("-")])
+    head, opt, value, tail = argv[:i], argv[i], argv[i + 1], argv[i + 2:]
+    at = rng.randrange(words, len(argv) + 1)
+    field = argv.index("--field")
+    yield (argv[:field] + ["--field"[:rng.randrange(3, 7)]]
+           + argv[field + 1:])
+    yield head + [f"{opt}={value}"] + tail
+    yield argv + ["--m", "-3"]
+    yield argv + ["--seed", "-1"]
+    yield argv + ["--witness", "-x^2 + 1"]
+    yield argv + ["--witness", "-x"]
+    yield head + [opt, ""] + tail
+    yield argv + [opt, value]
+    yield argv[:field] + argv[field + 2:]
+    yield argv[:at] + ["--bogus", "1"] + argv[at:]
+    yield argv[:at] + ["stray"] + argv[at:]
+    yield argv[:at] + ["--"] + argv[at:]
+    yield argv[:at] + [rng.choice(["-h", "--help"])] + argv[at:]
+    yield [rng.choice(["-h", "--help"])] + argv
+    yield argv + [rng.choice(["--m", "--n", "--seed", "--samples",
+                              "--padic"]), rng.choice(["two", "2.5", ""])]
+    yield argv + ["--case", rng.choice(["IV", "i", "ALL", ""])]
+    yield argv + ["--out"]
+
+
+def _corpus(seed):
+    """The documented argv, and a seeded corpus of them and their
+    variants."""
+    rng = random.Random(seed)
+    documented = [shlex.split(line)
+                  for line in DOCUMENTED_COMMANDS.strip().splitlines()]
+    corpus = list(documented)
+    for argv in documented:
+        corpus += _mutations(argv, rng)
+    # the CI's argparse runs, and argv short of a command
+    return documented, corpus + [
+        ["--help"], ["anisotropic", "--help"],
+        ["anisotropic", "--fie", "Fp(2)", "--n", "3"],
+        ["anisotropic", "--field=Fp(2)", "--n=3"],
+        ["anisotropic", "--fild", "Fp(2)"],
+        ["field"], [], ["anisotropic"], ["-h"], ["bogus"]]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_argv_reader_agrees_with_argparse(seed):
+    """Argv the table reads gives argparse's Namespace; argv that argparse
+    refuses, or that asks for help, the table leaves to argparse."""
+    parser = cli.build_parser()
+    documented, corpus = _corpus(seed)
+    assert all(cli._read_argv(argv) is not None for argv in documented)
+    read = 0
+    for argv in corpus:
+        try:
+            expected = parser.parse_args(argv)
+        except SystemExit:
+            expected = None
+        namespace = cli._read_argv(argv)
+        if namespace is not None:
+            read += 1
+            assert namespace == expected, argv
+    # a repeated option and an empty text value are read by the table too
+    assert read > len(documented)
+
+
+def test_argv_reader_reads_an_empty_witness():
+    argv = ["anisotropic", "--field", "Q", "--witness", "", "--n", "2"]
+    assert cli._read_argv(argv) == cli.build_parser().parse_args(argv)
 
 
 def test_anisotropic_above_form_guard_reports_structure(tmp_path):
