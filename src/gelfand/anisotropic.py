@@ -393,7 +393,10 @@ def _ratio(x):
 def _dense(f):
     """The payloads of the univariate f's coefficients, low degree first,
     zeros included."""
-    return [f.coefficient((i,)).payload for i in range(f.degree + 1)]
+    dense = [f.field.zero().payload] * (f.degree + 1)
+    for (i,), c in f.terms:
+        dense[i] = c.payload
+    return dense
 
 
 def _powers(f):

@@ -4,16 +4,17 @@ Exit codes: 0 when everything passed, 1 on a verification failure,
 2 on an input or precondition error. Reports are deterministic for a
 fixed configuration apart from the wall_time_s field.
 
-`build_parser` is the one declaration of the grammar. `main(argv)` reads
+`COMMANDS` is the one declaration of the grammar: each command's words,
+handler, help text and options, as argparse's `add_argument` keywords.
+`build_parser` builds argparse's parser from it, and `main(argv)` reads
 plain argv (command words, then exact option strings, each with its
-value) off a table taken once from that parser's own actions, and hands
-any other argv to argparse, which alone prints help, usage and errors.
+value) off it too, handing any other argv to that parser, which alone
+prints help, usage and errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import random
 import sys
@@ -88,11 +89,11 @@ def _seeded_pairs(rng, count):
     """count seeded rationals as (numerator, denominator) int pairs, not
     reduced: numerators in -99..99, denominators in 1..99.
 
-    Each pair is drawn as `rng.randint(-99, 99)` and then
-    `rng.randint(1, 99)` draw it in CPython: by rejection on
-    `getrandbits` at the bit length of the range's width (8 bits for 199
-    values, 7 for 99). So a seed gives the same pairs and leaves rng in
-    the same state, without randint's call overhead."""
+    Each pair is drawn as CPython draws `rng.randint(-99, 99)` and then
+    `rng.randint(1, 99)`: by rejection on `getrandbits` at the bit length
+    of the range's width (8 bits for 199 values, 7 for 99). So a seed
+    gives the same pairs and leaves rng in the same state, without
+    randint's call overhead."""
     bits = rng.getrandbits
     pairs = []
     for _ in range(count):
@@ -244,148 +245,145 @@ def cmd_cover(args):
                    args.out)
 
 
+def _command(words, func, help_text, options):
+    """A COMMANDS item: the words' handler (None for a word that takes
+    subcommands), help text and options, each option's `add_argument`
+    keywords under its option string; for the argv reader, also the
+    Namespace argparse starts the words from and the required options."""
+    start = {"sub" * depth + "command": word
+             for depth, word in enumerate(words)}
+    start["func"] = func
+    for option, keywords in options.items():
+        start[_dest(option)] = keywords.get(
+            "default", False if keywords.get("action") == "store_true"
+            else None)
+    required = [option for option, keywords in options.items()
+                if keywords.get("required")]
+    return words, (func, help_text, options, start, required)
+
+
+def _dest(option):
+    """argparse's dest for a long option string: "--a-b" gives "a_b"."""
+    return option[2:].replace("-", "_")
+
+
+COMMANDS = dict([
+    _command(("field",), None, "field-level utilities", {}),
+    _command(("field", "find-rootfree"), cmd_field_find_rootfree,
+             "first root-free monic of a degree",
+             {"--field": {"required": True},
+              "--m": {"type": int, "default": 2},
+              "--out": {}}),
+    _command(("anisotropic",), cmd_anisotropic,
+             "build and verify an origin-only-vanishing form",
+             {"--field": {"required": True},
+              "--m": {"type": int, "default": 2,
+                      "help": "base degree for finite fields"},
+              "--n": {"type": int, "default": 2, "help": "arity of the form"},
+              "--witness": {"help": "root-free univariate over Q, "
+                                    "e.g. 'x^2+1'"},
+              "--padic": {"type": int, "help": "prime p for the x^2 - p*y^2 "
+                                               "valuation check"},
+              "--seed": {"type": int, "default": 0},
+              "--samples": {"type": int,
+                            "help": "seeded samples over Q (default 200)"},
+              "--out": {}}),
+    _command(("gelfand",), cmd_gelfand,
+             "check the point/maximal-ideal correspondence",
+             {"--field": {"required": True,
+                          "help": "comma-separated field descriptors"},
+              "--space": {"required": True,
+                          "help": "size, list (1,2,3) or range (1..5)"},
+              "--oracle": {"action": "store_true",
+                           "help": "force the ideal oracle"},
+              "--out": {}}),
+    _command(("cover",), cmd_cover, "certify a nowhere-vanishing combination",
+             {"--field": {"required": True},
+              "--functions": {"required": True,
+                              "help": "file with one function per line, "
+                                      "comma-separated field-element "
+                                      "literals"},
+              "--case": {"choices": ["I", "II", "III", "all"],
+                         "default": "II"},
+              "--m": {"type": int, "default": 2,
+                      "help": "base degree for case I"},
+              "--out": {}}),
+])
+
+
 def build_parser():
+    """A new argparse parser for the grammar in COMMANDS."""
     parser = argparse.ArgumentParser(
         prog="gelfand",
         description="Exact-arithmetic toolkit: origin-only-vanishing "
                     "polynomial forms, finite maximal spectra with their "
                     "Zariski topology, and nowhere-vanishing combinations "
                     "from covers.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_field = sub.add_parser("field", help="field-level utilities")
-    field_sub = p_field.add_subparsers(dest="subcommand", required=True)
-    p_fr = field_sub.add_parser("find-rootfree",
-                                help="first root-free monic of a degree")
-    p_fr.add_argument("--field", required=True)
-    p_fr.add_argument("--m", type=int, default=2)
-    p_fr.add_argument("--out")
-    p_fr.set_defaults(func=cmd_field_find_rootfree)
-
-    p_a = sub.add_parser("anisotropic",
-                         help="build and verify an origin-only-vanishing form")
-    p_a.add_argument("--field", required=True)
-    p_a.add_argument("--m", type=int, default=2,
-                     help="base degree for finite fields")
-    p_a.add_argument("--n", type=int, default=2, help="arity of the form")
-    p_a.add_argument("--witness",
-                     help="root-free univariate over Q, e.g. 'x^2+1'")
-    p_a.add_argument("--padic", type=int,
-                     help="prime p for the x^2 - p*y^2 valuation check")
-    p_a.add_argument("--seed", type=int, default=0)
-    p_a.add_argument("--samples", type=int,
-                     help="seeded samples over Q (default 200)")
-    p_a.add_argument("--out")
-    p_a.set_defaults(func=cmd_anisotropic)
-
-    p_g = sub.add_parser("gelfand",
-                         help="check the point/maximal-ideal correspondence")
-    p_g.add_argument("--field", required=True,
-                     help="comma-separated field descriptors")
-    p_g.add_argument("--space", required=True,
-                     help="size, list (1,2,3) or range (1..5)")
-    p_g.add_argument("--oracle", action="store_true",
-                     help="force the ideal oracle")
-    p_g.add_argument("--out")
-    p_g.set_defaults(func=cmd_gelfand)
-
-    p_c = sub.add_parser("cover",
-                         help="certify a nowhere-vanishing combination")
-    p_c.add_argument("--field", required=True)
-    p_c.add_argument("--functions", required=True,
-                     help="file with one function per line, comma-separated "
-                          "field-element literals")
-    p_c.add_argument("--case", choices=["I", "II", "III", "all"],
-                     default="II")
-    p_c.add_argument("--m", type=int, default=2,
-                     help="base degree for case I")
-    p_c.add_argument("--out")
-    p_c.set_defaults(func=cmd_cover)
+    parsers, subparsers = {(): parser}, {}
+    for words, (func, help_text, options, _, _) in COMMANDS.items():
+        above = words[:-1]
+        if above not in subparsers:
+            subparsers[above] = parsers[above].add_subparsers(
+                dest="sub" * len(above) + "command", required=True)
+        sub = parsers[words] = subparsers[above].add_parser(
+            words[-1], help=help_text)
+        for option, keywords in options.items():
+            sub.add_argument(option, **keywords)
+        if func is not None:
+            sub.set_defaults(func=func)
     return parser
 
 
-@functools.cache
-def _parser():
-    """One parser per process, built on first use; `build_parser`
-    returns a fresh one."""
-    return build_parser()
-
-
-@functools.cache
-def _argv_table():
-    """The parser's grammar read off its own actions, once per process:
-    a dict from each command word to its parser's entry, and for a
-    parser without subcommands the tuple (the defaults of its Namespace,
-    its store and store_true actions by exact option string, its
-    required actions). Help actions are left out.
-
-    It reads argparse's private attributes: `ArgumentParser._defaults`
-    and `._actions`, and the classes `argparse._SubParsersAction`,
-    `_StoreAction` and `_StoreTrueAction`. A change to any of them in a
-    new Python shows in `test_argv_reader_agrees_with_argparse`."""
-    def entry(parser, inherited):
-        defaults = {**inherited, **parser._defaults}
-        options, required, commands = {}, [], None
-        for action in parser._actions:
-            if action.default is not argparse.SUPPRESS:
-                defaults[action.dest] = action.default
-            if isinstance(action, argparse._SubParsersAction):
-                commands = action
-            elif (type(action) in (argparse._StoreAction,
-                                   argparse._StoreTrueAction)
-                  and action.nargs in (None, 0)):
-                options.update(dict.fromkeys(action.option_strings, action))
-                if action.required:
-                    required.append(action)
-        if commands is None:
-            return defaults, options, required
-        return {word: entry(sub, {**defaults, commands.dest: word})
-                for word, sub in commands.choices.items()}
-    return entry(_parser(), {})
-
-
 def _read_argv(argv):
-    """The Namespace that argparse makes of plain argv: the command words,
-    then exact option strings, each store option followed by a value
-    that does not start with "-", converted by its action's type and
+    """The Namespace that argparse makes of plain argv, read off COMMANDS:
+    the command words, then exact option strings, each option followed
+    by a value that does not start with "-", converted by its type and
     within its choices, and every required option given. None for any
     other argv, which is left to argparse: help, usage errors,
     abbreviations, --opt=value, values starting with "-" and "--"."""
-    entry, words = _argv_table(), iter(argv)
-    while isinstance(entry, dict):
-        entry = entry.get(next(words, None))
+    words = ()
+    for word in argv:
+        words += (word,)
+        entry = COMMANDS.get(words)
         if entry is None:
             return None
-    defaults, options, required = entry
-    values, seen = dict(defaults), set()
-    for word in words:
-        action = options.get(word)
-        if action is None:
-            return None
-        if action.nargs == 0:
-            value = action.const
-        else:
-            text = next(words, "-")   # a missing value reads as "-"
-            if text.startswith("-"):
-                return None
-            try:
-                value = text if action.type is None else action.type(text)
-            except (TypeError, ValueError, argparse.ArgumentTypeError):
-                return None
-            if action.choices is not None and value not in action.choices:
-                return None
-        values[action.dest] = value
-        seen.add(action)
-    if any(action not in seen for action in required):
+        func, _, options, start, required = entry
+        if func is not None:
+            break
+    else:
         return None
-    return argparse.Namespace(**values)
+    values, given, rest = dict(start), set(), iter(argv[len(words):])
+    for word in rest:
+        keywords = options.get(word)
+        if keywords is None:
+            return None
+        if keywords.get("action") == "store_true":
+            value = True
+        else:
+            value = next(rest, "-")   # a missing value reads as "-"
+            if value.startswith("-"):
+                return None
+            if "type" in keywords:
+                try:
+                    value = keywords["type"](value)
+                except ValueError:
+                    return None
+            if "choices" in keywords and value not in keywords["choices"]:
+                return None
+        values[_dest(word)] = value
+        given.add(word)
+    if not given.issuperset(required):
+        return None
+    namespace = argparse.Namespace()   # Namespace(**values), at one update
+    vars(namespace).update(values)
+    return namespace
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _read_argv(argv)
     if args is None:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, ParseError, ValueError, OSError) as exc:

@@ -764,10 +764,10 @@ def first_rational_root(coeffs):
     RATIONAL_ROOT_GUARD bounds |L*c0| and the leading coefficient, and
     is checked before any trial division.
     """
+    if not coeffs[0]:
+        return Fraction(0)
     lcm = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * lcm) for c in coeffs]
-    if not ints[0]:
-        return Fraction(0)
     size = max(abs(ints[0]), abs(ints[-1]))
     if size > RATIONAL_ROOT_GUARD:
         raise TooLarge(

@@ -45,7 +45,7 @@ def test_anisotropic_rational_witness(tmp_path):
 
 @pytest.mark.parametrize("witness,n,counterexample", [
     ("x^2-1", 3, ["1", "1", "0"]), ("x^2-4/9", 2, ["2/3", "1"]),
-    ("x^3-8/27", 2, ["2/3", "1"])])
+    ("x^3-8/27", 2, ["2/3", "1"]), ("x^1000000", 3, ["0", "1", "0"])])
 def test_anisotropic_rooted_rational_witness_fails(tmp_path, witness, n,
                                                    counterexample):
     code, report = run_cli(
@@ -576,9 +576,9 @@ def test_reports_are_deterministic(tmp_path, args):
     assert a.read_bytes() != b"" and _strip_timing(a.read_text())
 
 
-def test_main_reuses_one_parser(tmp_path, monkeypatch):
-    """Reports from argv read off the parser's table equal those from the
-    one process-wide parser, built once, which plain argv never reaches."""
+def test_table_and_argparse_give_the_same_reports(tmp_path, monkeypatch):
+    """Reports and exit codes from argv read off COMMANDS equal those from
+    argparse's parser, which plain argv never builds."""
     functions = tmp_path / "cover.txt"
     functions.write_text("1,0,1\n0,1,1\n")
     commands = [
@@ -602,17 +602,146 @@ def test_main_reuses_one_parser(tmp_path, monkeypatch):
             out.append((code, report))
         return out
 
-    cli._argv_table()   # taken from the parser once per process
     built = []
     monkeypatch.setattr(cli, "build_parser",
                         lambda real=cli.build_parser: built.append(1) or real())
-    cli._parser.cache_clear()
     read = reports()
     assert built == []
     monkeypatch.setattr(cli, "_read_argv", lambda argv: None)
     assert reports() == read
-    assert built == [1] and cli._parser() is cli._parser()
+    assert len(built) == len(commands)
     assert [code for code, _ in read] == [0, 0, 0, 0, 0, 2]
+
+
+# the help text of each command's words, at 80 columns, pinned byte for
+# byte
+HELP = {
+    "": """\
+usage: gelfand [-h] {field,anisotropic,gelfand,cover} ...
+
+Exact-arithmetic toolkit: origin-only-vanishing polynomial forms, finite
+maximal spectra with their Zariski topology, and nowhere-vanishing
+combinations from covers.
+
+positional arguments:
+  {field,anisotropic,gelfand,cover}
+    field               field-level utilities
+    anisotropic         build and verify an origin-only-vanishing form
+    gelfand             check the point/maximal-ideal correspondence
+    cover               certify a nowhere-vanishing combination
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "field": """\
+usage: gelfand field [-h] {find-rootfree} ...
+
+positional arguments:
+  {find-rootfree}
+    find-rootfree  first root-free monic of a degree
+
+options:
+  -h, --help       show this help message and exit
+""",
+    "field find-rootfree": """\
+usage: gelfand field find-rootfree [-h] --field FIELD [--m M] [--out OUT]
+
+options:
+  -h, --help     show this help message and exit
+  --field FIELD
+  --m M
+  --out OUT
+""",
+    "anisotropic": """\
+usage: gelfand anisotropic [-h] --field FIELD [--m M] [--n N]
+                           [--witness WITNESS] [--padic PADIC] [--seed SEED]
+                           [--samples SAMPLES] [--out OUT]
+
+options:
+  -h, --help         show this help message and exit
+  --field FIELD
+  --m M              base degree for finite fields
+  --n N              arity of the form
+  --witness WITNESS  root-free univariate over Q, e.g. 'x^2+1'
+  --padic PADIC      prime p for the x^2 - p*y^2 valuation check
+  --seed SEED
+  --samples SAMPLES  seeded samples over Q (default 200)
+  --out OUT
+""",
+    "gelfand": """\
+usage: gelfand gelfand [-h] --field FIELD --space SPACE [--oracle] [--out OUT]
+
+options:
+  -h, --help     show this help message and exit
+  --field FIELD  comma-separated field descriptors
+  --space SPACE  size, list (1,2,3) or range (1..5)
+  --oracle       force the ideal oracle
+  --out OUT
+""",
+    "cover": """\
+usage: gelfand cover [-h] --field FIELD --functions FUNCTIONS
+                     [--case {I,II,III,all}] [--m M] [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --field FIELD
+  --functions FUNCTIONS
+                        file with one function per line, comma-separated
+                        field-element literals
+  --case {I,II,III,all}
+  --m M                 base degree for case I
+  --out OUT
+""",
+}
+
+
+def _run_argparse(argv, capsys, monkeypatch):
+    """Exit code, stdout and stderr of main(argv) at 80 columns, for argv
+    that argparse ends with SystemExit."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    out, err = capsys.readouterr()
+    return exit_info.value.code, out, err
+
+
+@pytest.mark.parametrize("words", list(HELP))
+def test_help_is_pinned(capsys, monkeypatch, words):
+    argv = shlex.split(words) + ["--help"]
+    assert _run_argparse(argv, capsys, monkeypatch) == (0, HELP[words], "")
+
+
+# argparse lists the choices after an invalid one quoted in CPython
+# 3.10.13, 3.11.7, 3.12.1 and 3.13.0, and bare in 3.13.13
+CASE_CHOICES = ("'I', 'II', 'III', 'all'", "I, II, III, all")
+
+
+@pytest.mark.parametrize("argv,words,errors", [
+    pytest.param(["anisotropic", "--n", "3"], "anisotropic",
+                 ["the following arguments are required: --field"],
+                 id="no-field"),
+    pytest.param(["cover", "--field", "Fp(5)"], "cover",
+                 ["the following arguments are required: --functions"],
+                 id="no-functions"),
+    pytest.param(["field"], "field",
+                 ["the following arguments are required: subcommand"],
+                 id="no-subcommand"),
+    pytest.param([], "", ["the following arguments are required: command"],
+                 id="empty"),
+    pytest.param(["gelfand", "--field", "Fp(2)", "--space", "1", "--oracle",
+                  "stray"], "", ["unrecognized arguments: stray"],
+                 id="stray-word"),
+    pytest.param(["cover", "--field", "Fp(5)", "--functions", "f.txt",
+                  "--case", "IV"], "cover",
+                 [f"argument --case: invalid choice: 'IV' (choose from {c})"
+                  for c in CASE_CHOICES], id="bad-choice"),
+])
+def test_usage_errors_are_pinned(capsys, monkeypatch, argv, words, errors):
+    usage = HELP[words].split("\n\n")[0]
+    prog = " ".join(["gelfand"] + words.split())
+    code, out, err = _run_argparse(argv, capsys, monkeypatch)
+    assert (code, out) == (2, "")
+    assert err in [f"{usage}\n{prog}: error: {e}\n" for e in errors]
 
 
 # every command of the README's command-line block and of the CI, with
@@ -638,6 +767,7 @@ anisotropic --field Q --witness "x^2-1" --n 3
 anisotropic --field Q --padic 4
 anisotropic --field Q --padic 5 --witness "x^2+1"
 anisotropic --field Q --witness "x^2-1" --n 3 --samples 1000000
+anisotropic --field Q --witness "x^1000000" --n 3
 anisotropic --n 1000000000 --field "Fp(2)"
 gelfand --field "Fp(2),Fp(3)" --space 1..2 --oracle
 gelfand --field "Fp(11)" --space 1 --oracle
@@ -702,17 +832,44 @@ def _mutations(argv, rng):
     yield argv + ["--out"]
 
 
+def _table_corpus():
+    """Plain argv for every command of COMMANDS: its required options
+    alone, each other option with them (every choice of one with
+    choices), and all its options together."""
+    corpus = []
+    for words, (func, _, options, _, _) in cli.COMMANDS.items():
+        if func is None:
+            continue
+        required, alone, together = list(words), [], []
+        for option, keywords in options.items():
+            if keywords.get("action") == "store_true":
+                given = [[option]]
+            elif "choices" in keywords:
+                given = [[option, c] for c in keywords["choices"]]
+            else:
+                given = [[option, "3" if "type" in keywords else "text"]]
+            if keywords.get("required"):
+                required += given[0]
+            else:
+                alone += given
+                together += given[0]
+        corpus += [required] + [required + argv for argv in alone]
+        corpus.append(required + together)
+    return corpus
+
+
 def _corpus(seed):
-    """The documented argv, and a seeded corpus of them and their
-    variants."""
+    """The plain argv, documented and generated from COMMANDS, and a
+    seeded corpus of them and the documented argv's variants."""
     rng = random.Random(seed)
     documented = [shlex.split(line)
                   for line in DOCUMENTED_COMMANDS.strip().splitlines()]
-    corpus = list(documented)
+    plain = documented + _table_corpus()
+    corpus = list(plain)
     for argv in documented:
         corpus += _mutations(argv, rng)
     # the CI's argparse runs, and argv short of a command
-    return documented, corpus + [
+    return plain, corpus + [
         ["--help"], ["anisotropic", "--help"],
         ["anisotropic", "--fie", "Fp(2)", "--n", "3"],
         ["anisotropic", "--field=Fp(2)", "--n=3"],
@@ -725,8 +882,8 @@ def test_argv_reader_agrees_with_argparse(seed):
     """Argv the table reads gives argparse's Namespace; argv that argparse
     refuses, or that asks for help, the table leaves to argparse."""
     parser = cli.build_parser()
-    documented, corpus = _corpus(seed)
-    assert all(cli._read_argv(argv) is not None for argv in documented)
+    plain, corpus = _corpus(seed)
+    assert all(cli._read_argv(argv) is not None for argv in plain)
     read = 0
     for argv in corpus:
         try:
@@ -738,7 +895,7 @@ def test_argv_reader_agrees_with_argparse(seed):
             read += 1
             assert namespace == expected, argv
     # a repeated option and an empty text value are read by the table too
-    assert read > len(documented)
+    assert read > len(plain)
 
 
 def test_argv_reader_reads_an_empty_witness():
