@@ -20,9 +20,10 @@ f^(e-1)*f. The expanded form stays the reference:
 `verify_vanishing_exhaustive` checks any form term by term at every
 point. `Tower.record` writes the base, the arity, the expanded form (or
 the guard's refusal in its place) and a verification. Over Q the tower
-is refused on a rational root of f before its seeded samples are read
+is refused on a rational root of f, each candidate evaluated on int
+pairs as a sample is, before its seeded samples are read
 (`RationalTower.verify_sampled`), which are then read and evaluated one
-at a time on int pairs. The other stand-ins over the rationals are the
+at a time. The other stand-ins over the rationals are the
 positive-definite norm form on Q(sqrt(d)) and the valuation identity for
 x^2 - p*y^2, also checked on ints.
 """
@@ -54,7 +55,6 @@ from .field_core import (
     Qsqrt,
     base_digits,
     enumerate_field,
-    first_rational_root,
     first_root,
     from_payload,
     is_prime,
@@ -65,6 +65,7 @@ from .poly import MultiPoly, format_poly, homogenize2, point_payloads
 
 EXHAUSTIVE_GUARD = 10 ** 7
 FORM_TERMS_GUARD = 2 ** 10   # max terms of the form a tower level expands
+RATIONAL_ROOT_GUARD = 10 ** 9   # max |L*c0| and L*f's leading coefficient
 
 
 @dataclass(frozen=True)
@@ -257,7 +258,8 @@ class Tower:
         """The tower's report with a verification: the base, the arity,
         the form `expand` gives, or `form_withheld` (the refusal
         and the nesting) in its place when FORM_TERMS_GUARD refuses the
-        expansion, the degree and the verification."""
+        expansion, the degree and the verification. A degree with more
+        digits than Python writes is written as the text m^(n-1)."""
         record = {"base": format_poly(self.base), "arity": self.arity}
         try:
             record["form"] = format_poly(self.expand())
@@ -265,7 +267,10 @@ class Tower:
             record["form_withheld"] = {
                 "guard": exc.guard, "limit": exc.limit,
                 "requested": exc.requested, **self.structure()}
-        record["degree"] = self.degree
+        degree = self.degree
+        if _decimal(degree) is None:
+            degree = f"{self.f2.degree}^{self.arity - 1}"
+        record["degree"] = degree
         record["verification"] = verification.to_json()
         return record
 
@@ -320,6 +325,33 @@ class RationalTower(Tower):
     def evaluate_payloads(self, xs):
         return Fraction(*self._pair([_ratio(x) for x in xs]))
 
+    def rational_root(self):
+        """The first rational root of the base, or None: 0 when c0 = 0,
+        else by the rational root theorem on `_cleared`, as a root s/v in
+        lowest terms has |s| dividing L*c0 and v dividing L, L*f's
+        leading coefficient as f is monic. Candidates go by v, then |s|,
+        ascending, s before -s, each decided by the numerator of `_pair`
+        at (s/v, 1), L*f2(s, v) = L*v^m*f(s/v). RATIONAL_ROOT_GUARD
+        bounds |L*c0| and L before any trial division."""
+        lcm, _, rest = self._cleared
+        c0 = abs(rest[-1])
+        if not c0:
+            return Fraction(0)
+        TooLarge.check(
+            "RATIONAL_ROOT_GUARD", RATIONAL_ROOT_GUARD, max(c0, lcm),
+            lambda: "the rational root test divides |L*c0| = {} and the "
+            "leading coefficient {}; the guard is {}".format(
+                *(_decimal(k) or f"an int of {k.bit_length()} bits"
+                  for k in (c0, lcm)), RATIONAL_ROOT_GUARD))
+        numerators = _divisors(c0)
+        for v in _divisors(lcm):
+            for u in numerators:
+                if math.gcd(u, v) == 1:
+                    for s in (u, -u):
+                        if self._pair(((s, v), (1, 1)))[0] == 0:
+                            return Fraction(s, v)
+        return None
+
     def verify_sampled(self, points):
         """Check that the tower vanishes at the origin and at none of the
         given points, on int pairs in one pass: the origin first, then
@@ -331,12 +363,14 @@ class RationalTower(Tower):
         else goes through it. A point without exactly n coordinates is
         refused when it is read, after any violation before it. Only a
         counterexample is made into elements, in lowest terms. For n >= 2
-        a rational root r of the base (`first_rational_root`, under
-        RATIONAL_ROOT_GUARD) gives the zero (r, 1, 0, ..., 0), as
-        f2(r, 1) = f(r) = 0 and f2(0, 0) = 0, before any point is read."""
+        a rational root r of the base gives the zero (r, 1, 0, ..., 0),
+        as f2(r, 1) = f(r) = 0 and f2(0, 0) = 0, before any point is
+        read: the tower's own integer kernel, `_pair`, decides each
+        candidate of the rational root theorem (`rational_root`, under
+        RATIONAL_ROOT_GUARD)."""
         F, n = self.field, self.arity
         if self.f2 is not None:
-            root = first_rational_root(_dense(self.base))
+            root = self.rational_root()
             if root is not None:
                 return Failed((from_payload(F, root), F.one())
                               + (F.zero(),) * (n - 2))
@@ -446,14 +480,27 @@ def _fold(reached, leaf, node):
     return values[1]
 
 
+def _divisors(n):
+    """The positive divisors of n >= 1, ascending, by trial division."""
+    low = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return low + [n // d for d in reversed(low) if d * d != n]
+
+
+def _decimal(n):
+    """The decimal text of the int n, or None when n has more digits
+    than Python writes (`sys.get_int_max_str_digits`, from 3.10.7)."""
+    try:
+        return str(n)
+    except ValueError:
+        return None
+
+
 def _check_form_terms(level, terms):
-    if terms > FORM_TERMS_GUARD:
-        raise TooLarge(
-            f"level {level} of the tower expansion composes a form of at "
-            f"least {terms} terms; the form-terms guard is "
-            f"{FORM_TERMS_GUARD}",
-            guard="FORM_TERMS_GUARD", limit=FORM_TERMS_GUARD,
-            requested=terms)
+    TooLarge.check(
+        "FORM_TERMS_GUARD", FORM_TERMS_GUARD, terms,
+        lambda: f"level {level} of the tower expansion composes a form of "
+        f"at least {terms} terms; the form-terms guard is "
+        f"{FORM_TERMS_GUARD}")
 
 
 def _enumeration_size(field, n):
@@ -461,12 +508,10 @@ def _enumeration_size(field, n):
     if not field.is_finite:
         raise InfiniteField("exhaustive verification needs a finite field")
     q = field.order
-    size = power_within(q, n, EXHAUSTIVE_GUARD)
-    if size is None or size > EXHAUSTIVE_GUARD:
-        raise TooLarge(f"q^n = {q}^{n} exceeds the enumeration guard",
-                       guard="EXHAUSTIVE_GUARD", limit=EXHAUSTIVE_GUARD,
-                       requested=size)
-    return size
+    return TooLarge.check(
+        "EXHAUSTIVE_GUARD", EXHAUSTIVE_GUARD,
+        power_within(q, n, EXHAUSTIVE_GUARD),
+        lambda: f"q^n = {q}^{n} exceeds the enumeration guard")
 
 
 def build_fn(f: MultiPoly, n: int) -> MultiPoly:

@@ -97,11 +97,9 @@ def _interpolant(F, arity, J) -> MultiPoly:
         values[lead].add(a[lead])
     factors = [_linear_product(F, cs) for cs in values]
     count = math.prod(map(len, factors)) - 1
-    if count > FORM_TERMS_GUARD:
-        raise TooLarge(f"route II's interpolant has exactly {count} terms; "
-                       f"the form-terms guard is {FORM_TERMS_GUARD}",
-                       guard="FORM_TERMS_GUARD", limit=FORM_TERMS_GUARD,
-                       requested=count)
+    TooLarge.check("FORM_TERMS_GUARD", FORM_TERMS_GUARD, count,
+                   lambda: f"route II's interpolant has exactly {count} "
+                   f"terms; the form-terms guard is {FORM_TERMS_GUARD}")
     product = _product_over_axes(F, factors)
     del product[(0,) * arity]
     return MultiPoly.from_payloads(F, arity, {m: F.neg(c)

@@ -38,15 +38,25 @@ class NoneFound(GelfandError):
 
 class TooLarge(GelfandError):
     """A guard would be exceeded; names the guard, its limit and the
-    size that was requested. A size that is a power is None when its
+    size that was requested. Every guard refuses through `check`, the
+    one place that reads the rule for a power: its size is None when its
     exponent alone puts it past the limit (`power_within`), as it is
-    then never formed; the message still names it as base^exponent."""
+    then never formed, and the message still names it as base^exponent."""
 
     def __init__(self, message, *, guard, limit, requested):
         self.guard = guard
         self.limit = limit
         self.requested = requested
         super().__init__(message)
+
+    @staticmethod
+    def check(guard, limit, requested, message):
+        """requested, when it is at most limit; else, or when it is None,
+        the refusal, whose text message() forms only then."""
+        if requested is None or requested > limit:
+            raise TooLarge(message(), guard=guard, limit=limit,
+                           requested=requested)
+        return requested
 
 
 class ArityMismatch(GelfandError):

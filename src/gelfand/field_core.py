@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 import re
 from dataclasses import dataclass
@@ -43,7 +42,6 @@ from .errors import (
 
 MAX_EXTENSION_DEGREE = 8
 ROOTFREE_SEARCH_GUARD = 10 ** 7
-RATIONAL_ROOT_GUARD = 10 ** 9   # max |L*c0| and L*f's leading coefficient
 IRREDUCIBLE_TEST_GUARD = 10 ** 4   # max monic divisors one test tries
 
 
@@ -81,12 +79,11 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    if n > PRIME_TEST_GUARD:
-        raise TooLarge(
-            f"a probable prime of {n.bit_length()} bits exceeds the "
-            f"prime-test guard {PRIME_TEST_GUARD}, up to which Miller-Rabin "
-            f"to 13 bases decides primality",
-            guard="PRIME_TEST_GUARD", limit=PRIME_TEST_GUARD, requested=n)
+    TooLarge.check(
+        "PRIME_TEST_GUARD", PRIME_TEST_GUARD, n,
+        lambda: f"a probable prime of {n.bit_length()} bits exceeds the "
+        f"prime-test guard {PRIME_TEST_GUARD}, up to which Miller-Rabin "
+        f"to 13 bases decides primality")
     return True
 
 
@@ -438,12 +435,11 @@ class ExtensionField(FiniteField):
         # p and k are checked first, then the size of the irreducibility
         # test, which tries every monic divisor of degree 1..k//2
         divisors = sum(self.p ** d for d in range(1, self.k // 2 + 1))
-        if divisors > IRREDUCIBLE_TEST_GUARD:
-            raise TooLarge(
-                f"the irreducibility test in degree {self.k} over F_{self.p} "
-                f"tries {divisors} divisors; the irreducibility guard is "
-                f"{IRREDUCIBLE_TEST_GUARD}", guard="IRREDUCIBLE_TEST_GUARD",
-                limit=IRREDUCIBLE_TEST_GUARD, requested=divisors)
+        TooLarge.check(
+            "IRREDUCIBLE_TEST_GUARD", IRREDUCIBLE_TEST_GUARD, divisors,
+            lambda: f"the irreducibility test in degree {self.k} over "
+            f"F_{self.p} tries {divisors} divisors; the irreducibility "
+            f"guard is {IRREDUCIBLE_TEST_GUARD}")
         if self.modulus is None:   # the search returns an irreducible
             _set(self, "modulus", _first_irreducible(self.p, self.k))
         else:
@@ -751,58 +747,6 @@ def first_root(F: FieldDescriptor, coeffs, start):
     return None
 
 
-def first_rational_root(coeffs):
-    """The first rational root, or None, of the polynomial with Fraction
-    coefficients coeffs (low degree first, the last nonzero), by the
-    rational root theorem.
-
-    With L the lcm of the denominators, L*f has int coefficients, and a
-    root in lowest terms is +-u/v with u | L*c0 and v dividing L*f's
-    leading coefficient (L for a monic f); 0 is a root exactly when
-    c0 = 0. Candidates are tried by v, then u, ascending, u/v before
-    -u/v, each by Horner's rule on v^m*L*f(s/v) in ints.
-    RATIONAL_ROOT_GUARD bounds |L*c0| and the leading coefficient, and
-    is checked before any trial division.
-    """
-    if not coeffs[0]:
-        return Fraction(0)
-    lcm = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * lcm) for c in coeffs]
-    size = max(abs(ints[0]), abs(ints[-1]))
-    if size > RATIONAL_ROOT_GUARD:
-        raise TooLarge(
-            f"the rational root test divides |L*c0| = {abs(ints[0])} and "
-            f"the leading coefficient {abs(ints[-1])}; the guard is "
-            f"{RATIONAL_ROOT_GUARD}", guard="RATIONAL_ROOT_GUARD",
-            limit=RATIONAL_ROOT_GUARD, requested=size)
-    numerators = _divisors(abs(ints[0]))
-    rest = ints[-2::-1]
-    for v in _divisors(abs(ints[-1])):
-        for u in numerators:
-            if math.gcd(u, v) != 1:
-                continue
-            for s in (u, -u):
-                acc, w = ints[-1], v
-                for a in rest:
-                    acc, w = acc * s + a * w, w * v
-                if not acc:
-                    return Fraction(s, v)
-    return None
-
-
-def _divisors(n):
-    """The positive divisors of n >= 1, ascending, by trial division."""
-    low, high = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            low.append(d)
-            if d * d != n:
-                high.append(n // d)
-        d += 1
-    return low + high[::-1]
-
-
 def find_rootfree_monic(F: FieldDescriptor, m: int):
     """First monic degree-m polynomial over finite F without roots in F.
 
@@ -819,11 +763,9 @@ def find_rootfree_monic(F: FieldDescriptor, m: int):
     if not F.is_finite:
         raise InfiniteField("root-free search requires a finite field")
     q = F.order
-    candidates = power_within(q, m, ROOTFREE_SEARCH_GUARD)
-    if candidates is None or candidates > ROOTFREE_SEARCH_GUARD:
-        raise TooLarge(f"q^m = {q}^{m} exceeds the search guard",
-                       guard="ROOTFREE_SEARCH_GUARD",
-                       limit=ROOTFREE_SEARCH_GUARD, requested=candidates)
+    TooLarge.check("ROOTFREE_SEARCH_GUARD", ROOTFREE_SEARCH_GUARD,
+                   power_within(q, m, ROOTFREE_SEARCH_GUARD),
+                   lambda: f"q^m = {q}^{m} exceeds the search guard")
     # payloads are indices, and the payload of one is 1
     for tail in itertools.product(range(1, q), *[range(q)] * (m - 1)):
         if first_root(F, tail + (1,), 1) is None:

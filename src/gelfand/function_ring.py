@@ -178,11 +178,9 @@ def all_ring_elements(space: FiniteSpace, field: FieldDescriptor):
     """Every function on the space, in lexicographic order."""
     if not field.is_finite:
         raise InfiniteField("the function ring is finite only for finite F")
-    size = power_within(field.order, space.size, SPECTRUM_GUARD)
-    if size is None or size > SPECTRUM_GUARD:
-        raise TooLarge("function ring too large to enumerate",
-                       guard="SPECTRUM_GUARD", limit=SPECTRUM_GUARD,
-                       requested=size)
+    TooLarge.check("SPECTRUM_GUARD", SPECTRUM_GUARD,
+                   power_within(field.order, space.size, SPECTRUM_GUARD),
+                   lambda: "function ring too large to enumerate")
     payloads = range(field.order)   # a finite field's element indices
     return [RingElement.from_payloads(field, values)
             for values in itertools.product(payloads, repeat=space.size)]
@@ -238,21 +236,20 @@ def check_guards(space: FiniteSpace, field: FieldDescriptor,
     the oracle runs: when forced, or else when F is finite and
     ORACLE_GUARD admits the ring."""
     n = space.size
-    closed = power_within(2, n, SPECTRUM_GUARD)
-    if closed is None or closed > SPECTRUM_GUARD:
-        raise TooLarge(f"2^{n} closed sets exceed the guard {SPECTRUM_GUARD}",
-                       guard="SPECTRUM_GUARD", limit=SPECTRUM_GUARD,
-                       requested=closed)
+    TooLarge.check("SPECTRUM_GUARD", SPECTRUM_GUARD,
+                   power_within(2, n, SPECTRUM_GUARD),
+                   lambda: f"2^{n} closed sets exceed the guard "
+                   f"{SPECTRUM_GUARD}")
     if not field.is_finite:
         if force_oracle:
             raise InfiniteField("the ideal oracle enumerates the ring, "
                                 "which needs a finite field")
         return False
     ring_size = field.order ** n
-    if force_oracle and ring_size > ORACLE_GUARD:
-        raise TooLarge(
-            f"ring has {ring_size} elements; oracle guard is {ORACLE_GUARD}",
-            guard="ORACLE_GUARD", limit=ORACLE_GUARD, requested=ring_size)
+    if force_oracle:
+        TooLarge.check("ORACLE_GUARD", ORACLE_GUARD, ring_size,
+                       lambda: f"ring has {ring_size} elements; oracle "
+                       f"guard is {ORACLE_GUARD}")
     return force_oracle or ring_size <= ORACLE_GUARD
 
 

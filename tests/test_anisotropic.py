@@ -13,6 +13,7 @@ from gelfand.anisotropic import (
     FORM_TERMS_GUARD,
     ExhaustivePassed,
     Failed,
+    RationalTower,
     ValuationPassed,
     SampledPassed,
     Tower,
@@ -612,8 +613,8 @@ def test_nested_negative_control_rooted_base_rational(monkeypatch, n):
     assert tower.verify_sampled(points) == \
         Failed((F.one(), F.one()) + (F.zero(),) * (n - 2))
     # without the root test, the samples find a zero of their own
-    monkeypatch.setattr(anisotropic, "first_rational_root",
-                        lambda coeffs: None)
+    monkeypatch.setattr(RationalTower, "rational_root",
+                        lambda self: None)
     result = tower.verify_sampled(points)
     assert isinstance(result, Failed)
     assert result.counterexample == points[7]
@@ -680,8 +681,8 @@ def test_int_pair_vanishing_matches_expanded_form(monkeypatch, witness,
         else:
             assert result == SampledPassed(0)
     # without the root test, the sample loop alone meets the roots' zeros
-    monkeypatch.setattr(anisotropic, "first_rational_root",
-                        lambda coeffs: None)
+    monkeypatch.setattr(RationalTower, "rational_root",
+                        lambda self: None)
     vanished = 0
     for n in range(1, 5):
         tower = Tower.over(f, n)
@@ -794,8 +795,8 @@ def test_int_pairs_must_hold_ints():
 def test_witness_loop_negative_control_without_the_root_test(monkeypatch):
     # with the rational root test skipped, the root 1 of x^2 - 1 must
     # still be found at a sample where the tower vanishes
-    monkeypatch.setattr(anisotropic, "first_rational_root",
-                        lambda coeffs: None)
+    monkeypatch.setattr(RationalTower, "rational_root",
+                        lambda self: None)
     F = Q()
     f = parse_poly(F, "x^2-1")
     points = [[(1, 2), (1, 3), (1, 5)], [(2, 2), (3, 3), (0, 5)],
@@ -809,8 +810,8 @@ def test_sampled_reads_int_pairs_without_ratio(monkeypatch):
     # the CLI's int pairs are read inline; anything else still goes
     # through _ratio. (0, 1, -1) is a zero of the rooted x^2 - 1 off the
     # origin whose first numerator is 0, so the loop must read past it
-    monkeypatch.setattr(anisotropic, "first_rational_root",
-                        lambda coeffs: None)
+    monkeypatch.setattr(RationalTower, "rational_root",
+                        lambda self: None)
     seen = []
     ratio = anisotropic._ratio
     monkeypatch.setattr(anisotropic, "_ratio",
@@ -861,8 +862,8 @@ def test_sampled_refuses_a_point_of_another_length(length):
 def test_sampled_violation_before_a_malformed_point_is_reported(
         monkeypatch):
     # the violation is returned before the malformed point is read
-    monkeypatch.setattr(anisotropic, "first_rational_root",
-                        lambda coeffs: None)
+    monkeypatch.setattr(RationalTower, "rational_root",
+                        lambda self: None)
     F = Q()
     tower = Tower.over(parse_poly(F, "x^2 - 1"), 3)
     points = [[(1, 2), (1, 3), (1, 5)], [(1, 1), (1, 1), (0, 1)],

@@ -57,6 +57,35 @@ def test_anisotropic_rooted_rational_witness_fails(tmp_path, witness, n,
     assert report["totals"] == {"passed": 0, "failed": 1}
 
 
+@pytest.mark.parametrize("witness,n,degree", [
+    ("x^2-1", 14285, 2 ** 14284), ("x^2-1", 14286, "2^14285"),
+    ("x^3-1", 9014, "3^9013")], ids=["2^14284", "2^14285", "3^9013"])
+def test_rooted_rational_tower_writes_any_degree(tmp_path, witness, n,
+                                                 degree):
+    # 2^14284 has 4300 digits, the most Python writes of an int; a degree
+    # past it is written as the text m^(n-1)
+    code, report = run_cli(
+        ["anisotropic", "--field", "Q", "--witness", witness, "--n", str(n)],
+        tmp_path / "r.json")
+    assert code == 1
+    inst = report["instances"][0]
+    assert inst["verification"] == {
+        "mode": "failed", "counterexample": ["1", "1"] + ["0"] * (n - 2)}
+    assert inst["degree"] == degree
+
+
+def test_rational_root_refusal_with_an_unprintable_lcm_exits_2(capsys):
+    A, B = 10 ** 2199 + 7, 10 ** 2199 + 9
+    code = main(["anisotropic", "--field", "Q", "--witness",
+                 f"x^2+1/{A}*x+1/{B}", "--n", "2"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: TooLarge: the rational root test divides ")
+    assert err.endswith(f"the leading coefficient an int of "
+                        f"{(A * B).bit_length()} bits; the guard is "
+                        f"1000000000\n")
+
+
 @pytest.mark.parametrize("witness", ["x^3-2", "x^2+1/2"])
 def test_anisotropic_rootfree_rational_witness_passes(tmp_path, witness):
     code, report = run_cli(

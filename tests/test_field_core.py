@@ -10,7 +10,9 @@ from functools import partial
 
 import pytest
 
+import gelfand.anisotropic as anisotropic
 import gelfand.field_core as field_core
+from gelfand.anisotropic import Tower
 from gelfand.field_core import _pmod, _pmul
 from gelfand.errors import (
     DivisionByZero,
@@ -29,7 +31,6 @@ from gelfand.field_core import (
     Qsqrt,
     enumerate_field,
     find_rootfree_monic,
-    first_rational_root,
     first_root,
     format_element,
     format_field,
@@ -37,7 +38,7 @@ from gelfand.field_core import (
     parse_field,
 )
 from gelfand.function_ring import parse_ring_element
-from gelfand.poly import parse_poly
+from gelfand.poly import parse_poly, univariate
 
 
 def test_f5_inverse_matches_exhaustive_search():
@@ -577,6 +578,14 @@ def test_table_cache_holds_a_fixed_number_of_fields():
     assert field_core._tables.cache_parameters()["maxsize"] == 16
 
 
+def _rational_root(coeffs):
+    """The first rational root that the tower over the monic Q base with
+    Fraction coefficients coeffs (low degree first) finds, or None."""
+    F = Q()
+    f = univariate(F, [F.element(c) for c in coeffs])
+    return Tower.over(f, 2).rational_root()
+
+
 def _rational_coeffs(text):
     """Low degree first, from a monic univariate written like x^3-8/27."""
     f = parse_poly(Q(), text)
@@ -588,7 +597,7 @@ def _rational_coeffs(text):
     ("x^2+7/2*x-15/2", -5), ("x^2+x", 0), ("x^3-2", None),
     ("x^2+1/2", None), ("x^4+3*x^2+2", None)])
 def test_first_rational_root_names_the_root(text, root):
-    assert first_rational_root(_rational_coeffs(text)) == root
+    assert _rational_root(_rational_coeffs(text)) == root
 
 
 def test_first_rational_root_matches_candidate_scan():
@@ -604,7 +613,7 @@ def test_first_rational_root_matches_candidate_scan():
             coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
         roots = [x for x in grid
                  if sum(c * x ** i for i, c in enumerate(coeffs)) == 0]
-        found = first_rational_root(coeffs)
+        found = _rational_root(coeffs)
         assert (found is None) == (not roots)
         assert found is None or found in roots
 
@@ -616,9 +625,9 @@ def test_rational_root_guard_before_trial_division(monkeypatch, text,
     def refuse(n):
         raise AssertionError("trial division before the guard")
 
-    monkeypatch.setattr(field_core, "_divisors", refuse)
+    monkeypatch.setattr(anisotropic, "_divisors", refuse)
     with pytest.raises(TooLarge) as exc:
-        first_rational_root(_rational_coeffs(text))
+        _rational_root(_rational_coeffs(text))
     assert exc.value.guard == "RATIONAL_ROOT_GUARD"
-    assert exc.value.limit == field_core.RATIONAL_ROOT_GUARD
+    assert exc.value.limit == anisotropic.RATIONAL_ROOT_GUARD
     assert exc.value.requested == requested

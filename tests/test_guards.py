@@ -1,9 +1,10 @@
 """Every guard raises a TooLarge that names itself, its limit and the
-requested size, with the guard's message text. The q^n and q^m guards
-write the power as base^exponent, so that a power too long to print in
-decimal still gives its message, and a power guard whose exponent alone
-puts the power past its limit never forms it: its requested size is
-None."""
+requested size, with the guard's message text, through `TooLarge.check`.
+The q^n and q^m guards write the power as base^exponent, so that a power
+too long to print in decimal still gives its message, and a power guard
+whose exponent alone puts the power past its limit never forms it: its
+requested size is None. The rational root guard names a size too long to
+print by its bit length."""
 
 import tracemalloc
 
@@ -17,7 +18,7 @@ from gelfand.anisotropic import (
     verify_vanishing_exhaustive,
 )
 from gelfand.errors import TooLarge
-from gelfand.field_core import Fp, Fq, find_rootfree_monic, is_prime
+from gelfand.field_core import Fp, Fq, Q, find_rootfree_monic, is_prime
 from gelfand.function_ring import (
     FiniteSpace,
     RingElement,
@@ -79,6 +80,12 @@ CASES = [
      "FORM_TERMS_GUARD", anisotropic.FORM_TERMS_GUARD, 12 ** 3 - 1,
      "route II's interpolant has exactly 1727 terms; the form-terms guard "
      "is 1024"),
+    ("rational root test",
+     lambda: Tower.over(parse_poly(Q(), "x^2 + 3/10000000000"),
+                        2).verify_sampled([]),
+     "RATIONAL_ROOT_GUARD", anisotropic.RATIONAL_ROOT_GUARD, 10 ** 10,
+     "the rational root test divides |L*c0| = 3 and the leading "
+     "coefficient 10000000000; the guard is 1000000000"),
 ]
 
 
@@ -89,9 +96,43 @@ def test_guard_names_itself(call, guard, limit, requested, message):
     with pytest.raises(TooLarge) as info:
         call()
     exc = info.value
+    assert type(exc) is TooLarge
     assert (exc.guard, exc.limit, exc.requested) == (guard, limit, requested)
     assert requested > limit
     assert str(exc) == message
+
+
+def test_rational_root_guard_names_an_unprintable_size_by_bits():
+    # L = A*B has 4399 digits, past what Python writes of an int
+    A, B = 10 ** 2199 + 7, 10 ** 2199 + 9
+    f = parse_poly(Q(), f"x^2 + 1/{A}*x + 1/{B}")
+    with pytest.raises(TooLarge) as info:
+        Tower.over(f, 2).verify_sampled([])
+    exc = info.value
+    assert (exc.guard, exc.limit, exc.requested) == (
+        "RATIONAL_ROOT_GUARD", anisotropic.RATIONAL_ROOT_GUARD, A * B)
+    assert str(exc) == (
+        f"the rational root test divides |L*c0| = {A} and the leading "
+        f"coefficient an int of {(A * B).bit_length()} bits; the guard is "
+        f"1000000000")
+
+
+def _unformed():
+    raise AssertionError("the message was formed within the limit")
+
+
+@pytest.mark.parametrize("requested", [0, 1, 11, 12])
+def test_check_returns_a_size_within_the_limit(requested):
+    assert TooLarge.check("G", 12, requested, _unformed) == requested
+
+
+@pytest.mark.parametrize("requested", [13, 10 ** 30, None])
+def test_check_refuses_a_size_past_the_limit_or_none(requested):
+    with pytest.raises(TooLarge) as info:
+        TooLarge.check("G", 12, requested, lambda: "past G")
+    exc = info.value
+    assert (exc.guard, exc.limit, exc.requested, str(exc)) == (
+        "G", 12, requested, "past G")
 
 
 HUGE = 10 ** 8   # 2^HUGE is a 12.5 MB int

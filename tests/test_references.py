@@ -1,6 +1,6 @@
-"""The earlier two-mechanism versions of the polynomial parser and of
-the extension-field power, and a ring-line parser with no memo, kept as
-references.
+"""The earlier two-mechanism versions of the polynomial parser, of
+the extension-field power and of the rational root test, and a ring-line
+parser with no memo, kept as references.
 
 The polynomial parser once rescanned each parenthesized coefficient for
 its ')' and re-raised a coefficient's ParseError by its own rule, and the
@@ -11,9 +11,14 @@ the only loop, and a ring line keeps the payloads it parsed in a memo);
 each test here checks that it gives the same results, and the same
 errors at the same offsets, as the reference on a seeded corpus. The
 ring-line reference parses every literal afresh, so that it shares no
-cache with the reader it checks.
+cache with the reader it checks. The rational root test once cleared
+denominators and ran a Horner loop of its own; the tower's
+`rational_root` now decides each candidate on the integer kernel that
+evaluates its samples, and must name the same first root, or the same
+refusal, as the reference.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -21,7 +26,8 @@ import pytest
 
 import gelfand.field_core as field_core
 import gelfand.function_ring as function_ring
-from gelfand.errors import ParseError
+from gelfand.anisotropic import Tower
+from gelfand.errors import ParseError, TooLarge
 from gelfand.field_core import (
     FIELD_TABLE_CAP,
     Fp,
@@ -33,7 +39,13 @@ from gelfand.field_core import (
     parse_element,
 )
 from gelfand.function_ring import RingElement, parse_ring_element
-from gelfand.poly import _LEADING_COEFF, _VAR_RE, MultiPoly, parse_poly
+from gelfand.poly import (
+    _LEADING_COEFF,
+    _VAR_RE,
+    MultiPoly,
+    parse_poly,
+    univariate,
+)
 
 # ---------------------------------------------------------------------------
 # reference parsers
@@ -387,3 +399,95 @@ def test_power_squares_k_times_for_a_power_of_two(F):
         assert _power(mul, a, e) == expected
         assert len(calls) == e.bit_length() - 1 + bin(e).count("1") - 1
     assert F.pow(a, 0) == unit
+
+
+# ---------------------------------------------------------------------------
+# the rational root test
+
+
+def _ref_first_rational_root(coeffs):
+    if not coeffs[0]:
+        return Fraction(0)
+    lcm = math.lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * lcm) for c in coeffs]
+    size = max(abs(ints[0]), abs(ints[-1]))
+    if size > 10 ** 9:
+        raise TooLarge(
+            f"the rational root test divides |L*c0| = {abs(ints[0])} and "
+            f"the leading coefficient {abs(ints[-1])}; the guard is "
+            f"{10 ** 9}", guard="RATIONAL_ROOT_GUARD",
+            limit=10 ** 9, requested=size)
+    numerators = _ref_divisors(abs(ints[0]))
+    rest = ints[-2::-1]
+    for v in _ref_divisors(abs(ints[-1])):
+        for u in numerators:
+            if math.gcd(u, v) != 1:
+                continue
+            for s in (u, -u):
+                acc, w = ints[-1], v
+                for a in rest:
+                    acc, w = acc * s + a * w, w * v
+                if not acc:
+                    return Fraction(s, v)
+    return None
+
+
+def _ref_divisors(n):
+    low, high = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            low.append(d)
+            if d * d != n:
+                high.append(n // d)
+        d += 1
+    return low + high[::-1]
+
+
+def _random_rational_base(rng):
+    """Monic Fraction coefficients, low degree first: x^2 + c times up to
+    three rational linear factors, often with a root 0 (c0 = 0) or a
+    pair of roots r and -r, and now and then with a denominator of c
+    past RATIONAL_ROOT_GUARD."""
+    if rng.random() < 0.1:
+        c = Fraction(rng.randint(1, 9), 10 ** 9 + rng.randint(1, 99))
+    else:
+        c = Fraction(rng.randint(1, 40), rng.randint(1, 12))
+    roots = [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+             for _ in range(rng.randint(0, 2))]
+    if rng.random() < 0.15:
+        roots.append(Fraction(0))
+    if rng.random() < 0.4:
+        r = Fraction(rng.randint(1, 9), rng.randint(1, 6))
+        roots += [r, -r]
+    coeffs = [c, Fraction(0), Fraction(1)]
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    return coeffs
+
+
+def _rational_root(coeffs):
+    F = Q()
+    f = univariate(F, [F.element(c) for c in coeffs])
+    return Tower.over(f, 2).rational_root()
+
+
+def test_rational_root_matches_the_reference():
+    rng = random.Random("rational roots")
+    seen = {"root": 0, "none": 0, "zero": 0, "pair": 0, "L > 1": 0,
+            "refused": 0}
+    for _ in range(600):
+        coeffs = _random_rational_base(rng)
+        got = _outcome(_rational_root, coeffs)
+        assert got == _outcome(_ref_first_rational_root, coeffs), coeffs
+        if got[0] != "ok":
+            seen["refused"] += 1
+            continue
+        root = got[1]
+        seen["none" if root is None else "root"] += 1
+        seen["zero"] += root == 0
+        seen["L > 1"] += any(c.denominator > 1 for c in coeffs)
+        # -root is a root too, so s must have been tried before -s
+        seen["pair"] += bool(root) and not sum(
+            c * (-root) ** i for i, c in enumerate(coeffs))
+    assert min(seen.values()) > 30, seen
