@@ -11,12 +11,12 @@ f2(u, v) = v^m * f(u/v) from the q values of f, and expands to a
 FORM_TERMS_GUARD. The expansion multiplies no polynomials in several
 variables: as f2 is homogeneous, the terms of T_k^e are those of the
 T_(k-1)^j times the coefficients of the univariate power f^e, so each
-term of the form is one chain of exponents from x1 up, and the guard
-counts the terms of every level exactly from the powers of f alone,
-before any term is built. A power f^e with e divisible by the
-characteristic p is the Frobenius image of f^(e/p), exponents times p
-and coefficients to the p-th power, and any other is one product
-f^(e-1)*f. The expanded form stays the reference:
+term of the form is one chain of exponents, built in one pass from xn
+down, and the guard counts each level's terms exactly from the powers
+of f alone, before that level is built. A power f^e with e divisible
+by the characteristic p is the Frobenius image of f^(e/p), exponents
+times p and coefficients to the p-th power, and any other is one
+product f^(e-1)*f. The expanded form stays the reference:
 `verify_vanishing_exhaustive` checks any form term by term at every
 point. `Tower.record` writes the base, the arity, the expanded form (or
 the guard's refusal in its place) and a verification. Over Q the tower
@@ -64,7 +64,7 @@ from .field_core import (
 from .poly import MultiPoly, format_poly, homogenize2, point_payloads
 
 EXHAUSTIVE_GUARD = 10 ** 7
-FORM_TERMS_GUARD = 2 ** 10   # max terms of the form a tower level expands
+FORM_TERMS_GUARD = 2 ** 10   # max terms of a tower level's form, counted first
 RATIONAL_ROOT_GUARD = 10 ** 9   # max |L*c0| and L*f's leading coefficient
 
 
@@ -214,33 +214,33 @@ class Tower:
         z^(m*e) * f(y/z)^e gives T_k^e = sum_j [f^e]_j * T_(k-1)^j *
         x_k^(m*e - j), and T_1^e = x1^e. Distinct j give distinct
         exponents of x_k, so no two terms merge and none vanishes: each
-        term of T_k^e is a term of some T_(k-1)^j with x_k's exponent
-        appended and one payload product. The exponents reached d levels
-        below T_L^1 do not depend on L: they are {1} for d = 0, and then
-        the j with [f^e]_j != 0 for an e reached at d - 1. T_n = T_n^1
-        is built from x1 up over these (`_fold`).
+        term of the form is one chain of exponents. One pass builds
+        them from the top down, from the chain of T_n^1 (no exponents,
+        coefficient 1, e = 1): each level replaces a chain (exponents,
+        a, e) by one chain per [f^e]_j = c != 0, with m*e - j
+        prepended, coefficient a*c and e = j. The last level, that of
+        x2, writes each monomial out whole, x1's exponent j first,
+        straight into the form.
 
-        The same identity counts the terms exactly: N_1(e) = 1 and
-        N_k(e) = sum of N_(k-1)(j) over the j with [f^e]_j != 0.
-        FORM_TERMS_GUARD bounds the form T_L of each level L = 1..n-1,
-        which the level above composes, and is checked on N_L(1) for
-        each L in turn before any term is built.
+        The chains below level L number N_L(1), the terms of the form
+        T_L, which the level above composes. FORM_TERMS_GUARD bounds
+        T_L for each L = 1..n-1 and is checked on that exact count, the
+        sum of the term counts of the powers f^e the chains reach,
+        before the level's chains are built.
         """
         F, n = self.field, self.arity
         if self.f2 is None:
             return MultiPoly.variable(F, 1, 0)
-        power = _powers(self.base)
-        reached = [{1}]
-        while len(reached) < n:
-            _check_form_terms(len(reached), _fold(
-                reached, lambda e: 1,
-                lambda e, below: sum(below[j] for j, _ in power(e))))
-            reached.append({j for e in reached[-1] for j, _ in power(e)})
-        m, mul, one = self.f2.degree, F.mul, F.canonical(1)
-        return MultiPoly.from_payloads(F, n, dict(_fold(
-            reached, lambda e: [((e,), one)],
-            lambda e, below: [(mono + (m * e - j,), mul(c, a))
-                              for j, c in power(e) for mono, a in below[j]])))
+        power, m, mul = _powers(self.base), self.f2.degree, F.mul
+        chains = [((), F.canonical(1), 1)]
+        _check_form_terms(1, 1)
+        for level in range(2, n):
+            _check_form_terms(level, sum(len(power(e)) for _, _, e in chains))
+            chains = [((m * e - j,) + mono, mul(a, c), j)
+                      for mono, a, e in chains for j, c in power(e)]
+        return MultiPoly.from_payloads(F, n, {
+            (j, m * e - j) + mono: mul(a, c)
+            for mono, a, e in chains for j, c in power(e)})
 
     def structure(self):
         """The nesting, for a report that does not print the form."""
@@ -469,17 +469,6 @@ def _powers(f):
     return power
 
 
-def _fold(reached, leaf, node):
-    """A value of T_L^1 folded over its exponent chains, where reached[d]
-    holds the exponents d levels below the top, d < L: leaf(e) is the
-    value at T_1^e, and node(e, below) that at T_k^e from the values
-    `below` at level k - 1, keyed by exponent."""
-    values = {e: leaf(e) for e in reached[-1]}
-    for exponents in reversed(reached[:-1]):
-        values = {e: node(e, values) for e in exponents}
-    return values[1]
-
-
 def _divisors(n):
     """The positive divisors of n >= 1, ascending, by trial division."""
     low = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
@@ -499,7 +488,7 @@ def _check_form_terms(level, terms):
     TooLarge.check(
         "FORM_TERMS_GUARD", FORM_TERMS_GUARD, terms,
         lambda: f"level {level} of the tower expansion composes a form of "
-        f"at least {terms} terms; the form-terms guard is "
+        f"exactly {terms} terms; the form-terms guard is "
         f"{FORM_TERMS_GUARD}")
 
 
@@ -517,7 +506,7 @@ def _enumeration_size(field, n):
 def build_fn(f: MultiPoly, n: int) -> MultiPoly:
     """The arity-n composition tower over a root-free monic univariate f,
     expanded by exponent chains (`Tower.expand`, under FORM_TERMS_GUARD,
-    which counts every level's terms before any is built).
+    which counts each level's terms before that level is built).
 
     n = 1 gives the identity polynomial; for n >= 2 the result has
     degree m^(n-1) and zero constant term. It need not be homogeneous:

@@ -907,7 +907,8 @@ def test_form_guard_refuses_f2_n12_before_any_product(monkeypatch):
         "FORM_TERMS_GUARD", FORM_TERMS_GUARD, 2047)
     assert FORM_TERMS_GUARD == 2 ** 10
     assert "level 11" in str(exc)
-    # the refusal comes from the counts alone: no term is built
+    # the refusal comes from level 11's count, read before its chains
+    # are built: the levels below are built, but no form is made
     _forbid(monkeypatch, MultiPoly, "from_payloads")
     with pytest.raises(TooLarge) as again:
         tower.expand()
@@ -930,7 +931,7 @@ def test_form_guard_limit_and_exact_count(monkeypatch):
 
 def test_form_guard_checks_each_level_on_the_exact_count(monkeypatch):
     # over F_3, f2 = x^2 + y^2 squares its input: the levels 1..5 have
-    # 1, 2, 4, 9, 26 terms, each counted before any term is built
+    # 1, 2, 4, 9, 26 terms, each counted before its chains are built
     monkeypatch.setattr(anisotropic, "FORM_TERMS_GUARD", 9)
     f = _base(Fp(3))
     assert len(build_fn(f, 5).terms) == 26
@@ -946,6 +947,26 @@ def test_form_guard_checks_each_level_on_the_exact_count(monkeypatch):
     assert info.value.requested == 26
     assert "level 5" in str(info.value)
     assert counts == [1, 2, 4, 9, 26]
+
+
+def test_form_guard_counts_a_level_before_building_its_chains(monkeypatch):
+    # over F_3 the levels 1..5 of f2 = x^2 + y^2 have 1, 2, 4, 9, 26
+    # terms, one chain each, and each chain takes one coefficient
+    # product; with the powers of f built beforehand, a refusal of level
+    # 5 has built the chains of levels 2..4 and none of level 5
+    monkeypatch.setattr(anisotropic, "FORM_TERMS_GUARD", 9)
+    F = Fp(3)
+    f = _base(F)
+    tower = Tower.over(f, 6)
+    power = anisotropic._powers(f)
+    monkeypatch.setattr(anisotropic, "_powers", lambda base: power)
+    with pytest.raises(TooLarge):
+        tower.expand()   # fills the memo of `power`
+    products, _ = _count_payload_products(monkeypatch, F)
+    with pytest.raises(TooLarge) as info:
+        tower.expand()
+    assert info.value.requested == 26
+    assert len(products) == 2 + 4 + 9
 
 
 @pytest.mark.parametrize("field,m,top", [

@@ -70,7 +70,7 @@ CASES = [
     ("form expansion",
      lambda: build_fn(univariate(Fp(2), find_rootfree_monic(Fp(2), 2)), 13),
      "FORM_TERMS_GUARD", anisotropic.FORM_TERMS_GUARD, 2047,
-     "level 11 of the tower expansion composes a form of at least 2047 "
+     "level 11 of the tower expansion composes a form of exactly 2047 "
      "terms; the form-terms guard is 1024"),
     ("route II interpolant",
      lambda: combine_case2(check_cover(

@@ -71,6 +71,18 @@ def test_from_dict_refuses_a_coefficient_of_another_field():
     assert format_poly(f) == "3*x1 + 1"
 
 
+@pytest.mark.parametrize("mono", [(1,), (1, 0, 0), (1, -1)])
+def test_from_dict_refuses_a_monomial_that_does_not_fit(mono):
+    # a monomial of another length, or with a negative exponent, is
+    # refused; with a zero coefficient it is dropped before the check
+    F = Fp(5)
+    with pytest.raises(ArityMismatch) as info:
+        MultiPoly.from_dict(F, 2, {(0, 1): F.one(), mono: F.element(2)})
+    assert str(info.value) == f"monomial {mono} does not fit arity 2"
+    f = MultiPoly.from_dict(F, 2, {(0, 1): F.one(), mono: F.zero()})
+    assert format_poly(f) == "x2"
+
+
 def test_univariate_refuses_a_coefficient_of_another_field():
     with pytest.raises(MixedFields):
         univariate(Fp(5), [Fp(7).element(3)])
