@@ -35,6 +35,7 @@ import itertools
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -258,8 +259,11 @@ class Tower:
         """The tower's report with a verification: the base, the arity,
         the form `expand` gives, or `form_withheld` (the refusal
         and the nesting) in its place when FORM_TERMS_GUARD refuses the
-        expansion, the degree and the verification. A degree with more
-        digits than Python writes is written as the text m^(n-1)."""
+        expansion, the degree and the verification. A form that holds an
+        int with more digits than Python writes (an exponent or a
+        coefficient) is withheld as well, under the guard
+        INT_MAX_STR_DIGITS; such a degree is written as the text
+        m^(n-1)."""
         record = {"base": format_poly(self.base), "arity": self.arity}
         try:
             record["form"] = format_poly(self.expand())
@@ -267,6 +271,11 @@ class Tower:
             record["form_withheld"] = {
                 "guard": exc.guard, "limit": exc.limit,
                 "requested": exc.requested, **self.structure()}
+        except ValueError:  # str(int) past sys.get_int_max_str_digits()
+            record["form_withheld"] = {
+                "guard": "INT_MAX_STR_DIGITS",
+                "limit": sys.get_int_max_str_digits(), "requested": None,
+                **self.structure()}
         degree = self.degree
         if _decimal(degree) is None:
             degree = f"{self.f2.degree}^{self.arity - 1}"
@@ -298,11 +307,11 @@ class RationalTower(Tower):
         """L, and the int coefficients c_0..c_m of L*f2 from u^m down to
         v^m (zeros included) as c_0 and the list c_1..c_m, whose length
         is m."""
-        terms = self.f2.terms
-        lcm = math.lcm(*(c.payload.denominator for _, c in terms))
+        terms = self.f2.payload_terms
+        lcm = math.lcm(*(c.denominator for _, c in terms))
         dense = [0] * (self.f2.degree + 1)
         for (_, j), c in terms:
-            dense[j] = int(c.payload * lcm)
+            dense[j] = int(c * lcm)
         return lcm, dense[0], dense[1:]
 
     def _pair(self, pairs):
@@ -427,9 +436,9 @@ def _ratio(x):
 def _dense(f):
     """The payloads of the univariate f's coefficients, low degree first,
     zeros included."""
-    dense = [f.field.zero().payload] * (f.degree + 1)
-    for (i,), c in f.terms:
-        dense[i] = c.payload
+    dense = [f.field.canonical(0)] * (f.degree + 1)
+    for (i,), c in f.payload_terms:
+        dense[i] = c
     return dense
 
 
@@ -443,7 +452,7 @@ def _powers(f):
     monomial y^m has the powers y^(m*e) without any product."""
     F = f.field
     mul, add, is_zero, p = F.mul, F.add, F.is_zero, F.characteristic
-    base = [(mono[0], c.payload) for mono, c in f.terms]
+    base = [(mono[0], c) for mono, c in f.payload_terms]
     powers = {0: [(0, F.canonical(1))], 1: base}
 
     def power(want):

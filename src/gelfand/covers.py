@@ -154,8 +154,8 @@ class CombinationCertificate:
             "witness": ([format_element(g.coefficient(_variable(n, i)))
                          for i in range(n)] if self.mode == "CaseIII"
                         else format_poly(g)),
-            "composite_values": [format_element(v)
-                                 for v in self.composite.values],
+            "composite_values": list(map(self.cover.field.format,
+                                         self.composite.payloads)),
             "pass": certify(self)["pass"],
         }
         if self.per_step_log:
@@ -243,9 +243,8 @@ def unit_combination_case3(cover: Cover) -> CombinationCertificate:
         a = next((a for a in range(field.order) if a not in image), None)
         if a is None:
             raise AvoidanceExhausted(i)
-        chosen = from_payload(field, a)
         coeffs[i] = field.neg(a)
-        current = current - psis[i].scale(chosen)
+        current = current - psis[i].scale(from_payload(field, a))
         # the replaced function together with the remaining ones must
         # still cover the space, so it must not vanish on y_points
         u_at = current.payloads
@@ -254,7 +253,7 @@ def unit_combination_case3(cover: Cover) -> CombinationCertificate:
                 raise CommonZero(x)
         log.append({
             "step": i + 1,
-            "chosen_a": format_element(chosen),
+            "chosen_a": field.format(a),
             "image_size": len(image),
             "restricted_points": len(y_points),
             "cover_restored": True,
@@ -277,7 +276,8 @@ def certify(cert: CombinationCertificate) -> dict:
     failing_point = next((x for x, a in enumerate(recomputed.payloads)
                           if is_zero(a)), None)
     checks = {"nonvanishing": failing_point is None,
-              "ideal_membership": cert.witness.constant_term().is_zero,
+              "ideal_membership": all(any(m) for m, _ in
+                                      cert.witness.payload_terms),
               "recomputation": recomputed == cert.composite}
     result = {"pass": all(checks.values()), **checks}
     if failing_point is not None:

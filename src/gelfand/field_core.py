@@ -272,10 +272,10 @@ class FieldDescriptor:
     Each kind is a frozen dataclass subclass, hashed by its fields. It
     defines `canonical(payload)`, the payload operations `add`, `neg`,
     `mul` and `inv` (of a nonzero payload), which take and return
-    canonical payloads, its own text form `__str__` and the element
-    text form `parse(text)`; the defaults below fit scalar payloads.
-    `FieldElement` wraps each result of these operations once, and the
-    hot kernels call them on payloads directly. Elements are ordered by
+    canonical payloads, its own text form `__str__`, a payload's text
+    form `format` and the element parser `parse(text)`; the defaults
+    below fit scalar payloads. `FieldElement` wraps each result once;
+    kernels and printers call them on payloads. Elements are ordered by
     their payloads.
     """
 
@@ -311,8 +311,8 @@ class FieldDescriptor:
         e = 0 only."""
         return _power(self.mul, a, e) if e else self.canonical(1)
 
-    def format(self, x):
-        return str(x.payload)
+    def format(self, a):
+        return str(a)
 
     def conjugate(self, x):
         raise WrongKind("conjugate is defined on quadratic elements only")
@@ -543,8 +543,8 @@ class ExtensionField(FiniteField):
     def __str__(self):
         return f"Fq({self.p},{self.k},{_format_tpoly(self.modulus)})"
 
-    def format(self, x):
-        return _format_tpoly(self._digits(x.payload))
+    def format(self, a):
+        return _format_tpoly(self._digits(a))
 
     def parse(self, text):
         coeffs = _parse_tpoly(text, 0, len(text), self.p, self.k - 1)
@@ -667,8 +667,8 @@ class QuadraticField(FieldDescriptor):
     def __str__(self):
         return f"Q(sqrt({self.d}))"
 
-    def format(self, x):
-        a, b = x.payload
+    def format(self, u):
+        a, b = u
         if b == 0:
             return str(a)
         root = f"sqrt({self.d})"
@@ -911,7 +911,7 @@ def parse_field(text: str) -> FieldDescriptor:
 
 
 def format_element(x: FieldElement) -> str:
-    return x.field.format(x)
+    return x.field.format(x.payload)
 
 
 def parse_element(F: FieldDescriptor, text: str) -> FieldElement:

@@ -27,7 +27,6 @@ from .errors import (
 from .field_core import (
     FIELD_TABLE_CAP,
     FieldDescriptor,
-    format_element,
     format_field,
     from_payload,
     parse_element_at,
@@ -139,7 +138,7 @@ class RingElement:
             F, tuple(mul(c, a) for a in self.payloads))
 
     def __str__(self):
-        return ",".join(format_element(v) for v in self.values)
+        return ",".join(map(self.field.format, self.payloads))
 
     def __repr__(self):
         return f"RingElement({self})"

@@ -1,9 +1,10 @@
 """Sparse exact multivariate polynomials.
 
-Terms are kept in descending graded-lexicographic order with no zero
-coefficients, so the representation is canonical: two polynomials are
-equal exactly when their term tuples are equal, and printing followed
-by parsing is a bit-exact round trip. `compose_last` substitutes a form
+Terms are kept as (monomial, payload) pairs in descending
+graded-lexicographic order with no zero coefficients, so the
+representation is canonical: two polynomials are equal exactly when
+their term tuples are equal, and printing followed by parsing is a
+bit-exact round trip. `compose_last` substitutes a form
 into the last variable of a bivariate one by products
 (`MultiPoly.__mul__`), one level of the composition tower; the tower
 itself is expanded without any product of polynomials
@@ -28,7 +29,6 @@ from .errors import (
 from .field_core import (
     FieldDescriptor,
     FieldElement,
-    format_element,
     from_payload,
     parse_element_at,
 )
@@ -36,11 +36,12 @@ from .field_core import (
 
 @dataclass(frozen=True)
 class MultiPoly:
-    """A sparse polynomial over one field, with fixed arity."""
+    """A sparse polynomial over one field, with fixed arity, holding its
+    coefficients' payloads as `RingElement` holds its values'."""
 
     field: FieldDescriptor
     arity: int
-    terms: tuple  # ((monomial, coefficient), ...) in canonical order
+    payload_terms: tuple  # ((monomial, payload), ...) in canonical order
 
     @classmethod
     def from_dict(cls, field, arity, coeffs):
@@ -59,11 +60,10 @@ class MultiPoly:
     @classmethod
     def from_payloads(cls, field, arity, coeffs):
         """Build from a {monomial: payload} mapping, as the kernels below
-        produce it, dropping zeros and wrapping each payload once; its
-        monomials are trusted, not checked."""
+        produce it, dropping zeros and sorting the rest, each payload
+        stored as it is; its monomials are trusted, not checked."""
         is_zero = field.is_zero
-        items = [(tuple(m), from_payload(field, a))
-                 for m, a in coeffs.items() if not is_zero(a)]
+        items = [(tuple(m), a) for m, a in coeffs.items() if not is_zero(a)]
         # descending total degree, then descending lexicographic
         items.sort(key=lambda mc: (sum(mc[0]), mc[0]), reverse=True)
         return cls(field, arity, tuple(items))
@@ -85,21 +85,24 @@ class MultiPoly:
         return cls.from_dict(field, arity, {mono: field.one()})
 
     @property
+    def terms(self):
+        """((monomial, FieldElement), ...), wrapped on each read."""
+        F = self.field
+        return tuple((m, from_payload(F, a)) for m, a in self.payload_terms)
+
+    @property
     def is_zero(self):
-        return not self.terms
+        return not self.payload_terms
 
     @property
     def degree(self):
         """Max total degree, or None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return sum(self.terms[0][0])
+        terms = self.payload_terms
+        return sum(terms[0][0]) if terms else None
 
     def coefficient(self, mono):
-        for m, c in self.terms:
-            if m == tuple(mono):
-                return c
-        return self.field.zero()
+        a = dict(self.payload_terms).get(tuple(mono))
+        return self.field.zero() if a is None else from_payload(self.field, a)
 
     def constant_term(self):
         return self.coefficient((0,) * self.arity)
@@ -115,9 +118,8 @@ class MultiPoly:
     def __add__(self, other):
         self._check(other)
         add = self.field.add
-        acc = {m: c.payload for m, c in self.terms}
-        for m, c in other.terms:
-            c = c.payload
+        acc = dict(self.payload_terms)
+        for m, c in other.payload_terms:
             acc[m] = add(acc[m], c) if m in acc else c
         return MultiPoly.from_payloads(self.field, self.arity, acc)
 
@@ -128,11 +130,10 @@ class MultiPoly:
                 raise MixedFields(f"{F} vs {other.field}")
             s, mul = other.payload, F.mul
             return MultiPoly.from_payloads(
-                F, self.arity, {m: mul(c.payload, s) for m, c in self.terms})
+                F, self.arity, {m: mul(a, s) for m, a in self.payload_terms})
         self._check(other)
-        return MultiPoly.from_payloads(F, self.arity, dict(_times(
-            [(m, c.payload) for m, c in self.terms],
-            [(m, c.payload) for m, c in other.terms], F)))
+        return MultiPoly.from_payloads(
+            F, self.arity, _times(self.payload_terms, other.payload_terms, F))
 
     def evaluate(self, point):
         """Exact evaluation at a tuple of field elements."""
@@ -160,9 +161,9 @@ class MultiPoly:
         exponent; per term its coefficient's payload and the positions
         of its pairs in that list; and the zero payload."""
         position = {}
-        plan = [(c.payload, tuple(position.setdefault((i, e), len(position))
-                                  for i, e in enumerate(m) if e))
-                for m, c in self.terms]
+        plan = [(a, tuple(position.setdefault((i, e), len(position))
+                          for i, e in enumerate(m) if e))
+                for m, a in self.payload_terms]
         return list(position), plan, self.field.canonical(0)
 
     def __str__(self):
@@ -205,13 +206,13 @@ def homogenize2(f: MultiPoly) -> MultiPoly:
         raise ArityMismatch("homogenization takes a univariate polynomial")
     if f.is_zero:
         raise ZeroPolynomial("cannot homogenize the zero polynomial")
-    m = f.degree
+    F, m, lead = f.field, f.degree, f.payload_terms[0][1]
     if m < 1:
         raise ZeroPolynomial("degree must be at least 1")
-    if not (f.coefficient((m,)) - f.field.one()).is_zero:
-        raise NotMonic(f"leading coefficient is {f.coefficient((m,))}")
-    return MultiPoly.from_dict(
-        f.field, 2, {(e[0], m - e[0]): c for e, c in f.terms})
+    if lead != F.canonical(1):
+        raise NotMonic(f"leading coefficient is {F.format(lead)}")
+    return MultiPoly.from_payloads(
+        F, 2, {(e[0], m - e[0]): a for e, a in f.payload_terms})
 
 
 def compose_last(g2: MultiPoly, h: MultiPoly) -> MultiPoly:
@@ -223,28 +224,28 @@ def compose_last(g2: MultiPoly, h: MultiPoly) -> MultiPoly:
     if g2.field != h.field:
         raise MixedFields(f"{g2.field} vs {h.field}")
     F, n = h.field, h.arity
-    h = MultiPoly(F, n + 1, tuple((m + (0,), c) for m, c in h.terms))
+    h = MultiPoly(F, n + 1, tuple((m + (0,), a) for m, a in h.payload_terms))
     powers = [MultiPoly.constant(F, n + 1, F.one())]
     result = MultiPoly.zero(F, n + 1)
-    for (i, j), c in g2.terms:
+    for (i, j), c in g2.payload_terms:
         while len(powers) <= i:
             powers.append(powers[-1] * h)
-        result = result + powers[i] * MultiPoly.from_dict(
+        result = result + powers[i] * MultiPoly.from_payloads(
             F, n + 1, {(0,) * n + (j,): c})
     return result
 
 
 def _times(left, right, field):
-    """The product of two polynomials given as (monomial, payload) lists,
-    as such a list without zero coefficients."""
-    mul, add, is_zero = field.mul, field.add, field.is_zero
+    """The product of two polynomials given as (monomial, payload) pairs,
+    as a {monomial: payload} mapping, zero coefficients included."""
+    mul, add = field.mul, field.add
     acc = {}
     for m1, a1 in left:
         for m2, a2 in right:
             m = tuple(map(operator.add, m1, m2))
             c = mul(a1, a2)
             acc[m] = add(acc[m], c) if m in acc else c
-    return [(m, c) for m, c in acc.items() if not is_zero(c)]
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -257,12 +258,12 @@ _ATOMIC_COEFF = re.compile(r"^\d+(/\d+)?$")
 def format_poly(f: MultiPoly) -> str:
     if f.is_zero:
         return "0"
-    parts = []
-    for mono, c in f.terms:
+    F, parts = f.field, []
+    for mono, c in f.payload_terms:
         vars_txt = "*".join(
             f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
             for i, e in enumerate(mono) if e)
-        c_txt = format_element(c)
+        c_txt = F.format(c)
         if not _ATOMIC_COEFF.match(c_txt):
             c_txt = f"({c_txt})"
         if not vars_txt:

@@ -45,7 +45,11 @@ from gelfand.poly import (
     parse_poly,
     univariate,
 )
-from test_poly import _compose_last_by_products, _count_payload_products
+from test_poly import (
+    _compose_last_by_products,
+    _count_payload_products,
+    forbid_field_elements,
+)
 
 
 def _base(field, m=2):
@@ -1095,6 +1099,21 @@ EXPANSION_CELLS = [
     (Fq(3, 2), 2, 5), (Fq(3, 2), 3, 4), (Fq(3, 2), 4, 4),
     (Q(), 2, 5), (Q(), 3, 4), (Q(), 4, 3),
 ]
+
+
+@pytest.mark.parametrize("field,m,n", [
+    (Fp(2), 2, 5), (Fp(3), 3, 3), (Fq(2, 2), 2, 4), (Fq(3, 2), 3, 3),
+    (Q(), 2, 4), (Q(), 3, 3)], ids=str)
+def test_expand_and_build_fn_build_no_field_element(monkeypatch, field, m,
+                                                    n):
+    # the form is built, checked for roots and printed on payloads
+    f = _expansion_bases(field, m)[0]
+    expected = Tower.over(f, n).expand()
+    text = format_poly(expected)
+    forbid_field_elements(monkeypatch)
+    form = Tower.over(f, n).expand()
+    assert form == expected and format_poly(form) == text
+    assert build_fn(f, n) == expected
 
 
 @pytest.mark.parametrize("field,m,top", EXPANSION_CELLS, ids=str)

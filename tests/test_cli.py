@@ -4,14 +4,16 @@ import itertools
 import json
 import random
 import shlex
+import sys
 from fractions import Fraction
 
 import pytest
 
 from gelfand import cli
+from gelfand.anisotropic import Tower
 from gelfand.cli import main
-from gelfand.field_core import enumerate_field, parse_field
-from gelfand.poly import univariate
+from gelfand.field_core import Q, enumerate_field, parse_field
+from gelfand.poly import parse_poly, univariate
 
 
 def run_cli(args, out_path):
@@ -72,6 +74,42 @@ def test_rooted_rational_tower_writes_any_degree(tmp_path, witness, n,
     assert inst["verification"] == {
         "mode": "failed", "counterexample": ["1", "1"] + ["0"] * (n - 2)}
     assert inst["degree"] == degree
+
+
+_ONES = "1" * 300
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python writes ints of any length")
+@pytest.mark.parametrize("witness,n,code,form", [
+    ("x^2", 14285, 1, f"x1^{2 ** 14284}"),
+    ("x^2", 14286, 1, None),
+    (f"x^2+{_ONES}*x+1", 5, 0, True),
+    (f"x^2+{_ONES}*x+1", 6, 0, None),
+], ids=["exponent-4300-digits", "exponent-4301-digits",
+        "coefficient-n5", "coefficient-n6"])
+def test_a_form_python_cannot_write_is_withheld(tmp_path, witness, n, code,
+                                                form):
+    # x1^(2^14285), the form of x^2 at n = 14286, has an exponent of more
+    # digits than Python writes of an int; so, at n = 6, have coefficients
+    # of the form over a base with a 300-digit coefficient. The report
+    # withholds such a form under the guard INT_MAX_STR_DIGITS.
+    code_, report = run_cli(
+        ["anisotropic", "--field", "Q", "--witness", witness, "--n", str(n),
+         "--samples", "5"], tmp_path / "r.json")
+    assert code_ == code
+    inst = report["instances"][0]
+    if form is None:
+        assert "form" not in inst
+        withheld = inst["form_withheld"]
+        structure = Tower.over(parse_poly(Q(), witness), n).structure()
+        assert list(withheld.items()) == [
+            ("guard", "INT_MAX_STR_DIGITS"),
+            ("limit", sys.get_int_max_str_digits()), ("requested", None),
+            *structure.items()]
+    else:
+        assert "form_withheld" not in inst
+        assert form is True or inst["form"] == form
 
 
 def test_rational_root_refusal_with_an_unprintable_lcm_exits_2(capsys):

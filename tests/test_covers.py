@@ -37,6 +37,7 @@ from gelfand.field_core import (
 )
 from gelfand.function_ring import RingElement
 from gelfand.poly import MultiPoly, format_poly, univariate
+from test_poly import forbid_field_elements
 
 import itertools
 
@@ -592,6 +593,26 @@ def test_certificate_json_record():
     assert record["witness"] == ["1", "4"]
     assert record["pass"]
     assert record["per_step_log"][0]["image_size"] == 2
+
+
+@pytest.mark.parametrize("field,rows", [
+    (Fp(5), [[1, 0, 2, 3], [0, 1, 4, 0]]),
+    (Fq(2, 2), [[1, 0, 2, 3], [0, 1, 3, 3]]),
+    (Q(), [[1, 0, Fraction(1, 2)], [0, 1, Fraction(-3)]]),
+], ids=["Fp(5)", "Fq(2,2)", "Q"])
+def test_certify_builds_no_field_element(monkeypatch, field, rows):
+    # certify evaluates the witness and reads its constant term on
+    # payloads, for each route that the field admits
+    cover = check_cover([_re(field, row) for row in rows])
+    certs = [combine_case2(cover)]
+    if field.is_finite:
+        base = univariate(field, find_rootfree_monic(field, 2))
+        certs += [combine_case1(cover, base), unit_combination_case3(cover)]
+    forbid_field_elements(monkeypatch)
+    for cert in certs:
+        assert certify(cert) == {"pass": True, "nonvanishing": True,
+                                 "ideal_membership": True,
+                                 "recomputation": True}
 
 
 def test_certify_cross_checks_the_nested_route_one(monkeypatch):

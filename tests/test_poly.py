@@ -13,6 +13,7 @@ from gelfand.errors import (
     ParseError,
     ZeroPolynomial,
 )
+from gelfand import anisotropic, covers, field_core, function_ring, poly
 from gelfand.anisotropic import build_fn
 from gelfand.field_core import (
     FieldElement,
@@ -22,6 +23,7 @@ from gelfand.field_core import (
     Qsqrt,
     enumerate_field,
     find_rootfree_monic,
+    from_payload,
     parse_field,
 )
 from gelfand.poly import (
@@ -170,7 +172,8 @@ def _compose_last_by_products(g2, h):
     variables, and each term c*y^i*z^j of g2 as the product
     c * h^i * x_{n+1}^j, every power an i- or j-fold product."""
     n, field = h.arity, h.field
-    h_ext = MultiPoly(field, n + 1, tuple((m + (0,), c) for m, c in h.terms))
+    h_ext = MultiPoly(field, n + 1,
+                      tuple((m + (0,), a) for m, a in h.payload_terms))
     last = MultiPoly.variable(field, n + 1, n)
     result = MultiPoly.zero(field, n + 1)
     for (i, j), c in g2.terms:
@@ -326,6 +329,38 @@ def test_constant_term():
     assert parse_poly(F, "x1^2 + x2^2").constant_term().is_zero
     assert parse_poly(F, "x + 1").constant_term() == F.one()
     assert MultiPoly.zero(F, 2).constant_term().is_zero
+
+
+def forbid_field_elements(monkeypatch):
+    """Make building a FieldElement fail, through its constructor or
+    `from_payload` in any module that imports it."""
+    def forbidden(*args):
+        raise AssertionError("a FieldElement was built")
+
+    for module in (field_core, poly, anisotropic, covers, function_ring):
+        monkeypatch.setattr(module, "from_payload", forbidden)
+    monkeypatch.setattr(FieldElement, "__init__", forbidden)
+
+
+@pytest.mark.parametrize("field,text,payload_type", [
+    (Fp(5), "2*x1^2 + 3*x1*x2 + 4", int),
+    (Fq(2, 2), "(t)*x1^2 + (t+1)*x2 + 1", int),
+    (Q(), "1/2*x1^2 + (-3)*x2", Fraction),
+    (Qsqrt(-2), "(1/2+sqrt(-2))*x1 + 3", tuple),
+], ids=["Fp(5)", "Fq(2,2)", "Q", "Q(sqrt(-2))"])
+def test_payload_terms_hold_payloads_and_terms_wraps_them(
+        monkeypatch, field, text, payload_type):
+    f = parse_poly(field, text)
+    assert f.payload_terms
+    assert all(type(a) is payload_type for _, a in f.payload_terms)
+    assert f.terms == tuple((m, from_payload(field, a))
+                            for m, a in f.payload_terms)
+    for (m, c), (n, a) in zip(f.terms, f.payload_terms):
+        assert m == n and type(c) is FieldElement
+        assert c.field == field and c.payload is a
+    # each coefficient is printed from its payload by the field
+    forbid_field_elements(monkeypatch)
+    assert format_poly(f) == text
 
 
 def test_degree_of_zero_is_sentinel():
