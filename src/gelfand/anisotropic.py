@@ -61,6 +61,7 @@ from .field_core import (
     is_prime,
     payload_values,
     power_within,
+    rootfree_payloads,
 )
 from .poly import MultiPoly, format_poly, homogenize2, point_payloads
 
@@ -231,7 +232,7 @@ class Tower:
         """
         F, n = self.field, self.arity
         if self.f2 is None:
-            return MultiPoly.variable(F, 1, 0)
+            return MultiPoly.from_payloads(F, 1, {(1,): F.canonical(1)})
         power, m, mul = _powers(self.base), self.f2.degree, F.mul
         chains = [((), F.canonical(1), 1)]
         _check_form_terms(1, 1)
@@ -512,6 +513,12 @@ def _enumeration_size(field, n):
         lambda: f"q^n = {q}^{n} exceeds the enumeration guard")
 
 
+def rootfree_base(F: FieldDescriptor, m: int) -> MultiPoly:
+    """`find_rootfree_monic`'s polynomial, built from its payloads."""
+    return MultiPoly.from_payloads(
+        F, 1, {(i,): c for i, c in enumerate(rootfree_payloads(F, m))})
+
+
 def build_fn(f: MultiPoly, n: int) -> MultiPoly:
     """The arity-n composition tower over a root-free monic univariate f,
     expanded by exponent chains (`Tower.expand`, under FORM_TERMS_GUARD,
@@ -552,9 +559,9 @@ def norm_form_eval(points) -> FieldElement:
     """Sum of norms of a tuple of Q(sqrt(d)) elements, as a rational.
 
     The value is >= 0 and is 0 exactly when every entry is zero, since
-    d < 0 makes each norm positive definite. Each norm is computed on
-    the ints of its element's parts (`QuadraticField.norm`), and the sum
-    is an element of the one Q descriptor that the norms share.
+    d < 0 makes each norm positive definite. Each norm is a Fraction
+    computed on the ints of its element's parts (`QuadraticField.norm`);
+    their sum is wrapped once, in the one Q descriptor of norms.
     """
     points = tuple(points)
     if not points:
@@ -562,12 +569,10 @@ def norm_form_eval(points) -> FieldElement:
     owner = points[0].field
     if not isinstance(owner, Qsqrt):
         raise WrongKind("norm form is defined over Q(sqrt(d))")
-    acc = RATIONALS.zero()
     for x in points:
         if x.field != owner:
             raise MixedFields(f"{owner} vs {x.field}")
-        acc = acc + x.norm()
-    return acc
+    return from_payload(RATIONALS, sum(owner.norm(x.payload) for x in points))
 
 
 def _multiplicity(n, p):

@@ -142,8 +142,7 @@ def cmd_anisotropic(args):
                               "field every point is checked")
         if args.m < 2:
             raise ConfigError("degree guard: --m must be at least 2")
-        tower = aniso.Tower.over(
-            univariate(field, find_rootfree_monic(field, args.m)), args.n)
+        tower = aniso.Tower.over(aniso.rootfree_base(field, args.m), args.n)
         # the tower is verified nested, and the q^n guard fires first;
         # the form is expanded for the report only, under its own guard
         result = tower.verify_exhaustive()
@@ -234,7 +233,7 @@ def cmd_cover(args):
     # report, so the others' work would be wasted
     for case in sorted(cases, key=lambda case: case != "III"):
         if case == "I":
-            base = univariate(field, find_rootfree_monic(field, args.m))
+            base = aniso.rootfree_base(field, args.m)
             certs[case] = cov.combine_case1(cover, base)
         elif case == "II":
             certs[case] = cov.combine_case2(cover)

@@ -22,7 +22,7 @@ from .errors import (
     OriginInJ,
     TooLarge,
 )
-from .field_core import FieldDescriptor, format_element, from_payload
+from .field_core import FieldDescriptor
 from .function_ring import FiniteSpace, RingElement
 from .poly import MultiPoly, format_poly
 
@@ -139,7 +139,7 @@ class CombinationCertificate:
     """A certified nowhere-vanishing element of a cover's ideal: the
     composite g(psi_1, ..., psi_n) of a polynomial witness g with zero
     constant term. Route III's witness is its linear form, printed as
-    its n coefficients."""
+    its n coefficients, zeros included."""
 
     mode: str  # "CaseI" | "CaseII" | "CaseIII"
     cover: Cover
@@ -148,14 +148,17 @@ class CombinationCertificate:
     per_step_log: tuple = ()
 
     def to_json(self):
-        g, n = self.witness, self.witness.arity
+        g, F = self.witness, self.cover.field
+        if self.mode == "CaseIII":
+            coeffs, zero = dict(g.payload_terms), F.canonical(0)
+            witness = [F.format(coeffs.get(_variable(g.arity, i), zero))
+                       for i in range(g.arity)]
+        else:
+            witness = format_poly(g)
         record = {
             "mode": self.mode,
-            "witness": ([format_element(g.coefficient(_variable(n, i)))
-                         for i in range(n)] if self.mode == "CaseIII"
-                        else format_poly(g)),
-            "composite_values": list(map(self.cover.field.format,
-                                         self.composite.payloads)),
+            "witness": witness,
+            "composite_values": list(map(F.format, self.composite.payloads)),
             "pass": certify(self)["pass"],
         }
         if self.per_step_log:
@@ -202,7 +205,7 @@ def combine_case2(cover: Cover) -> CombinationCertificate:
     F = cover.field
     witness = _interpolant(F, len(cover.functions), image_points(cover))
     composite = RingElement.from_payloads(
-        F, (F.one().payload,) * cover.space.size)
+        F, (F.canonical(1),) * cover.space.size)
     return CombinationCertificate("CaseII", cover, composite, witness=witness)
 
 
@@ -216,17 +219,17 @@ def unit_combination_case3(cover: Cover) -> CombinationCertificate:
     restriction is treated as vacuous (any a works). The route reads the
     functions' payloads: the image is the set of forbidden values u/v,
     with None for [1:0], the candidates a are the payloads in
-    enumeration order, and psi~ is updated by the ring operators. The
-    witness is the linear form sum of c_i x_i.
+    enumeration order, and psi~ + c_i*psi_i, c_i = -a, is one payload
+    expression per point. The witness is the linear form sum of c_i x_i.
     """
     field = cover.field
     if not field.is_finite:
         raise InfiniteField("the avoidance route is implemented for finite F")
-    is_zero, one = field.is_zero, field.one().payload
+    is_zero, add, mul = field.is_zero, field.add, field.mul
     psis = cover.functions
     n = len(psis)
     size = cover.space.size
-    coeffs = [one] + [field.zero().payload] * (n - 1)
+    coeffs = [field.canonical(1)] + [field.canonical(0)] * (n - 1)
     current = psis[0]
     log = []
     for i in range(1, n):
@@ -237,17 +240,17 @@ def unit_combination_case3(cover: Cover) -> CombinationCertificate:
         # 1, and the previous step's restoration scan after that
         u_at, v_at = current.payloads, psis[i].payloads
         image = {None if is_zero(v_at[x])
-                 else field.mul(u_at[x], field.inv(v_at[x]))
+                 else mul(u_at[x], field.inv(v_at[x]))
                  for x in y_points}
         # a payload is the element's index in enumeration order
         a = next((a for a in range(field.order) if a not in image), None)
         if a is None:
             raise AvoidanceExhausted(i)
-        coeffs[i] = field.neg(a)
-        current = current - psis[i].scale(from_payload(field, a))
+        c = coeffs[i] = field.neg(a)
+        u_at = tuple(add(u, mul(c, v)) for u, v in zip(u_at, v_at))
+        current = RingElement.from_payloads(field, u_at)
         # the replaced function together with the remaining ones must
         # still cover the space, so it must not vanish on y_points
-        u_at = current.payloads
         for x in y_points:
             if is_zero(u_at[x]):
                 raise CommonZero(x)

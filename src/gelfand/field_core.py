@@ -240,11 +240,11 @@ class FieldElement:
         return from_payload(F, F.pow(self.payload, e))
 
     def conjugate(self):
-        return self.field.conjugate(self)
+        return from_payload(self.field, self.field.conjugate(self.payload))
 
     def norm(self):
         """x * conjugate(x) as a rational; positive definite since d < 0."""
-        return self.field.norm(self)
+        return from_payload(RATIONALS, self.field.norm(self.payload))
 
     def __str__(self):
         return format_element(self)
@@ -273,9 +273,11 @@ class FieldDescriptor:
     defines `canonical(payload)`, the payload operations `add`, `neg`,
     `mul` and `inv` (of a nonzero payload), which take and return
     canonical payloads, its own text form `__str__`, a payload's text
-    form `format` and the element parser `parse(text)`; the defaults
-    below fit scalar payloads. `FieldElement` wraps each result once;
-    kernels and printers call them on payloads. Elements are ordered by
+    form `format` and its inverse `parse(text)`; a quadratic field adds
+    `conjugate` and `norm` (a Fraction). The defaults below fit scalar
+    payloads. Everything takes and returns payloads, and a public
+    function that returns an element (a `FieldElement` operator,
+    `parse_element`) wraps its result once. Elements are ordered by
     their payloads.
     """
 
@@ -314,10 +316,10 @@ class FieldDescriptor:
     def format(self, a):
         return str(a)
 
-    def conjugate(self, x):
+    def conjugate(self, a):
         raise WrongKind("conjugate is defined on quadratic elements only")
 
-    def norm(self, x):
+    def norm(self, a):
         raise WrongKind("norm is defined on quadratic elements only")
 
     def __repr__(self):
@@ -387,7 +389,7 @@ class PrimeField(FiniteField):
 
     def parse(self, text):
         _scan(text, 0, _RESIDUE_LITERAL)
-        return self.element(int(text))
+        return int(text) % self.p
 
 
 # fields with at most this many elements do their arithmetic through
@@ -547,8 +549,8 @@ class ExtensionField(FiniteField):
         return _format_tpoly(self._digits(a))
 
     def parse(self, text):
-        coeffs = _parse_tpoly(text, 0, len(text), self.p, self.k - 1)
-        return self.element(coeffs + (0,) * (self.k - len(coeffs)))
+        return self._encode(_parse_tpoly(text, 0, len(text), self.p,
+                                         self.k - 1))
 
 
 @functools.lru_cache(maxsize=16)
@@ -609,7 +611,7 @@ class RationalField(FieldDescriptor):
 
     def parse(self, text):
         m, = _scan(text, 0, _RATIONAL_LITERAL)
-        return from_payload(self, _read_rational(m[1], m[2]))
+        return _read_rational(m[1], m[2])
 
 
 @dataclass(frozen=True, eq=False, unsafe_hash=True, repr=False)
@@ -651,18 +653,17 @@ class QuadraticField(FieldDescriptor):
         n = a * a - self.d * b * b
         return (a / n, -b / n)
 
-    def conjugate(self, x):
-        a, b = x.payload
-        return from_payload(self, (a, -b))
+    def conjugate(self, u):
+        a, b = u
+        return (a, -b)
 
-    def norm(self, x):
-        """a^2 - d*b^2 in ints: with a = an/ad and b = bn/bd, the value
+    def norm(self, u):
+        """The Fraction a^2 - d*b^2, in ints: with a = an/ad, b = bn/bd,
         ((an*bd)^2 - d*(bn*ad)^2) / (ad*bd)^2, in lowest terms."""
-        a, b = x.payload
+        a, b = u
         ad, bd = a.denominator, b.denominator
         u, v = a.numerator * bd, b.numerator * ad
-        return from_payload(RATIONALS,
-                            Fraction(u * u - self.d * v * v, (ad * bd) ** 2))
+        return Fraction(u * u - self.d * v * v, (ad * bd) ** 2)
 
     def __str__(self):
         return f"Q(sqrt({self.d}))"
@@ -681,7 +682,7 @@ class QuadraticField(FieldDescriptor):
     def parse(self, text):
         m = _RATIONAL.fullmatch(text)
         if m:
-            return from_payload(self, (_read_rational(m[1], m[2]), _ZERO))
+            return (_read_rational(m[1], m[2]), _ZERO)
         head = _QUADRATIC_HEAD.match(text)
         an, ad, sign, b, bn, bd, star = head.groups()
         if b and not star and _ZERO_DENOMINATOR.match(text, head.end()):
@@ -699,7 +700,7 @@ class QuadraticField(FieldDescriptor):
             raise ParseError(text, d.start(), f"sqrt({self.d})")
         a = _read_rational(an, ad) if an else _ZERO
         b = _read_rational(bn, bd) if b else _ONE
-        return from_payload(self, (a, -b if sign == "-" else b))
+        return (a, -b if sign == "-" else b)
 
 
 Fp, Fq, Q, Qsqrt = PrimeField, ExtensionField, RationalField, QuadraticField
@@ -748,14 +749,18 @@ def first_root(F: FieldDescriptor, coeffs, start):
 
 
 def find_rootfree_monic(F: FieldDescriptor, m: int):
-    """First monic degree-m polynomial over finite F without roots in F.
+    """First monic degree-m polynomial over finite F without roots in F:
+    the elements of `rootfree_payloads`, low degree first."""
+    return tuple(from_payload(F, c) for c in rootfree_payloads(F, m))
 
-    Returns the coefficient tuple (low degree first, length m+1, leading
-    coefficient one), the first in lexicographic order on the lower
-    coefficients, c0 first; `candidates_scanned` is its position in that
-    order (`rootfree_scan_position`). As f(0) = c0, the tails with c0 = 0
-    are ruled out without evaluation: the scan starts at the first tail
-    with c0 != 0 and tries the nonzero elements only.
+
+def rootfree_payloads(F: FieldDescriptor, m: int):
+    """The payloads of `find_rootfree_monic`'s coefficients: the first
+    monic tail in lexicographic order on the lower coefficients, c0
+    first; `candidates_scanned` is its position in that order
+    (`rootfree_scan_position`). As f(0) = c0, the tails with c0 = 0 are
+    ruled out without evaluation: the scan starts at the first tail with
+    c0 != 0 and tries the nonzero elements only.
     """
     if m < 2:
         raise ValueError("degree must be at least 2: every monic linear "
@@ -769,7 +774,7 @@ def find_rootfree_monic(F: FieldDescriptor, m: int):
     # payloads are indices, and the payload of one is 1
     for tail in itertools.product(range(1, q), *[range(q)] * (m - 1)):
         if first_root(F, tail + (1,), 1) is None:
-            return tuple(from_payload(F, c) for c in tail) + (F.one(),)
+            return tail + (1,)
     raise NoneFound(f"no root-free monic of degree {m} over {F}")
 
 
@@ -918,16 +923,16 @@ def parse_element(F: FieldDescriptor, text: str) -> FieldElement:
     """Parse a field element literal in the field's text form; a
     ParseError carries the offset of the bad character or term in the
     stripped literal."""
-    return F.parse(text.strip())
+    return from_payload(F, F.parse(text.strip()))
 
 
-def parse_element_at(F: FieldDescriptor, text: str, start: int,
-                     end: int) -> FieldElement:
-    """Parse the literal text[start:end] by `parse_element`; a ParseError
-    carries its offset in text, past the literal's leading whitespace."""
+def parse_payload_at(F: FieldDescriptor, text: str, start: int, end: int):
+    """The payload of the literal text[start:end], stripped, by the
+    field's `parse`; a ParseError carries its offset in text, past the
+    literal's leading whitespace."""
     literal = text[start:end]
     try:
-        return parse_element(F, literal)
+        return F.parse(literal.strip())
     except ParseError as exc:
         lead = len(literal) - len(literal.lstrip())
         raise ParseError(text, start + lead + exc.pos, exc.expected) from None

@@ -29,7 +29,7 @@ from .field_core import (
     FieldDescriptor,
     format_field,
     from_payload,
-    parse_element_at,
+    parse_payload_at,
     power_within,
 )
 
@@ -61,9 +61,9 @@ _set = object.__setattr__
 class RingElement:
     """A function on a finite discrete space: one field value per point.
 
-    It holds the values' payloads, so that its operators (`+`, `-`, `*`,
-    `scale`) compute with the field's payload operations `add`, `neg`
-    and `mul`, and build each result once through `from_payloads`, which
+    It holds the values' payloads, so that its operators (`+`, `-`, `*`)
+    compute with the field's payload operations `add`, `neg` and `mul`,
+    and build each result once through `from_payloads`, which
     skips the constructor's check, as `from_payload` does for a field
     element. The public constructor takes field elements and checks that
     each lies in the field; `values` wraps the payloads back into field
@@ -128,15 +128,6 @@ class RingElement:
         return RingElement.from_payloads(
             F, tuple(map(F.mul, self.payloads, other.payloads)))
 
-    def scale(self, c):
-        """c times self, for a field element c."""
-        F = self.field
-        if c.field != F:
-            raise MixedFields(f"{F} vs {c.field}")
-        mul, c = F.mul, c.payload
-        return RingElement.from_payloads(
-            F, tuple(mul(c, a) for a in self.payloads))
-
     def __str__(self):
         return ",".join(map(self.field.format, self.payloads))
 
@@ -147,7 +138,7 @@ class RingElement:
 def parse_ring_element(field, line) -> RingElement:
     """One function per line: comma-separated field-element literals.
 
-    Each literal is read by `parse_element_at`, so that a ParseError
+    Each literal is read by `parse_payload_at`, so that a ParseError
     carries its offset in the line, and its payload is kept under its
     text in the field's memo (`_literals`), up to FIELD_TABLE_CAP texts.
     """
@@ -158,7 +149,7 @@ def parse_ring_element(field, line) -> RingElement:
     for part in line.split(","):
         a = memo.get(part)
         if a is None:
-            a = parse_element_at(field, line, start, start + len(part)).payload
+            a = parse_payload_at(field, line, start, start + len(part))
             if len(memo) < FIELD_TABLE_CAP:
                 memo[part] = a
         payloads.append(a)
@@ -168,7 +159,7 @@ def parse_ring_element(field, line) -> RingElement:
 
 @functools.lru_cache(maxsize=16)
 def _literals(field):
-    """The payloads `parse_element_at` gave for the field, by literal
+    """The payloads `parse_payload_at` gave for the field, by literal
     text: a memo of the parser alone, filled by `parse_ring_element`."""
     return {}
 
@@ -321,7 +312,7 @@ def max_spectrum(space: FiniteSpace, field: FieldDescriptor) -> ZariskiSpace:
     check_guards(space, field)
     points = tuple(gelfand_map(space, field, x) for x in space.points())
     add, neg, is_zero = field.add, field.neg, field.is_zero
-    zero, one = field.zero().payload, field.one().payload
+    zero, one = field.canonical(0), field.canonical(1)
     on, off = (is_zero(add(one, neg(a))) for a in (one, zero))
     if on != off:   # S -> S or S -> its complement: every mask
         closed = range(1 << n)
@@ -352,7 +343,7 @@ def check_homeomorphism(space: FiniteSpace, field: FieldDescriptor,
 
     oracle_agrees = None
     if run_oracle:
-        one = RingElement(field, (field.one(),) * n)
+        one = RingElement.from_payloads(field, (field.canonical(1),) * n)
         oracle_max = maximal_ideals(enumerate_ideals_bruteforce(space, field),
                                     one)
         structural_max = {M.element_set() for M in kernels}

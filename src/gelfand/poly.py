@@ -30,7 +30,7 @@ from .field_core import (
     FieldDescriptor,
     FieldElement,
     from_payload,
-    parse_element_at,
+    parse_payload_at,
 )
 
 
@@ -99,13 +99,6 @@ class MultiPoly:
         """Max total degree, or None for the zero polynomial."""
         terms = self.payload_terms
         return sum(terms[0][0]) if terms else None
-
-    def coefficient(self, mono):
-        a = dict(self.payload_terms).get(tuple(mono))
-        return self.field.zero() if a is None else from_payload(self.field, a)
-
-    def constant_term(self):
-        return self.coefficient((0,) * self.arity)
 
     def _check(self, other):
         if not isinstance(other, MultiPoly):
@@ -307,8 +300,8 @@ def _split_terms(text):
 
 
 def _parse_term(field, text, start, term, close):
-    """Parse one term found at offset start of text, with the offset
-    close from `_split_terms`; errors carry offsets into text."""
+    """Parse one term at offset start of text, with close from
+    `_split_terms`, to (payload, exponents); errors carry offsets."""
     negate = term.startswith("-")
     if negate:
         term = term[1:]
@@ -316,16 +309,16 @@ def _parse_term(field, text, start, term, close):
             raise ParseError(text, start, "a term after '-'")
         start += 1
     if term[0] == "(":
-        coeff = parse_element_at(field, text, start + 1, close)
+        coeff = parse_payload_at(field, text, start + 1, close)
         pos = close + 1 - start
     elif term[0] != "x":
         m = _LEADING_COEFF.match(term)
         if not m:
             raise ParseError(text, start, "a coefficient or variable")
-        coeff = parse_element_at(field, text, start, start + m.end())
+        coeff = parse_payload_at(field, text, start, start + m.end())
         pos = m.end()
     else:
-        coeff, pos = field.one(), 0
+        coeff, pos = field.canonical(1), 0
     if term.startswith("*", pos):   # pos is 0 only before an 'x'
         pos += 1
     exps = {}
@@ -343,7 +336,7 @@ def _parse_term(field, text, start, term, close):
             exps[idx - 1] = exps.get(idx - 1, 0) + e
             pos += len(piece) + 1
     if negate:
-        coeff = -coeff
+        coeff = field.neg(coeff)
     return coeff, exps
 
 
@@ -351,9 +344,10 @@ def parse_poly(field, text, arity=None) -> MultiPoly:
     """Parse the polynomial text form, e.g. 'x1^2 + x1*x2 + x2^2'.
 
     A bare 'x' is accepted as an alias for 'x1'. The arity is inferred
-    from the largest variable index unless given explicitly. A
-    ParseError carries the offset of the offending term in text, or of
-    the bad character in a coefficient (`parse_element_at`).
+    from the largest variable index unless given explicitly; a negative
+    one raises ArityMismatch. A ParseError carries the offset of the
+    offending term in text, or of the bad character in a coefficient
+    (`parse_payload_at`).
     """
     compact = text.replace(" ", "")
     if not compact:
@@ -371,8 +365,10 @@ def parse_poly(field, text, arity=None) -> MultiPoly:
         # map the offset in the space-free text back to the input
         offsets = [i for i, ch in enumerate(text) if ch != " "] + [len(text)]
         raise ParseError(text, offsets[exc.pos], exc.expected) from None
-    acc = {}
+    if arity < 0:
+        raise ArityMismatch(f"arity must be at least 0, got {arity}")
+    add, acc = field.add, {}
     for _, coeff, exps in parsed:
         mono = tuple(exps.get(i, 0) for i in range(arity))
-        acc[mono] = acc[mono] + coeff if mono in acc else coeff
-    return MultiPoly.from_dict(field, arity, acc)
+        acc[mono] = add(acc[mono], coeff) if mono in acc else coeff
+    return MultiPoly.from_payloads(field, arity, acc)

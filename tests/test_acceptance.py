@@ -68,7 +68,7 @@ def test_criterion_2_degree_law():
             for n in (2, 3, 4):
                 fn = build_fn(base, n)
                 ok = ok and fn.degree == m ** (n - 1)
-                ok = ok and fn.constant_term().is_zero
+                ok = ok and (0,) * n not in dict(fn.terms)
     _report(2, "degree m^(n-1) and zero constant term", ok)
 
 
@@ -106,7 +106,7 @@ def test_criterion_4_case2_interpolation():
                                 [tuple(x.payload for x in a) for a in J])
         origin = tuple(field.zero() for _ in range(n))
         ok = ok and f.evaluate(origin).is_zero
-        ok = ok and f.constant_term().is_zero
+        ok = ok and (0,) * n not in dict(f.terms)
         ok = ok and all(f.evaluate(a) == field.one() for a in J)
     _report(4, "interpolation is 1 on J, 0 at origin, exact", ok)
 

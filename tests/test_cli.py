@@ -10,10 +10,12 @@ from fractions import Fraction
 import pytest
 
 from gelfand import cli
+from gelfand import function_ring as fr
 from gelfand.anisotropic import Tower
 from gelfand.cli import main
 from gelfand.field_core import Q, enumerate_field, parse_field
 from gelfand.poly import parse_poly, univariate
+from test_poly import forbid_field_elements
 
 
 def run_cli(args, out_path):
@@ -589,6 +591,42 @@ def test_cover_all_cases(tmp_path):
     assert modes == ["CaseI", "CaseII", "CaseIII"]
     case3 = report["instances"][2]
     assert case3["witness"] == ["1", "4"]
+
+
+@pytest.mark.parametrize("spec", ["Fp(2)", "Fp(5)", "Fq(2,2)", "Fq(3,2)"])
+def test_cli_paths_build_no_field_element(tmp_path, monkeypatch, spec):
+    """The tower, cover and spectrum commands compute and print from
+    payloads: with every way of building a FieldElement made to raise,
+    each gives the report and exit code it gives unpatched. Route III
+    refuses this cover over F_2, so routes I and II also run alone."""
+    fns = tmp_path / "fns.txt"
+    fns.write_text("1,0,1\n0,1,1\n1,1,0\n")
+    oracle_sizes = [n for n in (1, 2, 3) if
+                    parse_field(spec).order ** n <= fr.ORACLE_GUARD]
+    argvs = [["anisotropic", "--field", spec, "--m", "2", "--n", str(n)]
+             for n in (1, 2, 3)]
+    argvs += [["cover", "--field", spec, "--functions", str(fns),
+               "--case", case] for case in ("all", "I", "II")]
+    argvs.append(["gelfand", "--field", spec, "--oracle", "--space",
+                  ",".join(map(str, oracle_sizes))])
+
+    def outcomes():
+        out = []
+        for i, argv in enumerate(argvs):
+            code, report = run_cli(argv, tmp_path / f"r{i}.json")
+            if report is not None:
+                del report["wall_time_s"]
+            out.append((code, report))
+        return out
+
+    expected = outcomes()
+    assert [code for code, _ in expected[:3]] == [0, 0, 0]
+    forbid_field_elements(monkeypatch)
+    assert outcomes() == expected
+    # the control: this report is the public search's elements
+    with pytest.raises(AssertionError, match="a FieldElement was built"):
+        main(["field", "find-rootfree", "--field", spec,
+              "--out", str(tmp_path / "rootfree.json")])
 
 
 def test_cover_common_zero_exit_code(tmp_path):

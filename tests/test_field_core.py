@@ -173,6 +173,11 @@ def test_norm_multiplicative_seeded():
                         Fraction(rng.randint(-9, 9))))
         assert (x * y).norm() == x.norm() * y.norm()
         assert (x * y).conjugate() == x.conjugate() * y.conjugate()
+        # the descriptor's norm and conjugate act on payloads, and the
+        # element's wrap their results
+        assert Qi.norm(x.payload) == x.norm().payload
+        assert type(Qi.norm(x.payload)) is Fraction
+        assert Qi.conjugate(x.payload) == x.conjugate().payload
 
 
 def test_norm_on_wrong_kind():
@@ -357,6 +362,9 @@ def test_element_text_roundtrip(field, literals):
         x = parse_element(field, text)
         assert format_element(x) == text
         assert parse_element(field, format_element(x)) == x
+        # the descriptor parses to a payload, the inverse of its format
+        assert field.parse(text) == x.payload
+        assert field.format(field.parse(text)) == text
 
 
 def test_payload_order_is_enumeration_order():
@@ -589,7 +597,9 @@ def _rational_root(coeffs):
 def _rational_coeffs(text):
     """Low degree first, from a monic univariate written like x^3-8/27."""
     f = parse_poly(Q(), text)
-    return [f.coefficient((i,)).payload for i in range(f.degree + 1)]
+    coeffs = dict(f.terms)
+    return [coeffs.get((i,), f.field.zero()).payload
+            for i in range(f.degree + 1)]
 
 
 @pytest.mark.parametrize("text,root", [

@@ -6,7 +6,7 @@ The polynomial parser once rescanned each parenthesized coefficient for
 its ')' and re-raised a coefficient's ParseError by its own rule, and the
 primitive element was found by a left-to-right power loop that squared
 the unit. The library now has one mechanism for each job (`_split_terms`
-gives the ')' offset, `parse_element_at` places the error, `_power` is
+gives the ')' offset, `parse_payload_at` places the error, `_power` is
 the only loop, and a ring line keeps the payloads it parsed in a memo);
 each test here checks that it gives the same results, and the same
 errors at the same offsets, as the reference on a seeded corpus. The
