@@ -2,7 +2,9 @@
 
 Exit codes: 0 when everything passed, 1 on a verification failure,
 2 on an input or precondition error. Reports are deterministic for a
-fixed configuration apart from the wall_time_s field.
+fixed configuration apart from the wall_time_s field, and `_report_text`
+writes them in one pass as `json.dumps(report, indent=2)` writes them.
+Field texts go through `parse_field`, which keeps its last 16.
 
 `COMMANDS` is the one declaration of the grammar: each command's words,
 handler, help text and options, as argparse's `add_argument` keywords.
@@ -15,10 +17,10 @@ prints help, usage and errors.
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from . import anisotropic as aniso
 from . import covers as cov
@@ -39,12 +41,52 @@ EXIT_VERIFICATION_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 
 
+# json's texts for the literals and for the floats repr writes nan, inf, -inf
+_WORDS = {None: "null", True: "true", False: "false", "nan": "NaN",
+          "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _report_text(value, newline="\n"):
+    """value as json.dumps(value, indent=2) writes it, indented as `newline`
+    ends; bool is tested before int."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return _WORDS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _WORDS.get(text, text)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        items = []
+        for key, item in value.items():
+            if not isinstance(key, str):   # a scalar key is its text, quoted
+                if not (key is None or isinstance(key, (int, float))):
+                    raise TypeError(f"keys must be str, int, float, bool "
+                                    f"or None, not {type(key).__name__}")
+                key = _report_text(key)
+            items.append(encode_basestring_ascii(key) + ": "
+                         + _report_text(item, inner))
+        ends = "{}"
+    elif isinstance(value, (list, tuple)):
+        items = [_report_text(item, inner) for item in value]
+        ends = "[]"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} "
+                        f"is not JSON serializable")
+    if not items:
+        return ends
+    return ends[0] + inner + ("," + inner).join(items) + newline + ends[1]
+
+
 def _emit(report, out_path):
     report["wall_time_s"] = round(time.monotonic() - report.pop("_t0"), 6)
-    text = json.dumps(report, indent=2) + "\n"
+    text = _report_text(report) + "\n"
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        with open(out_path, "wb") as fh:
+            fh.write(text.encode("ascii"))
     else:
         sys.stdout.write(text)
 

@@ -892,9 +892,14 @@ def _scan(text, pos, pieces):
 def parse_field(text: str) -> FieldDescriptor:
     """Parse a field descriptor: Fp(5), Fq(2,3,t^3+t+1), Q, Q(sqrt(-1)).
 
-    Fq(p,k) without a modulus picks the first irreducible one.
+    Fq(p,k) without a modulus picks the first irreducible one. The last
+    16 stripped texts are kept (`_descriptor`), but not one that raises.
     """
-    text = text.strip()
+    return _descriptor(text.strip())
+
+
+@functools.lru_cache(maxsize=16)
+def _descriptor(text):
     if text == "Q":
         return Q()
     if text.startswith("Fp("):

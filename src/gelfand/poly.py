@@ -253,18 +253,14 @@ def format_poly(f: MultiPoly) -> str:
         return "0"
     F, parts = f.field, []
     for mono, c in f.payload_terms:
-        vars_txt = "*".join(
-            f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
-            for i, e in enumerate(mono) if e)
         c_txt = F.format(c)
         if not _ATOMIC_COEFF.match(c_txt):
             c_txt = f"({c_txt})"
-        if not vars_txt:
-            parts.append(c_txt)
-        elif c_txt == "1":
-            parts.append(vars_txt)
-        else:
-            parts.append(f"{c_txt}*{vars_txt}")
+        factors = [f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
+                   for i, e in enumerate(mono) if e]
+        if c_txt != "1" or not factors:   # a unit coefficient is implied
+            factors.insert(0, c_txt)
+        parts.append("*".join(factors))
     return " + ".join(parts)
 
 

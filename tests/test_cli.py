@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import io
 import itertools
 import json
 import random
@@ -23,6 +25,28 @@ def run_cli(args, out_path):
     if out_path.exists():
         return code, json.loads(out_path.read_text())
     return code, None
+
+
+@pytest.fixture(autouse=True)
+def reports_are_json_dumps(monkeypatch):
+    """Every report a test here produces is json.dumps(report, indent=2)
+    and a newline: the bytes of an --out file, or the text written to
+    stdout, which is then passed on to the test's own stdout."""
+    emit = cli._emit
+
+    def checked(report, out_path):
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            emit(report, out_path)
+        expected = json.dumps(report, indent=2) + "\n"
+        if out_path:
+            with open(out_path, "rb") as fh:
+                assert fh.read() == expected.encode()
+            assert stdout.getvalue() == ""
+        else:
+            assert stdout.getvalue() == expected
+            sys.stdout.write(stdout.getvalue())
+
+    monkeypatch.setattr(cli, "_emit", checked)
 
 
 def test_anisotropic_finite(tmp_path):
@@ -681,6 +705,20 @@ def test_reports_are_deterministic(tmp_path, args):
     assert a.read_bytes() != b"" and _strip_timing(a.read_text())
 
 
+@pytest.mark.parametrize("args", [
+    ["field", "find-rootfree", "--field", "Fq(2,2)"],
+    ["gelfand", "--field", "Fp(3)", "--space", "2"],
+])
+def test_a_report_without_out_is_the_stdout_of_an_out_file(
+        tmp_path, capsys, args):
+    out = tmp_path / "r.json"
+    assert main(args + ["--out", str(out)]) == 0
+    assert main(args) == 0
+    stdout = capsys.readouterr().out
+    assert stdout.endswith("}\n") and _strip_timing(stdout) == \
+        _strip_timing(out.read_text())
+
+
 def test_table_and_argparse_give_the_same_reports(tmp_path, monkeypatch):
     """Reports and exit codes from argv read off COMMANDS equal those from
     argparse's parser, which plain argv never builds."""
@@ -1035,3 +1073,73 @@ def test_anisotropic_rational_witness_with_fraction(tmp_path):
     assert inst["form"].startswith("x1^8 + 2*x1^6*x2^2")
     assert inst["verification"]["samples"] == 200
 
+
+# ---------------------------------------------------------------------------
+# the report writer against json.dumps(value, indent=2)
+
+_INT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 4300)() or 4300
+_STRINGS = ["", "plain", 'a "quoted" word', "back\\slash \\u0041",
+            "\x00\x01\x1f\x7f\n\r\t\b\f", "caf\u00e9 \u2603 \u00ff",
+            "astral \U0001F600 \U00010000", "\ud800 lone surrogate"]
+_SCALARS = _STRINGS + [True, False, None, 0, 1, -7, 2 ** 70, -(10 ** 30),
+                       1e-05, 0.1, 1e16, -0.0, 2.5, -1e300, float("nan"),
+                       float("inf"), float("-inf")]
+_KEYS = _STRINGS + [0, 1, -3, 2 ** 65, 1.5, 1e16, -0.0, 1e-05,
+                    float("nan"), float("inf"), True, False, None]
+# values and keys json.dumps refuses, each with the type it raises
+_UNSUPPORTED = [set(), {1, 2}, Fraction(1, 3), b"bytes", object(),
+                10 ** _INT_LIMIT]
+_BAD_KEYS = [Fraction(1, 2), (1, 2), b"k", 10 ** _INT_LIMIT]
+
+
+def _outcome(write, value):
+    try:
+        return "text", write(value)
+    except Exception as exc:
+        return "raises", type(exc)
+
+
+def _random_value(rng, depth):
+    """A random nest of dicts, lists and tuples over the scalars above, at
+    times with a value or a key that json.dumps refuses."""
+    kind = rng.random()
+    if depth == 0 or kind < 0.35:
+        if rng.random() < 0.02:
+            return rng.choice(_UNSUPPORTED)
+        return rng.choice(_SCALARS)
+    items = range(rng.choice([0, 1, 2, 3, 5]))
+    if kind < 0.6:
+        return [_random_value(rng, depth - 1) for _ in items]
+    if kind < 0.7:
+        return tuple(_random_value(rng, depth - 1) for _ in items)
+    return {rng.choice(_KEYS + _BAD_KEYS * (rng.random() < 0.03)):
+            _random_value(rng, depth - 1) for _ in items}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_report_text_is_json_dumps_on_a_seeded_corpus(seed):
+    rng = random.Random(seed)
+    refused = 0
+    for _ in range(800):
+        value = _random_value(rng, 4)
+        expected = _outcome(lambda v: json.dumps(v, indent=2), value)
+        assert _outcome(cli._report_text, value) == expected, value
+        refused += expected[0] == "raises"
+    # both outcomes come up
+    assert 10 < refused < 400
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], (), {"a": {}}, {"a": []}, [[], {}, ()], ((1, (2, ())),),
+    {"a": {"b": {"c": [1, {"d": ()}]}}}, [{"e": [[[]]]}],
+    *_STRINGS, [True, 1, False, 0, None], {"t": True, "one": 1},
+    2 ** 64, 10 ** (_INT_LIMIT - 1), [1e-05, 0.1, 1e16, -0.0],
+    float("nan"), [float("inf"), float("-inf")],
+    {1: "int", 2.5: "float", True: "bool", None: "none", "s": "str"},
+    {False: 0, -0.0: 1, float("nan"): 2, 1e16: 3},
+    *_UNSUPPORTED, [1, set()], {"a": Fraction(1, 3)},
+    *({key: 1} for key in _BAD_KEYS), {"a": 1, (1,): 2},
+], ids=lambda value: type(value).__name__)
+def test_report_text_is_json_dumps_on_edge_values(value):
+    assert _outcome(cli._report_text, value) == _outcome(
+        lambda v: json.dumps(v, indent=2), value)

@@ -438,6 +438,35 @@ def test_rootfree_scan_skips_zero_constant_and_zero_point(
     assert not any(c0 == 0 or start == 0 for c0, start in calls)
 
 
+def test_a_descriptor_text_is_parsed_once(monkeypatch):
+    calls = []
+    real = field_core._is_irreducible
+    monkeypatch.setattr(field_core, "_is_irreducible",
+                        lambda m, p: calls.append(m) or real(m, p))
+    field_core._descriptor.cache_clear()
+    fields = [parse_field(text) for text in
+              ("Fq(2,3,t^3+t+1)", " Fq(2,3,t^3+t+1)", "Fq(2,3,t^3+t+1)\n")]
+    assert calls == [(1, 1, 0, 1)]
+    assert all(F is fields[0] for F in fields)
+    assert parse_field(" Fp(5) ") is parse_field("Fp(5)")
+    assert parse_field("Fq(2,2)") == parse_field("Fq(2,2,t^2+t+1)")
+
+
+@pytest.mark.parametrize("text,error", [
+    ("Fp(x)", ParseError), (" R ", ParseError), ("Fq(2,2,1+t^3)", ParseError),
+    ("Fq(2,3,t^3+t+1", ParseError), ("Fp(4)", ValueError),
+    ("Fq(2,2,t^2+1)", ValueError)])
+def test_a_bad_descriptor_text_raises_on_every_call(text, error):
+    for _ in range(3):
+        kept = field_core._descriptor.cache_info()
+        with pytest.raises(error):
+            parse_field(text)
+        # each call parses the text again, and keeps nothing
+        now = field_core._descriptor.cache_info()
+        assert now.misses == kept.misses + 1
+        assert now.currsize == kept.currsize
+
+
 def test_fq_shorthand_picks_first_irreducible():
     assert parse_field("Fq(2,3)") == Fq(2, 3)
     assert parse_field("Fq(3,2)") == Fq(3, 2)
@@ -542,7 +571,8 @@ def test_descriptor_with_tables_equals_a_fresh_one():
         built = parse_field(spec)
         x = built.element_at(5)
         assert x * x.inv() == built.one()  # arithmetic on the tables
-        fresh = parse_field(spec)
+        fresh = field_core._descriptor.__wrapped__(spec)   # not the memo's
+        assert fresh is not built
         assert built == fresh and fresh == built
         assert hash(built) == hash(fresh)
         assert vars(built) == vars(fresh)

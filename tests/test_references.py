@@ -1,6 +1,7 @@
 """The earlier two-mechanism versions of the polynomial parser, of
-the extension-field power and of the rational root test, and a ring-line
-parser with no memo, kept as references.
+the extension-field power and of the rational root test, a ring-line
+parser with no memo and a polynomial formatter that writes each term in
+three branches, kept as references.
 
 The polynomial parser once rescanned each parenthesized coefficient for
 its ')' and re-raised a coefficient's ParseError by its own rule, and the
@@ -15,7 +16,8 @@ cache with the reader it checks. The rational root test once cleared
 denominators and ran a Horner loop of its own; the tower's
 `rational_root` now decides each candidate on the integer kernel that
 evaluates its samples, and must name the same first root, or the same
-refusal, as the reference.
+refusal, as the reference. `format_poly` joins each term's factors as
+one list, and must write the reference's text over every kind of field.
 """
 
 import math
@@ -40,9 +42,11 @@ from gelfand.field_core import (
 )
 from gelfand.function_ring import RingElement, parse_ring_element
 from gelfand.poly import (
+    _ATOMIC_COEFF,
     _LEADING_COEFF,
     _VAR_RE,
     MultiPoly,
+    format_poly,
     parse_poly,
     univariate,
 )
@@ -169,6 +173,26 @@ def _ref_parse_ring_element(field, line):
     return RingElement.from_payloads(field, tuple(payloads))
 
 
+def _ref_format_poly(f):
+    if f.is_zero:
+        return "0"
+    F, parts = f.field, []
+    for mono, c in f.payload_terms:
+        vars_txt = "*".join(
+            f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
+            for i, e in enumerate(mono) if e)
+        c_txt = F.format(c)
+        if not _ATOMIC_COEFF.match(c_txt):
+            c_txt = f"({c_txt})"
+        if not vars_txt:
+            parts.append(c_txt)
+        elif c_txt == "1":
+            parts.append(vars_txt)
+        else:
+            parts.append(f"{c_txt}*{vars_txt}")
+    return " + ".join(parts)
+
+
 # ---------------------------------------------------------------------------
 # the seeded corpus
 
@@ -243,6 +267,28 @@ def _outcome(parse, *args):
         return "ParseError", exc.text, exc.pos, exc.expected
     except Exception as exc:   # any other error must match too
         return type(exc).__name__, str(exc)
+
+
+def _random_payload(F, rng):
+    if F.is_finite:
+        return rng.randrange(F.order)
+    parts = [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+             for _ in range(2)]
+    return F.canonical(parts if F.kind == "quadratic" else parts[0])
+
+
+@pytest.mark.parametrize("F", FIELDS + [Fp(2), Qsqrt(-1)], ids=str)
+def test_format_poly_matches_the_reference(F):
+    rng = random.Random(f"format {F}")
+    for _ in range(300):
+        # a few payloads, drawn again and again, with zero among them
+        pool = [F.canonical(0)] + [_random_payload(F, rng)
+                                   for _ in range(rng.randint(1, 4))]
+        arity = rng.randint(0, 3)
+        coeffs = {tuple(rng.randint(0, 3) for _ in range(arity)):
+                  rng.choice(pool) for _ in range(rng.randint(0, 12))}
+        f = MultiPoly.from_payloads(F, arity, coeffs)
+        assert format_poly(f) == _ref_format_poly(f)
 
 
 @pytest.mark.parametrize("F", FIELDS, ids=str)
