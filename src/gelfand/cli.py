@@ -1,9 +1,11 @@
 """Command-line front door: build witnesses, verify, sweep, emit JSON.
 
 Exit codes: 0 when everything passed, 1 on a verification failure,
-2 on an input or precondition error. Reports are deterministic for a
-fixed configuration apart from the wall_time_s field, and `_report_text`
-writes them in one pass as `json.dumps(report, indent=2)` writes them.
+2 on an input or precondition error. Each `cmd_*` handler returns its
+report and exit code; `main` alone adds wall_time_s, timed from just
+before the handler runs, and writes the report, deterministic for a
+fixed configuration apart from that key, in one pass with
+`_report_text`, as `json.dumps(report, indent=2)` writes it.
 Field texts go through `parse_field`, which keeps its last 16.
 
 `COMMANDS` is the one declaration of the grammar: each command's words,
@@ -28,13 +30,12 @@ from . import function_ring as fr
 from .errors import CommonZero, ConfigError, GelfandError, ParseError
 from .field_core import (
     Q,
-    find_rootfree_monic,
     format_field,
     is_prime,
     parse_field,
     rootfree_scan_position,
 )
-from .poly import format_poly, parse_poly, univariate
+from .poly import format_poly, parse_poly
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -82,7 +83,6 @@ def _report_text(value, newline="\n"):
 
 
 def _emit(report, out_path):
-    report["wall_time_s"] = round(time.monotonic() - report.pop("_t0"), 6)
     text = _report_text(report) + "\n"
     if out_path:
         with open(out_path, "wb") as fh:
@@ -91,17 +91,14 @@ def _emit(report, out_path):
         sys.stdout.write(text)
 
 
-def _new_report(command, config):
-    return {"command": command, "config": config, "_t0": time.monotonic()}
-
-
-def _finish(report, instances, passed, out_path):
-    """Record the instances, of which `passed` passed, and the totals,
-    emit the report and return the exit code."""
-    report["instances"] = instances
-    report["totals"] = {"passed": passed, "failed": len(instances) - passed}
-    _emit(report, out_path)
-    return EXIT_OK if passed == len(instances) else EXIT_VERIFICATION_FAILED
+def _report(command, config, instances, passed):
+    """The report of the instances, of which `passed` passed, with their
+    totals, and its exit code."""
+    report = {"command": command, "config": config, "instances": instances,
+              "totals": {"passed": passed,
+                         "failed": len(instances) - passed}}
+    return report, (EXIT_OK if passed == len(instances)
+                    else EXIT_VERIFICATION_FAILED)
 
 
 def _split_field_list(spec):
@@ -151,15 +148,14 @@ def _seeded_pairs(rng, count):
 
 def cmd_field_find_rootfree(args):
     field = parse_field(args.field)
-    coeffs = find_rootfree_monic(field, args.m)
-    poly = univariate(field, coeffs)
-    report = _new_report("field find-rootfree",
-                         {"field": format_field(field), "m": args.m})
-    report["polynomial"] = format_poly(poly)
-    report["candidates_scanned"] = rootfree_scan_position(field, coeffs)
-    report["totals"] = {"passed": 1, "failed": 0}
-    _emit(report, args.out)
-    return EXIT_OK
+    poly = aniso.rootfree_base(field, args.m)
+    payloads = dict(poly.payload_terms)   # a zero coefficient is left out
+    position = rootfree_scan_position(
+        field, [payloads.get((i,), 0) for i in range(args.m + 1)])
+    return {"command": "field find-rootfree",
+            "config": {"field": format_field(field), "m": args.m},
+            "polynomial": format_poly(poly), "candidates_scanned": position,
+            "totals": {"passed": 1, "failed": 0}}, EXIT_OK
 
 
 def cmd_anisotropic(args):
@@ -170,7 +166,6 @@ def cmd_anisotropic(args):
     config = {"field": format_field(field), "n": args.n, "m": args.m,
               "witness": args.witness, "padic": args.padic,
               "seed": args.seed, "samples": samples}
-    report = _new_report("anisotropic", config)
 
     if field.is_finite:
         for flag, value in (("--witness", args.witness),
@@ -214,8 +209,8 @@ def cmd_anisotropic(args):
         raise ConfigError(
             "an infinite field must be Q, with --witness or --padic")
 
-    return _finish(report, [tower.record(result)], int(result.passed),
-                   args.out)
+    return _report("anisotropic", config, [tower.record(result)],
+                   int(result.passed))
 
 
 def cmd_gelfand(args):
@@ -234,11 +229,10 @@ def cmd_gelfand(args):
             sweep.append((space, field))
     config = {"fields": [format_field(f) for f in fields],
               "sizes": list(sizes), "oracle": args.oracle}
-    report = _new_report("gelfand", config)
     instances = [fr.check_homeomorphism(space, field, args.oracle)
                  for space, field in sweep]
-    return _finish(report, instances, sum(r["passed"] for r in instances),
-                   args.out)
+    return _report("gelfand", config, instances,
+                   sum(r["passed"] for r in instances))
 
 
 def _load_functions(field, path):
@@ -259,14 +253,14 @@ def cmd_cover(args):
     functions = _load_functions(field, args.functions)
     config = {"field": format_field(field), "functions": args.functions,
               "case": args.case, "m": args.m}
-    report = _new_report("cover", config)
-
     try:
         cover = cov.check_cover(functions)
     except CommonZero as exc:
-        _finish(report, [{"error": "CommonZero", "point": exc.point}], 0,
-                args.out)
-        return EXIT_CONFIG_ERROR
+        # not a cover: its report, with the error line of any GelfandError
+        print(f"error: CommonZero: {exc}", file=sys.stderr)
+        report, _ = _report("cover", config,
+                            [{"error": "CommonZero", "point": exc.point}], 0)
+        return report, EXIT_CONFIG_ERROR
 
     cases = ["I", "II", "III"] if args.case == "all" else [args.case]
     certs = {}
@@ -282,8 +276,8 @@ def cmd_cover(args):
         else:
             certs[case] = cov.unit_combination_case3(cover)
     instances = [certs[case].to_json() for case in cases]
-    return _finish(report, instances, sum(r["pass"] for r in instances),
-                   args.out)
+    return _report("cover", config, instances,
+                   sum(r["pass"] for r in instances))
 
 
 def _command(words, func, help_text, options):
@@ -426,7 +420,11 @@ def main(argv=None) -> int:
     if args is None:
         args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        start = time.monotonic()
+        report, code = args.func(args)
+        report["wall_time_s"] = round(time.monotonic() - start, 6)
+        _emit(report, args.out)
+        return code
     except (ConfigError, ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -514,13 +514,10 @@ class ExtensionField(FiniteField):
         return self._exp[la + self._zech[log[b] - la]]
 
     def neg(self, a):
-        if self.p == 2:
-            return a
         log = self._log
         if log is None:
             return self._encode([-u % self.p for u in self._digits(a)])
-        # -1 = g^((q-1)/2)
-        return self._exp[log[a] + (len(log) - 1) // 2]
+        return self._exp[log[a] + log[self.p - 1]]   # -1 has payload p - 1
 
     def mul(self, a, b):
         log = self._log
@@ -778,13 +775,14 @@ def rootfree_payloads(F: FieldDescriptor, m: int):
     raise NoneFound(f"no root-free monic of degree {m} over {F}")
 
 
-def rootfree_scan_position(F: FieldDescriptor, coeffs):
-    """1-based position of a monic coefficient tuple in the candidate
-    order of `find_rootfree_monic`: the tail's payloads, which are
-    element indices, read as base-q digits, most significant first."""
+def rootfree_scan_position(F: FieldDescriptor, payloads):
+    """1-based position of a monic polynomial, given by its coefficients'
+    payloads low degree first, in the candidate order of
+    `rootfree_payloads`: the tail's payloads, which are element indices,
+    read as base-q digits, most significant first."""
     position = 0
-    for c in coeffs[:-1]:
-        position = position * F.order + c.payload
+    for c in payloads[:-1]:
+        position = position * F.order + c
     return position + 1
 
 

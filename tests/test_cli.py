@@ -7,15 +7,21 @@ import json
 import random
 import shlex
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
-from gelfand import cli
+from gelfand import anisotropic, cli, covers, field_core
 from gelfand import function_ring as fr
-from gelfand.anisotropic import Tower
+from gelfand.anisotropic import RationalTower, Tower
 from gelfand.cli import main
-from gelfand.field_core import Q, enumerate_field, parse_field
+from gelfand.field_core import (
+    Q,
+    enumerate_field,
+    find_rootfree_monic,
+    parse_field,
+)
 from gelfand.poly import parse_poly, univariate
 from test_poly import forbid_field_elements
 
@@ -619,16 +625,18 @@ def test_cover_all_cases(tmp_path):
 
 @pytest.mark.parametrize("spec", ["Fp(2)", "Fp(5)", "Fq(2,2)", "Fq(3,2)"])
 def test_cli_paths_build_no_field_element(tmp_path, monkeypatch, spec):
-    """The tower, cover and spectrum commands compute and print from
-    payloads: with every way of building a FieldElement made to raise,
-    each gives the report and exit code it gives unpatched. Route III
-    refuses this cover over F_2, so routes I and II also run alone."""
+    """The root-free search, tower, cover and spectrum commands compute
+    and print from payloads: with every way of building a FieldElement
+    made to raise, each gives the report and exit code it gives
+    unpatched. Route III refuses this cover over F_2, so routes I and II
+    also run alone."""
     fns = tmp_path / "fns.txt"
     fns.write_text("1,0,1\n0,1,1\n1,1,0\n")
     oracle_sizes = [n for n in (1, 2, 3) if
                     parse_field(spec).order ** n <= fr.ORACLE_GUARD]
     argvs = [["anisotropic", "--field", spec, "--m", "2", "--n", str(n)]
              for n in (1, 2, 3)]
+    argvs.append(["field", "find-rootfree", "--field", spec, "--m", "3"])
     argvs += [["cover", "--field", spec, "--functions", str(fns),
                "--case", case] for case in ("all", "I", "II")]
     argvs.append(["gelfand", "--field", spec, "--oracle", "--space",
@@ -644,16 +652,15 @@ def test_cli_paths_build_no_field_element(tmp_path, monkeypatch, spec):
         return out
 
     expected = outcomes()
-    assert [code for code, _ in expected[:3]] == [0, 0, 0]
+    assert [code for code, _ in expected[:4]] == [0, 0, 0, 0]
     forbid_field_elements(monkeypatch)
     assert outcomes() == expected
-    # the control: this report is the public search's elements
+    # the control: the public search returns elements
     with pytest.raises(AssertionError, match="a FieldElement was built"):
-        main(["field", "find-rootfree", "--field", spec,
-              "--out", str(tmp_path / "rootfree.json")])
+        find_rootfree_monic(parse_field(spec), 3)
 
 
-def test_cover_common_zero_exit_code(tmp_path):
+def test_cover_common_zero_exit_code(tmp_path, capsys):
     fns = tmp_path / "fns.txt"
     fns.write_text("1,0\n1,0\n")
     code, report = run_cli(
@@ -661,6 +668,44 @@ def test_cover_common_zero_exit_code(tmp_path):
         tmp_path / "r.json")
     assert code == 2
     assert report["instances"][0] == {"error": "CommonZero", "point": 1}
+    assert capsys.readouterr().err == (
+        "error: CommonZero: functions share a common zero at point 1\n")
+
+
+@pytest.mark.parametrize("args,calls", [
+    (["field", "find-rootfree", "--field", "Fp(3)"],
+     [(field_core, "rootfree_payloads"), (anisotropic, "rootfree_payloads")]),
+    (["anisotropic", "--field", "Fp(3)", "--n", "2"],
+     [(Tower, "verify_exhaustive")]),
+    (["anisotropic", "--field", "Q", "--witness", "x^2+1", "--samples", "5"],
+     [(RationalTower, "verify_sampled")]),
+    (["gelfand", "--field", "Fp(2)", "--space", "2"],
+     [(fr, "check_homeomorphism")]),
+    (["cover", "--field", "Fp(5)", "--functions", "FNS"],
+     [(covers, "check_cover")]),
+], ids=["find-rootfree", "tower", "q-tower", "gelfand", "cover"])
+def test_wall_time_spans_the_commands_work(tmp_path, monkeypatch, args,
+                                           calls):
+    """wall_time_s is read from a clock started before the command's main
+    library call: that call moves a fake clock on by 5 s."""
+    fns = tmp_path / "fns.txt"
+    fns.write_text("1,0\n0,1\n")
+    args = [str(fns) if a == "FNS" else a for a in args]
+    skew = [0.0]
+    monotonic = time.monotonic
+    monkeypatch.setattr(time, "monotonic", lambda: monotonic() + skew[0])
+
+    def slowed(call):
+        def run(*a, **k):
+            skew[0] += 5
+            return call(*a, **k)
+        return run
+
+    for owner, name in calls:
+        monkeypatch.setattr(owner, name, slowed(getattr(owner, name)))
+    code, report = run_cli(args, tmp_path / "r.json")
+    assert code == 0
+    assert report["wall_time_s"] >= 5
 
 
 @pytest.mark.parametrize("missing", ["functions", "out"])

@@ -558,6 +558,19 @@ def test_arithmetic_matches_oracle_on_seeded_pairs(field, count):
     _check_against_oracle(field, pairs + [(0, 1), (1, 0), (0, 0)])
 
 
+@pytest.mark.parametrize("spec", [
+    "Fq(2,1)", "Fq(2,2)", "Fq(2,3)", "Fq(2,8)", "Fq(3,1)", "Fq(3,2)",
+    "Fq(5,3)", "Fq(7,2)", "Fq(13,2)", "Fq(251,2)"])
+def test_negation_matches_digits_on_every_payload(spec):
+    """-a is a times -1, whose payload is p - 1, as one table lookup: on
+    every payload of tabled fields of characteristic 2 and odd p."""
+    F = parse_field(spec)
+    assert F._log is not None
+    neg = _oracle_ops(F)[1]
+    assert [F.neg(a) for a in range(F.order)] == \
+        [neg(a) for a in range(F.order)]
+
+
 def test_extension_payload_is_the_index():
     F = Fq(2, 3)
     assert F.element((1, 1, 0)).payload == 3
