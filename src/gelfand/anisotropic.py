@@ -202,7 +202,7 @@ class Tower:
         and any other entry is the two products v^m * f(u * v^-1)."""
         F, m = self.field, self.f2.degree
         mul, q = F.mul, F.order
-        f = list(payload_values(F, _dense(self.base)))
+        f = list(payload_values(F, dense_payloads(self.base)))
         powers = [F.pow(v, m) for v in range(q)]
         inverses = [0] + [F.inv(v) for v in range(1, q)]
         return [[powers[u]] + [mul(powers[v], f[mul(u, inverses[v])])
@@ -434,7 +434,7 @@ def _ratio(x):
     return x.numerator, x.denominator
 
 
-def _dense(f):
+def dense_payloads(f):
     """The payloads of the univariate f's coefficients, low degree first,
     zeros included."""
     dense = [f.field.canonical(0)] * (f.degree + 1)
@@ -534,7 +534,7 @@ def build_fn(f: MultiPoly, n: int) -> MultiPoly:
     # a shape that Tower.over refuses is left to it; a rooted base
     # reports its first root before homogenize2 can find it not monic
     if n > 1 and field.is_finite and f.arity == 1 and (m or 0) >= 2:
-        root = first_root(field, _dense(f), 0)
+        root = first_root(field, dense_payloads(f), 0)
         if root is not None:
             raise HasRoot(from_payload(field, root))
     return Tower.over(f, n).expand()

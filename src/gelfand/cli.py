@@ -19,6 +19,7 @@ prints help, usage and errors.
 from __future__ import annotations
 
 import argparse
+import itertools
 import random
 import sys
 import time
@@ -124,8 +125,8 @@ def _parse_sizes(spec):
     return [int(s) for s in spec.split(",")]
 
 
-def _seeded_pairs(rng, count):
-    """count seeded rationals as (numerator, denominator) int pairs, not
+def _seeded_pairs(rng):
+    """Endless seeded rationals as (numerator, denominator) int pairs, not
     reduced: numerators in -99..99, denominators in 1..99.
 
     Each pair is drawn as CPython draws `rng.randint(-99, 99)` and then
@@ -134,24 +135,20 @@ def _seeded_pairs(rng, count):
     gives the same pairs and leaves rng in the same state, without
     randint's call overhead."""
     bits = rng.getrandbits
-    pairs = []
-    for _ in range(count):
+    while True:
         a = bits(8)
         while a >= 199:
             a = bits(8)
         b = bits(7)
         while b >= 99:
             b = bits(7)
-        pairs.append((a - 99, b + 1))
-    return pairs
+        yield a - 99, b + 1
 
 
 def cmd_field_find_rootfree(args):
     field = parse_field(args.field)
     poly = aniso.rootfree_base(field, args.m)
-    payloads = dict(poly.payload_terms)   # a zero coefficient is left out
-    position = rootfree_scan_position(
-        field, [payloads.get((i,), 0) for i in range(args.m + 1)])
+    position = rootfree_scan_position(field, aniso.dense_payloads(poly))
     return {"command": "field find-rootfree",
             "config": {"field": format_field(field), "m": args.m},
             "polynomial": format_poly(poly), "candidates_scanned": position,
@@ -195,16 +192,16 @@ def cmd_anisotropic(args):
         if args.n != 2:
             raise ConfigError("--padic checks x^2 - p*y^2, so --n must be 2")
         tower = aniso.Tower.over(parse_poly(field, f"x^2 + -{p}"), 2)
-        rng = random.Random(args.seed)
-        # every x draw precedes the first y: draws are held, pairs are not
+        pairs = _seeded_pairs(random.Random(args.seed))
+        # a sample (x, y) is the stream's next two pairs, drawn as read
         result = aniso.valuation_identity_check(
-            p, zip(_seeded_pairs(rng, samples), _seeded_pairs(rng, samples)))
+            p, itertools.islice(zip(pairs, pairs), samples))
     elif isinstance(field, Q) and args.witness is not None:
         tower = aniso.Tower.over(parse_poly(field, args.witness), args.n)
-        rng = random.Random(args.seed)
-        # drawn as read: a rooted witness fails before the first draw
+        pairs = _seeded_pairs(random.Random(args.seed))
+        # a point is the next n pairs, drawn as read (none for a rooted base)
         result = tower.verify_sampled(
-            _seeded_pairs(rng, args.n) for _ in range(samples))
+            itertools.islice(zip(*[pairs] * args.n), samples))
     else:
         raise ConfigError(
             "an infinite field must be Q, with --witness or --padic")

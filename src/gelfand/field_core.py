@@ -58,6 +58,8 @@ def is_prime(n: int) -> bool:
     and below _MR_EXACT_BELOW (about 3.3 * 10^24) so is a prime one; an
     n at or above it that the bases pass is refused (PRIME_TEST_GUARD),
     as no test here decides it in practice."""
+    if type(n) is not int:
+        raise TypeError(f"is_prime takes an int, not {type(n).__name__}")
     if n < 2:
         return False
     for a in _MR_BASES:
@@ -431,7 +433,7 @@ class ExtensionField(FiniteField):
         """Without a modulus, the first irreducible one is picked."""
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
-        if not 1 <= self.k <= MAX_EXTENSION_DEGREE:
+        if type(self.k) is not int or not 1 <= self.k <= MAX_EXTENSION_DEGREE:
             raise ValueError(
                 f"extension degree must be in 1..{MAX_EXTENSION_DEGREE}")
         # p and k are checked first, then the size of the irreducibility
@@ -448,7 +450,8 @@ class ExtensionField(FiniteField):
             _set(self, "modulus", tuple(self.modulus))
             if len(self.modulus) != self.k + 1 or self.modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree k")
-            if any(not 0 <= c < self.p for c in self.modulus):
+            if any(type(c) is not int or not 0 <= c < self.p
+                   for c in self.modulus):
                 raise ValueError("modulus coefficients must lie in [0, p)")
             if not _is_irreducible(self.modulus, self.p):
                 raise ValueError("modulus is reducible over F_p")
@@ -622,7 +625,7 @@ class QuadraticField(FieldDescriptor):
     kind = "quadratic"
 
     def __post_init__(self):
-        if self.d >= 0:
+        if type(self.d) is not int or self.d >= 0:
             raise ValueError("d must be a negative non-square integer")
 
     def canonical(self, payload):

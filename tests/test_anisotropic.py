@@ -394,6 +394,12 @@ def test_valuation_kernel_checks_the_prime_once_and_builds_no_fraction(
         valuation_identity_check(4, untouched())
 
 
+def test_valuation_check_refuses_a_prime_that_is_not_an_int():
+    # 5.0 would pass as prime and be reported as "prime": 5.0
+    with pytest.raises(TypeError, match="is_prime takes an int"):
+        valuation_identity_check(5.0, [((1, 1), (1, 1))])
+
+
 @pytest.mark.parametrize("p,pair,unreduced,counterexample", [
     (4, (2, 1), ((4, 2), (3, 3)), ["2", "1"]),
     (9, (3, 1), ((6, 2), (-5, -5)), ["3", "1"])])

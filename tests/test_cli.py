@@ -176,18 +176,50 @@ def test_anisotropic_witness_at_arity_one(tmp_path):
     assert inst["verification"]["samples"] == 200
 
 
-@pytest.mark.parametrize("witness,draws", [("x^2-1", 0), ("x^2+1", 50)])
-def test_rooted_witness_draws_no_sample(tmp_path, monkeypatch, witness,
-                                        draws):
-    calls = []
+def _counting_draws(monkeypatch):
+    """The list of the pairs the CLI's seeded stream has drawn so far."""
+    drawn = []
     real = cli._seeded_pairs
-    monkeypatch.setattr(cli, "_seeded_pairs",
-                        lambda rng, count: calls.append(count)
-                        or real(rng, count))
+
+    def counted(rng):
+        for pair in real(rng):
+            drawn.append(pair)
+            yield pair
+
+    monkeypatch.setattr(cli, "_seeded_pairs", counted)
+    return drawn
+
+
+@pytest.mark.parametrize("witness,points", [("x^2-1", 0), ("x^2+1", 50)])
+def test_rooted_witness_draws_no_sample(tmp_path, monkeypatch, witness,
+                                        points):
+    # each point drawn is 3 pairs: 150 for the 50 samples of x^2+1
+    drawn = _counting_draws(monkeypatch)
     code, _ = run_cli(["anisotropic", "--field", "Q", "--witness", witness,
                        "--n", "3", "--samples", "50"], tmp_path / "r.json")
-    assert code == (1 if draws == 0 else 0)
-    assert calls == [3] * draws
+    assert code == (1 if points == 0 else 0)
+    assert len(drawn) == 3 * points
+
+
+def test_padic_draws_each_sample_as_it_is_checked(tmp_path, monkeypatch):
+    # the check has read one sample when the stream has drawn two pairs;
+    # no draw is made ahead of the sample that reads it
+    drawn, seen = _counting_draws(monkeypatch), []
+    real = anisotropic.valuation_identity_check
+
+    def spy(p, samples):
+        samples = iter(samples)
+        first = next(samples)
+        seen.append(len(drawn))
+        return real(p, itertools.chain([first], samples))
+
+    monkeypatch.setattr(anisotropic, "valuation_identity_check", spy)
+    code, report = run_cli(["anisotropic", "--field", "Q", "--padic", "5",
+                            "--samples", "1000"], tmp_path / "r.json")
+    assert code == 0
+    assert seen == [2]
+    assert len(drawn) == 2000
+    assert report["instances"][0]["verification"]["samples"] == 1000
 
 
 def _seeded_rationals_reference(rng, count):
@@ -203,9 +235,10 @@ def _seeded_rationals_reference(rng, count):
 @pytest.mark.parametrize("seed", [0, 7, 21, 1234])
 def test_seeded_pairs_draw_the_reference_rationals(seed):
     drawn, reference = random.Random(seed), random.Random(seed)
+    pairs = cli._seeded_pairs(drawn)
     for n in (2, 3, 4) * 30:
-        pairs = cli._seeded_pairs(drawn, n)
-        assert [Fraction(a, b) for a, b in pairs] == \
+        point = list(itertools.islice(pairs, n))   # a point's n pairs
+        assert [Fraction(a, b) for a, b in point] == \
             _seeded_rationals_reference(reference, n)
     assert drawn.random() == reference.random()
 
@@ -226,7 +259,8 @@ def test_seeded_pairs_reject_at_the_bounds_of_each_width():
     # 199 numerators need 8 bits and 99 denominators 7: 199 and 255 are
     # rejected, then 198 is 99; 99 and 127 are rejected, then 98 is 99
     rng = _ScriptedBits([199, 255, 198, 99, 127, 98, 0, 0])
-    assert cli._seeded_pairs(rng, 2) == [(99, 99), (-99, 1)]
+    assert list(itertools.islice(cli._seeded_pairs(rng), 2)) == \
+        [(99, 99), (-99, 1)]
     assert rng.widths == [8, 8, 8, 7, 7, 7, 8, 7]
     assert rng.values == []
 

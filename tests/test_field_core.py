@@ -247,6 +247,40 @@ def test_descriptor_validation():
         Fq(2, 9)
 
 
+# a field parameter is an int: a float, bool or Fraction equal to one
+# would build a field whose payloads or text are not canonical
+
+@pytest.mark.parametrize("n", [5.0, True, Fraction(5)])
+def test_is_prime_takes_an_int_only(n):
+    with pytest.raises(TypeError, match="is_prime takes an int"):
+        field_core.is_prime(n)
+
+
+@pytest.mark.parametrize("make", [lambda: Fp(5.0), lambda: Fp(True),
+                                  lambda: Fq(5.0, 2)])
+def test_a_prime_that_is_not_an_int_is_refused(make):
+    with pytest.raises(TypeError, match="is_prime takes an int"):
+        make()
+
+
+@pytest.mark.parametrize("k", [True, 2.0])
+def test_an_extension_degree_that_is_not_an_int_is_refused(k):
+    with pytest.raises(ValueError, match="extension degree must be in"):
+        Fq(2, k)
+
+
+@pytest.mark.parametrize("modulus", [(1.0, 1, 1), (1, True, 1)])
+def test_modulus_coefficients_that_are_not_ints_are_refused(modulus):
+    with pytest.raises(ValueError, match="modulus coefficients must lie"):
+        Fq(2, 2, modulus)
+
+
+@pytest.mark.parametrize("d", [-1.5, -1.0, Fraction(-3)])
+def test_a_quadratic_d_that_is_not_an_int_is_refused(d):
+    with pytest.raises(ValueError, match="d must be a negative non-square"):
+        Qsqrt(d)
+
+
 @pytest.mark.parametrize("text", ["Fp(5)", "Fq(2,3,t^3+t+1)", "Q",
                                   "Q(sqrt(-1))", "Fq(3,2,t^2+1)"])
 def test_field_text_roundtrip(text):

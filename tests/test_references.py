@@ -18,8 +18,13 @@ denominators and ran a Horner loop of its own; the tower's
 evaluates its samples, and must name the same first root, or the same
 refusal, as the reference. `format_poly` joins each term's factors as
 one list, and must write the reference's text over every kind of field.
+The CLI's seeded rationals were once drawn as lists of a given count,
+and a p-adic check drew all its x before its first y; they are now one
+stream, read as it is drawn, and a witness must get the reference's
+points, and a p-adic check the reference's verdict.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -28,7 +33,13 @@ import pytest
 
 import gelfand.field_core as field_core
 import gelfand.function_ring as function_ring
-from gelfand.anisotropic import Tower
+from gelfand import cli
+from gelfand.anisotropic import (
+    RationalTower,
+    Tower,
+    ValuationPassed,
+    valuation_identity_check,
+)
 from gelfand.errors import ParseError, TooLarge
 from gelfand.field_core import (
     FIELD_TABLE_CAP,
@@ -537,3 +548,57 @@ def test_rational_root_matches_the_reference():
         seen["pair"] += bool(root) and not sum(
             c * (-root) ** i for i, c in enumerate(coeffs))
     assert min(seen.values()) > 30, seen
+
+
+# ---------------------------------------------------------------------------
+# the CLI's seeded draws
+
+
+def _ref_seeded_pairs(rng, count):
+    """count seeded rationals as (numerator, denominator) int pairs, drawn
+    as randint(-99, 99) and then randint(1, 99) draw them, in a list."""
+    bits = rng.getrandbits
+    pairs = []
+    for _ in range(count):
+        a = bits(8)
+        while a >= 199:
+            a = bits(8)
+        b = bits(7)
+        while b >= 99:
+            b = bits(7)
+        pairs.append((a - 99, b + 1))
+    return pairs
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_witness_points_are_the_reference_draws(monkeypatch, n):
+    points = []
+    real = RationalTower.verify_sampled
+
+    def recorded(tower, drawn):
+        points.extend(list(point) for point in drawn)
+        return real(tower, points)
+
+    monkeypatch.setattr(RationalTower, "verify_sampled", recorded)
+    monkeypatch.setattr(cli, "_emit", lambda report, out_path: None)
+    for seed in range(21):
+        points.clear()
+        assert cli.main(["anisotropic", "--field", "Q", "--witness",
+                         "x^2+1", "--n", str(n), "--seed", str(seed),
+                         "--samples", "40"]) == 0
+        rng = random.Random(seed)
+        assert points == [_ref_seeded_pairs(rng, n) for _ in range(40)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_padic_verdict_is_the_same_in_either_draw_order(p):
+    # x^2 - p*y^2 vanishes on Q only at (0, 0), so which pairs are drawn
+    # cannot change the verdict: all x before the first y, or x and y
+    # drawn in turn, as the CLI's stream draws them
+    for seed in range(10):
+        rng = random.Random(seed)
+        held = zip(_ref_seeded_pairs(rng, 200), _ref_seeded_pairs(rng, 200))
+        pairs = cli._seeded_pairs(random.Random(seed))
+        streamed = itertools.islice(zip(pairs, pairs), 200)
+        assert valuation_identity_check(p, held) == \
+            valuation_identity_check(p, streamed) == ValuationPassed(200, p)
