@@ -61,12 +61,13 @@ _set = object.__setattr__
 class RingElement:
     """A function on a finite discrete space: one field value per point.
 
-    It holds the values' payloads, so that its operators (`+`, `-`, `*`)
-    compute with the field's payload operations `add`, `neg` and `mul`,
-    and build each result once through `from_payloads`, which
-    skips the constructor's check, as `from_payload` does for a field
-    element. The public constructor takes field elements and checks that
-    each lies in the field; `values` wraps the payloads back into field
+    It holds the values' payloads and defines no arithmetic: every path
+    that adds or multiplies functions (the ideal oracle's tables, route
+    III's update) maps the field's payload operations over the payload
+    tuples and builds the result through `from_payloads`, which skips
+    the constructor's check, as `from_payload` does for a field element.
+    The public constructor takes field elements and checks that each
+    lies in the field; `values` wraps the payloads back into field
     elements.
     """
 
@@ -98,35 +99,6 @@ class RingElement:
     @property
     def size(self):
         return len(self.payloads)
-
-    @property
-    def is_zero(self):
-        return all(map(self.field.is_zero, self.payloads))
-
-    def _same(self, other):
-        """The field that self and other share."""
-        if not isinstance(other, RingElement):
-            raise TypeError(f"expected RingElement, got {type(other).__name__}")
-        if other.field != self.field or other.size != self.size:
-            raise MixedFields("ring elements live in different rings")
-        return self.field
-
-    def __add__(self, other):
-        F = self._same(other)
-        return RingElement.from_payloads(
-            F, tuple(map(F.add, self.payloads, other.payloads)))
-
-    def __neg__(self):
-        F = self.field
-        return RingElement.from_payloads(F, tuple(map(F.neg, self.payloads)))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        F = self._same(other)
-        return RingElement.from_payloads(
-            F, tuple(map(F.mul, self.payloads, other.payloads)))
 
     def __str__(self):
         return ",".join(map(self.field.format, self.payloads))

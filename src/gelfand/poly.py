@@ -76,14 +76,6 @@ class MultiPoly:
     def constant(cls, field, arity, c):
         return cls.from_dict(field, arity, {(0,) * arity: c})
 
-    @classmethod
-    def variable(cls, field, arity, index):
-        """The coordinate polynomial x_{index+1}."""
-        if not 0 <= index < arity:
-            raise ArityMismatch(f"variable index {index} out of range")
-        mono = tuple(1 if i == index else 0 for i in range(arity))
-        return cls.from_dict(field, arity, {mono: field.one()})
-
     @property
     def terms(self):
         """((monomial, FieldElement), ...), wrapped on each read."""

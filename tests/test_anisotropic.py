@@ -194,7 +194,7 @@ def test_tower_verifier_matches_per_term_reference(field, m, n):
 def _unchecked_tower(f, n):
     """build_fn without its root-free check, for rooted negative controls."""
     f2 = homogenize2(f)
-    g = MultiPoly.variable(f.field, 1, 0)
+    g = parse_poly(f.field, "x1")
     for _ in range(n - 1):
         g = compose_last(f2, g)
     return g
@@ -1129,7 +1129,7 @@ def test_expand_matches_the_level_by_level_products(field, m, top):
     products (`MultiPoly.__mul__`)."""
     for f in _expansion_bases(field, m):
         f2 = homogenize2(f)
-        reference = MultiPoly.variable(field, 1, 0)
+        reference = parse_poly(field, "x1")
         for n in range(1, top + 1):
             if n > 1:
                 reference = _compose_last_by_products(f2, reference)

@@ -36,7 +36,7 @@ from gelfand.field_core import (
     from_payload,
 )
 from gelfand.function_ring import RingElement
-from gelfand.poly import MultiPoly, format_poly, univariate
+from gelfand.poly import MultiPoly, format_poly, parse_poly, univariate
 from test_poly import forbid_field_elements
 
 import itertools
@@ -118,7 +118,7 @@ def _indicator_by_products(a, F):
     one = MultiPoly.constant(F, n, F.one())
     result = one
     for i, a_i in enumerate(a):
-        shifted = MultiPoly.variable(F, n, i) + \
+        shifted = parse_poly(F, f"x{i + 1}", n) + \
             MultiPoly.constant(F, n, -a_i)
         power = one
         for _ in range(F.order - 1):
@@ -196,7 +196,7 @@ def _axis_terms_by_products(J, F, arity):
         one = MultiPoly.constant(F, 1, F.one())
         product = one
         for c in values:
-            product = product * (one + MultiPoly.variable(F, 1, 0) * -c.inv())
+            product = product * (one + parse_poly(F, "x1") * -c.inv())
         counts.append(len(product.terms))
     return counts
 
@@ -533,7 +533,7 @@ def test_certify_detects_tampering():
     good = unit_combination_case3(cover)
     # the linear form x1 alone vanishes at point 1
     bad = CombinationCertificate("CaseIII", cover, good.composite,
-                                 MultiPoly.variable(F, 2, 0))
+                                 parse_poly(F, "x1", 2))
     report = certify(bad)
     assert not report["pass"]
     assert not report["recomputation"]
@@ -577,8 +577,7 @@ def test_witness_outside_the_covers_ring_is_refused():
     F = Fp(3)
     cover = check_cover([_re(F, [1, 0]), _re(F, [0, 1])])
     cert = combine_case2(cover)
-    for witness in (MultiPoly.variable(F, 1, 0),
-                    MultiPoly.variable(Fp(5), 2, 0)):
+    for witness in (parse_poly(F, "x1"), parse_poly(Fp(5), "x1", 2)):
         with pytest.raises(MixedFields):
             certify(CombinationCertificate("CaseII", cover, cert.composite,
                                            witness=witness))

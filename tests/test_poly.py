@@ -57,7 +57,7 @@ def test_evaluate_f2():
 
 def test_identity_polynomial():
     F = Fp(7)
-    x = MultiPoly.variable(F, 1, 0)
+    x = parse_poly(F, "x1")
     for a in enumerate_field(F):
         assert x.evaluate((a,)) == a
 
@@ -150,7 +150,7 @@ def test_homogenize_properties(field, src):
 def test_compose_last_simple():
     F = Q()
     g2 = parse_poly(F, "x1^2 + x2^2")
-    h = MultiPoly.variable(F, 1, 0)
+    h = parse_poly(F, "x1")
     assert format_poly(compose_last(g2, h)) == "x1^2 + x2^2"
 
 
@@ -169,7 +169,7 @@ def test_compose_last_f2_trivariate():
 def test_compose_last_identity_substitution():
     F = Fp(5)
     g2 = parse_poly(F, "x1^2 + 2*x1*x2 + 3*x2^2 + x1")
-    h = MultiPoly.variable(F, 1, 0)
+    h = parse_poly(F, "x1")
     composed = compose_last(g2, h)
     assert composed.terms == g2.terms
 
@@ -181,7 +181,7 @@ def _compose_last_by_products(g2, h):
     n, field = h.arity, h.field
     h_ext = MultiPoly(field, n + 1,
                       tuple((m + (0,), a) for m, a in h.payload_terms))
-    last = MultiPoly.variable(field, n + 1, n)
+    last = parse_poly(field, f"x{n + 1}", n + 1)
     result = MultiPoly.zero(field, n + 1)
     for (i, j), c in g2.terms:
         term = MultiPoly.constant(field, n + 1, c)
@@ -278,7 +278,7 @@ def test_build_fn_matches_reference_chain(spec, m, ns):
     field = parse_field(spec)
     f = univariate(field, find_rootfree_monic(field, m))
     f2 = homogenize2(f)
-    tower = MultiPoly.variable(field, 1, 0)
+    tower = parse_poly(field, "x1")
     for n in range(2, ns[-1] + 1):
         tower = _compose_last_by_products(f2, tower)
         if n in ns:
