@@ -306,14 +306,12 @@ class RationalTower(Tower):
     @cached_property
     def _cleared(self):
         """L, and the int coefficients c_0..c_m of L*f2 from u^m down to
-        v^m (zeros included) as c_0 and the list c_1..c_m, whose length
-        is m."""
-        terms = self.f2.payload_terms
-        lcm = math.lcm(*(c.denominator for _, c in terms))
-        dense = [0] * (self.f2.degree + 1)
-        for (_, j), c in terms:
-            dense[j] = int(c * lcm)
-        return lcm, dense[0], dense[1:]
+        v^m, c_k = L times f's coefficient of y^(m-k) (`dense_payloads`,
+        zeros included), as c_0 and the list c_1..c_m, of length m."""
+        dense = dense_payloads(self.base)[::-1]
+        lcm = math.lcm(*(c.denominator for c in dense))
+        top, *rest = (int(c * lcm) for c in dense)
+        return lcm, top, rest
 
     def _pair(self, pairs):
         """(N, E) at the point whose coordinates are the int pairs
@@ -577,8 +575,6 @@ def norm_form_eval(points) -> FieldElement:
 
 def _multiplicity(n, p):
     """The exponent of p in the nonzero int n."""
-    if n == 0:
-        raise ValueError("multiplicity of 0 is undefined")
     n = abs(n)
     e = 0
     while n % p == 0:

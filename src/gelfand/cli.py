@@ -119,10 +119,14 @@ def _split_field_list(spec):
 
 def _parse_sizes(spec):
     """A list (1,2,3), or lo..hi as a range, read only as far as needed."""
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    return [int(s) for s in spec.split(",")]
+    try:
+        if ".." in spec:
+            lo, hi = spec.split("..", 1)
+            return range(int(lo), int(hi) + 1)
+        return [int(s) for s in spec.split(",")]
+    except ValueError:
+        raise ConfigError(f"--space must be a size, a list like 1,2,3 or a "
+                          f"range like 1..5, got {spec!r}") from None
 
 
 def _seeded_pairs(rng):
@@ -182,29 +186,28 @@ def cmd_anisotropic(args):
         result = tower.verify_exhaustive()
     elif samples < 1:
         raise ConfigError("--samples must be at least 1")
-    elif isinstance(field, Q) and args.padic is not None:
-        p = args.padic
-        if args.witness is not None:
-            raise ConfigError("--padic checks x^2 - p*y^2 and takes no "
-                              "--witness")
-        if not is_prime(p):
-            raise ConfigError(f"--padic must be a prime, got {p}")
-        if args.n != 2:
-            raise ConfigError("--padic checks x^2 - p*y^2, so --n must be 2")
-        tower = aniso.Tower.over(parse_poly(field, f"x^2 + -{p}"), 2)
-        pairs = _seeded_pairs(random.Random(args.seed))
-        # a sample (x, y) is the stream's next two pairs, drawn as read
-        result = aniso.valuation_identity_check(
-            p, itertools.islice(zip(pairs, pairs), samples))
-    elif isinstance(field, Q) and args.witness is not None:
-        tower = aniso.Tower.over(parse_poly(field, args.witness), args.n)
-        pairs = _seeded_pairs(random.Random(args.seed))
-        # a point is the next n pairs, drawn as read (none for a rooted base)
-        result = tower.verify_sampled(
-            itertools.islice(zip(*[pairs] * args.n), samples))
-    else:
+    elif not (isinstance(field, Q)
+              and (args.witness is not None or args.padic is not None)):
         raise ConfigError(
             "an infinite field must be Q, with --witness or --padic")
+    else:
+        p, base = args.padic, args.witness
+        if p is not None:
+            if base is not None:
+                raise ConfigError("--padic checks x^2 - p*y^2 and takes no "
+                                  "--witness")
+            if not is_prime(p):
+                raise ConfigError(f"--padic must be a prime, got {p}")
+            if args.n != 2:
+                raise ConfigError("--padic checks x^2 - p*y^2, so --n must "
+                                  "be 2")
+            base = f"x^2 + -{p}"
+        tower = aniso.Tower.over(parse_poly(field, base), args.n)
+        pairs = _seeded_pairs(random.Random(args.seed))
+        # a point, or a p-adic sample (x, y), is the next n pairs, as read
+        points = itertools.islice(zip(*[pairs] * args.n), samples)
+        result = (tower.verify_sampled(points) if p is None
+                  else aniso.valuation_identity_check(p, points))
 
     return _report("anisotropic", config, [tower.record(result)],
                    int(result.passed))

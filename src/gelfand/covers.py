@@ -85,12 +85,8 @@ def _interpolant(F, arity, J) -> MultiPoly:
     step per value; the P_i share no variable, so the interpolant has
     exactly prod t_i - 1 terms, t_i those of P_i, checked against
     FORM_TERMS_GUARD before the product."""
-    if not J:
-        raise ValueError("J must be non-empty")
     values = [set() for _ in range(arity)]
     for a in J:
-        if len(a) != arity:
-            raise ValueError("points of J must match the arity")
         lead = next((i for i, b in enumerate(a) if not F.is_zero(b)), None)
         if lead is None:
             raise OriginInJ("J must not contain the origin")
@@ -228,43 +224,34 @@ def unit_combination_case3(cover: Cover) -> CombinationCertificate:
     is_zero, add, mul = field.is_zero, field.add, field.mul
     psis = cover.functions
     n = len(psis)
-    size = cover.space.size
     coeffs = [field.canonical(1)] + [field.canonical(0)] * (n - 1)
-    current = psis[0]
+    current = psis[0].payloads
     log = []
     for i in range(1, n):
         rest = [r.payloads for r in psis[i + 1:]]
-        y_points = [x for x in range(size)
+        y_points = [x for x in range(cover.space.size)
                     if all(is_zero(r[x]) for r in rest)]
-        # u = v = 0 cannot occur here: check_cover rules it out for step
-        # 1, and the previous step's restoration scan after that
-        u_at, v_at = current.payloads, psis[i].payloads
+        # u = v = 0 cannot occur here: the cover rules it out at step 1;
+        # after that a point where v = 0 was restricted a step before,
+        # where an a outside the image kept u - a*v nonzero
+        v_at = psis[i].payloads
         image = {None if is_zero(v_at[x])
-                 else mul(u_at[x], field.inv(v_at[x]))
+                 else mul(current[x], field.inv(v_at[x]))
                  for x in y_points}
         # a payload is the element's index in enumeration order
         a = next((a for a in range(field.order) if a not in image), None)
         if a is None:
             raise AvoidanceExhausted(i)
         c = coeffs[i] = field.neg(a)
-        u_at = tuple(add(u, mul(c, v)) for u, v in zip(u_at, v_at))
-        current = RingElement.from_payloads(field, u_at)
-        # the replaced function together with the remaining ones must
-        # still cover the space, so it must not vanish on y_points
-        for x in y_points:
-            if is_zero(u_at[x]):
-                raise CommonZero(x)
-        log.append({
-            "step": i + 1,
-            "chosen_a": field.format(a),
-            "image_size": len(image),
-            "restricted_points": len(y_points),
-            "cover_restored": True,
-        })
+        current = tuple(add(u, mul(c, v)) for u, v in zip(current, v_at))
+        log.append({"step": i + 1, "chosen_a": field.format(a),
+                    "image_size": len(image),
+                    "restricted_points": len(y_points)})
     witness = MultiPoly.from_payloads(
         field, n, {_variable(n, i): c for i, c in enumerate(coeffs)})
-    return CombinationCertificate("CaseIII", cover, current, witness,
-                                  tuple(log))
+    return CombinationCertificate(
+        "CaseIII", cover, RingElement.from_payloads(field, current), witness,
+        tuple(log))
 
 
 def certify(cert: CombinationCertificate) -> dict:

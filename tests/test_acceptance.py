@@ -132,8 +132,27 @@ def test_criterion_5_case3_avoidance():
         cert = unit_combination_case3(cover)
         ok = ok and certify(cert)["pass"]
         ok = ok and all(not v.is_zero for v in cert.composite.values)
-        ok = ok and all(s["cover_restored"] for s in cert.per_step_log)
+        ok = ok and _steps_keep_the_cover(cert)
     _report(5, "linear combination nowhere zero, per-step cover kept", ok)
+
+
+def _steps_keep_the_cover(cert):
+    """Whether the partial combination after each step of route III,
+    recomputed from the log's chosen_a, vanishes at none of that step's
+    restricted points (where the functions after psi_i all vanish)."""
+    field = cert.cover.field
+    by_text = {str(a): a for a in enumerate_field(field)}
+    psis = [psi.values for psi in cert.cover.functions]
+    current = psis[0]
+    for i, step in enumerate(cert.per_step_log, 1):
+        a = by_text[step["chosen_a"]]
+        current = [u - a * v for u, v in zip(current, psis[i])]
+        restricted = [x for x in range(len(current))
+                      if all(r[x].is_zero for r in psis[i + 1:])]
+        if len(restricted) != step["restricted_points"] or any(
+                current[x].is_zero for x in restricted):
+            return False
+    return True
 
 
 def test_criterion_6_norm_form_over_gaussian_rationals():

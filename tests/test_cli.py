@@ -222,6 +222,34 @@ def test_padic_draws_each_sample_as_it_is_checked(tmp_path, monkeypatch):
     assert report["instances"][0]["verification"]["samples"] == 1000
 
 
+def test_padic_samples_are_the_points_of_the_x2_minus_p_tower(
+        tmp_path, monkeypatch):
+    # --padic 3 draws its samples as the x^2 - 3 tower at n = 2 draws its
+    # points: each check is handed the same (x, y) pairs at every seed
+    check = anisotropic.valuation_identity_check
+    verify = RationalTower.verify_sampled
+    handed = {}
+
+    def spied_check(p, samples):
+        handed["padic"] = list(samples)
+        return check(p, handed["padic"])
+
+    def spied_verify(tower, points):
+        handed["witness"] = list(points)
+        return verify(tower, handed["witness"])
+
+    monkeypatch.setattr(anisotropic, "valuation_identity_check", spied_check)
+    monkeypatch.setattr(RationalTower, "verify_sampled", spied_verify)
+    for seed in map(str, range(10)):
+        assert run_cli(["anisotropic", "--field", "Q", "--padic", "3",
+                        "--seed", seed], tmp_path / "p.json")[0] == 0
+        assert run_cli(["anisotropic", "--field", "Q", "--witness",
+                        "x^2 + -3", "--n", "2", "--seed", seed],
+                       tmp_path / "w.json")[0] == 0
+        assert len(handed["padic"]) == 200
+        assert handed["padic"] == handed["witness"]
+
+
 def _seeded_rationals_reference(rng, count):
     """The CLI's draws when it made Fractions, kept as the reference."""
     out = []
@@ -374,6 +402,17 @@ def test_empty_gelfand_sweep_is_config_error(tmp_path, capsys, fields, space):
     assert code == 2
     assert report is None
     assert "empty sweep" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("space", ["1..2,3", "..", "1.5", "a", "2,", ""])
+def test_gelfand_space_errors_name_the_flag(tmp_path, capsys, space):
+    code, report = run_cli(["gelfand", "--field", "Fp(2)", "--space", space],
+                           tmp_path / "r.json")
+    assert code == 2
+    assert report is None
+    assert capsys.readouterr().err == (
+        f"error: --space must be a size, a list like 1,2,3 or a range like "
+        f"1..5, got {space!r}\n")
 
 
 def test_anisotropic_fq_shorthand(tmp_path):

@@ -1,5 +1,6 @@
 """Tests for covers and nowhere-vanishing combination certificates."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 
 from gelfand import covers
 from gelfand.anisotropic import FORM_TERMS_GUARD, Tower
+from gelfand.cli import main
 from gelfand.covers import (
     CombinationCertificate,
     certify,
@@ -346,17 +348,46 @@ def test_case3_avoidance_exhausted_over_f2():
         unit_combination_case3(cover)
 
 
-def test_case3_restoration_check_catches_a_missed_ratio(monkeypatch):
+def test_case3_restoration_check_catches_a_missed_ratio(monkeypatch, tmp_path,
+                                                        capsys):
     # with 1/2 read as 1 the image misses the ratio 3 at point 3, so 3
-    # is chosen and the new combination 1 - 3*2 vanishes there
+    # is chosen and the new combination 1 - 3*2 vanishes there; route III
+    # does not re-check the cover, and certify finds the zero
     F = Fp(5)
     inv = type(F).inv
     monkeypatch.setattr(type(F), "inv",
                         lambda self, a: 1 if a == 2 else inv(self, a))
     cover = check_cover([_re(F, [0, 1, 2, 1]), _re(F, [1, 1, 1, 2])])
-    with pytest.raises(CommonZero) as exc:
-        unit_combination_case3(cover)
-    assert exc.value.point == 3
+    result = certify(unit_combination_case3(cover))
+    assert (result["pass"], result["nonvanishing"],
+            result["failing_point"]) == (False, False, 3)
+    # the CLI writes the failing record and exits 1, with no error line
+    functions, out = tmp_path / "cover.txt", tmp_path / "r.json"
+    functions.write_text("0,1,2,1\n1,1,1,2\n")
+    assert main(["cover", "--field", "Fp(5)", "--functions", str(functions),
+                 "--case", "III", "--out", str(out)]) == 1
+    (record,) = json.loads(out.read_text())["instances"]
+    assert (record["mode"], record["pass"]) == ("CaseIII", False)
+    assert record["composite_values"][3] == "0"
+    assert capsys.readouterr().err == ""
+
+
+def _assert_steps_keep_the_cover(cert):
+    """Recompute route III's partial combination after each step from the
+    log's chosen_a, and check that it vanishes at none of that step's
+    restricted points, where the functions after psi_i all vanish."""
+    F = cert.cover.field
+    by_text = {F.format(a): a for a in range(F.order)}
+    psis = [psi.payloads for psi in cert.cover.functions]
+    current = psis[0]
+    for i, step in enumerate(cert.per_step_log, 1):
+        a = by_text[step["chosen_a"]]
+        current = [F.add(u, F.neg(F.mul(a, v)))
+                   for u, v in zip(current, psis[i])]
+        restricted = [x for x in range(len(current))
+                      if all(F.is_zero(r[x]) for r in psis[i + 1:])]
+        assert len(restricted) == step["restricted_points"]
+        assert not any(F.is_zero(current[x]) for x in restricted), step
 
 
 def test_case3_per_step_invariant_seeded():
@@ -369,7 +400,7 @@ def test_case3_per_step_invariant_seeded():
         cover = check_cover(_random_cover(rng, F, size, n))
         cert = unit_combination_case3(cover)
         assert certify(cert)["pass"]
-        assert all(step["cover_restored"] for step in cert.per_step_log)
+        _assert_steps_keep_the_cover(cert)
 
 
 def _random_cover(rng, field, size, n, zero_heavy=False):
@@ -394,7 +425,8 @@ def _case3_by_field_elements(cover):
     is a set of canonical pairs built by the elements' division, the
     candidates come from enumerate_field, and psi~ is updated by the
     elements' operators. Returns the coefficients, the step log and the
-    composite's values, or raises AvoidanceExhausted."""
+    composite's values, or raises AvoidanceExhausted. After each step it
+    asserts that psi~ vanishes at none of the step's restricted points."""
     F = cover.field
     one, zero = F.one(), F.zero()
 
@@ -416,10 +448,10 @@ def _case3_by_field_elements(cover):
             raise AvoidanceExhausted(i)
         coeffs[i] = -chosen
         current = tuple(c - chosen * v for c, v in zip(current, psis[i]))
+        assert not any(current[x].is_zero for x in y_points)
         log.append({"step": i + 1, "chosen_a": str(chosen),
                     "image_size": len(image),
-                    "restricted_points": len(y_points),
-                    "cover_restored": True})
+                    "restricted_points": len(y_points)})
     return tuple(coeffs), tuple(log), current
 
 

@@ -16,7 +16,9 @@ cache with the reader it checks. The rational root test once cleared
 denominators and ran a Horner loop of its own; the tower's
 `rational_root` now decides each candidate on the integer kernel that
 evaluates its samples, and must name the same first root, or the same
-refusal, as the reference. `format_poly` joins each term's factors as
+refusal, as the reference, and its int coefficients, once read off the
+homogenized base's terms, are now read off the base's dense
+coefficients and must be the reference's. `format_poly` joins each term's factors as
 one list, and must write the reference's text over every kind of field.
 The CLI's seeded rationals were once drawn as lists of a given count,
 and a p-adic check drew all its x before its first y; they are now one
@@ -547,6 +549,42 @@ def test_rational_root_matches_the_reference():
         # -root is a root too, so s must have been tried before -s
         seen["pair"] += bool(root) and not sum(
             c * (-root) ** i for i, c in enumerate(coeffs))
+    assert min(seen.values()) > 30, seen
+
+
+def _ref_cleared(tower):
+    """L and the int coefficients of L*f2 from u^m down to v^m, as c_0 and
+    the list c_1..c_m, read off f2's terms, as the tower once read them."""
+    terms = tower.f2.payload_terms
+    lcm = math.lcm(*(c.denominator for _, c in terms))
+    dense = [0] * (tower.f2.degree + 1)
+    for (_, j), c in terms:
+        dense[j] = int(c * lcm)
+    return lcm, dense[0], dense[1:]
+
+
+def _random_sparse_base(rng):
+    """Monic Fraction coefficients, low degree first, of degree 2..9, each
+    lower coefficient zero six times in ten."""
+    m = rng.randint(2, 9)
+    return [Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+            if rng.random() < 0.4 else Fraction(0)
+            for _ in range(m)] + [Fraction(1)]
+
+
+def test_cleared_matches_the_reference_on_f2_terms():
+    rng = random.Random("cleared")
+    F = Q()
+    seen = {"sparse": 0, "odd degree": 0, "L > 1": 0, "rooted": 0}
+    for k in range(400):
+        coeffs = (_random_sparse_base if k % 2 else _random_rational_base)(rng)
+        tower = Tower.over(univariate(F, [F.element(c) for c in coeffs]), 2)
+        assert tower._cleared == _ref_cleared(tower), coeffs
+        seen["sparse"] += not all(coeffs[1:-1])
+        seen["odd degree"] += len(coeffs) % 2 == 0
+        seen["L > 1"] += any(c.denominator > 1 for c in coeffs)
+        root = _outcome(_ref_first_rational_root, coeffs)
+        seen["rooted"] += root[0] == "ok" and root[1] is not None
     assert min(seen.values()) > 30, seen
 
 
