@@ -250,6 +250,8 @@ def _load_functions(field, path):
 
 def cmd_cover(args):
     field = parse_field(args.field)
+    if args.case in ("I", "all") and args.m < 2:
+        raise ConfigError("degree guard: --m must be at least 2")
     functions = _load_functions(field, args.functions)
     config = {"field": format_field(field), "functions": args.functions,
               "case": args.case, "m": args.m}

@@ -29,16 +29,25 @@ from .poly import MultiPoly, format_poly
 
 @dataclass(frozen=True)
 class Cover:
-    """Functions with no common zero on a finite discrete space."""
+    """Functions with no common zero on a finite discrete space;
+    `last_nonzero[x]` is the index of the last function that does not
+    vanish at x."""
 
     space: FiniteSpace
     field: FieldDescriptor
     functions: tuple  # RingElements
+    last_nonzero: tuple  # ints, one per point
 
 
 def check_cover(psis) -> Cover:
     """Validate the no-common-zero property; report the smallest common
-    zero otherwise."""
+    zero otherwise.
+
+    Each point's column of payloads is read from the last function down,
+    up to its first nonzero payload, whose function's index is the
+    point's entry in the cover's `last_nonzero`; the points where every
+    payload is zero are left in order, so the first is the smallest.
+    """
     psis = tuple(psis)
     if not psis:
         raise ValueError("need at least one function")
@@ -51,10 +60,18 @@ def check_cover(psis) -> Cover:
             raise MixedFields(f"function {i} has {psi.size} values, "
                               f"function 1 has {size}")
     is_zero = field.is_zero
-    for x, column in enumerate(zip(*(psi.payloads for psi in psis))):
-        if all(map(is_zero, column)):
-            raise CommonZero(x)
-    return Cover(FiniteSpace(size), field, psis)
+    last, pending = [None] * size, range(size)
+    for i in range(len(psis) - 1, -1, -1):
+        payloads, zeros = psis[i].payloads, []
+        for x in pending:
+            if is_zero(payloads[x]):
+                zeros.append(x)
+            else:
+                last[x] = i
+        pending = zeros
+    if pending:
+        raise CommonZero(pending[0])
+    return Cover(FiniteSpace(size), field, psis, tuple(last))
 
 
 def image_points(cover: Cover):
@@ -208,50 +225,71 @@ def combine_case2(cover: Cover) -> CombinationCertificate:
 def unit_combination_case3(cover: Cover) -> CombinationCertificate:
     """Linear combination that never vanishes, by projective avoidance.
 
-    Maintains psi~ = sum of coefficients times functions; at step i it
+    Builds psi~ = sum of coefficients times functions; at step i it
     restricts to the points where the remaining functions all vanish,
     takes the image of [psi~, psi_i] in P1(F), and subtracts a*psi_i for
     the enumeration-smallest a with [a,1] outside the image. An empty
     restriction is treated as vacuous (any a works). The route reads the
     functions' payloads: the image is the set of forbidden values u/v,
-    with None for [1:0], the candidates a are the payloads in
-    enumeration order, and psi~ + c_i*psi_i, c_i = -a, is one payload
-    expression per point. The witness is the linear form sum of c_i x_i.
+    with None for [1:0], and the candidates a are the payloads in
+    enumeration order. The witness is the linear form sum of c_i x_i,
+    c_i = -a.
+
+    Each point is read at one step only, that of its last nonzero
+    function, `cover.last_nonzero[x]`: the restriction of step i is the
+    points whose last is at most i; those whose last is below i, where
+    psi_i vanishes, put [1:0] in the image; one whose last is i puts
+    u/v, with u = psi~ computed at that point alone from the nonzero
+    coefficients so far, and gets its final value u + c_i*v, as every
+    later function vanishes there.
     """
     field = cover.field
     if not field.is_finite:
         raise InfiniteField("the avoidance route is implemented for finite F")
-    is_zero, add, mul = field.is_zero, field.add, field.mul
-    psis = cover.functions
+    is_zero, add, mul, inv = field.is_zero, field.add, field.mul, field.inv
+    psis = [psi.payloads for psi in cover.functions]
     n = len(psis)
+    buckets = [[] for _ in psis]
+    for x, last in enumerate(cover.last_nonzero):
+        buckets[last].append(x)
+    first = psis[0]
     coeffs = [field.canonical(1)] + [field.canonical(0)] * (n - 1)
-    current = psis[0].payloads
+    composite = list(first)  # final at the points whose last is 0
+    terms = []  # (c_k, psi_k) for each nonzero c_k so far, 0 < k
+    restricted = len(buckets[0])
     log = []
     for i in range(1, n):
-        rest = [r.payloads for r in psis[i + 1:]]
-        y_points = [x for x in range(cover.space.size)
-                    if all(is_zero(r[x]) for r in rest)]
-        # u = v = 0 cannot occur here: the cover rules it out at step 1;
-        # after that a point where v = 0 was restricted a step before,
-        # where an a outside the image kept u - a*v nonzero
-        v_at = psis[i].payloads
-        image = {None if is_zero(v_at[x])
-                 else mul(current[x], field.inv(v_at[x]))
-                 for x in y_points}
+        v_at, bucket = psis[i], buckets[i]
+        # [1:0] is the image of the points whose last is below i
+        image = {None} if restricted else set()
+        full = len(image) + field.order
+        us = []
+        for x in bucket:
+            u = first[x]
+            for c, row in terms:
+                v = row[x]
+                if not is_zero(v):
+                    u = add(u, mul(c, v))
+            us.append(u)
+            image.add(mul(u, inv(v_at[x])))
+            if len(image) == full:   # every candidate a is forbidden
+                raise AvoidanceExhausted(i)
         # a payload is the element's index in enumeration order
-        a = next((a for a in range(field.order) if a not in image), None)
-        if a is None:
-            raise AvoidanceExhausted(i)
+        a = next(a for a in range(field.order) if a not in image)
         c = coeffs[i] = field.neg(a)
-        current = tuple(add(u, mul(c, v)) for u, v in zip(current, v_at))
+        if not is_zero(c):
+            terms.append((c, v_at))
+        for u, x in zip(us, bucket):
+            composite[x] = add(u, mul(c, v_at[x]))
+        restricted += len(bucket)
         log.append({"step": i + 1, "chosen_a": field.format(a),
                     "image_size": len(image),
-                    "restricted_points": len(y_points)})
+                    "restricted_points": restricted})
     witness = MultiPoly.from_payloads(
         field, n, {_variable(n, i): c for i, c in enumerate(coeffs)})
     return CombinationCertificate(
-        "CaseIII", cover, RingElement.from_payloads(field, current), witness,
-        tuple(log))
+        "CaseIII", cover, RingElement.from_payloads(field, tuple(composite)),
+        witness, tuple(log))
 
 
 def certify(cert: CombinationCertificate) -> dict:

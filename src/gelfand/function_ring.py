@@ -110,22 +110,27 @@ class RingElement:
 def parse_ring_element(field, line) -> RingElement:
     """One function per line: comma-separated field-element literals.
 
-    Each literal is read by `parse_payload_at`, so that a ParseError
-    carries its offset in the line, and its payload is kept under its
-    text in the field's memo (`_literals`), up to FIELD_TABLE_CAP texts.
+    The literals are looked up in the field's memo (`_literals`) by one
+    `map`; only the texts it lacks are read, by `parse_payload_at` at
+    their offsets in the line, so that a ParseError carries its offset,
+    and each new payload is kept under its text, up to FIELD_TABLE_CAP
+    texts.
     """
     if not line.strip():
         raise ParseError(line, 0, "comma-separated field-element literals")
     memo = _literals(field)
-    payloads, start = [], 0
-    for part in line.split(","):
-        a = memo.get(part)
-        if a is None:
-            a = parse_payload_at(field, line, start, start + len(part))
-            if len(memo) < FIELD_TABLE_CAP:
-                memo[part] = a
-        payloads.append(a)
-        start += len(part) + 1
+    parts = line.split(",")
+    payloads = list(map(memo.get, parts))
+    if None in payloads:   # a text the memo lacks: the line in turn
+        payloads, start = [], 0
+        for part in parts:
+            a = memo.get(part)
+            if a is None:
+                a = parse_payload_at(field, line, start, start + len(part))
+                if len(memo) < FIELD_TABLE_CAP:
+                    memo[part] = a
+            payloads.append(a)
+            start += len(part) + 1
     return RingElement.from_payloads(field, tuple(payloads))
 
 

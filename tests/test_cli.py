@@ -618,6 +618,44 @@ def test_cover_certifies_nothing_when_a_route_raises(tmp_path, capsys,
     assert code == 0 and len(calls) == 1 and built == ["combine_case2"]
 
 
+@pytest.mark.parametrize("field, rows", [
+    # route III exhausts at step 1 on this cover over F_2
+    ("Fp(2)", "1,1,0,1\n1,0,1,1\n"),
+    # route III passes on this one
+    ("Fp(5)", "1,0,1\n0,1,1\n"),
+])
+@pytest.mark.parametrize("case", ["I", "all"])
+def test_cover_route_one_degree_guard_before_any_route(
+        tmp_path, capsys, monkeypatch, field, rows, case):
+    # --m is refused before the functions file is read, so no route runs
+    # and route III's refusal is not the one reported
+    fns = tmp_path / "fns.txt"
+    fns.write_text(rows)
+    monkeypatch.setattr(cli, "_load_functions", _refuse)
+    code, report = run_cli(["cover", "--field", field, "--functions",
+                            str(fns), "--case", case, "--m", "1"],
+                           tmp_path / "r.json")
+    assert (code, report) == (2, None)
+    assert capsys.readouterr().err == \
+        "error: degree guard: --m must be at least 2\n"
+
+
+@pytest.mark.parametrize("case", ["II", "III"])
+def test_cover_routes_two_and_three_ignore_m(tmp_path, case):
+    fns = tmp_path / "fns.txt"
+    fns.write_text("1,0,1\n0,1,1\n")
+    args = ["cover", "--field", "Fp(5)", "--functions", str(fns), "--case",
+            case, "--m"]
+    code, report = run_cli(args + ["1"], tmp_path / "r1.json")
+    code2, report2 = run_cli(args + ["2"], tmp_path / "r2.json")
+    assert code == code2 == 0
+    assert report["instances"] == report2["instances"]
+
+
+def _refuse(*args):
+    raise AssertionError("the functions file was read")
+
+
 def test_cover_with_a_short_row_names_the_sizes(tmp_path, capsys):
     fns = tmp_path / "fns.txt"
     fns.write_text("1,0\n0\n")

@@ -73,6 +73,38 @@ def test_check_cover_common_zero():
     assert exc.value.point == 1
 
 
+def _last_nonzero_by_scan(psis):
+    """For each point, the index of the last function that does not
+    vanish there, None where every function vanishes."""
+    return [max((i for i, v in enumerate(column) if not v.is_zero),
+                default=None)
+            for column in zip(*(psi.values for psi in psis))]
+
+
+@pytest.mark.parametrize("field", [Fp(2), Fp(3), Fq(2, 2)], ids=str)
+def test_check_cover_last_nonzero_and_smallest_common_zero(field):
+    # seeded functions, some with common zeros: check_cover names the
+    # smallest one, or records each point's last nonzero function
+    rng = random.Random(f"last {field}")
+    elems = enumerate_field(field)
+    outcomes = set()
+    for _ in range(200):
+        n, size = rng.randint(1, 6), rng.randint(1, 12)
+        psis = [RingElement(field, tuple(
+            elems[0] if rng.random() < 0.6 else rng.choice(elems)
+            for _ in range(size))) for _ in range(n)]
+        last = _last_nonzero_by_scan(psis)
+        if None in last:
+            with pytest.raises(CommonZero) as exc:
+                check_cover(psis)
+            assert exc.value.point == last.index(None)
+            outcomes.add("common zero")
+        else:
+            assert check_cover(psis).last_nonzero == tuple(last)
+            outcomes.add("cover")
+    assert outcomes == {"common zero", "cover"}
+
+
 def test_single_nowhere_zero_function_is_a_cover():
     F = Fp(3)
     cover = check_cover([_re(F, [1, 2, 1])])
@@ -455,28 +487,90 @@ def _case3_by_field_elements(cover):
     return tuple(coeffs), tuple(log), current
 
 
-@pytest.mark.parametrize("field", [Fp(5), Fp(7), Fq(2, 2), Fq(2, 3)],
-                         ids=str)
+def _assert_case3_matches_reference(cover):
+    """Route III and the reference give the same coefficients, step log
+    and composite, or are refused at the same step; the outcome."""
+    try:
+        expected = _case3_by_field_elements(cover)
+    except AvoidanceExhausted as exc:
+        with pytest.raises(AvoidanceExhausted) as raised:
+            unit_combination_case3(cover)
+        assert raised.value.step == exc.step
+        return exc.step
+    cert = unit_combination_case3(cover)
+    assert (_linear_coefficients(cert), cert.per_step_log,
+            cert.composite.values) == expected
+    return "certified"
+
+
+CASE3_FIELDS = [Fp(2), Fp(3), Fp(5), Fp(7), Fq(2, 2), Fq(2, 3)]
+
+
+@pytest.mark.parametrize("field", CASE3_FIELDS, ids=str)
 def test_case3_matches_field_element_reference(field):
     rng = random.Random(field.order)
     outcomes = set()
-    for k in range(80):
-        cover = check_cover(_random_cover(
-            rng, field, rng.randint(3, 30), rng.randint(2, 4),
-            zero_heavy=k % 2 == 1))
-        try:
-            expected = _case3_by_field_elements(cover)
-        except AvoidanceExhausted as exc:
-            with pytest.raises(AvoidanceExhausted) as raised:
-                unit_combination_case3(cover)
-            assert raised.value.step == exc.step
-            outcomes.add("exhausted")
-            continue
-        cert = unit_combination_case3(cover)
-        assert (_linear_coefficients(cert), cert.per_step_log,
-                cert.composite.values) == expected
-        outcomes.add("certified")
+    for k in range(120):
+        psis = _random_cover(rng, field, rng.randint(3, 30),
+                             rng.randint(1, 6), zero_heavy=k % 2 == 1)
+        cover = check_cover(psis)
+        assert cover.last_nonzero == tuple(_last_nonzero_by_scan(psis))
+        outcome = _assert_case3_matches_reference(cover)
+        outcomes.add("certified" if outcome == "certified" else "exhausted")
     assert outcomes == {"certified", "exhausted"}
+
+
+def _cover_refused_at(rng, field, step, n):
+    """n functions on which route III is refused at `step`: for each
+    element a a point where psi_1 = a, psi_(step+1) = 1 and every other
+    function vanishes, so that the ratios u/v of that step are all of F,
+    among points whose last nonzero function comes after that step, in
+    a shuffled order."""
+    elems = enumerate_field(field)
+    columns = [[a] + [field.zero()] * (n - 1) for a in elems]
+    for column in columns:
+        column[step] = field.one()
+    for _ in range(rng.randint(0, 12) if step < n - 1 else 0):
+        column = [rng.choice(elems) for _ in range(n)]
+        column[rng.randrange(step + 1, n)] = rng.choice(elems[1:])
+        columns.append(column)
+    rng.shuffle(columns)
+    return [RingElement(field, values) for values in zip(*columns)]
+
+
+@pytest.mark.parametrize("field", CASE3_FIELDS, ids=str)
+def test_case3_refused_at_every_step_as_the_reference(field):
+    rng = random.Random(f"refused {field}")
+    for step in range(1, 6):
+        for _ in range(4):
+            cover = check_cover(_cover_refused_at(
+                rng, field, step, rng.randint(step + 1, 6)))
+            assert _assert_case3_matches_reference(cover) == step
+
+
+def test_case3_reads_each_point_at_its_own_step(monkeypatch):
+    """A deterministic guard against per-step rescans. With n functions,
+    at a point x whose last nonzero function is last(x), check_cover
+    tests n - last(x) payloads, and route III at most the last(x) - 1
+    earlier payloads that build its u (each an is_zero, and an add and a
+    mul when nonzero), one inv and one mul for u/v, one mul and one add
+    for its composite value, and one is_zero per coefficient: 42,322
+    calls at most on this cover. A route that tests the later functions
+    at every point and rewrites the whole composite at every step makes
+    76,531 calls here; this route makes 10,724."""
+    field, n, size = Fp(101), 30, 500
+    psis = _random_cover(random.Random(45), field, size, n, zero_heavy=True)
+    last = _last_nonzero_by_scan(psis)
+    calls = []
+    for name in ("is_zero", "add", "mul", "inv"):
+        def counting(self, *args, real=getattr(type(field), name)):
+            calls.append(None)
+            return real(self, *args)
+        monkeypatch.setattr(type(field), name, counting)
+    cert = unit_combination_case3(check_cover(psis))
+    made = len(calls)
+    assert made <= sum(n - k + 3 * max(k - 1, 0) + 4 for k in last) + n
+    assert certify(cert)["pass"]
 
 
 def test_cross_mode_agreement():

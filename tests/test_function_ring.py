@@ -356,6 +356,28 @@ def test_a_bad_literal_is_not_remembered(line, pos, expected, empty_memo):
     assert empty_memo(field) == {"1": 1}
 
 
+@pytest.mark.parametrize("line,pos", [
+    ("x,1, 2,1", 0),      # at the start of the line
+    ("1, 2,x,1", 5),      # in the middle
+    ("1, 2,1,x", 7),      # at the end
+    ("1,1,1, x", 7),      # at the end, after a space
+])
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_a_bad_literal_keeps_its_offset_in_the_line(line, pos, warm,
+                                                    empty_memo):
+    # the memo's lookup of the whole line comes first; the bad literal
+    # is read at its own offset, whether the good ones are remembered or
+    # read now
+    field = Fp(7)
+    if warm:
+        parse_ring_element(field, "1, 2")
+    with pytest.raises(ParseError) as info:
+        parse_ring_element(field, line)
+    assert (info.value.pos, info.value.expected) == \
+        (pos, "an integer residue")
+    assert "x" not in empty_memo(field) and " x" not in empty_memo(field)
+
+
 def test_ideal_repr_rejects_points_outside_the_space():
     with pytest.raises(PointOutOfRange):
         IdealRepr(FiniteSpace(2), Fp(2), {0, 2})
