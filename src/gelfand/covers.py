@@ -29,24 +29,24 @@ from .poly import MultiPoly, format_poly
 
 @dataclass(frozen=True)
 class Cover:
-    """Functions with no common zero on a finite discrete space;
-    `last_nonzero[x]` is the index of the last function that does not
-    vanish at x."""
+    """Functions with no common zero on a finite discrete space, with
+    its points partitioned by their last nonzero function: `steps[i]`
+    holds, ascending, the points where psi_(i+1) does not vanish and
+    every later function does."""
 
     space: FiniteSpace
     field: FieldDescriptor
     functions: tuple  # RingElements
-    last_nonzero: tuple  # ints, one per point
+    steps: tuple  # tuples of points, one per function
 
 
 def check_cover(psis) -> Cover:
     """Validate the no-common-zero property; report the smallest common
     zero otherwise.
 
-    Each point's column of payloads is read from the last function down,
-    up to its first nonzero payload, whose function's index is the
-    point's entry in the cover's `last_nonzero`; the points where every
-    payload is zero are left in order, so the first is the smallest.
+    Each function, from the last down, splits the pending points (at
+    first all of them) into its step, where it does not vanish, and the
+    rest, which stay pending, in order: the first left is the smallest.
     """
     psis = tuple(psis)
     if not psis:
@@ -60,18 +60,16 @@ def check_cover(psis) -> Cover:
             raise MixedFields(f"function {i} has {psi.size} values, "
                               f"function 1 has {size}")
     is_zero = field.is_zero
-    last, pending = [None] * size, range(size)
-    for i in range(len(psis) - 1, -1, -1):
-        payloads, zeros = psis[i].payloads, []
+    steps, pending = [], range(size)
+    for psi in reversed(psis):
+        payloads, zeros, nonzero = psi.payloads, [], []
         for x in pending:
-            if is_zero(payloads[x]):
-                zeros.append(x)
-            else:
-                last[x] = i
+            (zeros if is_zero(payloads[x]) else nonzero).append(x)
+        steps.append(tuple(nonzero))
         pending = zeros
     if pending:
         raise CommonZero(pending[0])
-    return Cover(FiniteSpace(size), field, psis, tuple(last))
+    return Cover(FiniteSpace(size), field, psis, tuple(reversed(steps)))
 
 
 def image_points(cover: Cover):
@@ -235,13 +233,12 @@ def unit_combination_case3(cover: Cover) -> CombinationCertificate:
     enumeration order. The witness is the linear form sum of c_i x_i,
     c_i = -a.
 
-    Each point is read at one step only, that of its last nonzero
-    function, `cover.last_nonzero[x]`: the restriction of step i is the
-    points whose last is at most i; those whose last is below i, where
-    psi_i vanishes, put [1:0] in the image; one whose last is i puts
-    u/v, with u = psi~ computed at that point alone from the nonzero
-    coefficients so far, and gets its final value u + c_i*v, as every
-    later function vanishes there.
+    Each point is read once, at its step in `cover.steps`: the
+    restriction of step i is the points of steps 0 to i; those of
+    earlier steps, where psi_i vanishes, put [1:0] in the image; one of
+    step i puts u/v, u = psi~ at that point alone from the nonzero
+    coefficients so far, written as its composite value, to which
+    c_i*v is added if c_i is nonzero, as later functions vanish there.
     """
     field = cover.field
     if not field.is_finite:
@@ -249,28 +246,24 @@ def unit_combination_case3(cover: Cover) -> CombinationCertificate:
     is_zero, add, mul, inv = field.is_zero, field.add, field.mul, field.inv
     psis = [psi.payloads for psi in cover.functions]
     n = len(psis)
-    buckets = [[] for _ in psis]
-    for x, last in enumerate(cover.last_nonzero):
-        buckets[last].append(x)
     first = psis[0]
     coeffs = [field.canonical(1)] + [field.canonical(0)] * (n - 1)
-    composite = list(first)  # final at the points whose last is 0
+    composite = list(first)  # final at the points of step 0
     terms = []  # (c_k, psi_k) for each nonzero c_k so far, 0 < k
-    restricted = len(buckets[0])
+    restricted = len(cover.steps[0])
     log = []
     for i in range(1, n):
-        v_at, bucket = psis[i], buckets[i]
-        # [1:0] is the image of the points whose last is below i
+        v_at, step = psis[i], cover.steps[i]
+        # [1:0] is the image of the points of earlier steps
         image = {None} if restricted else set()
         full = len(image) + field.order
-        us = []
-        for x in bucket:
+        for x in step:
             u = first[x]
             for c, row in terms:
                 v = row[x]
                 if not is_zero(v):
                     u = add(u, mul(c, v))
-            us.append(u)
+            composite[x] = u
             image.add(mul(u, inv(v_at[x])))
             if len(image) == full:   # every candidate a is forbidden
                 raise AvoidanceExhausted(i)
@@ -279,9 +272,9 @@ def unit_combination_case3(cover: Cover) -> CombinationCertificate:
         c = coeffs[i] = field.neg(a)
         if not is_zero(c):
             terms.append((c, v_at))
-        for u, x in zip(us, bucket):
-            composite[x] = add(u, mul(c, v_at[x]))
-        restricted += len(bucket)
+            for x in step:
+                composite[x] = add(composite[x], mul(c, v_at[x]))
+        restricted += len(step)
         log.append({"step": i + 1, "chosen_a": field.format(a),
                     "image_size": len(image),
                     "restricted_points": restricted})
