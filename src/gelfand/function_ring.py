@@ -4,7 +4,10 @@ maximal spectrum with the Zariski topology, and the point-to-kernel map.
 Every function on a finite discrete space is continuous, so the ring is
 just F^n with pointwise operations. Every ideal of F^n is I_V, the
 functions vanishing on some set V of points; the ideal oracle checks
-this independently at tiny sizes, summing principal ideals aR.
+this independently at tiny sizes, summing principal ideals aR. It works
+on element indices, in `all_ring_elements` order: the ring's sum and
+product tables are read off the field's q x q tables, and an ideal is
+an int mask of elements, bit i for element i.
 A closed set of the spectrum is an int bitmask of points, bit x for the
 kernel at x. The closed-set family is a `range` of such masks, decided by
 the two field values 1 - 1 and 1 - 0 and never stored set by set, so a
@@ -61,11 +64,11 @@ _set = object.__setattr__
 class RingElement:
     """A function on a finite discrete space: one field value per point.
 
-    It holds the values' payloads and defines no arithmetic: every path
-    that adds or multiplies functions (the ideal oracle's tables, route
-    III's update) maps the field's payload operations over the payload
-    tuples and builds the result through `from_payloads`, which skips
-    the constructor's check, as `from_payload` does for a field element.
+    It holds the values' payloads and defines no arithmetic: route III's
+    update maps the field's payload operations over the payload tuples
+    and builds the result through `from_payloads`, which skips the
+    constructor's check, as `from_payload` does for a field element, and
+    the ideal oracle reads the ring's tables off the field's q x q ones.
     The public constructor takes field elements and checks that each
     lies in the field; `values` wraps the payloads back into field
     elements.
@@ -180,12 +183,6 @@ class IdealRepr:
         is_zero, payloads = self.field.is_zero, f.payloads
         return all(is_zero(payloads[x]) for x in self.vanishing)
 
-    def element_set(self) -> frozenset:
-        """Materialize the full element set (guarded by ring size)."""
-        return frozenset(
-            f for f in all_ring_elements(self.space, self.field)
-            if self.contains(f))
-
     def is_maximal(self) -> bool:
         return len(self.vanishing) == 1
 
@@ -220,43 +217,79 @@ def check_guards(space: FiniteSpace, field: FieldDescriptor,
     return force_oracle or ring_size <= ORACLE_GUARD
 
 
+def _ring_table(op, q, n):
+    """The table of a pointwise operation of F^n on element indices,
+    read off the field's q x q table of op: entry [i][j] is the index
+    of op(f_i, f_j). An element's index reads its payloads as base-q
+    digits, the last coordinate lowest, the order of `all_ring_elements`;
+    so the table for one more coordinate puts q x q blocks side by side."""
+    field_table = [[op(a, b) for b in range(q)] for a in range(q)]
+    table = [[0]]
+    for _ in range(n):
+        table = [[s * q + t for s in row for t in digits]
+                 for row in table for digits in field_table]
+    return table
+
+
+def _coset_masks(add, J):
+    """For each element i, the mask of its coset i + J under the sum
+    table add; J is an additive group, so its cosets partition the ring
+    and each is formed once, for its first element."""
+    members = [j for j in range(len(add)) if J >> j & 1]
+    cosets = [0] * len(add)
+    for i, row in enumerate(add):
+        if not cosets[i]:
+            coset = 0
+            for j in members:
+                coset |= 1 << row[j]
+            for j in members:
+                cosets[row[j]] = coset
+    return cosets
+
+
 def enumerate_ideals_bruteforce(space: FiniteSpace, field: FieldDescriptor):
-    """All ideals of the function ring, as element sets, generated from
-    its principal ideals: in a commutative ring with 1, every ideal J is
-    the sum of the aR over a in J, and aR is row a of the product table.
-    The distinct rows, closed under sums I + aR read off the sum table,
-    are every ideal. Both tables use the field's payload operations,
-    pointwise on payload tuples. The ideals are sorted by element-index
-    mask, the order of the reference subset enumeration in `tests/`,
-    `_ideals_by_field_elements`. Guarded by ORACLE_GUARD.
+    """All ideals of the function ring, as ascending int masks of element
+    indices in `all_ring_elements` order, generated from its principal
+    ideals: in a commutative ring with 1, every ideal J is the sum of the
+    aR over a in J, and aR is row a of the product table. The distinct
+    rows, closed under sums I + aR, are every ideal. The tables are read
+    off the field's payload operations, q^2 calls each of `add` and
+    `mul`, as the ring's operations are pointwise. I + J is the union of
+    the cosets i + J over i in I, each coset taken once; it is skipped
+    when one ideal holds the other, as the sum is then the larger one,
+    already listed. Guarded by ORACLE_GUARD.
     """
     check_guards(space, field, force_oracle=True)
-    ring = all_ring_elements(space, field)
-    payloads = [f.payloads for f in ring]
-    index = {a: i for i, a in enumerate(payloads)}
-    add, mul = field.add, field.mul
-    add_table = [[index[tuple(map(add, a, b))] for b in payloads]
-                 for a in payloads]
-    rows = {frozenset(index[tuple(map(mul, a, b))] for b in payloads)
-            for a in payloads}
+    q, n = field.order, space.size
+    add = _ring_table(field.add, q, n)
+    rows = {sum(1 << j for j in set(row))
+            for row in _ring_table(field.mul, q, n)}
+    cosets = [(J, _coset_masks(add, J)) for J in rows]
     ideals, todo = set(rows), list(rows)
     while todo:
         I = todo.pop()
-        for J in rows:
-            S = frozenset(add_table[i][j] for i in I for j in J)
+        for J, coset in cosets:
+            if I & J in (I, J):   # one holds the other
+                continue
+            S, rest = 0, I
+            while rest:   # I's first element whose coset is not in S yet
+                low = rest & -rest
+                S |= coset[low.bit_length() - 1]
+                rest = (rest ^ low) & ~S   # ends even if i is not in i + J
             if S not in ideals:
                 ideals.add(S)
                 todo.append(S)
-    by_mask = sorted(ideals, key=lambda I: sum(1 << i for i in I))
-    return [frozenset(ring[i] for i in I) for I in by_mask]
+    return sorted(ideals)
 
 
-def maximal_ideals(ideals, one: RingElement):
+def maximal_ideals(ideals, unit: int):
     """The proper ideals that no other listed proper ideal strictly
-    contains. Applied to the oracle's complete list, these are exactly
+    contains, for ideals as element masks and `unit` the bit of the
+    ring's 1. Applied to the oracle's complete list, these are exactly
     the maximal ideals."""
-    proper = [I for I in ideals if one not in I]
-    return [I for I in proper if not any(I < J for J in proper)]
+    proper = [I for I in ideals if not I & unit]
+    return [I for I in proper
+            if not any(I & J == I != J for J in proper)]
 
 
 @dataclass(frozen=True)
@@ -307,7 +340,8 @@ def check_homeomorphism(space: FiniteSpace, field: FieldDescriptor,
     one point, so they are maximal by construction. What is checked is
     that the n points give n distinct kernels (`max_ideal_count` counts
     distinct vanishing sets), that the ideal oracle's maximal
-    ideals are exactly the kernels, when its guard permits, and that the
+    ideals are exactly the kernels, when its guard permits (as element
+    masks, each kernel's read through `contains`), and that the
     Zariski closed sets are all 2^n subsets of the n points, i.e. the
     topology is discrete. Only the finite discrete instance is checked;
     nothing is claimed about infinite spaces.
@@ -320,11 +354,14 @@ def check_homeomorphism(space: FiniteSpace, field: FieldDescriptor,
 
     oracle_agrees = None
     if run_oracle:
-        one = RingElement.from_payloads(field, (field.canonical(1),) * n)
+        ring = all_ring_elements(space, field)
+        one = (field.canonical(1),) * n
+        unit = next(i for i, f in enumerate(ring) if f.payloads == one)
         oracle_max = maximal_ideals(enumerate_ideals_bruteforce(space, field),
-                                    one)
-        structural_max = {M.element_set() for M in kernels}
-        oracle_agrees = set(oracle_max) == structural_max
+                                    1 << unit)
+        kernel_masks = {sum(1 << i for i, f in enumerate(ring)
+                            if M.contains(f)) for M in kernels}
+        oracle_agrees = set(oracle_max) == kernel_masks
 
     # the family is every subset, range(2^n), compared in O(1): discrete
     topology_match = closed == range(1 << n)

@@ -129,15 +129,21 @@ class MultiPoly:
     def evaluate_payloads(self, xs):
         """The value, as a payload, at the point whose coordinates have
         the payloads xs; each power x_i^e that a term needs is computed
-        once per call."""
+        once per call, x_i^1 is x_i itself, and a term with a zero
+        coordinate is skipped, as 0^e = 0 for the e >= 1 of the plan."""
         F = self.field
-        mul, add, power = F.mul, F.add, F.pow
+        mul, add, power, is_zero = F.mul, F.add, F.pow, F.is_zero
         pairs, plan, acc = self._evaluation_plan
-        powers = [power(xs[i], e) for i, e in pairs]
+        powers = [None if is_zero(xs[i]) else xs[i] if e == 1
+                  else power(xs[i], e) for i, e in pairs]
         for term, factors in plan:
             for j in factors:
-                term = mul(term, powers[j])
-            acc = add(acc, term)
+                x = powers[j]
+                if x is None:   # a zero coordinate: the term is 0
+                    break
+                term = mul(term, x)
+            else:
+                acc = add(acc, term)
         return acc
 
     @cached_property

@@ -40,6 +40,7 @@ from gelfand.function_ring import (
     maximal_ideals,
 )
 from gelfand.poly import univariate
+from test_function_ring import _elements, _mask, _unit
 
 
 def _report(num, name, ok):
@@ -83,9 +84,8 @@ def test_criterion_3_gelfand_finite_instance():
         sp, F = FiniteSpace(size), Fp(2)
         ideals = enumerate_ideals_bruteforce(sp, F)
         ok = ok and len(ideals) == 2 ** size
-        one = RingElement.from_payloads(F, (1,) * size)
-        maximal = set(maximal_ideals(ideals, one))
-        structural = {gelfand_map(sp, F, x).element_set()
+        maximal = set(maximal_ideals(ideals, _unit(F, size)))
+        structural = {_mask(sp, F, _elements(gelfand_map(sp, F, x)))
                       for x in sp.points()}
         ok = ok and len(maximal) == size and maximal == structural
     _report(3, "spectrum bijection, discrete Zariski topology, oracle", ok)

@@ -582,6 +582,33 @@ def test_case3_reads_each_point_at_its_own_step(monkeypatch):
     assert certify(cert)["pass"]
 
 
+def test_certify_reads_each_column_at_its_nonzero_coordinates(monkeypatch):
+    """A deterministic guard on the evaluator that `certify` runs. Route
+    III's witness is linear, sum c_i x_i; at each distinct column the
+    evaluation tests each of its t variables for zero (is_zero), takes
+    x_i^1 as x_i, and skips the terms at a zero coordinate, so it makes
+    a mul and an add per nonzero coordinate; `certify` then tests each
+    point's value: 10,826 calls at most on this cover, whose witness
+    has 13 terms. Raising every coordinate by pow and multiplying
+    through the zeros makes 20,000 calls here; this evaluator makes
+    10,826."""
+    field, n, size = Fp(101), 30, 500
+    psis = _random_cover(random.Random(15), field, size, n, zero_heavy=True)
+    cert = unit_combination_case3(check_cover(psis))
+    variables = [m.index(1) for m, _ in cert.witness.payload_terms]
+    columns = set(zip(*(psi.payloads for psi in psis)))
+    bound = size + sum(len(variables) + 2 * sum(1 for i in variables if c[i])
+                       for c in columns)
+    calls = []
+    for name in ("is_zero", "add", "mul", "inv", "pow"):
+        def counting(self, *args, real=getattr(type(field), name)):
+            calls.append(None)
+            return real(self, *args)
+        monkeypatch.setattr(type(field), name, counting)
+    assert certify(cert)["pass"]
+    assert len(calls) <= bound
+
+
 def test_cross_mode_agreement():
     F = Fp(5)
     rng = random.Random(9)

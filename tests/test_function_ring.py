@@ -44,13 +44,13 @@ from gelfand.function_ring import (
 def test_kernel_at_point_explicit_set():
     F, sp = Fp(2), FiniteSpace(2)
     M = gelfand_map(sp, F, 0)
-    assert {str(f) for f in M.element_set()} == {"0,0", "0,1"}
+    assert {str(f) for f in _elements(M)} == {"0,0", "0,1"}
 
 
 def test_single_point_space_kernel_is_zero_ideal():
     F, sp = Fp(3), FiniteSpace(1)
     M = gelfand_map(sp, F, 0)
-    assert M.element_set() == {RingElement(F, (F.zero(),) * 1)}
+    assert _elements(M) == {RingElement(F, (F.zero(),) * 1)}
     assert M.is_maximal()
 
 
@@ -67,8 +67,23 @@ def test_gelfand_map_point_range():
         gelfand_map(FiniteSpace(2), Fp(2), 5)
 
 
-def _one(field, size):
-    return RingElement.from_payloads(field, (1,) * size)
+def _elements(ideal):
+    """The elements of an ideal I_V, read through `contains`."""
+    return frozenset(f for f in all_ring_elements(ideal.space, ideal.field)
+                     if ideal.contains(f))
+
+
+def _mask(space, field, elements):
+    """The oracle's mask of a set of ring elements: bit i for the i-th
+    element of `all_ring_elements`."""
+    index = {f: i for i, f in enumerate(all_ring_elements(space, field))}
+    return sum(1 << index[f] for f in set(elements))
+
+
+def _unit(field, size):
+    """The oracle's bit of the ring's 1."""
+    one = RingElement.from_payloads(field, (1,) * size)
+    return _mask(FiniteSpace(size), field, [one])
 
 
 def _indicator(field, size, point):
@@ -81,21 +96,22 @@ def _indicator(field, size, point):
 def test_bruteforce_f2_two_points():
     ideals = enumerate_ideals_bruteforce(FiniteSpace(2), Fp(2))
     assert len(ideals) == 4
-    assert len(maximal_ideals(ideals, _one(Fp(2), 2))) == 2
+    assert len(maximal_ideals(ideals, _unit(Fp(2), 2))) == 2
 
 
 def test_bruteforce_one_point():
     ideals = enumerate_ideals_bruteforce(FiniteSpace(1), Fp(2))
     assert len(ideals) == 2
-    maximal = maximal_ideals(ideals, _one(Fp(2), 1))
+    maximal = maximal_ideals(ideals, _unit(Fp(2), 1))
     assert len(maximal) == 1
-    assert maximal[0] == {RingElement(Fp(2), (Fp(2).zero(),) * 1)}
+    assert maximal[0] == _mask(FiniteSpace(1), Fp(2),
+                               {RingElement(Fp(2), (Fp(2).zero(),) * 1)})
 
 
 def test_bruteforce_f2_three_points():
     ideals = enumerate_ideals_bruteforce(FiniteSpace(3), Fp(2))
     assert len(ideals) == 8  # one per subset of coordinates
-    assert len(maximal_ideals(ideals, _one(Fp(2), 3))) == 3
+    assert len(maximal_ideals(ideals, _unit(Fp(2), 3))) == 3
 
 
 def test_bruteforce_guard():
@@ -106,8 +122,9 @@ def test_bruteforce_guard():
 def test_structural_matches_bruteforce():
     F, sp = Fp(2), FiniteSpace(3)
     oracle = set(maximal_ideals(enumerate_ideals_bruteforce(sp, F),
-                                _one(F, 3)))
-    structural = {gelfand_map(sp, F, x).element_set() for x in sp.points()}
+                                _unit(F, 3)))
+    structural = {_mask(sp, F, _elements(gelfand_map(sp, F, x)))
+                  for x in sp.points()}
     assert oracle == structural
 
 
@@ -117,7 +134,7 @@ def test_structural_ideal_closure_property():
     I1 = IdealRepr(sp, F, {0})
     I2 = IdealRepr(sp, F, {1, 2})
     I12 = IdealRepr(sp, F, {0, 1, 2})
-    assert I12.element_set() == I1.element_set() & I2.element_set()
+    assert _elements(I12) == _elements(I1) & _elements(I2)
 
 
 def test_structural_is_really_an_ideal():
@@ -125,7 +142,7 @@ def test_structural_is_really_an_ideal():
     # pointwise on payloads, as the ideal oracle computes them
     F, sp = Fp(3), FiniteSpace(2)
     I = IdealRepr(sp, F, {1})
-    members = {f.payloads for f in I.element_set()}
+    members = {f.payloads for f in _elements(I)}
     ring = [r.payloads for r in all_ring_elements(sp, F)]
     for f in members:
         for g in members:
@@ -490,7 +507,23 @@ ORACLE_FIELDS = [Fp(2), Fp(3), Fq(2, 2), Fp(5), Fp(7), Fq(2, 3), Fq(3, 2),
 def test_oracle_matches_field_element_tables(field, size):
     space = FiniteSpace(size)
     assert enumerate_ideals_bruteforce(space, field) == \
-        _ideals_by_field_elements(space, field)
+        [_mask(space, field, I)
+         for I in _ideals_by_field_elements(space, field)]
+
+
+@pytest.mark.parametrize("field,size", [
+    (Fp(2), 3), (Fp(3), 2), (Fq(2, 2), 2), (Fp(5), 1)], ids=str)
+def test_ring_tables_are_pointwise_in_element_order(field, size):
+    # entry [i][j] is the index in all_ring_elements of the pointwise
+    # sum or product of elements i and j; F^n's coordinate permutations
+    # map ideals to ideals, so a table with its digits misread can give
+    # the right ideal list, and the tables are checked here directly
+    ring = all_ring_elements(FiniteSpace(size), field)
+    index = {f.payloads: i for i, f in enumerate(ring)}
+    for op in (field.add, field.mul):
+        assert function_ring._ring_table(op, field.order, size) == [
+            [index[tuple(map(op, f.payloads, g.payloads))] for g in ring]
+            for f in ring]
 
 
 def _local_ring_mul(self, a, b):
@@ -508,20 +541,38 @@ def test_oracle_sums_principal_ideals_into_the_rest(monkeypatch):
     monkeypatch.setattr(type(Fq(2, 3)), "mul", _local_ring_mul)
     space, field = FiniteSpace(1), Fq(2, 3)
     ideals = enumerate_ideals_bruteforce(space, field)
-    assert ideals == _ideals_by_field_elements(space, field)
+    assert ideals == [_mask(space, field, I)
+                      for I in _ideals_by_field_elements(space, field)]
     assert len(ideals) == 6
-    assert {0, 2, 4, 6} in [{f.payloads[0] for f in I} for I in ideals]
+    assert _mask(space, field, [RingElement.from_payloads(field, (a,))
+                                for a in (0, 2, 4, 6)]) in ideals
     assert check_homeomorphism(space, field)["bijective"] is False
 
 
 def test_oracle_past_its_guard_generates_the_readme_ring(monkeypatch):
-    # Fq(2,2) on 4 points: 256 elements, 16 ideals, summed from principal
-    # ideals; a subset enumeration would test 2^256 subsets
+    # Fq(2,2) on 4 points and Fp(2) on 8: 256 elements each, with 16 and
+    # 256 ideals summed from principal ideals and one maximal ideal per
+    # point; a subset enumeration would test 2^256 subsets
     monkeypatch.setattr(function_ring, "ORACLE_GUARD", 256)
-    report = check_homeomorphism(FiniteSpace(4), Fq(2, 2), force_oracle=True)
-    assert report["oracle_checked"] is True
-    assert report["passed"] is True
-    assert len(enumerate_ideals_bruteforce(FiniteSpace(4), Fq(2, 2))) == 16
+    for field, size, ideal_count in [(Fq(2, 2), 4, 16), (Fp(2), 8, 256)]:
+        space = FiniteSpace(size)
+        report = check_homeomorphism(space, field, force_oracle=True)
+        assert report["oracle_checked"] is True
+        assert report["passed"] is True
+        assert len(all_ring_elements(space, field)) == 256
+        ideals = enumerate_ideals_bruteforce(space, field)
+        assert len(ideals) == ideal_count
+        assert len(maximal_ideals(ideals, _unit(field, size))) == size
+
+
+def test_oracle_ends_on_a_sum_that_is_no_group(monkeypatch):
+    # with a + b computed as a + b + 1, a coset i + J need not hold i;
+    # the oracle takes each of I's elements at most once, so it ends
+    monkeypatch.setattr(PrimeField, "add",
+                        lambda self, a, b: (a + b + 1) % self.p)
+    ideals = enumerate_ideals_bruteforce(FiniteSpace(2), Fp(3))
+    assert ideals == sorted(set(ideals))
+    assert all(0 <= I < 1 << 9 for I in ideals)
 
 
 def test_wrong_negation_breaks_the_topology(monkeypatch):

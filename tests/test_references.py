@@ -24,6 +24,15 @@ The CLI's seeded rationals were once drawn as lists of a given count,
 and a p-adic check drew all its x before its first y; they are now one
 stream, read as it is drawn, and a witness must get the reference's
 points, and a p-adic check the reference's verdict.
+The ideal oracle once built the ring's tables on payload tuples and
+closed frozensets of element indices under every sum, returning sets of
+ring elements; it now reads its tables off the field's q x q tables and
+sums ideals as masks from cosets, and must list the reference's ideals,
+as masks, on every ring its guard admits, on a local ring and past its
+guard. The polynomial evaluator once raised every coordinate by `pow`,
+x^1 included, and multiplied every term through a zero coordinate; it
+must give the reference's value at zero-heavy points over every kind of
+field.
 """
 
 import itertools
@@ -53,7 +62,11 @@ from gelfand.field_core import (
     format_element,
     parse_element,
 )
-from gelfand.function_ring import RingElement, parse_ring_element
+from gelfand.function_ring import (
+    FiniteSpace,
+    RingElement,
+    parse_ring_element,
+)
 from gelfand.poly import (
     _ATOMIC_COEFF,
     _LEADING_COEFF,
@@ -63,6 +76,7 @@ from gelfand.poly import (
     parse_poly,
     univariate,
 )
+from test_function_ring import ORACLE_FIELDS, _local_ring_mul, _mask
 
 # ---------------------------------------------------------------------------
 # reference parsers
@@ -640,3 +654,117 @@ def test_padic_verdict_is_the_same_in_either_draw_order(p):
         streamed = itertools.islice(zip(pairs, pairs), 200)
         assert valuation_identity_check(p, held) == \
             valuation_identity_check(p, streamed) == ValuationPassed(200, p)
+
+
+# ---------------------------------------------------------------------------
+# the ideal oracle on payload tuples
+
+
+def _ref_enumerate_ideals(space, field):
+    """The oracle as it was: the ring's tables indexed by payload tuple,
+    |R|^2 tuple sums and products, and each ideal closed under every sum
+    I + aR as a frozenset of element indices; the ideals are returned as
+    sets of ring elements, sorted by element-index mask."""
+    function_ring.check_guards(space, field, force_oracle=True)
+    ring = function_ring.all_ring_elements(space, field)
+    payloads = [f.payloads for f in ring]
+    index = {a: i for i, a in enumerate(payloads)}
+    add, mul = field.add, field.mul
+    add_table = [[index[tuple(map(add, a, b))] for b in payloads]
+                 for a in payloads]
+    rows = {frozenset(index[tuple(map(mul, a, b))] for b in payloads)
+            for a in payloads}
+    ideals, todo = set(rows), list(rows)
+    while todo:
+        I = todo.pop()
+        for J in rows:
+            S = frozenset(add_table[i][j] for i in I for j in J)
+            if S not in ideals:
+                ideals.add(S)
+                todo.append(S)
+    by_mask = sorted(ideals, key=lambda I: sum(1 << i for i in I))
+    return [frozenset(ring[i] for i in I) for I in by_mask]
+
+
+def _assert_oracle_matches_the_reference(space, field):
+    ideals = function_ring.enumerate_ideals_bruteforce(space, field)
+    assert ideals == [_mask(space, field, I)
+                      for I in _ref_enumerate_ideals(space, field)]
+    return ideals
+
+
+ORACLE_CELLS = [(F, size) for F in ORACLE_FIELDS for size in range(1, 5)
+                if F.order ** size <= function_ring.ORACLE_GUARD]
+
+
+def test_the_guard_admits_eleven_oracle_cells():
+    assert len(ORACLE_CELLS) == 11
+
+
+@pytest.mark.parametrize("field,size", ORACLE_CELLS, ids=str)
+def test_oracle_matches_the_reference(field, size):
+    _assert_oracle_matches_the_reference(FiniteSpace(size), field)
+
+
+@pytest.mark.parametrize("size", [1, 2])
+def test_oracle_matches_the_reference_on_a_local_ring(monkeypatch, size):
+    # (F_2[x, y]/(x, y)^2)^n: at size 1 six ideals, one of them no row
+    # aR; at size 2, past the guard, the products of those, 36
+    monkeypatch.setattr(type(Fq(2, 3)), "mul", _local_ring_mul)
+    monkeypatch.setattr(function_ring, "ORACLE_GUARD", 64)
+    ideals = _assert_oracle_matches_the_reference(FiniteSpace(size),
+                                                  Fq(2, 3))
+    assert len(ideals) == 6 ** size
+
+
+def test_oracle_matches_the_reference_past_its_guard(monkeypatch):
+    monkeypatch.setattr(function_ring, "ORACLE_GUARD", 256)
+    ideals = _assert_oracle_matches_the_reference(FiniteSpace(4), Fq(2, 2))
+    assert len(ideals) == 16
+
+
+# ---------------------------------------------------------------------------
+# polynomial evaluation on payloads
+
+
+def _ref_evaluate_payloads(f, xs):
+    """The evaluator as it was: every (variable, exponent) pair of the
+    plan raised by `pow`, x^1 included, and every term multiplied
+    through, a zero coordinate included."""
+    F = f.field
+    mul, add, power = F.mul, F.add, F.pow
+    position = {}
+    plan = [(a, tuple(position.setdefault((i, e), len(position))
+                      for i, e in enumerate(m) if e))
+            for m, a in f.payload_terms]
+    powers = [power(xs[i], e) for i, e in position]
+    acc = F.canonical(0)
+    for term, factors in plan:
+        for j in factors:
+            term = mul(term, powers[j])
+        acc = add(acc, term)
+    return acc
+
+
+@pytest.mark.parametrize("F", FIELDS + [Fp(2), Fq(17, 4), Qsqrt(-1)],
+                         ids=str)
+def test_evaluate_payloads_matches_the_reference(F):
+    rng = random.Random(f"evaluate {F}")
+    zero = F.canonical(0)
+    skipped = linear = 0
+    for _ in range(200):
+        arity = rng.randint(1, 4)
+        coeffs = {tuple(rng.choice([0, 0, 1, 1, 2, 3, 5])
+                        for _ in range(arity)): _random_payload(F, rng)
+                  for _ in range(rng.randint(0, 8))}
+        f = MultiPoly.from_payloads(F, arity, coeffs)
+        for _ in range(5):
+            # zero-heavy points: each coordinate zero one time in two
+            xs = tuple(zero if rng.random() < 0.5 else _random_payload(F, rng)
+                       for _ in range(arity))
+            assert f.evaluate_payloads(xs) == _ref_evaluate_payloads(f, xs)
+            for m, _ in f.payload_terms:
+                skipped += any(e and xs[i] == zero for i, e in enumerate(m))
+                linear += 1 in m
+    # the corpus skips terms and reads x^1 in quantity
+    assert skipped > 500 and linear > 500
