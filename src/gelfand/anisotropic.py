@@ -4,9 +4,9 @@ The n-variable form is the composition tower
 f2(f2(...f2(x1, x2)...), xn) over the homogenization f2 of a root-free
 monic univariate f of degree m. A `Tower` holds f and keeps the form
 nested: it evaluates a point with n - 1 evaluations of f2 (over Q on
-integer pairs, with no gcd per operation), verifies a finite field level
-by level from a q x q table of f2, built by the homogenization
-f2(u, v) = v^m * f(u/v) from the q values of f, and expands to a
+integer pairs, with no gcd per operation), verifies a finite field by
+streaming its levels from a q x q table of f2, the one thing it holds,
+built by f2(u, v) = v^m * f(u/v) from the q values of f, and expands to a
 `MultiPoly` only for a report (`expand`, which `build_fn` calls), under
 FORM_TERMS_GUARD. The expansion multiplies no polynomials in several
 variables: as f2 is homogeneous, the terms of T_k^e are those of the
@@ -173,23 +173,23 @@ class Tower:
 
         Elements are coded by their payloads, which in a finite field
         are their indices (positions in `enumerate_field`), where 0 is
-        the zero element. T[u][v] codes f2(u, v); starting from the
-        values of x1, each further variable replaces every value v by
-        the row T[v], so the values stay in lexicographic point order
-        and a reported counterexample is the smallest one, as with
-        `verify_vanishing_exhaustive(self.expand())`.
-        """
+        the zero element. T[u][v] codes f2(u, v); from the values of x1,
+        each further variable replaces every value v by the row T[v].
+        The levels stream as one lazy chain in lexicographic point
+        order, read up to the first zero off the origin: T is all the
+        verifier holds, and a counterexample is the smallest one, as
+        with `verify_vanishing_exhaustive(self.expand())`."""
         field, n = self.field, self.arity
         points = _enumeration_size(field, n)
         q = field.order
-        values = list(range(q))
+        values = iter(range(q))
         if n > 1:
             table = self._f2_table()
             for _ in range(n - 1):
-                values = list(itertools.chain.from_iterable(
-                    map(table.__getitem__, values)))
+                values = itertools.chain.from_iterable(
+                    map(table.__getitem__, values))
         try:
-            bad = 0 if values[0] != 0 else values.index(0, 1)
+            bad = 0 if next(values) != 0 else operator.indexOf(values, 0) + 1
         except ValueError:
             return ExhaustivePassed(points)
         digits = base_digits(bad, q, n)

@@ -247,6 +247,13 @@ def _coset_masks(add, J):
     return cosets
 
 
+def _is_closed(add, I):
+    """Whether the element mask I is closed under the sum table add."""
+    members = [i for i in range(len(add)) if I >> i & 1]
+    return set(members).issuperset([add[i][j] for i in members
+                                    for j in members])
+
+
 def enumerate_ideals_bruteforce(space: FiniteSpace, field: FieldDescriptor):
     """All ideals of the function ring, as ascending int masks of element
     indices in `all_ring_elements` order, generated from its principal
@@ -257,7 +264,10 @@ def enumerate_ideals_bruteforce(space: FiniteSpace, field: FieldDescriptor):
     `mul`, as the ring's operations are pointwise. I + J is the union of
     the cosets i + J over i in I, each coset taken once; it is skipped
     when one ideal holds the other, as the sum is then the larger one,
-    already listed. Guarded by ORACLE_GUARD.
+    already listed. A generated mask is listed only if it holds element
+    0, the zero function, and is closed under the sum table, as an ideal
+    is an additive group; when the tables are a ring's, every generated
+    mask is. Guarded by ORACLE_GUARD.
     """
     check_guards(space, field, force_oracle=True)
     q, n = field.order, space.size
@@ -279,7 +289,7 @@ def enumerate_ideals_bruteforce(space: FiniteSpace, field: FieldDescriptor):
             if S not in ideals:
                 ideals.add(S)
                 todo.append(S)
-    return sorted(ideals)
+    return [I for I in sorted(ideals) if I & 1 and _is_closed(add, I)]
 
 
 def maximal_ideals(ideals, unit: int):

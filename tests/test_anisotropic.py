@@ -212,6 +212,40 @@ def test_tower_verifier_fails_on_rooted_base(n, point):
             parse_poly(Fp(5), "x1^2 + x2^2"))
 
 
+def test_tower_verifier_holds_no_level():
+    # 2^18 = 262,144 values: a list of them would take 2 MiB, the table
+    # of f2 over F_2 a few hundred bytes
+    tower = Tower.over(_base(Fp(2)), 18)
+    tracemalloc.start()
+    try:
+        result = tower.verify_exhaustive()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == ExhaustivePassed(2 ** 18)
+    assert peak < 1 << 18
+
+
+def test_rooted_tower_verifier_stops_at_its_first_zero(monkeypatch):
+    # x^2 + x vanishes at (0, ..., 0, 1), the point after the origin: the
+    # stream reads a few rows of the table, not the 2^19 of a full pass
+    rows = []
+
+    class CountedTable(list):
+        def __getitem__(self, u):
+            rows.append(u)
+            return super().__getitem__(u)
+
+    real = Tower._f2_table
+    monkeypatch.setattr(Tower, "_f2_table",
+                        lambda self: CountedTable(real(self)))
+    n = 20
+    result = Tower.over(parse_poly(Fp(2), "x^2 + x"), n).verify_exhaustive()
+    assert tuple(x.payload for x in result.counterexample) == \
+        (0,) * (n - 1) + (1,)
+    assert 0 < len(rows) < 2 ** (n - 1)
+
+
 def test_tower_verifier_guard_precedes_work(monkeypatch):
     # the q^n guard fires before the q x q table of f2 is built
     tower = Tower.over(parse_poly(Fp(2), "x^2 + x + 1"), 24)

@@ -17,6 +17,7 @@ from gelfand import function_ring as fr
 from gelfand.anisotropic import RationalTower, Tower
 from gelfand.cli import main
 from gelfand.field_core import (
+    PrimeField,
     Q,
     enumerate_field,
     find_rootfree_monic,
@@ -544,6 +545,18 @@ def test_gelfand_with_oracle(tmp_path):
     inst = report["instances"][0]
     assert inst["oracle_checked"] and inst["bijective"]
     assert inst["topology_match"]
+
+
+def test_gelfand_oracle_fails_on_a_sum_that_is_no_group(tmp_path,
+                                                        monkeypatch):
+    # a + b computed as a + b + 1: no generated proper mask is closed
+    monkeypatch.setattr(PrimeField, "add",
+                        lambda self, a, b: (a + b + 1) % self.p)
+    code, report = run_cli(
+        ["gelfand", "--field", "Fp(2)", "--space", "1..3", "--oracle"],
+        tmp_path / "r.json")
+    assert code == 1
+    assert [inst["passed"] for inst in report["instances"]] == [False] * 3
 
 
 @pytest.mark.parametrize("fields,space,oracle,guard", [

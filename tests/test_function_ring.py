@@ -575,6 +575,23 @@ def test_oracle_ends_on_a_sum_that_is_no_group(monkeypatch):
     assert all(0 <= I < 1 << 9 for I in ideals)
 
 
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_oracle_lists_only_masks_closed_under_its_sum(monkeypatch, size):
+    # with a + b computed as a + b + 1 over F_2, the generated masks (7
+    # at size 2 and 20 at size 3) include some without the zero function
+    # and, at size 1, {0}, which 0 + 0 = 1 takes out of itself: only the
+    # whole ring holds element 0 and is closed, so no proper ideal is
+    # listed, and the forced check fails
+    monkeypatch.setattr(PrimeField, "add",
+                        lambda self, a, b: (a + b + 1) % self.p)
+    space, field = FiniteSpace(size), Fp(2)
+    assert enumerate_ideals_bruteforce(space, field) == [(1 << 2 ** size) - 1]
+    report = check_homeomorphism(space, field, force_oracle=True)
+    assert report["oracle_checked"] is True
+    assert report["bijective"] is False
+    assert report["passed"] is False
+
+
 def test_wrong_negation_breaks_the_topology(monkeypatch):
     # with -a computed as a, 1 - 1_S over F_3 is 2 on S and 1 elsewhere:
     # it vanishes nowhere, so the only closed set left is the empty one

@@ -32,7 +32,10 @@ as masks, on every ring its guard admits, on a local ring and past its
 guard. The polynomial evaluator once raised every coordinate by `pow`,
 x^1 included, and multiplied every term through a zero coordinate; it
 must give the reference's value at zero-heavy points over every kind of
-field.
+field. The exhaustive verifier once held each level of a tower as a list
+of all its values; it now streams the levels, and must give the
+reference's verdict and counterexample on root-free and rooted bases
+and on planted tables.
 """
 
 import itertools
@@ -44,11 +47,14 @@ import pytest
 
 import gelfand.field_core as field_core
 import gelfand.function_ring as function_ring
-from gelfand import cli
+from gelfand import anisotropic, cli
 from gelfand.anisotropic import (
+    ExhaustivePassed,
+    Failed,
     RationalTower,
     Tower,
     ValuationPassed,
+    rootfree_base,
     valuation_identity_check,
 )
 from gelfand.errors import ParseError, TooLarge
@@ -59,6 +65,7 @@ from gelfand.field_core import (
     Q,
     Qsqrt,
     _power,
+    base_digits,
     format_element,
     parse_element,
 )
@@ -768,3 +775,75 @@ def test_evaluate_payloads_matches_the_reference(F):
                 linear += 1 in m
     # the corpus skips terms and reads x^1 in quantity
     assert skipped > 500 and linear > 500
+
+
+# ---------------------------------------------------------------------------
+# exhaustive verification, each level a list
+
+
+def _ref_verify_exhaustive(tower):
+    """The verifier as it was: each level of the tower a list of all its
+    values, read off the q x q table of f2, and the first zero off the
+    origin found by `list.index`."""
+    field, n = tower.field, tower.arity
+    points = anisotropic._enumeration_size(field, n)
+    q = field.order
+    values = list(range(q))
+    if n > 1:
+        table = tower._f2_table()
+        for _ in range(n - 1):
+            values = list(itertools.chain.from_iterable(
+                map(table.__getitem__, values)))
+    try:
+        bad = 0 if values[0] != 0 else values.index(0, 1)
+    except ValueError:
+        return ExhaustivePassed(points)
+    digits = base_digits(bad, q, n)
+    return Failed(tuple(field.element_at(i) for i in reversed(digits)))
+
+
+VERIFIER_FIELDS = [Fp(2), Fp(3), Fp(5), Fq(2, 2), Fq(2, 3), Fq(3, 2)]
+VERIFIER_CELLS = [(F, n) for F in VERIFIER_FIELDS for n in range(1, 7)
+                  if F.order ** n <= 5 * 10 ** 4]
+
+
+def _verifier_bases(F):
+    """Root-free bases of degrees 2 and 3, and two rooted ones: x^2 + x,
+    with the roots 0 and -1, and x^2 - a^2 for the last element a."""
+    a = F.element_at(F.order - 1)
+    return [rootfree_base(F, 2), rootfree_base(F, 3),
+            univariate(F, [0, 1, 1]), univariate(F, [-(a * a), 0, 1])]
+
+
+@pytest.mark.parametrize("field,n", VERIFIER_CELLS, ids=str)
+def test_verifier_matches_the_reference(field, n):
+    failed = 0
+    for f in _verifier_bases(field):
+        tower = Tower.over(f, n)
+        result = tower.verify_exhaustive()
+        assert result == _ref_verify_exhaustive(tower), (f, n)
+        failed += not result.passed
+    # each rooted base fails from n = 2 on
+    assert failed == (2 if n > 1 else 0)
+
+
+@pytest.mark.parametrize("field,n", VERIFIER_CELLS, ids=str)
+@pytest.mark.parametrize("bad", ["origin", "last"])
+def test_verifier_matches_the_reference_on_a_planted_table(
+        monkeypatch, field, n, bad):
+    # T[u][v] = 0 only at (0, 0); planted, T[0][0] is 1 or T[q-1][q-1]
+    # is 0: at n = 2, where the values are T's entries, the one bad
+    # value is then at the origin or at the last point
+    q = field.order
+    table = [[int(u or v) for v in range(q)] for u in range(q)]
+    if bad == "origin":
+        table[0][0] = 1
+    else:
+        table[q - 1][q - 1] = 0
+    monkeypatch.setattr(Tower, "_f2_table", lambda self: table)
+    tower = Tower.over(rootfree_base(field, 2), n)
+    result = tower.verify_exhaustive()
+    assert result == _ref_verify_exhaustive(tower)
+    if n == 2:
+        corner = 0 if bad == "origin" else q - 1
+        assert result == Failed((field.element_at(corner),) * 2)
