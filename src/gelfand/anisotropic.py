@@ -5,10 +5,10 @@ f2(f2(...f2(x1, x2)...), xn) over the homogenization f2 of a root-free
 monic univariate f of degree m. A `Tower` holds f and keeps the form
 nested: it evaluates a point with n - 1 evaluations of f2 (over Q on
 integer pairs, with no gcd per operation), verifies a finite field by
-streaming its levels from a q x q table of f2, the one thing it holds,
-built by f2(u, v) = v^m * f(u/v) from the q values of f, and expands to a
-`MultiPoly` only for a report (`expand`, which `build_fn` calls), under
-FORM_TERMS_GUARD. The expansion multiplies no polynomials in several
+streaming the rows of f2's q x q table, built by f2(u, v) = v^m * f(u/v)
+and listed only for n >= 3, where later levels look rows up, and expands
+to a `MultiPoly` only for a report (`expand`, which `build_fn` calls),
+under FORM_TERMS_GUARD. The expansion multiplies no polynomials in several
 variables: as f2 is homogeneous, the terms of T_k^e are those of the
 T_(k-1)^j times the coefficients of the univariate power f^e, so each
 term of the form is one chain of exponents, built in one pass from xn
@@ -175,17 +175,21 @@ class Tower:
         are their indices (positions in `enumerate_field`), where 0 is
         the zero element. T[u][v] codes f2(u, v); from the values of x1,
         each further variable replaces every value v by the row T[v].
-        The levels stream as one lazy chain in lexicographic point
-        order, read up to the first zero off the origin: T is all the
-        verifier holds, and a counterexample is the smallest one, as
-        with `verify_vanishing_exhaustive(self.expand())`."""
+        So x2 maps x1's values 0..q-1 to T's rows in order, streamed
+        from `_f2_rows`, and T is listed only for n >= 3, where rows are
+        looked up. The levels stream as one lazy chain in lexicographic
+        point order, read up to the first zero off the origin; a
+        counterexample is the smallest one, as with
+        `verify_vanishing_exhaustive(self.expand())`."""
         field, n = self.field, self.arity
         points = _enumeration_size(field, n)
         q = field.order
         values = iter(range(q))
         if n > 1:
-            table = self._f2_table()
-            for _ in range(n - 1):
+            rows = self._f2_rows()
+            table = list(rows) if n > 2 else rows
+            values = itertools.chain.from_iterable(table)
+            for _ in range(n - 2):
                 values = itertools.chain.from_iterable(
                     map(table.__getitem__, values))
         try:
@@ -195,19 +199,19 @@ class Tower:
         digits = base_digits(bad, q, n)
         return Failed(tuple(field.element_at(i) for i in reversed(digits)))
 
-    def _f2_table(self):
-        """T[u][v] = f2(u, v) for all payloads u, v of a finite field, by
-        the homogenization f2(u, v) = v^m * f(u/v): f is evaluated once
-        at each payload (`payload_values`), T[u][0] = u^m as f is monic,
-        and any other entry is the two products v^m * f(u * v^-1)."""
+    def _f2_rows(self):
+        """The rows T[u] = [f2(u, v) for all payloads v], u = 0..q-1 in
+        order, each built as it is read, by f2(u, v) = v^m * f(u/v): f is
+        evaluated once per payload (`payload_values`), T[u][0] = u^m as f
+        is monic, and any other entry is two products v^m * f(u * v^-1)."""
         F, m = self.field, self.f2.degree
         mul, q = F.mul, F.order
         f = list(payload_values(F, dense_payloads(self.base)))
         powers = [F.pow(v, m) for v in range(q)]
         inverses = [0] + [F.inv(v) for v in range(1, q)]
-        return [[powers[u]] + [mul(powers[v], f[mul(u, inverses[v])])
+        return ([powers[u]] + [mul(powers[v], f[mul(u, inverses[v])])
                                for v in range(1, q)]
-                for u in range(q)]
+                for u in range(q))
 
     def expand(self) -> MultiPoly:
         """The tower as a MultiPoly, by exponent chains.
@@ -248,6 +252,8 @@ class Tower:
         """The nesting, for a report that does not print the form."""
         n = self.arity
         nest = "x1"
+        if n == 1:
+            return {"nesting": nest, "levels": 0}
         if n > 4:
             nest = f"f2(...f2(x1, x2)..., x{n - 1})"
         else:

@@ -226,6 +226,37 @@ def test_tower_verifier_holds_no_level():
     assert peak < 1 << 18
 
 
+def test_tower_verifier_holds_no_table_at_n2():
+    # 401^2 = 160,801 values: the q x q table of lists of ints would
+    # take over 3 MB, a row of it about 3 KB
+    tower = Tower.over(_base(Fp(401)), 2)
+    tracemalloc.start()
+    try:
+        result = tower.verify_exhaustive()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == ExhaustivePassed(401 ** 2)
+    assert peak < 1 << 18
+
+
+def test_rooted_tower_verifier_stops_at_its_first_row(monkeypatch):
+    # x^2 + x vanishes at (0, 1), in row 0 of f2's table: at n = 2 the
+    # rows stream into the check, so only that row is built
+    rows = []
+    real = Tower._f2_rows
+
+    def counted(self):
+        for row in real(self):
+            rows.append(row)
+            yield row
+
+    monkeypatch.setattr(Tower, "_f2_rows", counted)
+    result = Tower.over(parse_poly(Fp(401), "x^2 + x"), 2).verify_exhaustive()
+    assert tuple(x.payload for x in result.counterexample) == (0, 1)
+    assert len(rows) == 1
+
+
 def test_rooted_tower_verifier_stops_at_its_first_zero(monkeypatch):
     # x^2 + x vanishes at (0, ..., 0, 1), the point after the origin: the
     # stream reads a few rows of the table, not the 2^19 of a full pass
@@ -236,9 +267,14 @@ def test_rooted_tower_verifier_stops_at_its_first_zero(monkeypatch):
             rows.append(u)
             return super().__getitem__(u)
 
-    real = Tower._f2_table
-    monkeypatch.setattr(Tower, "_f2_table",
-                        lambda self: CountedTable(real(self)))
+    # for n >= 3 the verifier lists the rows as its table; the other
+    # lists of the module, of payloads, are left uncounted
+    def listed(items):
+        items = list(items)
+        return CountedTable(items) if items and type(items[0]) is list \
+            else items
+
+    monkeypatch.setattr(anisotropic, "list", listed, raising=False)
     n = 20
     result = Tower.over(parse_poly(Fp(2), "x^2 + x"), n).verify_exhaustive()
     assert tuple(x.payload for x in result.counterexample) == \
@@ -247,9 +283,9 @@ def test_rooted_tower_verifier_stops_at_its_first_zero(monkeypatch):
 
 
 def test_tower_verifier_guard_precedes_work(monkeypatch):
-    # the q^n guard fires before the q x q table of f2 is built
+    # the q^n guard fires before any row of f2 is built
     tower = Tower.over(parse_poly(Fp(2), "x^2 + x + 1"), 24)
-    _forbid(monkeypatch, Tower, "_f2_table")
+    _forbid(monkeypatch, Tower, "_f2_rows")
     with pytest.raises(TooLarge):
         tower.verify_exhaustive()
     with pytest.raises(InfiniteField):
@@ -1112,6 +1148,14 @@ def test_witness_record_above_the_form_guard():
     assert small.structure()["nesting"] == "f2(f2(x1, x2), x3)"
 
 
+@pytest.mark.parametrize("field", [Fp(2), Q()], ids=str)
+def test_structure_of_the_tower_x1(field):
+    # n = 1 has no f2: the tower is x1, with no levels
+    tower = Tower.over(parse_poly(field, "x^2 + x + 1"), 1)
+    assert tower.f2 is None
+    assert tower.structure() == {"nesting": "x1", "levels": 0}
+
+
 # ---------------------------------------------------------------------------
 # the expansion by exponent chains and the table of f2, against references
 # that share no code with them
@@ -1232,7 +1276,7 @@ def _table_by_evaluation(tower):
 def test_f2_table_matches_evaluation(field, m):
     for f in _expansion_bases(field, m):
         tower = Tower.over(f, 2)
-        assert tower._f2_table() == _table_by_evaluation(tower), f
+        assert list(tower._f2_rows()) == _table_by_evaluation(tower), f
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -1244,7 +1288,7 @@ def test_f2_table_matches_evaluation_over_f256(m):
         univariate(field, [field.element_at(2), 0] + [0] * (m - 2) + [1])]
     for f in bases:
         tower = Tower.over(f, 2)
-        assert tower._f2_table() == _table_by_evaluation(tower), f
+        assert list(tower._f2_rows()) == _table_by_evaluation(tower), f
 
 
 @pytest.mark.parametrize("field,m,top", [

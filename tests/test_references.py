@@ -790,7 +790,7 @@ def _ref_verify_exhaustive(tower):
     q = field.order
     values = list(range(q))
     if n > 1:
-        table = tower._f2_table()
+        table = list(tower._f2_rows())
         for _ in range(n - 1):
             values = list(itertools.chain.from_iterable(
                 map(table.__getitem__, values)))
@@ -840,7 +840,7 @@ def test_verifier_matches_the_reference_on_a_planted_table(
         table[0][0] = 1
     else:
         table[q - 1][q - 1] = 0
-    monkeypatch.setattr(Tower, "_f2_table", lambda self: table)
+    monkeypatch.setattr(Tower, "_f2_rows", lambda self: table)
     tower = Tower.over(rootfree_base(field, 2), n)
     result = tower.verify_exhaustive()
     assert result == _ref_verify_exhaustive(tower)
