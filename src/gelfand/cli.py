@@ -3,9 +3,9 @@
 Exit codes: 0 when everything passed, 1 on a verification failure,
 2 on an input or precondition error. Each `cmd_*` handler returns its
 report and exit code; `main` alone adds wall_time_s, timed from just
-before the handler runs, and writes the report, deterministic for a
-fixed configuration apart from that key, in one pass with
-`_report_text`, as `json.dumps(report, indent=2)` writes it.
+before the handler runs, and writes the report in one pass with
+`_report_text`, as `json.dumps(report, indent=2)` writes it; the writer
+refuses any value that no report holds.
 Field texts go through `parse_field`, which keeps its last 16.
 
 `COMMANDS` is the one declaration of the grammar: each command's words,
@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import random
 import sys
 import time
-from json.encoder import encode_basestring_ascii
+from json.encoder import encode_basestring_ascii as quoted
 
 from . import anisotropic as aniso
 from . import covers as cov
@@ -35,6 +36,7 @@ from .field_core import (
     is_prime,
     parse_field,
     rootfree_scan_position,
+    rootfree_search_size,
 )
 from .poly import format_poly, parse_poly
 
@@ -43,44 +45,29 @@ EXIT_VERIFICATION_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 
 
-# json's texts for the literals and for the floats repr writes nan, inf, -inf
-_WORDS = {None: "null", True: "true", False: "false", "nan": "NaN",
-          "inf": "Infinity", "-inf": "-Infinity"}
-
-
 def _report_text(value, newline="\n"):
     """value as json.dumps(value, indent=2) writes it, indented as `newline`
-    ends; bool is tested before int."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None or value is True or value is False:
-        return _WORDS[value]
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        text = float.__repr__(value)
-        return _WORDS.get(text, text)
+    ends, read off each value's exact type: dicts with str keys, lists,
+    str, int, bool, None and finite floats. Any other type or key raises
+    TypeError; a NaN or infinite float, or an over-long int, ValueError."""
+    kind = type(value)
+    if kind is str:
+        return quoted(value)
+    if kind is int or (kind is float and math.isfinite(value)):
+        return repr(value)
+    if kind is bool or value is None:
+        return "null" if value is None else "true" if value else "false"
     inner = newline + "  "
-    if isinstance(value, dict):
-        items = []
-        for key, item in value.items():
-            if not isinstance(key, str):   # a scalar key is its text, quoted
-                if not (key is None or isinstance(key, (int, float))):
-                    raise TypeError(f"keys must be str, int, float, bool "
-                                    f"or None, not {type(key).__name__}")
-                key = _report_text(key)
-            items.append(encode_basestring_ascii(key) + ": "
-                         + _report_text(item, inner))
-        ends = "{}"
-    elif isinstance(value, (list, tuple)):
-        items = [_report_text(item, inner) for item in value]
-        ends = "[]"
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} "
-                        f"is not JSON serializable")
-    if not items:
-        return ends
-    return ends[0] + inner + ("," + inner).join(items) + newline + ends[1]
+    if kind is list:
+        items, ends = [_report_text(item, inner) for item in value], "[]"
+    elif kind is dict and {str}.issuperset(map(type, value)):
+        items, ends = [quoted(key) + ": " + _report_text(item, inner)
+                       for key, item in value.items()], "{}"
+    else:   # a float that is not finite, or any other type or key
+        raise (ValueError if kind is float else TypeError)(
+            f"no report holds this {kind.__name__}")
+    return (ends[0] + inner + ("," + inner).join(items) + newline + ends[1]
+            if items else ends)
 
 
 def _emit(report, out_path):
@@ -252,6 +239,8 @@ def cmd_cover(args):
     field = parse_field(args.field)
     if args.case in ("I", "all") and args.m < 2:
         raise ConfigError("degree guard: --m must be at least 2")
+    if args.case in ("I", "all") and field.is_finite:
+        rootfree_search_size(field, args.m)   # before the file is read
     functions = _load_functions(field, args.functions)
     config = {"field": format_field(field), "functions": args.functions,
               "case": args.case, "m": args.m}
@@ -418,9 +407,7 @@ def _read_argv(argv):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _read_argv(argv)
-    if args is None:
-        args = build_parser().parse_args(argv)
+    args = _read_argv(argv) or build_parser().parse_args(argv)
     try:
         start = time.monotonic()
         report, code = args.func(args)

@@ -765,17 +765,23 @@ def rootfree_payloads(F: FieldDescriptor, m: int):
     if m < 2:
         raise ValueError("degree must be at least 2: every monic linear "
                          "polynomial has a root")
-    if not F.is_finite:
-        raise InfiniteField("root-free search requires a finite field")
+    rootfree_search_size(F, m)
     q = F.order
-    TooLarge.check("ROOTFREE_SEARCH_GUARD", ROOTFREE_SEARCH_GUARD,
-                   power_within(q, m, ROOTFREE_SEARCH_GUARD),
-                   lambda: f"q^m = {q}^{m} exceeds the search guard")
     # payloads are indices, and the payload of one is 1
     for tail in itertools.product(range(1, q), *[range(q)] * (m - 1)):
         if first_root(F, tail + (1,), 1) is None:
             return tail + (1,)
     raise NoneFound(f"no root-free monic of degree {m} over {F}")
+
+
+def rootfree_search_size(F: FieldDescriptor, m: int):
+    """q^m, once F is checked to be finite and q^m within the search guard."""
+    if not F.is_finite:
+        raise InfiniteField("root-free search requires a finite field")
+    q = F.order
+    return TooLarge.check("ROOTFREE_SEARCH_GUARD", ROOTFREE_SEARCH_GUARD,
+                          power_within(q, m, ROOTFREE_SEARCH_GUARD),
+                          lambda: f"q^m = {q}^{m} exceeds the search guard")
 
 
 def rootfree_scan_position(F: FieldDescriptor, payloads):

@@ -653,6 +653,24 @@ def test_cover_route_one_degree_guard_before_any_route(
         "error: degree guard: --m must be at least 2\n"
 
 
+@pytest.mark.parametrize("case", ["I", "all", "II", "III"])
+def test_cover_route_one_search_guard_before_the_file_is_read(
+        tmp_path, capsys, monkeypatch, case):
+    # q^m = 10007^2 is past ROOTFREE_SEARCH_GUARD: route I is refused
+    # before the functions file is read; routes II and III read it
+    monkeypatch.setattr(cli, "_load_functions", _refuse)
+    args = ["cover", "--field", "Fp(10007)", "--functions",
+            str(tmp_path / "missing.txt"), "--case", case, "--m", "2"]
+    if case in ("II", "III"):
+        with pytest.raises(AssertionError, match="the functions file"):
+            main(args)
+        return
+    code, report = run_cli(args, tmp_path / "r.json")
+    assert (code, report) == (2, None)
+    assert capsys.readouterr().err == ("error: TooLarge: q^m = 10007^2 "
+                                       "exceeds the search guard\n")
+
+
 @pytest.mark.parametrize("case", ["II", "III"])
 def test_cover_routes_two_and_three_ignore_m(tmp_path, case):
     fns = tmp_path / "fns.txt"
@@ -1244,21 +1262,25 @@ def test_anisotropic_rational_witness_with_fraction(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the report writer against json.dumps(value, indent=2)
+# the report writer against json.dumps(value, indent=2, allow_nan=False)
+#
+# A report holds dicts with str keys, lists, str, int, bool, None and finite
+# floats, and on those the writer's text is json.dumps's. Where json.dumps
+# refuses a value too, the writer raises the same exception type; where
+# json.dumps writes what no report holds (a tuple, a key that is not a str,
+# a subclass of str or int), the writer refuses it: the refusal tests below.
 
 _INT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 4300)() or 4300
 _STRINGS = ["", "plain", 'a "quoted" word', "back\\slash \\u0041",
             "\x00\x01\x1f\x7f\n\r\t\b\f", "caf\u00e9 \u2603 \u00ff",
             "astral \U0001F600 \U00010000", "\ud800 lone surrogate"]
 _SCALARS = _STRINGS + [True, False, None, 0, 1, -7, 2 ** 70, -(10 ** 30),
-                       1e-05, 0.1, 1e16, -0.0, 2.5, -1e300, float("nan"),
-                       float("inf"), float("-inf")]
-_KEYS = _STRINGS + [0, 1, -3, 2 ** 65, 1.5, 1e16, -0.0, 1e-05,
-                    float("nan"), float("inf"), True, False, None]
-# values and keys json.dumps refuses, each with the type it raises
+                       1e-05, 0.1, 1e16, -0.0, 2.5, -1e300, 5e-324]
+# values and keys json.dumps refuses as well, each with the type it raises
 _UNSUPPORTED = [set(), {1, 2}, Fraction(1, 3), b"bytes", object(),
                 10 ** _INT_LIMIT]
-_BAD_KEYS = [Fraction(1, 2), (1, 2), b"k", 10 ** _INT_LIMIT]
+_NOT_FINITE = [float("nan"), float("inf"), float("-inf")]
+_BAD_KEYS = [Fraction(1, 2), (1, 2), b"k", frozenset()]
 
 
 def _outcome(write, value):
@@ -1268,21 +1290,23 @@ def _outcome(write, value):
         return "raises", type(exc)
 
 
+def _dumps(value):
+    return json.dumps(value, indent=2, allow_nan=False)
+
+
 def _random_value(rng, depth):
-    """A random nest of dicts, lists and tuples over the scalars above, at
-    times with a value or a key that json.dumps refuses."""
+    """A random nest of dicts with str keys and lists over the scalars
+    above, at times with a value that json.dumps refuses."""
     kind = rng.random()
     if depth == 0 or kind < 0.35:
         if rng.random() < 0.02:
-            return rng.choice(_UNSUPPORTED)
+            return rng.choice(_UNSUPPORTED + _NOT_FINITE)
         return rng.choice(_SCALARS)
     items = range(rng.choice([0, 1, 2, 3, 5]))
-    if kind < 0.6:
-        return [_random_value(rng, depth - 1) for _ in items]
     if kind < 0.7:
-        return tuple(_random_value(rng, depth - 1) for _ in items)
-    return {rng.choice(_KEYS + _BAD_KEYS * (rng.random() < 0.03)):
-            _random_value(rng, depth - 1) for _ in items}
+        return [_random_value(rng, depth - 1) for _ in items]
+    return {rng.choice(_STRINGS): _random_value(rng, depth - 1)
+            for _ in items}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -1291,7 +1315,7 @@ def test_report_text_is_json_dumps_on_a_seeded_corpus(seed):
     refused = 0
     for _ in range(800):
         value = _random_value(rng, 4)
-        expected = _outcome(lambda v: json.dumps(v, indent=2), value)
+        expected = _outcome(_dumps, value)
         assert _outcome(cli._report_text, value) == expected, value
         refused += expected[0] == "raises"
     # both outcomes come up
@@ -1299,16 +1323,39 @@ def test_report_text_is_json_dumps_on_a_seeded_corpus(seed):
 
 
 @pytest.mark.parametrize("value", [
-    {}, [], (), {"a": {}}, {"a": []}, [[], {}, ()], ((1, (2, ())),),
-    {"a": {"b": {"c": [1, {"d": ()}]}}}, [{"e": [[[]]]}],
+    {}, [], {"a": {}}, {"a": []}, [[], {}, []], [[1, [2, []]]],
+    {"a": {"b": {"c": [1, {"d": []}]}}}, [{"e": [[[]]]}],
     *_STRINGS, [True, 1, False, 0, None], {"t": True, "one": 1},
     2 ** 64, 10 ** (_INT_LIMIT - 1), [1e-05, 0.1, 1e16, -0.0],
     float("nan"), [float("inf"), float("-inf")],
-    {1: "int", 2.5: "float", True: "bool", None: "none", "s": "str"},
-    {False: 0, -0.0: 1, float("nan"): 2, 1e16: 3},
+    {"int": 1, "float": 2.5, "bool": True, "none": None, "s": "str"},
+    {key: i for i, key in enumerate(_STRINGS)},
     *_UNSUPPORTED, [1, set()], {"a": Fraction(1, 3)},
     *({key: 1} for key in _BAD_KEYS), {"a": 1, (1,): 2},
 ], ids=lambda value: type(value).__name__)
 def test_report_text_is_json_dumps_on_edge_values(value):
-    assert _outcome(cli._report_text, value) == _outcome(
-        lambda v: json.dumps(v, indent=2), value)
+    assert _outcome(cli._report_text, value) == _outcome(_dumps, value)
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+def test_report_text_refuses_what_no_report_holds():
+    """A tuple, a key that is not a str and a subclass of str or int,
+    which json.dumps writes, and the types json.dumps refuses too."""
+    for value in [{1: "int key"}, {None: 0}, {_Str("k"): 0}, (1, 2),
+                  [1, (2,)], {"a": ()}, _Str("s"), _Int(1), [_Int(2)],
+                  {1, 2}, Fraction(1, 3), b"bytes", {"a": b"bytes"}]:
+        with pytest.raises(TypeError):
+            cli._report_text(value)
+
+
+def test_report_text_refuses_floats_that_are_not_finite():
+    for value in [*_NOT_FINITE, [1, float("nan")], {"a": float("-inf")}]:
+        with pytest.raises(ValueError):
+            cli._report_text(value)

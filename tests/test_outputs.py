@@ -7,7 +7,8 @@ code, stderr and `--out` report, with the report's `wall_time_s` value
 dropped and the temporary directory's path replaced by a fixed token; a
 library task is hashed by the `repr` of its result. The instance digests
 of one (workload, seed) are hashed together and compared with
-`output_digests.json`.
+`output_digests.json`. Every report is also checked to be
+`json.dumps(report, indent=2)` and a newline, byte for byte.
 
 The test pins outputs, wrong ones included: `test_workloads.py` judges
 them, this test keeps them. When an output changes on purpose, rewrite
@@ -66,6 +67,8 @@ def _output(inst, tmp):
         except Exception as exc:
             rc = f"raised {exc!r}"
     report = out.read_text() if out.exists() else ""
+    if report:   # the writer's contract, on every report the passes make
+        assert report == json.dumps(json.loads(report), indent=2) + "\n"
     text = f"{inst.name}\0{rc}\0{err.getvalue()}\0{report}"
     return WALL_TIME.sub('"wall_time_s"', text.replace(tmp, TMP))
 
