@@ -231,22 +231,6 @@ def _ring_table(op, q, n):
     return table
 
 
-def _coset_masks(add, J):
-    """For each element i, the mask of its coset i + J under the sum
-    table add; J is an additive group, so its cosets partition the ring
-    and each is formed once, for its first element."""
-    members = [j for j in range(len(add)) if J >> j & 1]
-    cosets = [0] * len(add)
-    for i, row in enumerate(add):
-        if not cosets[i]:
-            coset = 0
-            for j in members:
-                coset |= 1 << row[j]
-            for j in members:
-                cosets[row[j]] = coset
-    return cosets
-
-
 def _is_closed(add, I):
     """Whether the element mask I is closed under the sum table add."""
     members = [i for i in range(len(add)) if I >> i & 1]
@@ -256,39 +240,40 @@ def _is_closed(add, I):
 
 def enumerate_ideals_bruteforce(space: FiniteSpace, field: FieldDescriptor):
     """All ideals of the function ring, as ascending int masks of element
-    indices in `all_ring_elements` order, generated from its principal
-    ideals: in a commutative ring with 1, every ideal J is the sum of the
-    aR over a in J, and aR is row a of the product table. The distinct
-    rows, closed under sums I + aR, are every ideal. The tables are read
-    off the field's payload operations, q^2 calls each of `add` and
-    `mul`, as the ring's operations are pointwise. I + J is the union of
-    the cosets i + J over i in I, each coset taken once; it is skipped
-    when one ideal holds the other, as the sum is then the larger one,
-    already listed. A generated mask is listed only if it holds element
-    0, the zero function, and is closed under the sum table, as an ideal
-    is an additive group; when the tables are a ring's, every generated
+    indices in `all_ring_elements` order, summed from its principal
+    ideals: in a commutative ring with 1, every ideal is the sum of the
+    aR over its elements a, and aR is row a of the product table. The
+    ring's tables are read off the field's q x q ones (`_ring_table`).
+    One pass takes the distinct rows J in ascending order and at J's
+    turn adds I + J for each ideal I listed before it, so after the
+    turns of J_1..J_k every sum of a nonempty subset of them is listed,
+    and after the last every ideal. I + J is the union of the cosets
+    i + J, read off row i of the sum table, over the i in I not in the
+    union yet; it is skipped when one ideal holds the other, as the sum
+    is then the larger one. A summed mask is listed only if it holds
+    element 0, the zero function, and is closed under the sum table, as
+    an ideal is an additive group; with a ring's tables every summed
     mask is. Guarded by ORACLE_GUARD.
     """
     check_guards(space, field, force_oracle=True)
     q, n = field.order, space.size
     add = _ring_table(field.add, q, n)
-    rows = {sum(1 << j for j in set(row))
-            for row in _ring_table(field.mul, q, n)}
-    cosets = [(J, _coset_masks(add, J)) for J in rows]
-    ideals, todo = set(rows), list(rows)
-    while todo:
-        I = todo.pop()
-        for J, coset in cosets:
+    ideals = set()
+    for J in sorted({sum(1 << j for j in set(row))
+                     for row in _ring_table(field.mul, q, n)}):
+        members = [j for j in range(len(add)) if J >> j & 1]
+        for I in list(ideals):
             if I & J in (I, J):   # one holds the other
                 continue
             S, rest = 0, I
-            while rest:   # I's first element whose coset is not in S yet
-                low = rest & -rest
-                S |= coset[low.bit_length() - 1]
-                rest = (rest ^ low) & ~S   # ends even if i is not in i + J
-            if S not in ideals:
-                ideals.add(S)
-                todo.append(S)
+            while rest:   # I's first element not in S yet: its coset
+                i = (rest & -rest).bit_length() - 1
+                row = add[i]
+                for j in members:
+                    S |= 1 << row[j]
+                rest &= ~S & ~(1 << i)   # ends even if i is not in i + J
+            ideals.add(S)
+        ideals.add(J)
     return [I for I in sorted(ideals) if I & 1 and _is_closed(add, I)]
 
 

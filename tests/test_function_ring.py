@@ -565,6 +565,26 @@ def test_oracle_past_its_guard_generates_the_readme_ring(monkeypatch):
         assert len(maximal_ideals(ideals, _unit(field, size))) == size
 
 
+def test_oracle_bounds_its_reads_of_the_sum_table(monkeypatch):
+    # each sum I + J reads the coset i + J off row i of the sum table
+    # only for the i of I not yet in the union: at Fp(2) on 6 points the
+    # oracle reads 71,349 entries, its closure check included, and
+    # 233,749 if it read the coset of every i in I
+    reads = [0]
+
+    class Row(list):
+        def __getitem__(self, j):
+            reads[0] += 1
+            return list.__getitem__(self, j)
+
+    ring_table = function_ring._ring_table
+    monkeypatch.setattr(function_ring, "_ring_table", lambda op, q, n: [
+        Row(row) for row in ring_table(op, q, n)])
+    monkeypatch.setattr(function_ring, "ORACLE_GUARD", 64)
+    assert len(enumerate_ideals_bruteforce(FiniteSpace(6), Fp(2))) == 64
+    assert reads[0] <= 75_000
+
+
 def test_oracle_ends_on_a_sum_that_is_no_group(monkeypatch):
     # with a + b computed as a + b + 1, a coset i + J need not hold i;
     # the oracle takes each of I's elements at most once, so it ends

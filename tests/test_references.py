@@ -27,9 +27,10 @@ points, and a p-adic check the reference's verdict.
 The ideal oracle once built the ring's tables on payload tuples and
 closed frozensets of element indices under every sum, returning sets of
 ring elements; it now reads its tables off the field's q x q tables and
-sums ideals as masks from cosets, and must list the reference's ideals,
-as masks, on every ring its guard admits, on a local ring and past its
-guard. The polynomial evaluator once raised every coordinate by `pow`,
+sums ideals as masks in one pass over the principal ideals, and must
+list the reference's ideals, as masks, on every ring its guard admits,
+on local rings (one of whose ideals needs three principal ideals) and
+past its guard. The polynomial evaluator once raised every coordinate by `pow`,
 x^1 included, and multiplied every term through a zero coordinate; it
 must give the reference's value at zero-heavy points over every kind of
 field. The exhaustive verifier once held each level of a tower as a list
@@ -728,6 +729,20 @@ def test_oracle_matches_the_reference_past_its_guard(monkeypatch):
     monkeypatch.setattr(function_ring, "ORACLE_GUARD", 256)
     ideals = _assert_oracle_matches_the_reference(FiniteSpace(4), Fq(2, 2))
     assert len(ideals) == 16
+
+
+def test_oracle_sums_three_principal_ideals_on_a_local_ring(monkeypatch):
+    # F_2[x, y, z]/(x, y, z)^2 on the payloads 0..15 of F_16: its ideals
+    # are the ring and the 16 subspaces of (x, y, z), and (x, y, z) is
+    # xR + yR + zR but no sum of two rows aR, so an oracle that summed
+    # only pairs of principal ideals would miss it
+    monkeypatch.setattr(type(Fq(2, 4)), "mul", _local_ring_mul)
+    monkeypatch.setattr(function_ring, "ORACLE_GUARD", 16)
+    space, field = FiniteSpace(1), Fq(2, 4)
+    ideals = _assert_oracle_matches_the_reference(space, field)
+    assert len(ideals) == 17
+    maximal = [RingElement.from_payloads(field, (a,)) for a in range(0, 16, 2)]
+    assert _mask(space, field, maximal) in ideals
 
 
 # ---------------------------------------------------------------------------
