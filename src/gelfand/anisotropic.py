@@ -311,13 +311,15 @@ class RationalTower(Tower):
 
     @cached_property
     def _cleared(self):
-        """L, and the int coefficients c_0..c_m of L*f2 from u^m down to
-        v^m, c_k = L times f's coefficient of y^(m-k) (`dense_payloads`,
-        zeros included), as c_0 and the list c_1..c_m, of length m."""
-        dense = dense_payloads(self.base)[::-1]
-        lcm = math.lcm(*(c.denominator for c in dense))
-        top, *rest = (int(c * lcm) for c in dense)
-        return lcm, top, rest
+        """L, the lcm of f's terms' denominators, and the int coefficients
+        c_0..c_m of L*f2 from u^m down to v^m, c_k = L times f's coefficient
+        of y^(m-k), zeros included, as c_0 and the list c_1..c_m."""
+        terms, m = self.base.payload_terms, self.base.degree
+        lcm = math.lcm(*(c.denominator for _, c in terms))
+        dense = [0] * (m + 1)
+        for (i,), c in terms:
+            dense[m - i] = c.numerator * (lcm // c.denominator)
+        return lcm, dense[0], dense[1:]
 
     def _pair(self, pairs):
         """(N, E) at the point whose coordinates are the int pairs

@@ -289,8 +289,10 @@ def _split_terms(text):
             start, close = i + 1 if ch == "+" else i, None
     if depth != 0:
         raise ParseError(text, opened, "a ')' closing this '('")
+    if start == len(text):
+        raise ParseError(text, start, "a term after '+'")
     terms.append((start, text[start:], close))
-    return [term for term in terms if term[1]]
+    return terms
 
 
 def _parse_term(field, text, start, term, close):

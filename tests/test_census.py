@@ -27,19 +27,20 @@ EDGE = "public edge: the README names it, or it serves a name there"
 EDGE_PINNED = EDGE + "; perfbench/tracing.py patches it too"
 PINNED = ("a reference that perfbench/tracing.py patches; it moves to tests/ "
           "when the tracer stops patching it")
-CI = "reached only by a CI step: a README command, the usage text or an error"
+CLI = ("reached only by the command line, which the tests run as processes: "
+       "a documented command, the usage text or an error")
 REFUSAL = "a refusal of library input that only the tests make"
 
 UNCALLED = {
-    "anisotropic.Failed.to_json": CI,
+    "anisotropic.Failed.to_json": CLI,
     "anisotropic.RationalTower.evaluate_payloads": EDGE,
     "anisotropic.Tower.evaluate": EDGE,
-    "anisotropic.Tower.structure": CI,
-    "cli.build_parser": CI,
+    "anisotropic.Tower.structure": CLI,
+    "cli.build_parser": CLI,
     "covers.indicator_poly": PINNED,
-    "errors.CommonZero.__init__": CI,
-    "errors.HasRoot.__init__": CI,
-    "errors.ParseError.__init__": CI,
+    "errors.CommonZero.__init__": CLI,
+    "errors.HasRoot.__init__": CLI,
+    "errors.ParseError.__init__": CLI,
     "field_core.ExtensionField.__reduce__": EDGE,
     "field_core.FieldDescriptor.__repr__": EDGE,
     "field_core.FieldDescriptor.conjugate": REFUSAL,
@@ -60,11 +61,11 @@ UNCALLED = {
     "field_core.FieldElement.conjugate": EDGE,
     "field_core.FieldElement.inv": EDGE_PINNED,
     "field_core.FieldElement.norm": EDGE,
-    "field_core.QuadraticField.add": CI,
+    "field_core.QuadraticField.add": CLI,
     "field_core.QuadraticField.conjugate": EDGE,
     "field_core.QuadraticField.inv": EDGE,
     "field_core.QuadraticField.mul": EDGE,
-    "field_core.QuadraticField.neg": CI,
+    "field_core.QuadraticField.neg": CLI,
     "field_core.RationalField.inv": EDGE,
     "function_ring.IdealRepr.is_maximal": PINNED,
     "function_ring.RingElement.__init__": EDGE,

@@ -24,6 +24,7 @@ from gelfand.field_core import (
     parse_field,
 )
 from gelfand.poly import parse_poly, univariate
+from test_documented_commands import ARGPARSE, ROWS
 from test_poly import forbid_field_elements
 
 
@@ -1074,64 +1075,6 @@ def test_usage_errors_are_pinned(capsys, monkeypatch, argv, words, errors):
     assert err in [f"{usage}\n{prog}: error: {e}\n" for e in errors]
 
 
-# every command of the README's command-line block and of the CI, with
-# the shell's variables spelled out
-DOCUMENTED_COMMANDS = """
-field find-rootfree --field "Fp(3)" --m 2
-anisotropic --field "Fp(2)" --m 2 --n 3
-anisotropic --field "Fq(2,8)" --m 2 --n 2
-anisotropic --field "Q" --witness "x^2+1" --n 2 --seed 7
-anisotropic --field "Fp(2)" --n 20
-anisotropic --field Q --witness "x^2+1/2" --n 4 --seed 7
-anisotropic --field "Fp(2)" --m 2 --n 11
-anisotropic --field "Fp(2)" --m 4 --n 6
-anisotropic --field "Fp(5)" --m 5 --n 5
-anisotropic --field "Q" --padic 5 --samples 200 --seed 7
-anisotropic --field Q --witness "x^2+1" --n 3 --samples 300000
-anisotropic --field Q --padic 5 --samples 300000
-anisotropic --field "Fp(2)" --n 24
-anisotropic --field Q --witness "x^2+1" --samples 0
-anisotropic --field "Fp(3)" --samples 0 --n 2
-anisotropic --field "Fp(3)" --witness "x^2+2"
-anisotropic --field Q --witness "x^2-1" --n 3
-anisotropic --field Q --padic 4
-anisotropic --field Q --padic 5 --witness "x^2+1"
-anisotropic --field Q --witness "x^2-1" --n 3 --samples 1000000
-anisotropic --field Q --witness "x^1000000" --n 3
-anisotropic --n 1000000000 --field "Fp(2)"
-gelfand --field "Fp(2),Fp(3)" --space 1..2 --oracle
-gelfand --field "Fp(11)" --space 1 --oracle
-gelfand --field "Fp(3)" --space 2 --oracle
-gelfand --field "Fp(2)" --space 3 --oracle
-gelfand --field "Q,Q(sqrt(-1))" --space 1..4
-gelfand --field "Q,Q(sqrt(-1))" --space 18
-gelfand --field "Fp(2)" --space 19
-gelfand --field "Q(sqrt(-3)),Q(sqrt(-7))" --space 1..2
-gelfand --field "Fq(17,4)" --space 1..3
-gelfand --field "Fp(2)" --space 3..1
-gelfand --field "Fp(2)" --space 20
-gelfand --field Q --space 2 --oracle
-gelfand --field "Fp(2)" --space 18..20
-gelfand --field "Fp(2)" --space 1..1000000000
-gelfand --field "Fq(251,8)" --space 1
-gelfand --field "Fp(618970019642690137449562111)" --space 1
-gelfand --space 1000000000 --field "Fp(2)"
-cover --field "Fp(5)" --functions cover.txt --case all --m 2
-cover --field "Fq(2,3)" --functions cover8.txt --case II
-cover --field Q --functions cover.txt --case II
-cover --field Q --functions cover.txt --case III
-cover --field "Q(sqrt(-1))" --functions coverqi.txt --case II
-cover --field "Fp(7)" --functions cover7.txt --case II
-cover --field "Fp(7)" --functions cover7.txt --case all
-cover --field "Fq(17,4)" --functions cover17.txt --case II
-cover --field "Fq(17,4)" --functions cover17.txt --case III
-cover --field "Fq(251,2)" --functions cover251.txt --case II
-cover --field "Fp(13)" --functions cover13.txt --case II
-cover --field "Fp(5)" --functions missing.txt
-field find-rootfree --m 1000000000 --field "Fp(2)"
-"""
-
-
 def _mutations(argv, rng):
     """Seeded variants of a documented argv that argparse reads by rules
     the table does not hold, or refuses; a few the table reads too."""
@@ -1192,18 +1135,14 @@ def _corpus(seed):
     """The plain argv, documented and generated from COMMANDS, and a
     seeded corpus of them and the documented argv's variants."""
     rng = random.Random(seed)
-    documented = [shlex.split(line)
-                  for line in DOCUMENTED_COMMANDS.strip().splitlines()]
+    documented = [shlex.split(row.argv) for row in ROWS
+                  if row not in ARGPARSE]
     plain = documented + _table_corpus()
     corpus = list(plain)
     for argv in documented:
         corpus += _mutations(argv, rng)
-    # the CI's argparse runs, and argv short of a command
-    return plain, corpus + [
-        ["--help"], ["anisotropic", "--help"],
-        ["anisotropic", "--fie", "Fp(2)", "--n", "3"],
-        ["anisotropic", "--field=Fp(2)", "--n=3"],
-        ["anisotropic", "--fild", "Fp(2)"],
+    # the documented argparse runs, and argv short of a command
+    return plain, corpus + [shlex.split(row.argv) for row in ARGPARSE] + [
         ["field"], [], ["anisotropic"], ["-h"], ["bogus"]]
 
 

@@ -445,6 +445,14 @@ def test_parse_error_points_at_bad_term(text, pos):
     assert exc.value.text == text
 
 
+@pytest.mark.parametrize("text,pos", [("x^2 + ", 6), ("(1)+", 4)])
+def test_parse_refuses_a_trailing_plus(text, pos):
+    # a '+' with no term after it is refused as a '-' is, not dropped
+    with pytest.raises(ParseError, match=r"a term after '\+'") as exc:
+        parse_poly(Q(), text)
+    assert (exc.value.pos, exc.value.text) == (pos, text)
+
+
 def test_parse_error_names_variable_beyond_arity():
     with pytest.raises(ParseError) as exc:
         parse_poly(Fp(3), "x1 + 2 * x3", arity=2)

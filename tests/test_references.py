@@ -106,8 +106,10 @@ def _ref_split_terms(text):
             start = i + 1 if ch == "+" else i
     if depth != 0:
         raise ParseError(text, opened, "a ')' closing this '('")
+    if start == len(text):
+        raise ParseError(text, start, "a term after '+'")
     terms.append((start, text[start:]))
-    return [(i, t) for i, t in terms if t]
+    return terms
 
 
 def _ref_parse_coefficient(field, text, start, end):
